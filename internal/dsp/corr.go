@@ -3,12 +3,8 @@ package dsp
 import "math"
 
 // CrossCorrelate returns c[k] = sum_n x[n+k] * conj(ref[n]) for
-// k = 0 .. len(x)-len(ref). This is the direct O(N·m) form, kept
-// deliberately naive: it is the reference the overlap-save XCorrPlan is
-// property-tested against (the kernel admission contract in DESIGN.md),
-// so it must stay an independent implementation. Hot paths use
-// XCorrPlan. len(ref) must be <= len(x) and > 0; otherwise it returns
-// nil.
+// k = 0 .. len(x)-len(ref), in the direct O(N·m) form. len(ref) must be
+// <= len(x) and > 0; otherwise it returns nil.
 func CrossCorrelate(x, ref []complex128) []complex128 {
 	m := len(ref)
 	if m == 0 || m > len(x) {
@@ -30,8 +26,8 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 // NormalizedCorrelation returns |<x_seg, ref>|^2 / (E(x_seg) * E(ref)) at
 // each lag: a value in [0,1] that is 1 when the segment is a scaled rotated
 // copy of ref. This is the standard scale-invariant sync metric in its
-// direct reference form; the modem's streaming Sync computes the same
-// metric through XCorrPlan + PrefixEnergy.
+// direct form; the modem's Sync combines it over short segments of its
+// reference.
 func NormalizedCorrelation(x, ref []complex128) []float64 {
 	m := len(ref)
 	if m == 0 || m > len(x) {

@@ -152,3 +152,27 @@ func TestNextPowerOfTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestFFTPlanMatchesFFT checks the cached-plan transform against the
+// one-shot FFT/IFFT across sizes.
+func TestFFTPlanMatchesFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 4, 8, 64, 256, 1024} {
+		p := NewFFTPlan(n)
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		want := Clone(x)
+		FFT(want)
+		got := Clone(x)
+		p.Forward(got)
+		if e := maxAbsDiff(got, want); e > 1e-9 {
+			t.Fatalf("n=%d: plan forward differs from FFT by %g", n, e)
+		}
+		p.Inverse(got)
+		if e := maxAbsDiff(got, x); e > 1e-9 {
+			t.Fatalf("n=%d: plan round-trip error %g", n, e)
+		}
+	}
+}

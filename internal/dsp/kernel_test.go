@@ -304,10 +304,10 @@ func TestPlansConcurrentSharedUse(t *testing.T) {
 	}
 }
 
-// Kernel microbenchmarks at the sizes the modem actually runs: 256-point
-// blocks (jam synthesis, sync correlation, PSD segments), 1024 (FIR
-// overlap-save blocks for the adversary's 129-tap band-pass), and the
-// end-to-end 129-tap filter over a response-window-sized input.
+// Kernel microbenchmarks at the sizes the simulation actually runs:
+// 256-point blocks (jam synthesis, PSD segments), 1024 (FIR overlap-save
+// blocks for the adversary's 129-tap band-pass), and the end-to-end
+// 129-tap filter over a response-window-sized input.
 
 func benchFFTForward(b *testing.B, n int) {
 	p := NewFFTPlan(n)

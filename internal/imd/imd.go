@@ -101,11 +101,9 @@ type Device struct {
 	obsScratch []complex128
 
 	// Counters for battery/energy accounting and experiment bookkeeping.
-	txSamples   int64
-	rxFrames    int
-	respFrames  int
-	badCRC      int
-	syncSamples int64
+	txSamples  int64
+	rxFrames   int
+	respFrames int
 }
 
 // Config bundles the dependencies for NewDevice.
@@ -332,7 +330,7 @@ func (d *Device) Stats() Stats {
 
 // ResetCounters zeroes the lifetime counters (between experiment runs).
 func (d *Device) ResetCounters() {
-	d.txSamples, d.rxFrames, d.respFrames, d.badCRC, d.syncSamples = 0, 0, 0, 0, 0
+	d.txSamples, d.rxFrames, d.respFrames = 0, 0, 0
 }
 
 // SetRNG replaces the device's random source. Scenario recycling uses it

@@ -2,6 +2,8 @@ package modem
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"heartshield/internal/dsp"
@@ -95,30 +97,120 @@ func syncTestSignal(m *FSK, g *stats.RNG, n, offset int, cfo float64) []complex1
 	return x
 }
 
-// TestSyncMetricMatchesNaive is the modem-level equivalence test: the FFT
-// metric must match the brute-force metric within 1e-9 at every lag, on
-// both frame-bearing and pure-noise windows.
+// TestSyncMetricMatchesNaive is the modem-level equivalence test: the
+// tone-matched metric must match the brute-force metric within 1e-9 at
+// every lag, on frame-bearing and pure-noise windows, at the edges of the
+// lag range and across the chunk grid. The modulation-index-1 config
+// flips the bit-start phasor at every bit.
 func TestSyncMetricMatchesNaive(t *testing.T) {
-	for _, cfg := range []FSKConfig{DefaultFSK, {SampleRate: 600e3, SymbolRate: 25e3, Deviation: 25e3}} {
+	for _, cfg := range []FSKConfig{
+		DefaultFSK,
+		{SampleRate: 600e3, SymbolRate: 25e3, Deviation: 25e3},
+		{SampleRate: 600e3, SymbolRate: 50e3, Deviation: 25e3},
+	} {
 		m := NewFSK(cfg)
 		g := stats.NewRNG(99)
-		cases := [][]complex128{
-			syncTestSignal(m, g, 6000, 1234, 0),
-			syncTestSignal(m, g, 6000, 17, 2100),
-			g.ComplexNormalVec(make([]complex128, 3000), 1),
-			g.ComplexNormalVec(make([]complex128, len(m.syncRef)), 1), // single lag
+		n := m.SyncRefLen()
+		cases := []struct {
+			name string
+			x    []complex128
+		}{
+			{"frame", syncTestSignal(m, g, 6000, 1234, 0)},
+			{"frame with CFO", syncTestSignal(m, g, 6000, 17, 2100)},
+			{"frame across the chunk boundary", syncTestSignal(m, g, syncChunkLags+2*n, syncChunkLags-m.sps, 900)},
+			{"noise", g.ComplexNormalVec(make([]complex128, 3000), 1)},
+			{"fewer lags than a chunk", g.ComplexNormalVec(make([]complex128, n+syncChunkLags/2), 1)},
+			{"single lag", g.ComplexNormalVec(make([]complex128, n), 1)},
 		}
-		for ci, x := range cases {
-			want := naiveSyncMetric(m, x)
-			got := m.syncMetric(x)
+		for _, c := range cases {
+			want := naiveSyncMetric(m, c.x)
+			got := m.syncMetric(c.x)
 			if len(got) != len(want) {
-				t.Fatalf("case %d: %d lags, want %d", ci, len(got), len(want))
+				t.Fatalf("%+v, %s: %d lags, want %d", cfg, c.name, len(got), len(want))
 			}
 			for k := range got {
 				if math.Abs(got[k]-want[k]) > 1e-9 {
-					t.Fatalf("case %d lag %d: metric %g vs naive %g", ci, k, got[k], want[k])
+					t.Fatalf("%+v, %s, lag %d: metric %g vs naive %g", cfg, c.name, k, got[k], want[k])
 				}
 			}
+		}
+	}
+}
+
+// TestSyncMetricChunkInvariance pins the determinism property of the sync
+// metric: each lag's value depends only on the samples under it, so it is
+// bit-identical wherever the 1024-lag chunk grid falls. Re-slicing the
+// window by k moves every lag to a different chunk position.
+func TestSyncMetricChunkInvariance(t *testing.T) {
+	m := NewFSK(DefaultFSK)
+	x := syncTestSignal(m, stats.NewRNG(17), 6000, 2500, 700)
+	ref := m.syncMetric(x)
+	for _, k := range []int{1, 37, 500, 1023} {
+		got := m.syncMetric(x[k:])
+		diff := 0
+		for i, v := range got {
+			if v != ref[k+i] {
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Errorf("window shifted by %d: %d of %d lags differ from the unshifted metric", k, diff, len(got))
+		}
+	}
+}
+
+// TestSyncConcurrentUse shares one modem across goroutines, as the
+// experiment workers do: each scan takes its own pooled scratch, and the
+// tables it carries between chunks must never leak into another scan.
+func TestSyncConcurrentUse(t *testing.T) {
+	m := NewFSK(DefaultFSK)
+	g := stats.NewRNG(29)
+	windows := [][]complex128{
+		syncTestSignal(m, g, 5000, 3000, 300),
+		g.ComplexNormalVec(make([]complex128, 4000), 1),
+		syncTestSignal(m, g, 3000, 100, -800),
+	}
+	want := make([][]float64, len(windows))
+	for i, x := range windows {
+		want[i] = m.syncMetric(x)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				i := (w + r) % len(windows)
+				if got := m.syncMetric(windows[i]); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, window %d: concurrent metric differs from the serial one", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestSyncAllocs checks that a warm Sync allocates nothing, whether it
+// locks early or scans the whole window.
+func TestSyncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	m := NewFSK(DefaultFSK)
+	g := stats.NewRNG(23)
+	locked := syncTestSignal(m, g, 6000, 1500, 400)
+	noise := g.ComplexNormalVec(make([]complex128, 6000), 1)
+	for _, c := range []struct {
+		name string
+		x    []complex128
+		lock bool
+	}{{"locked", locked, true}, {"no lock", noise, false}} {
+		if _, ok := m.Sync(c.x, 0.5); ok != c.lock {
+			t.Fatalf("%s: Sync lock = %v, want %v", c.name, ok, c.lock)
+		}
+		if n := testing.AllocsPerRun(50, func() { m.Sync(c.x, 0.5) }); n != 0 {
+			t.Errorf("%s: warm Sync allocates %v times per call, want 0", c.name, n)
 		}
 	}
 }
@@ -166,6 +258,20 @@ func BenchmarkFSKSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := m.Sync(x, 0.5); !ok {
 			b.Fatal("sync lost the frame")
+		}
+	}
+}
+
+// BenchmarkFSKSyncNoLock is the whole-window scan of a replay too weak
+// to lock: no frame, so every chunk is evaluated.
+func BenchmarkFSKSyncNoLock(b *testing.B) {
+	m := NewFSK(DefaultFSK)
+	x := stats.NewRNG(4).ComplexNormalVec(make([]complex128, 12000), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Sync(x, 0.5); ok {
+			b.Fatal("sync locked on noise")
 		}
 	}
 }

@@ -8,6 +8,7 @@ package modem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,15 +67,21 @@ type FSK struct {
 	sps     int
 	syncRef []complex128 // modulated preamble+sync, the timing reference
 
-	// Sync acceleration: the reference is split into segLen-sample
-	// segments correlated by FFT overlap-save. Equal segments (the
-	// preamble repeats one 4-bit pattern) share one correlation, so the
-	// plan holds only the unique segment waveforms.
-	segLen  int
-	nSeg    int
-	refSegE []float64 // per-segment reference energy
-	segRef  []int     // segment index -> unique reference index
-	xcPlan  *dsp.XCorrPlan
+	// Sync acceleration: the reference is nSeg segments of segSyms tone
+	// symbols, correlated by tone-matched filtering (see syncChunk).
+	// Segment s correlates like the unique shape shapes[segRef[s]] and is
+	// weighted by segW[s] = 1/(nSeg·reference segment energy); the
+	// periodic preamble collapses to one shape.
+	segLen int
+	nSeg   int
+	shapes []segShape
+	segRef []int
+	segW   []float64
+	// The one-symbol tone correlations are assembled from blk-sample
+	// partial sums: tone[n+blk] = ±tone[n], so partial sum k enters with
+	// the exact sign blkSgn[k].
+	blk    int
+	blkSgn []float64
 
 	// Demod acceleration: tone[n] = e^{-j 2π Deviation n / fs}, the
 	// cfo-free +Deviation matched phasor; the -Deviation hypothesis is its
@@ -96,15 +103,57 @@ type FSK struct {
 // being inserted once the bound is reached.
 const frameCacheMax = 64
 
-type syncScratch struct {
-	corr   [][]complex128
-	prefix []float64
-	out    []float64 // per-chunk metric buffer for the streaming scan
+// segSyms is the number of symbols per noncoherently combined sync
+// segment: long enough to average noise, short enough that a few kHz of
+// CFO rotates a segment's correlation by well under a radian.
+const segSyms = 4
+
+// segShape is one sync segment as the tone correlator sees it: symbol k
+// correlates against the -Deviation tone when minus[k] (a 0 bit) and the
+// +Deviation tone otherwise, with sign sgn[k], the modulator's bit-start
+// phasor relative to symbol 0.
+type segShape struct {
+	minus [segSyms]bool
+	sgn   [segSyms]float64
 }
 
-// NewFSK builds a modem for the given configuration.
+// syncScratch holds one metric scan's per-position tables, indexed by
+// sample position minus base and sized for the longest chunk. Every entry
+// is a function of its own samples only, so the overlap between
+// consecutive chunks is carried instead of recomputed and is
+// bit-identical either way.
+type syncScratch struct {
+	tp, tm []complex128 // one-symbol +Deviation / -Deviation tone correlations
+	e      []float64    // one-symbol energies
+	h      [][]float64  // per shape: |segment correlation|² / segment energy
+	buf    []float64    // reciprocal segment energies, then the chunk's metric
+	base   int          // sample position of index 0
+	nt, nq int          // valid entries of tp/tm/e and of h
+}
+
+// carry rebases the tables to sample position lo for a chunk that reads
+// nt symbol positions and nq segment positions, sliding the previous
+// chunk's overlap to the front. It returns how many leading entries of
+// tp/tm/e and of h are already valid.
+func (sc *syncScratch) carry(lo, nt, nq int) (keepT, keepQ int) {
+	if d := lo - sc.base; d >= 0 && d < sc.nq {
+		keepT, keepQ = sc.nt-d, sc.nq-d
+		copy(sc.tp[:keepT], sc.tp[d:])
+		copy(sc.tm[:keepT], sc.tm[d:])
+		copy(sc.e[:keepT], sc.e[d:])
+		for _, h := range sc.h {
+			copy(h[:keepQ], h[d:])
+		}
+	}
+	sc.base, sc.nt, sc.nq = lo, nt, nq
+	return keepT, keepQ
+}
+
+// NewFSK builds a modem for the given configuration. It panics unless
+// the oversampling factor and the modulation index are integers.
 func NewFSK(cfg FSKConfig) *FSK {
 	m := &FSK{cfg: cfg, sps: cfg.SamplesPerSymbol()}
+	h := cfg.modulationIndex()
 	m.tone = make([]complex128, m.sps)
 	step := -2 * math.Pi * cfg.Deviation / cfg.SampleRate
 	for n := range m.tone {
@@ -114,57 +163,88 @@ func NewFSK(cfg FSKConfig) *FSK {
 
 	syncBits := phy.BytesToBits(syncRefBytes())
 	m.syncRef = m.Modulate(syncBits)
-
-	m.buildSyncPlan()
-	m.syncPool.New = func() any { return &syncScratch{} }
+	m.buildSyncShapes(syncBits, h)
 	return m
 }
 
-// buildSyncPlan slices the sync reference into the noncoherent-combining
-// segments and prepares the FFT correlation plan over the unique ones.
-func (m *FSK) buildSyncPlan() {
-	n := len(m.syncRef)
-	if n == 0 {
-		return
+// modulationIndex returns h = 2·Deviation/SymbolRate and panics unless it
+// is a positive integer. The tones are then orthogonal over a symbol,
+// which the noncoherent demodulator assumes, and the carrier phase
+// advances by h·π per bit, so every bit starts at phasor ±1, which the
+// sync correlator assumes.
+func (c FSKConfig) modulationIndex() int {
+	h := 2 * c.Deviation / c.SymbolRate
+	k := math.Round(h)
+	if k < 1 || math.Abs(h-k) > 1e-9 {
+		panic(fmt.Sprintf("modem: modulation index 2·%g/%g = %g is not a positive integer", c.Deviation, c.SymbolRate, h))
 	}
-	m.segLen = 4 * m.sps
-	if m.segLen > n {
-		m.segLen = n
-	}
-	m.nSeg = n / m.segLen
-	m.refSegE = make([]float64, m.nSeg)
-	m.segRef = make([]int, m.nSeg)
-	var uniq [][]complex128
-	for s := 0; s < m.nSeg; s++ {
-		seg := m.syncRef[s*m.segLen : (s+1)*m.segLen]
-		m.refSegE[s] = dsp.Energy(seg)
-		m.segRef[s] = -1
-		for u, ur := range uniq {
-			if segAlmostEqual(seg, ur) {
-				m.segRef[s] = u
-				break
-			}
-		}
-		if m.segRef[s] < 0 {
-			m.segRef[s] = len(uniq)
-			uniq = append(uniq, seg)
-		}
-	}
-	m.xcPlan = dsp.NewXCorrPlan(uniq...)
+	return int(k)
 }
 
-// segAlmostEqual reports whether two modulated segments are the same
-// waveform. Phase-continuous modulation accumulates rounding, so repeats of
-// the same bit pattern differ at the 1e-15 level; sharing one correlation
-// among them perturbs the sync metric far below its noise floor.
-func segAlmostEqual(a, b []complex128) bool {
-	for i := range a {
-		d := a[i] - b[i]
-		if math.Abs(real(d)) > 1e-9 || math.Abs(imag(d)) > 1e-9 {
-			return false
+// buildSyncShapes splits the sync reference into segSyms-symbol segments
+// and records each one's tone/sign shape, sharing equal shapes. The sign
+// of a symbol is the modulated reference's first sample in it, which is
+// the modulator's bit-start phasor (±1 for the integer modulation index
+// h). It also derives the partial-sum length: the tone turns by
+// θ = π·h/sps per sample, a whole number of half turns every
+// blk = sps/gcd(sps, h) samples.
+func (m *FSK) buildSyncShapes(bits []byte, h int) {
+	m.segLen = segSyms * m.sps
+	m.nSeg = len(bits) / segSyms
+	m.segRef = make([]int, m.nSeg)
+	m.segW = make([]float64, m.nSeg)
+	for s := range m.segRef {
+		var sh segShape
+		for k := range sh.sgn {
+			i := s*segSyms + k
+			sh.minus[k] = bits[i]&1 == 0
+			sh.sgn[k] = 1
+			if (real(m.syncRef[i*m.sps]) < 0) != (real(m.syncRef[s*m.segLen]) < 0) {
+				sh.sgn[k] = -1
+			}
+		}
+		m.segRef[s] = slices.Index(m.shapes, sh)
+		if m.segRef[s] < 0 {
+			m.segRef[s] = len(m.shapes)
+			m.shapes = append(m.shapes, sh)
+		}
+		refE := dsp.Energy(m.syncRef[s*m.segLen : (s+1)*m.segLen])
+		m.segW[s] = 1 / (refE * float64(m.nSeg))
+	}
+
+	nBlk := gcd(m.sps, h)
+	m.blk = m.sps / nBlk
+	m.blkSgn = make([]float64, nBlk)
+	for k := range m.blkSgn {
+		m.blkSgn[k] = 1
+		if h/nBlk*k%2 == 1 {
+			m.blkSgn[k] = -1
 		}
 	}
-	return true
+
+	span := m.nSeg * m.segLen
+	nt := syncChunkLags + span - m.blk // partial sums reach sps-blk past the last symbol position
+	nq := syncChunkLags + span - m.segLen
+	m.syncPool.New = func() any {
+		sc := &syncScratch{
+			tp:  make([]complex128, nt),
+			tm:  make([]complex128, nt),
+			e:   make([]float64, nt),
+			h:   make([][]float64, len(m.shapes)),
+			buf: make([]float64, nq),
+		}
+		for u := range sc.h {
+			sc.h[u] = make([]float64, nq)
+		}
+		return sc
+	}
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func syncRefBytes() []byte {
@@ -317,35 +397,16 @@ type SyncResult struct {
 // receiver's behaviour anyway).
 func (m *FSK) Sync(x []complex128, threshold float64) (SyncResult, bool) {
 	n := len(m.syncRef)
-	if n == 0 || n > len(x) {
-		return SyncResult{}, false
-	}
-	nLags := len(x) - n + 1
-
-	sc := m.syncPool.Get().(*syncScratch)
-	defer m.syncPool.Put(sc)
-	if cap(sc.out) < syncChunkLags {
-		sc.out = make([]float64, syncChunkLags)
-	}
-
 	best, bestV := -1, 0.0
-	for lo := 0; lo < nLags; lo += syncChunkLags {
-		hi := lo + syncChunkLags
-		if hi > nLags {
-			hi = nLags
-		}
-		out := sc.out[:hi-lo]
-		m.syncChunk(x, lo, hi, out, sc)
-		for i, v := range out {
+	m.scanSync(x, func(lo int, metric []float64) bool {
+		for i, v := range metric {
 			if v > bestV {
 				bestV = v
 				best = lo + i
 			}
 		}
-		if best >= 0 && bestV >= threshold && hi-best >= n {
-			break
-		}
-	}
+		return best < 0 || bestV < threshold || lo+len(metric)-best < n
+	})
 	if best < 0 || bestV < threshold {
 		return SyncResult{}, false
 	}
@@ -354,70 +415,144 @@ func (m *FSK) Sync(x []complex128, threshold float64) (SyncResult, bool) {
 	return res, true
 }
 
-// syncChunkLags is the fixed lag-range granule of the metric sweep. Each
-// chunk correlates its own slice of x, so the streaming scan in Sync can
-// stop as soon as a peak is confirmed instead of sweeping the whole
-// window; the fixed grid keeps the computed values bit-identical no matter
-// where the scan stops or what machine runs it.
+// syncChunkLags is the fixed lag-range granule of the metric sweep, so
+// the streaming scan in Sync can stop as soon as a peak is confirmed
+// instead of sweeping the whole window.
 const syncChunkLags = 1024
 
 // syncMetric returns, per candidate lag, the CFO-tolerant normalized
 // correlation against the sync reference: the reference is split into
 // 4-bit segments whose correlation magnitudes are combined noncoherently,
 // then normalized by segment energies so the metric stays in [0,1]. This
-// is the exhaustive sweep over every lag; Sync itself scans chunk by chunk
-// and stops early once it has a confirmed peak.
+// is the exhaustive sweep over every lag; Sync itself stops early once it
+// has a confirmed peak.
 func (m *FSK) syncMetric(x []complex128) []float64 {
-	n := len(m.syncRef)
-	if n == 0 || n > len(x) {
+	if len(m.syncRef) > len(x) {
 		return nil
 	}
-	nLags := len(x) - n + 1
-	out := make([]float64, nLags)
-	sc := m.syncPool.Get().(*syncScratch)
-	defer m.syncPool.Put(sc)
-	for lo := 0; lo < nLags; lo += syncChunkLags {
-		hi := lo + syncChunkLags
-		if hi > nLags {
-			hi = nLags
-		}
-		m.syncChunk(x, lo, hi, out[lo:hi], sc)
-	}
+	out := make([]float64, len(x)-len(m.syncRef)+1)
+	m.scanSync(x, func(lo int, metric []float64) bool {
+		copy(out[lo:], metric)
+		return true
+	})
 	return out
 }
 
-// syncChunk fills out (hi-lo entries) with the metric for lags [lo, hi):
-// one FFT correlation sweep per unique segment waveform (the block forward
-// transforms are shared across them), and O(1) sliding segment energies
-// from a prefix sum, replacing the former per-lag recomputation.
-func (m *FSK) syncChunk(x []complex128, lo, hi int, out []float64, sc *syncScratch) {
-	span := m.nSeg * m.segLen
-	sub := x[lo : hi-1+span]
-
-	sc.corr = m.xcPlan.CorrelateAll(sc.corr, sub, 0, m.xcPlan.NumRefs())
-	sc.prefix = dsp.PrefixEnergy(sc.prefix, sub)
-
-	for i := range out {
-		out[i] = 0
+// scanSync evaluates the sync metric over every lag of x in order, one
+// chunk of up to syncChunkLags lags at a time, handing each chunk to
+// visit until it returns false. The metric slice is only valid during the
+// call.
+func (m *FSK) scanSync(x []complex128, visit func(lo int, metric []float64) bool) {
+	nLags := len(x) - len(m.syncRef) + 1
+	if nLags <= 0 {
+		return
 	}
-	for s := 0; s < m.nSeg; s++ {
-		cs := sc.corr[m.segRef[s]]
-		pre := sc.prefix
-		off := s * m.segLen
-		refE := m.refSegE[s]
-		for i := range out {
-			c := cs[i+off]
-			segE := pre[i+off+m.segLen] - pre[i+off]
-			if den := segE * refE; den > 0 {
-				re, im := real(c), imag(c)
-				out[i] += (re*re + im*im) / den
-			}
+	sc := m.syncPool.Get().(*syncScratch)
+	defer m.syncPool.Put(sc)
+	sc.nt, sc.nq = 0, 0
+	for lo := 0; lo < nLags; lo += syncChunkLags {
+		hi := min(lo+syncChunkLags, nLags)
+		if !visit(lo, m.syncChunk(x, lo, hi, sc)) {
+			return
 		}
 	}
-	inv := 1 / float64(m.nSeg)
-	for i := range out {
-		out[i] *= inv
+}
+
+// syncChunk returns the metric for lags [lo, hi), in sc.buf. Every
+// reference symbol is a pure ±Deviation tone times a ±1 bit-start phasor,
+// so segment s's correlation at lag L is a signed sum of the one-symbol
+// tone correlations at L+s·segLen, L+s·segLen+sps, …: the P±jQ pair
+// demodInto accumulates. The chunk computes those and the one-symbol
+// energies once per sample position, then each unique shape's
+// |correlation|² times the reciprocal segment energy once per segment
+// position, and finally sums the weighted shapes per lag. Every value
+// depends only on the samples under its own lag, so the result does not
+// depend on the chunk grid or on where the scan stops.
+func (m *FSK) syncChunk(x []complex128, lo, hi int, sc *syncScratch) []float64 {
+	sps, segLen := m.sps, m.segLen
+	span := m.nSeg * segLen
+	nt := hi - lo + span - sps    // symbol positions the chunk reads
+	nq := hi - lo + span - segLen // segment positions the chunk reads
+	keepT, keepQ := sc.carry(lo, nt, nq)
+
+	// Partial sums over blk samples: with tone[n] = c+js, P = Σx·c and
+	// Q = Σx·s, the +Deviation (bit 1) sum is P+jQ and the -Deviation
+	// one P-jQ. They reach sps-blk positions past the last symbol
+	// position and are then folded, in place, into one-symbol sums.
+	tone := m.tone[:m.blk]
+	np := nt + sps - m.blk
+	tp, tm, te := sc.tp[:np], sc.tm[:np], sc.e[:np]
+	for i := keepT; i < len(tp); i++ {
+		xs := x[lo+i:]
+		xs = xs[:len(tone)] // same length as tone: no bounds checks below
+		var pr, pi, qr, qi, e float64
+		for n, t := range tone {
+			c, s := real(t), imag(t)
+			vr, vi := real(xs[n]), imag(xs[n])
+			pr += vr * c
+			pi += vi * c
+			qr += vr * s
+			qi += vi * s
+			e += vr*vr + vi*vi
+		}
+		tp[i] = complex(pr-qi, pi+qr)
+		tm[i] = complex(pr+qi, pi-qr)
+		te[i] = e
 	}
+	// Symbol sum at i = Σ_k blkSgn[k]·partial(i+k·blk); it reads only
+	// positions ≥ i, so overwriting in order is safe.
+	for i := keepT; i < nt; i++ {
+		a, b, e := tp[i], tm[i], te[i]
+		for k := 1; k < len(m.blkSgn); k++ {
+			j, sg := i+k*m.blk, m.blkSgn[k]
+			a += complex(sg*real(tp[j]), sg*imag(tp[j]))
+			b += complex(sg*real(tm[j]), sg*imag(tm[j]))
+			e += te[j]
+		}
+		tp[i], tm[i], te[i] = a, b, e
+	}
+
+	// The loops below unroll the segSyms = 4 symbols of a segment.
+	rcp := sc.buf[keepQ:nq]
+	e0, e1, e2, e3 := te[keepQ:], te[keepQ+sps:], te[keepQ+2*sps:], te[keepQ+3*sps:]
+	e0, e1, e2, e3 = e0[:len(rcp)], e1[:len(rcp)], e2[:len(rcp)], e3[:len(rcp)]
+	for i := range rcp {
+		rcp[i] = 0
+		if e := e0[i] + e1[i] + e2[i] + e3[i]; e > 0 {
+			rcp[i] = 1 / e
+		}
+	}
+	for u := range m.shapes {
+		sh := &m.shapes[u]
+		h := sc.h[u][keepQ:nq]
+		var t [segSyms][]complex128
+		for k := range t {
+			t[k] = tp[keepQ+k*sps:]
+			if sh.minus[k] {
+				t[k] = tm[keepQ+k*sps:]
+			}
+		}
+		t0, t1, t2, t3 := t[0][:len(h)], t[1][:len(h)], t[2][:len(h)], t[3][:len(h)]
+		s0, s1, s2, s3 := sh.sgn[0], sh.sgn[1], sh.sgn[2], sh.sgn[3]
+		r := rcp[:len(h)]
+		for i := range h {
+			a, b, c, d := t0[i], t1[i], t2[i], t3[i]
+			re := s0*real(a) + s1*real(b) + s2*real(c) + s3*real(d)
+			im := s0*imag(a) + s1*imag(b) + s2*imag(c) + s3*imag(d)
+			h[i] = (re*re + im*im) * r[i]
+		}
+	}
+
+	out := sc.buf[:hi-lo]
+	clear(out)
+	for s, u := range m.segRef {
+		h, w := sc.h[u][s*segLen:], m.segW[s]
+		h = h[:len(out)]
+		for i := range out {
+			out[i] += h[i] * w
+		}
+	}
+	return out
 }
 
 // EstimateCFO estimates the carrier frequency offset of a transmission

@@ -200,12 +200,27 @@ func TestFSKDemodTruncatedInput(t *testing.T) {
 }
 
 func TestFSKConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-integer sps must panic")
-		}
-	}()
-	FSKConfig{SampleRate: 600e3, SymbolRate: 70e3, Deviation: 50e3}.SamplesPerSymbol()
+	for _, c := range []struct {
+		name  string
+		cfg   FSKConfig
+		panic bool
+	}{
+		{"default", DefaultFSK, false},
+		{"modulation index 2 at 25 kbaud", FSKConfig{SampleRate: 600e3, SymbolRate: 25e3, Deviation: 25e3}, false},
+		{"modulation index 1", FSKConfig{SampleRate: 600e3, SymbolRate: 50e3, Deviation: 25e3}, false},
+		{"non-integer samples per symbol", FSKConfig{SampleRate: 600e3, SymbolRate: 70e3, Deviation: 50e3}, true},
+		{"non-integer modulation index", FSKConfig{SampleRate: 600e3, SymbolRate: 50e3, Deviation: 30e3}, true},
+		{"zero deviation", FSKConfig{SampleRate: 600e3, SymbolRate: 50e3, Deviation: 0}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover() != nil; got != c.panic {
+					t.Fatalf("NewFSK(%+v) panicked = %v, want %v", c.cfg, got, c.panic)
+				}
+			}()
+			NewFSK(c.cfg)
+		})
+	}
 }
 
 func TestFSKDurationHelpers(t *testing.T) {

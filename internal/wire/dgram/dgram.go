@@ -381,11 +381,15 @@ func (l *Listener) Close() error {
 // Addr returns the listener's socket address.
 func (l *Listener) Addr() net.Addr { return l.pc.LocalAddr() }
 
-// unregister removes a peer that closed itself.
-func (l *Listener) unregister(key string) {
+// unregister removes a peer that closed itself, unless a newer peer
+// has since taken over its address: a session's deferred Close can run
+// after its client has already handshaken again from the same address.
+func (l *Listener) unregister(p *PeerConn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.peers, key)
+	if l.peers[p.key] == p {
+		delete(l.peers, p.key)
+	}
 }
 
 // PeerConn is the server side of one datagram session: the frames one
@@ -471,7 +475,7 @@ func (p *PeerConn) WriteFrame(kind byte, payload []byte) error {
 // same address creates a new PeerConn.
 func (p *PeerConn) Close() error {
 	p.closeLocal()
-	p.l.unregister(p.key)
+	p.l.unregister(p)
 	return nil
 }
 

@@ -143,7 +143,9 @@ func TestListenerDemuxAndConnFiltering(t *testing.T) {
 }
 
 // Closing a peer connection must let the same address handshake again as
-// a brand-new session.
+// a brand-new session. A server closes a finished peer twice (when the
+// BYE response is flushed, and in its deferred cleanup), so a late second
+// Close of the old peer must not unregister the newer one.
 func TestPeerCloseAllowsRehandshake(t *testing.T) {
 	nw := faultnet.New(2, faultnet.Impairment{})
 	defer nw.Close()
@@ -153,7 +155,8 @@ func TestPeerCloseAllowsRehandshake(t *testing.T) {
 	cpc, _ := nw.Listen("client")
 	c := dgram.NewConn(cpc, faultnet.Addr("client-server-view"))
 	_ = c // silence: the raw endpoint writes below exercise re-accept
-	for i := 0; i < 2; i++ {
+	var prev *dgram.PeerConn
+	for i := 0; i < 3; i++ {
 		enc, _ := dgram.Encode(dgram.KindHandshake, []byte{byte(i)})
 		if _, err := cpc.WriteTo(enc, faultnet.Addr("server")); err != nil {
 			t.Fatal(err)
@@ -166,7 +169,14 @@ func TestPeerCloseAllowsRehandshake(t *testing.T) {
 		if _, payload, err := p.ReadFrame(); err != nil || payload[0] != byte(i) {
 			t.Fatalf("accept %d read: %v", i, err)
 		}
+		if prev != nil {
+			_ = prev.Close()
+			if n := l.PeerCount(); n != 1 {
+				t.Fatalf("accept %d: %d registered peers after a stale close of the old one, want 1", i, n)
+			}
+		}
 		_ = p.Close()
+		prev = p
 	}
 }
 
