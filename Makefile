@@ -18,6 +18,9 @@
 #                       BENCH_baseline.json
 #   make benchbaseline- re-record BENCH_baseline.json (review the diff and
 #                       explain it in the PR!)
+#   make perfbench-check - repo-benchmark wall: perfbench (its own module)
+#                       must vet, pass its tests, and report "correct":true
+#                       on a one-second run of every workload (~15 s)
 #   make sim          - regenerate every paper table/figure (quick trial counts)
 #   make golden       - re-record testdata/golden after an intentional physics
 #                       change (review the diff!)
@@ -92,11 +95,12 @@ STATICCHECK_VERSION ?= 2024.1.1
 # live sessions for continuous scraping), the DSP kernel microbenchmarks
 # at the sizes the simulation runs (256/8192-point FFT, 1024-point
 # real-input FFT, 129-tap overlap-save FIR), and the modem's frame sync on
-# a 12k-sample window, locked early and scanned whole, so a kernel
-# regression is caught at the kernel, not three layers up in the
-# exchange number.
-BENCH_GATE = BenchmarkProtectedExchange$$|BenchmarkSessionExchange$$|BenchmarkBatchedExchange$$|BenchmarkSequentialExchanges$$|BenchmarkMetricsSnapshot$$|BenchmarkFFTForward256$$|BenchmarkFFTForward8192$$|BenchmarkRFFTForward1024$$|BenchmarkFIRPlan129Taps$$|BenchmarkFSKSync$$|BenchmarkFSKSyncNoLock$$
-BENCH_PKGS = . ./internal/shieldd ./internal/dsp ./internal/modem
+# a 12k-sample window, locked early and scanned whole, the Gaussian
+# sampler per call and batched over a 4096-sample noise window, and the
+# keyed per-trial scenario reseed, so a kernel regression is caught at
+# the kernel, not three layers up in the exchange number.
+BENCH_GATE = BenchmarkProtectedExchange$$|BenchmarkSessionExchange$$|BenchmarkBatchedExchange$$|BenchmarkSequentialExchanges$$|BenchmarkMetricsSnapshot$$|BenchmarkFFTForward256$$|BenchmarkFFTForward8192$$|BenchmarkRFFTForward1024$$|BenchmarkFIRPlan129Taps$$|BenchmarkFSKSync$$|BenchmarkFSKSyncNoLock$$|BenchmarkNormFloat64$$|BenchmarkAddComplexNormal4096$$|BenchmarkNewTrialAt$$
+BENCH_PKGS = . ./internal/shieldd ./internal/dsp ./internal/modem ./internal/stats ./internal/testbed
 
 # Every fuzz target in the repo as package:Fuzzname pairs.
 FUZZ_TARGETS = \
@@ -123,7 +127,7 @@ NIGHTLY_FUZZ_TARGETS = \
 COVER_PKGS = heartshield/internal/securelink,heartshield/internal/wire,heartshield/internal/wire/dgram
 COVER_TEST_PKGS = ./internal/securelink ./internal/securelink/sectest ./internal/wire/... ./internal/shieldd ./internal/faultnet
 
-.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
+.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline perfbench-check sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
 
 # The markdown files the docs gate link-checks.
 DOCS_FILES = README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md PAPER.md
@@ -228,6 +232,18 @@ benchbaseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) | tee BENCH_latest.txt
 	$(GO) run ./cmd/benchjson < BENCH_latest.txt > BENCH_baseline.json
 	@echo "re-recorded BENCH_baseline.json — explain the refresh in the PR"
+
+# perfbench is its own module (replace heartshield => ../), so the root
+# `go vet ./...` and `go test ./...` never reach it: this target is what
+# fails when a repository change breaks the benchmark's build or its
+# correctness checks. The last line run.sh prints is the JSON result.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+	@out=$$(bash perfbench/run.sh --workload all --seed 1 --seconds 1) || exit 1; \
+	last=$$(printf '%s\n' "$$out" | tail -n 1); echo "$$last"; \
+	case "$$last" in *'"correct":true'*) echo "perfbench-check ok";; \
+		*) echo "perfbench-check FAILED: result is not \"correct\":true"; exit 1;; esac
 
 sim:
 	$(GO) run ./cmd/shieldsim -run all -quick

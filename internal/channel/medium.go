@@ -150,14 +150,15 @@ func (m *Medium) SetLink(a, b AntennaID, cfg Link) {
 	m.refreshLink(st)
 }
 
-// ResetRNG swaps in a fresh random source and replays the install-time
-// gain draw of every link in its original SetLink order. After it (plus a
-// NewEpoch call, mirroring scenario construction) the medium's RNG stream
-// is positioned exactly where a freshly built medium with the same link
-// set and the same source would be — the contract scenario recycling
-// relies on. It assumes each link pair was installed exactly once.
-func (m *Medium) ResetRNG(rng *stats.RNG) {
-	m.rng = rng
+// ResetRNG reseeds the medium's random source in place and replays the
+// install-time gain draw of every link in its original SetLink order.
+// After it (plus a NewEpoch call, mirroring scenario construction) the
+// medium's RNG stream is positioned exactly where a freshly built medium
+// with the same link set and a source seeded with seed would be — the
+// contract scenario recycling relies on. It assumes each link pair was
+// installed exactly once.
+func (m *Medium) ResetRNG(seed int64) {
+	m.rng.Reseed(seed)
 	for _, p := range m.installed {
 		m.refreshLink(m.links[p])
 	}
@@ -254,7 +255,7 @@ func (m *Medium) Bursts(ch int) []*Burst {
 
 // ClearBursts removes all transmissions (start of a new trial).
 func (m *Medium) ClearBursts() {
-	m.burst = make(map[int]*burstSet)
+	clear(m.burst)
 }
 
 // Observe returns the noiseless superposition seen by antenna rx on MICS

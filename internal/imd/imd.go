@@ -333,10 +333,11 @@ func (d *Device) ResetCounters() {
 	d.txSamples, d.rxFrames, d.respFrames = 0, 0, 0
 }
 
-// SetRNG replaces the device's random source. Scenario recycling uses it
-// to re-seed a pooled testbed so a recycled device draws the same response
-// jitter stream as a freshly built one.
-func (d *Device) SetRNG(rng *stats.RNG) { d.rng = rng }
+// ReseedRNG restarts the device's random source in place on seed's
+// stream. Scenario recycling uses it to re-seed a pooled testbed so a
+// recycled device draws the same response jitter stream as a freshly
+// built one.
+func (d *Device) ReseedRNG(seed int64) { d.rng.Reseed(seed) }
 
 // String identifies the device for logs.
 func (d *Device) String() string {

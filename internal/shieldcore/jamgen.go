@@ -68,9 +68,8 @@ type JamGenerator struct {
 // reference bit sequence with the IMD's FSK parameters and measures its
 // PSD — exactly the "shape the noise to the IMD modulation" procedure of
 // §6(a). The template is a function of the FSK config alone (the
-// reference bits come from a fixed internal seed) and is cached, so
-// per-trial scenario reseeds — which rebuild the generator — do not
-// re-measure it.
+// reference bits come from a fixed internal seed) and is cached, so a
+// scenario build or a SetJamShape swap does not re-measure it.
 func NewJamGenerator(shape JamShape, fskCfg modem.FSKConfig, rng *stats.RNG) *JamGenerator {
 	g := &JamGenerator{shape: shape, rng: rng}
 	switch shape {
@@ -103,9 +102,9 @@ func (g *JamGenerator) Profile() []float64 { return g.profile }
 // derivation is what makes the cache below valid for every scenario.
 const fskProfileSeed = 0x51d
 
-// fskProfileCache memoizes the measured template per FSK config; shaped
-// generators are rebuilt on every per-trial scenario reseed, and the
-// 8192-bit reference modulation + PSD is far too expensive to redo there.
+// fskProfileCache memoizes the measured template per FSK config; a shaped
+// generator is built for every scenario, and the 8192-bit reference
+// modulation + PSD is far too expensive to redo there.
 var fskProfileCache sync.Map // modem.FSKConfig -> []float64
 
 // fskProfile measures the PSD of a reference FSK transmission and converts
@@ -172,10 +171,13 @@ func (g *JamGenerator) Generate(n int) []complex128 {
 		g.scratch = make([]complex128, need)
 	}
 	out := g.scratch[:need]
+	// z holds one block's draws, real and imaginary part per bin in turn.
+	var z [2 * jamFFTSize]float64
 	for off := 0; off < need; off += jamFFTSize {
 		block := out[off : off+jamFFTSize]
-		for k := range block {
-			block[k] = g.rng.ComplexNormalAmp(g.binAmp[k])
+		g.rng.FillNormal(z[:])
+		for k, a := range g.binAmp {
+			block[k] = complex(a*z[2*k], a*z[2*k+1])
 		}
 		jamFFT.InverseRaw(block)
 	}

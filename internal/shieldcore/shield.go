@@ -202,19 +202,24 @@ func (s *Shield) Sid() []byte { return s.sid }
 // MaxPacket the passive jamming window. A shield worn by a patient with
 // several implants (the batched multi-IMD scenarios) switches targets
 // between exchanges; the per-target IMD RSSI must be restored with
-// SetIMDRSSI after a switch.
+// SetIMDRSSI after a switch. Re-targeting the same serial (every
+// scenario reseed does) keeps the current Sid.
 func (s *Shield) SetProtected(p imd.Profile) {
+	if p.Serial != s.Protected.Serial {
+		s.sid = phy.Sid(p.Serial)
+	}
 	s.Protected = p
-	s.sid = phy.Sid(p.Serial)
 }
 
-// ResetState re-seeds the shield for scenario recycling: a fresh random
-// source, a rebuilt jam generator (drawn from the new source exactly as
-// NewShield would), and cleared channel estimate, RSSI measurement, and
-// alarm log. The operating parameters are untouched.
-func (s *Shield) ResetState(rng *stats.RNG) {
-	s.rng = rng
-	s.jamGen = NewJamGenerator(s.jamGen.Shape(), s.Modem.Config(), rng.Split())
+// ResetState re-seeds the shield for scenario recycling: its random
+// source restarts in place on seed's stream, the jam generator keeps its
+// profile and buffers and reseeds from that source exactly as NewShield
+// derived it, and the channel estimate, RSSI measurement, and alarm log
+// are cleared. The operating parameters are untouched. It allocates
+// nothing.
+func (s *Shield) ResetState(seed int64) {
+	s.rng.Reseed(seed)
+	s.jamGen.rng.Reseed(s.rng.Int63())
 	s.est = ChannelEstimate{}
 	s.imdRSSIDBm = 0
 	s.haveRSSI = false

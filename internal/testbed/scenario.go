@@ -296,34 +296,39 @@ func (sc *Scenario) Reset(seed int64) {
 // bookkeeping: every random stream is re-derived from seed in
 // construction order. NewTrialAt uses it directly so per-trial reseeds do
 // not move the base seed the trial keying derives from.
+//
+// Every RNG the scenario owns is reseeded in place — each from the parent
+// draw Split would have consumed (child.Reseed(rng.Int63())) — so a
+// reseed allocates nothing, and a caller holding one of those RNGs across
+// it sees the new stream, never the old one.
 func (sc *Scenario) reseed(seed int64) {
 	sc.Opt.Seed = seed
-	rng := stats.NewRNG(seed)
-	sc.RNG = rng
+	rng := sc.RNG
+	rng.Reseed(seed)
 
-	sc.Medium.ResetRNG(rng.Split())
+	sc.Medium.ResetRNG(rng.Int63())
 	sc.Medium.NewEpoch()
 	sc.Medium.ClearBursts()
 
-	sc.IMD.RX.RNG = rng.Split()
-	sc.IMD.SetRNG(rng.Split())
+	sc.IMD.RX.RNG.Reseed(rng.Int63())
+	sc.IMD.ReseedRNG(rng.Int63())
 	sc.IMD.SetTherapy(imd.DefaultTherapy)
 	sc.IMD.ResetCounters()
 
-	sc.Shield.RX.RNG = rng.Split()
-	sc.Shield.ResetState(rng.Split())
+	sc.Shield.RX.RNG.Reseed(rng.Int63())
+	sc.Shield.ResetState(rng.Int63())
 	sc.Shield.SetProtected(sc.Opt.Profile)
 
-	sc.Prog.RX.RNG = rng.Split()
+	sc.Prog.RX.RNG.Reseed(rng.Int63())
 
 	sc.AdvTX.CFOHz = (rng.Float64()*2 - 1) * AdvCFOMaxHz
-	sc.AdvRX.RNG = rng.Split()
-	sc.EavesRX.RNG = rng.Split()
-	sc.ObserverRX.RNG = rng.Split()
+	sc.AdvRX.RNG.Reseed(rng.Int63())
+	sc.EavesRX.RNG.Reseed(rng.Int63())
+	sc.ObserverRX.RNG.Reseed(rng.Int63())
 
 	for _, dev := range sc.IMDs[1:] {
-		dev.RX.RNG = rng.Split()
-		dev.SetRNG(rng.Split())
+		dev.RX.RNG.Reseed(rng.Int63())
+		dev.ReseedRNG(rng.Int63())
 		dev.SetTherapy(imd.DefaultTherapy)
 		dev.ResetCounters()
 	}
