@@ -31,8 +31,11 @@
 #   make fuzz-nightly - the nightly deep-fuzz leg: the wire + dgram + securelink
 #                       decoders for NIGHTLY_FUZZTIME each, growing the corpus
 #   make seccheck     - adversarial handshake wall: forward-secrecy,
-#                       key-compromise, replay, and downgrade attacks
+#                       key-compromise, replay, and version-rewrite attacks
 #                       against a live server (internal/securelink/sectest)
+#   make loc          - code-size report for the serving stack: non-blank,
+#                       non-comment, non-test Go lines per package + total
+#                       (a report, not a gate)
 #   make chaos-soak   - loop the overload/partition chaos walls for
 #                       SOAK_DURATION seconds, appending to SOAK_latest.txt;
 #                       fails on any iteration failure or if fewer than
@@ -127,7 +130,7 @@ NIGHTLY_FUZZ_TARGETS = \
 COVER_PKGS = heartshield/internal/securelink,heartshield/internal/wire,heartshield/internal/wire/dgram
 COVER_TEST_PKGS = ./internal/securelink ./internal/securelink/sectest ./internal/wire/... ./internal/shieldd ./internal/faultnet
 
-.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline perfbench-check sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
+.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck loc ci bench benchcheck benchbaseline perfbench-check sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
 
 # The markdown files the docs gate link-checks.
 DOCS_FILES = README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md PAPER.md
@@ -179,11 +182,23 @@ fuzz-nightly:
 	done
 
 # The adversarial handshake wall: the sectest suite mounts the
-# forward-secrecy, key-compromise, replay, and downgrade attacks against
-# a live server — including the leg that must keep SUCCEEDING against
-# the legacy pre-v4 derivation, proving the attacker model has teeth.
+# forward-secrecy, key-compromise, replay, and downgrade (version
+# rewrite, key-share substitution) attacks against a live server —
+# including the leg that must keep SUCCEEDING against a PSK-only
+# recording of a real handshake, proving the attacker model has teeth.
 seccheck:
 	$(GO) test -count=1 -timeout 5m ./internal/securelink/sectest
+
+# Code-size report: Go lines that are neither blank, nor // comments,
+# nor in _test.go files, per serving-stack package plus a total. Changes
+# that claim to shrink the stack quote it for the parent and the change.
+LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest serve.go
+loc:
+	@total=0; for p in $(LOC_PKGS); do \
+		if [ -d $$p ]; then files=$$(ls $$p/*.go | grep -v '_test\.go$$'); else files=$$p; fi; \
+		n=$$(cat $$files | grep -c -v -E '^[[:space:]]*(//.*)?$$'); \
+		total=$$((total + n)); printf '%-28s %6d\n' $$p $$n; \
+	done; printf '%-28s %6d\n' total $$total
 
 ci: fmt vet staticcheck build test race fuzz
 

@@ -11,14 +11,14 @@
 //	shieldd -listen :7700 -listen-udp :7701 -secret swordfish
 //	shieldd -listen :7700 -secret swordfish -admission-wait -1ns -handshake-rate 50 -max-inflight-global 256
 //
-// -listen-udp additionally serves the datagram transport (wire v2 with
-// client retransmission and server-side request dedup) on a UDP socket,
-// alongside TCP. The admission flags bound overload: -admission-wait
-// caps how long a handshake may queue for a session slot (negative
-// sheds immediately), -handshake-rate/-handshake-burst meter datagram
-// handshakes per peer, and -max-inflight-global sheds requests beyond a
-// server-wide work bound; shed work is answered with BUSY and the
-// -busy-retry-after hint.
+// -listen-udp additionally serves the datagram transport (the same
+// protocol, with client retransmission and server-side request dedup)
+// on a UDP socket, alongside TCP. The admission flags bound overload:
+// -admission-wait caps how long a handshake may queue for a session slot
+// (negative sheds immediately), -handshake-rate/-handshake-burst meter
+// datagram handshakes per peer, and -max-inflight-global sheds requests
+// beyond a server-wide work bound; shed work is answered with BUSY and
+// the -busy-retry-after hint.
 //
 // Drive it with cmd/shieldsim's client mode:
 //

@@ -130,10 +130,9 @@ func main() {
 		start := time.Now()
 		var rendered string
 		if remote != nil {
-			// Streamed progress (wire v3): the server reports completed
-			// trials while the experiment runs, so long remote runs are
-			// visibly alive. On v2 servers no progress arrives and the
-			// call behaves exactly like RunExperiment.
+			// Streamed progress: the server reports completed trials
+			// while the experiment runs, so long remote runs are visibly
+			// alive.
 			out, err := remote.RunExperimentStream(name, cfg, func(p heartshield.ExperimentProgress) {
 				fmt.Fprintf(os.Stderr, "\r[%s: %d/%d trials]", p.Stage, p.Done, p.Total)
 				if p.Done == p.Total {

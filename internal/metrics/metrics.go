@@ -23,9 +23,9 @@ type Session struct {
 	Experiments      atomic.Uint64
 	Pings            atomic.Uint64
 	Errors           atomic.Uint64 // requests answered with an Error frame
-	Retransmits      atomic.Uint64 // responses re-sent from the datagram dedup cache
+	Retransmits      atomic.Uint64 // responses re-sent from the dedup cache
 	Shed             atomic.Uint64 // requests answered BUSY by the admission gate
-	ProgressFrames   atomic.Uint64 // streamed EXPERIMENT-PROGRESS frames (v3)
+	ProgressFrames   atomic.Uint64 // streamed EXPERIMENT-PROGRESS frames
 
 	inFlight    atomic.Int64
 	inFlightHWM atomic.Int64
@@ -127,11 +127,11 @@ type Server struct {
 	TotalAttacks     atomic.Uint64
 	TotalExperiments atomic.Uint64
 	TotalPings       atomic.Uint64
-	// TotalRetransmits counts responses re-sent from datagram-session
-	// dedup caches, server-wide: the server-side cost of transport loss.
+	// TotalRetransmits counts responses re-sent from session dedup
+	// caches, server-wide: the server-side cost of transport loss.
 	TotalRetransmits atomic.Uint64
 	// TotalProgressFrames counts streamed EXPERIMENT-PROGRESS frames
-	// written to v3 sessions, server-wide.
+	// written to sessions, server-wide.
 	TotalProgressFrames atomic.Uint64
 
 	// Link traffic, absorbed from each session's securelink stats when
@@ -170,7 +170,7 @@ type ServerSnapshot struct {
 	TotalPings       uint64
 	TotalRetransmits uint64
 	// TotalProgressFrames counts streamed EXPERIMENT-PROGRESS frames
-	// written to v3 sessions.
+	// written to sessions.
 	TotalProgressFrames uint64
 	BytesSealed         uint64
 	BytesOpened         uint64

@@ -17,7 +17,7 @@ func wireKindMessages() map[string][]byte {
 	hello := &wire.Hello{Version: wire.Version, Seed: 1}
 	return map[string][]byte{
 		"hello":           hello.Encode(),
-		"challenge":       (&wire.Challenge{}).Encode(),
+		"challenge":       (&wire.Challenge2{KeyShare: make([]byte, 32)}).Encode(),
 		"hello-ack":       (&wire.HelloAck{Version: wire.Version, SessionID: 7}).Encode(),
 		"exchange-req":    (&wire.ExchangeReq{IMD: 1, Cmd: wire.CmdSetTherapy}).Encode(),
 		"exchange-resp":   (&wire.ExchangeResp{Response: []byte("data"), ResponseCommand: "data-response", EavesBER: 0.5, CancellationDB: 32}).Encode(),
@@ -271,31 +271,4 @@ func TestRekey(t *testing.T) {
 			t.Fatalf("epoch-1 frame under epoch-0 key err = %v, want ErrAuth", err)
 		}
 	})
-}
-
-// SessionSecret must give independent links per nonce: a frame sealed for
-// one session never opens in another, while equal nonces interoperate.
-func TestSessionSecretDerivation(t *testing.T) {
-	master := []byte("master")
-	nA := []byte("nonce-A")
-	nB := []byte("nonce-B")
-	_, progA, err := securelink.Pair(securelink.SessionSecret(master, nA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shieldA2, _, err := securelink.Pair(securelink.SessionSecret(master, nA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shieldB, _, err := securelink.Pair(securelink.SessionSecret(master, nB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := progA.Seal([]byte("hi"))
-	if _, err := shieldB.Open(ct); err == nil {
-		t.Fatal("cross-session open succeeded")
-	}
-	if pt, err := shieldA2.Open(ct); err != nil || !bytes.Equal(pt, []byte("hi")) {
-		t.Fatalf("same-nonce open: %v %q", err, pt)
-	}
 }

@@ -1,5 +1,5 @@
-// Handshake v2 key schedule: the Noise-style AKE primitives behind wire
-// protocol v4 (shieldd HELLO → CHALLENGE2 → sealed HELLO-ACK).
+// Handshake key schedule: the Noise-style AKE primitives behind the
+// wire protocol (shieldd HELLO → CHALLENGE2 → sealed HELLO-ACK).
 //
 // The schedule is a chaining-key/transcript-hash pair in the style of
 // the Noise framework: every handshake message's bytes are mixed into
@@ -10,9 +10,9 @@
 //
 //   - Forward secrecy: a later compromise of the master PSK cannot
 //     reconstruct the session secret of a recorded full handshake (the
-//     ephemeral DH private keys are gone), unlike the v1–v3
-//     SessionSecret derivation, which is a pure function of the master
-//     and two public nonces.
+//     ephemeral DH private keys are gone), unlike a PSK-only derivation,
+//     which is a pure function of the master and two public nonces
+//     (sectest keeps one as its attack target).
 //   - Transcript binding: an active attacker who rewrites any handshake
 //     field (key share, nonce, announced version, scenario options)
 //     desynchronizes the two ends' transcripts, so the sealed HELLO-ACK
@@ -45,7 +45,8 @@ import (
 )
 
 // HandshakeLabelV4 is the domain-separation label of the wire protocol
-// v4 handshake; both ends must start their key schedule from it.
+// handshake (wire.Version 4); both ends must start their key schedule
+// from it.
 const HandshakeLabelV4 = "heartshield handshake v4"
 
 // KeyShareLen is the length of an X25519 key share on the wire.

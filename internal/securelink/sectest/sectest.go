@@ -1,20 +1,24 @@
 // Package sectest is the adversarial harness behind the handshake
 // security wall (`make seccheck`): a transcript recorder, an offline
 // attacker that tries to recover session keys from a recording plus the
-// long-term master secret, a hand-rolled v4 handshake the tests can
-// drive with stolen or replayed credentials, and a frame-rewriting MITM
-// relay for downgrade attacks.
+// long-term master secret, a hand-rolled handshake the tests can drive
+// with stolen or replayed credentials, and a frame-rewriting MITM relay
+// for version-rewrite and key-substitution attacks.
 //
 // The attacker here is deliberately strong: it knows the protocol, the
 // key schedule, and the provisioned master secret. What it never holds
 // is an ephemeral private key or a resumption secret — exactly the
-// material the v4 handshake puts between a recorded session and a
-// later key compromise.
+// material the handshake puts between a recorded session and a later
+// key compromise. No production peer speaks a PSK-only handshake any
+// more, so the harness keeps one (pskOnlySecret) as the target that
+// proves the attacker still works.
 package sectest
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
@@ -97,60 +101,90 @@ var ErrNotRecovered = errors.New("sectest: no recorded frame decrypted")
 // session transcript and the long-term master secret (leaked AFTER the
 // recording was made), derive the session keys and decrypt the traffic.
 //
-// Against the pre-v4 handshake this attack succeeds: both handshake
-// nonces travel in plaintext, and SessionSecret(master, nonces) is all
-// there is. Against the v4 AKE the schedule also mixes an X25519
+// Against a PSK-only handshake this attack succeeds: both handshake
+// nonces travel in plaintext, and pskOnlySecret(master, nonces) is all
+// there is. Against the AKE the schedule also mixes an X25519
 // ephemeral-ephemeral secret (or a prior session's resumption secret),
 // neither of which the transcript or the master reveals — the attacker
 // runs its best derivations and every frame stays sealed.
 func RecoverSession(master []byte, rec *Recording) ([][]byte, error) {
-	if len(rec.ClientFrames) == 0 || len(rec.ServerFrames) == 0 {
-		return nil, errors.New("sectest: transcript too short to attack")
-	}
-	hm, err := wire.Decode(rec.ClientFrames[0])
+	hello, ch, err := handshakeFrames(rec)
 	if err != nil {
-		return nil, fmt.Errorf("sectest: first client frame: %w", err)
+		return nil, err
 	}
-	hello, ok := hm.(*wire.Hello)
-	if !ok {
-		return nil, fmt.Errorf("sectest: first client frame is %T, want HELLO", hm)
-	}
-	cm, err := wire.Decode(rec.ServerFrames[0])
-	if err != nil {
-		return nil, fmt.Errorf("sectest: first server frame: %w", err)
-	}
-
-	switch ch := cm.(type) {
-	case *wire.Challenge:
-		// Legacy derivation: everything it needs is on the wire.
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), ch.ServerNonce[:]...)
-		return openAll(securelink.SessionSecret(master, nonces), rec)
-	case *wire.Challenge2:
-		// v4: run the real schedule with every input the attacker holds
-		// (transcript + master), then fall back to the legacy derivation
-		// in case the session secret ever regresses to nonce-only.
+	// The real schedule with every input the attacker holds (transcript
+	// + master); the same with the all-zero block a broken
+	// implementation would mix for the missing DH/resumption input; and
+	// the PSK-only derivation, in case the session secret ever regresses
+	// to nonce-only.
+	schedule := func(extra ...[]byte) []byte {
 		sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
 		sched.MixHash(hello.TranscriptBytes())
 		sched.MixHash(ch.Encode())
 		sched.MixKey(master)
-		if plain, err := openAll(sched.SessionSecret(), rec); err == nil {
-			return plain, nil
+		for _, k := range extra {
+			sched.MixKey(k)
 		}
-		// A second guess: maybe the missing DH/resumption input is the
-		// all-zero block a broken implementation would mix.
-		sched2 := securelink.NewHandshake(securelink.HandshakeLabelV4)
-		sched2.MixHash(hello.TranscriptBytes())
-		sched2.MixHash(ch.Encode())
-		sched2.MixKey(master)
-		sched2.MixKey(make([]byte, 32))
-		if plain, err := openAll(sched2.SessionSecret(), rec); err == nil {
-			return plain, nil
-		}
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), ch.ServerNonce[:]...)
-		return openAll(securelink.SessionSecret(master, nonces), rec)
-	default:
-		return nil, fmt.Errorf("sectest: first server frame is %T, want a challenge", cm)
+		return sched.SessionSecret()
 	}
+	for _, secret := range [][]byte{schedule(), schedule(make([]byte, 32)), pskOnlySecret(master, hello, ch)} {
+		if plain, err := openAll(secret, rec); err == nil {
+			return plain, nil
+		}
+	}
+	return nil, ErrNotRecovered
+}
+
+// PSKOnlyRecording builds the transcript a session with rec's handshake
+// would have left behind under a PSK-only key derivation: rec's
+// plaintext HELLO and CHALLENGE2, then a sealed HELLO-ACK and one sealed
+// request envelope under pskOnlySecret. It is the recording the
+// forward-secrecy leg must keep breaking — if RecoverSession ever fails
+// on it, the attacker model broke, not the handshake.
+func PSKOnlyRecording(master []byte, rec *Recording) (*Recording, error) {
+	hello, ch, err := handshakeFrames(rec)
+	if err != nil {
+		return nil, err
+	}
+	shield, prog, err := securelink.Pair(pskOnlySecret(master, hello, ch))
+	if err != nil {
+		return nil, err
+	}
+	ack := &wire.HelloAck{Version: wire.Version, SessionID: 1}
+	req := &wire.ExchangeReq{IMD: 0, Cmd: wire.CmdInterrogate}
+	return &Recording{
+		ClientFrames: [][]byte{rec.ClientFrames[0], prog.Seal(wire.EncodeEnvelopeV3(1, 0, 0, req))},
+		ServerFrames: [][]byte{rec.ServerFrames[0], shield.Seal(ack.Encode())},
+	}, nil
+}
+
+// pskOnlySecret is the nonce-only session derivation the handshake
+// replaced: HMAC under the master over both public nonces, with nothing
+// ephemeral mixed in, so it falls to anyone who later learns the master.
+func pskOnlySecret(master []byte, hello *wire.Hello, ch *wire.Challenge2) []byte {
+	mac := hmac.New(sha256.New, master)
+	mac.Write([]byte("securelink session v1"))
+	mac.Write(hello.Nonce[:])
+	mac.Write(ch.ServerNonce[:])
+	return mac.Sum(nil)
+}
+
+// handshakeFrames decodes a recording's plaintext HELLO and CHALLENGE2.
+func handshakeFrames(rec *Recording) (*wire.Hello, *wire.Challenge2, error) {
+	if len(rec.ClientFrames) == 0 || len(rec.ServerFrames) == 0 {
+		return nil, nil, errors.New("sectest: transcript too short to attack")
+	}
+	hm, _ := wire.Decode(rec.ClientFrames[0])
+	hello, ok := hm.(*wire.Hello)
+	if !ok {
+		return nil, nil, fmt.Errorf("sectest: first client frame is %T, want HELLO", hm)
+	}
+	cm, _ := wire.Decode(rec.ServerFrames[0])
+	ch, ok := cm.(*wire.Challenge2)
+	if !ok {
+		return nil, nil, fmt.Errorf("sectest: first server frame is %T, want CHALLENGE2", cm)
+	}
+	return hello, ch, nil
 }
 
 // openAll rebuilds both link directions from a candidate session secret
@@ -179,7 +213,7 @@ func openAll(sessionSecret []byte, rec *Recording) ([][]byte, error) {
 	return plain, nil
 }
 
-// V4Handshake is the outcome of one hand-driven v4 handshake.
+// V4Handshake is the outcome of one hand-driven handshake.
 type V4Handshake struct {
 	Link      *securelink.Link
 	Version   uint8
@@ -189,8 +223,8 @@ type V4Handshake struct {
 	Resumed   bool   // the server resumed from the ticket we presented
 }
 
-// RunV4Handshake drives the client side of the v4 stream handshake by
-// hand — the attacker-steerable twin of the production client. ticket
+// RunV4Handshake drives the client side of the stream handshake by hand
+// — the attacker-steerable twin of the production client. ticket
 // and rms optionally present resumption state; rms == nil models a thief
 // holding only the ticket bytes, who must guess the resumption secret
 // (the guess is the all-zero block). Returns an error whenever the
@@ -205,7 +239,7 @@ func RunV4Handshake(conn net.Conn, master []byte, ticket, rms []byte, seed int64
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return nil, err
 	}
-	hello := &wire.Hello{Version: 4, Nonce: nonce, Seed: seed, KeyShare: eph.Public(), Ticket: ticket}
+	hello := &wire.Hello{Version: wire.Version, Nonce: nonce, Seed: seed, KeyShare: eph.Public(), Ticket: ticket}
 	if err := wire.WriteFrame(conn, hello.Encode()); err != nil {
 		return nil, err
 	}

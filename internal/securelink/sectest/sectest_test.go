@@ -28,14 +28,14 @@ func newServer(t *testing.T, cfg shieldd.ServerConfig) *shieldd.Server {
 }
 
 // recordSession runs one legitimate stream session (handshake, one
-// exchange, BYE) at the given protocol cap and returns its transcript.
-func recordSession(t *testing.T, protocol uint8) *Recording {
+// exchange, BYE) and returns its transcript.
+func recordSession(t *testing.T) *Recording {
 	t.Helper()
 	srv := newServer(t, shieldd.ServerConfig{})
 	cEnd, sEnd := net.Pipe()
 	go srv.ServeConn(sEnd)
 	tap := NewTapConn(cEnd)
-	c, err := shieldd.NewClient(tap, master, shieldd.SessionOptions{Seed: 5, Protocol: protocol})
+	c, err := shieldd.NewClient(tap, master, shieldd.SessionOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func mitm(t *testing.T, srv *shieldd.Server, c2s, s2c Rewrite) net.Conn {
 	return cliEnd
 }
 
-// TestSecuritySuite is the adversarial wall the v4 handshake must hold
-// against, and the demonstration that the pre-v4 handshake does not —
-// the forward-secrecy leg's legacy case must keep SUCCEEDING as an
+// TestSecuritySuite is the adversarial wall the handshake must hold
+// against, and the demonstration that a PSK-only derivation does not —
+// the forward-secrecy leg's PSK-only case must keep SUCCEEDING as an
 // attack, or the suite has lost its teeth.
 func TestSecuritySuite(t *testing.T) {
 	t.Run("forward-secrecy", testForwardSecrecy)
@@ -86,39 +86,35 @@ func TestSecuritySuite(t *testing.T) {
 	t.Run("downgrade", testDowngrade)
 }
 
-// Forward secrecy: record a session, THEN leak the master secret. The
-// legacy handshake's traffic falls; the v4 AKE's does not.
+// Forward secrecy: record a session, THEN leak the master secret. A
+// PSK-only recording of the same handshake falls; the AKE's does not.
 func testForwardSecrecy(t *testing.T) {
-	cases := []struct {
-		name      string
-		protocol  uint8 // client protocol cap; 0 = current (v4)
-		recovered bool  // the offline attack must succeed
-	}{
-		// The teeth: the attack must demonstrably WORK against the old
-		// SessionSecret-only derivation. If this case ever starts
-		// failing, the attacker model broke, not the old handshake.
-		{"v3 legacy session decrypts under leaked master", 3, true},
-		{"v4 AKE session stays sealed under leaked master", 0, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := recordSession(t, tc.protocol)
-			plain, err := RecoverSession(master, rec)
-			if tc.recovered {
-				if err != nil {
-					t.Fatalf("offline attack on a legacy session failed (%v) — the suite lost its teeth", err)
-				}
-				if len(plain) < 2 {
-					t.Fatalf("attack recovered only %d frames from a legacy session", len(plain))
-				}
-				return
-			}
-			if !errors.Is(err, ErrNotRecovered) {
-				t.Fatalf("offline attack on a v4 session: got (%d frames, %v), want ErrNotRecovered",
-					len(plain), err)
-			}
-		})
-	}
+	rec := recordSession(t)
+
+	t.Run("PSK-only recording decrypts under leaked master", func(t *testing.T) {
+		// The teeth: the attack must demonstrably WORK against the
+		// nonce-only derivation. If this case ever starts failing, the
+		// attacker model broke, not the handshake.
+		psk, err := PSKOnlyRecording(master, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := RecoverSession(master, psk)
+		if err != nil {
+			t.Fatalf("offline attack on a PSK-only recording failed (%v) — the suite lost its teeth", err)
+		}
+		if len(plain) < 2 {
+			t.Fatalf("attack recovered only %d frames from a PSK-only recording", len(plain))
+		}
+	})
+
+	t.Run("v4 AKE session stays sealed under leaked master", func(t *testing.T) {
+		plain, err := RecoverSession(master, rec)
+		if !errors.Is(err, ErrNotRecovered) {
+			t.Fatalf("offline attack on a v4 session: got (%d frames, %v), want ErrNotRecovered",
+				len(plain), err)
+		}
+	})
 }
 
 // Key compromise: even holding the master secret, an attacker missing
@@ -170,7 +166,7 @@ func testKeyCompromise(t *testing.T) {
 func testReplay(t *testing.T) {
 	t.Run("recorded v4 session", func(t *testing.T) {
 		srv := newServer(t, shieldd.ServerConfig{})
-		rec := recordSession(t, 0)
+		rec := recordSession(t)
 
 		conn := dialRaw(t, srv)
 		if err := wire.WriteFrame(conn, rec.ClientFrames[0]); err != nil {
@@ -220,44 +216,23 @@ func testReplay(t *testing.T) {
 	})
 }
 
-// Downgrade: a MITM stripping the v4 handshake gets exactly the legacy
-// rollback window and nothing else — a pinned client refuses with the
-// typed error, and tampering inside the v4 exchange kills the handshake.
+// Downgrade: there is one protocol version and nothing to fall back
+// to. A MITM rewriting the HELLO's version byte gets the typed refusal,
+// and tampering inside the key exchange kills the handshake.
 func testDowngrade(t *testing.T) {
-	stripV4 := func(m wire.Message, f []byte) []byte {
-		if h, ok := m.(*wire.Hello); ok && h.Version >= 4 {
-			legacy := *h
-			legacy.Version = 3
-			legacy.KeyShare = nil
-			legacy.Ticket = nil
-			return legacy.Encode()
-		}
-		return f
-	}
-
-	t.Run("stripped HELLO, pinned client", func(t *testing.T) {
+	t.Run("rewritten HELLO version", func(t *testing.T) {
 		srv := newServer(t, shieldd.ServerConfig{})
-		conn := mitm(t, srv, stripV4, nil)
-		_, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7, MinProtocol: 4})
-		if !errors.Is(err, shieldd.ErrDowngrade) {
-			t.Fatalf("pinned client under downgrade MITM: err = %v, want ErrDowngrade", err)
+		rewrite := func(m wire.Message, f []byte) []byte {
+			if h, ok := m.(*wire.Hello); ok {
+				old := *h
+				old.Version = wire.Version - 1
+				return old.Encode()
+			}
+			return f
 		}
-	})
-
-	t.Run("stripped HELLO, unpinned client falls back", func(t *testing.T) {
-		// Without a MinProtocol pin the session completes at v3 — the
-		// documented rollback window that exists until every client sets
-		// the pin. This case keeps the fallback honest: downgrade is a
-		// policy choice, not an accident.
-		srv := newServer(t, shieldd.ServerConfig{})
-		conn := mitm(t, srv, stripV4, nil)
-		c, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7})
-		if err != nil {
-			t.Fatalf("unpinned client under downgrade MITM: %v", err)
-		}
-		defer c.Close()
-		if c.Version() != 3 {
-			t.Fatalf("negotiated v%d under a v3-stripping MITM, want v3", c.Version())
+		_, err := shieldd.NewClient(mitm(t, srv, rewrite, nil), master, shieldd.SessionOptions{Seed: 7})
+		if !errors.Is(err, shieldd.ErrVersion) {
+			t.Fatalf("client under a version-rewriting MITM: err = %v, want ErrVersion", err)
 		}
 	})
 
@@ -278,14 +253,6 @@ func testDowngrade(t *testing.T) {
 		conn := mitm(t, srv, nil, swapShare)
 		if _, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7}); err == nil {
 			t.Fatal("handshake completed over a substituted server key share")
-		}
-	})
-
-	t.Run("old server, pinned client", func(t *testing.T) {
-		srv := newServer(t, shieldd.ServerConfig{MaxProtocol: 3})
-		_, err := srv.Pipe(shieldd.SessionOptions{Seed: 7, MinProtocol: 4})
-		if !errors.Is(err, shieldd.ErrDowngrade) {
-			t.Fatalf("pinned client against a v3-capped server: err = %v, want ErrDowngrade", err)
 		}
 	})
 }

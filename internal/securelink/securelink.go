@@ -102,17 +102,6 @@ func deriveKey(secret []byte, label string) []byte {
 	return mac.Sum(nil)
 }
 
-// SessionSecret derives an independent pairing secret for one session from
-// a long-term master secret and a public per-session nonce (the shieldd
-// HELLO nonce). Distinct nonces give cryptographically independent session
-// links, so many sessions can share one provisioned master secret.
-func SessionSecret(master, nonce []byte) []byte {
-	mac := hmac.New(sha256.New, master)
-	mac.Write([]byte("securelink session v1"))
-	mac.Write(nonce)
-	return mac.Sum(nil)
-}
-
 // ratchetKey derives the next epoch's key from the current one.
 func ratchetKey(key []byte) []byte {
 	mac := hmac.New(sha256.New, key)

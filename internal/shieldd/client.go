@@ -24,14 +24,16 @@ var ErrClientClosed = errors.New("shieldd: client closed")
 // schedule. Match with errors.Is.
 var ErrServerBusy = errors.New("shieldd: server busy")
 
-// ErrHandshakeTimeout reports a datagram handshake that exhausted its
-// retransmission schedule without completing. Match with errors.Is.
+// ErrHandshakeTimeout reports a handshake that waited out its whole
+// retry schedule (RetryTimeout, MaxRetries) without completing, on
+// either transport. Match with errors.Is.
 var ErrHandshakeTimeout = errors.New("shieldd: handshake timed out")
 
-// ErrDowngrade reports that the server (or someone rewriting its
-// traffic) negotiated a protocol version below the client's
-// SessionOptions.MinProtocol floor. Match with errors.Is.
-var ErrDowngrade = errors.New("shieldd: protocol downgrade below MinProtocol")
+// ErrVersion reports a handshake refused over the wire protocol version:
+// the server (or someone rewriting the HELLO in flight) saw a version
+// other than wire.Version, or the server acked one. There is one
+// version and nothing to fall back to. Match with errors.Is.
+var ErrVersion = errors.New("shieldd: unsupported wire protocol version")
 
 // busyError is one BUSY response, carrying the server's retry-after
 // hint; it unwraps to ErrServerBusy.
@@ -63,19 +65,6 @@ type SessionOptions struct {
 	// medium; EXCHANGE frames address implants by index (0 = primary).
 	ExtraIMDs int
 
-	// Protocol caps the wire version the client announces in HELLO
-	// (0 = the highest this build speaks, wire.Version). Setting 1
-	// forces a strict request/response v1 session — the compatibility
-	// mode old clients get automatically.
-	Protocol uint8
-	// MinProtocol, when nonzero, is the lowest negotiated version the
-	// client accepts: a handshake landing below it fails with
-	// ErrDowngrade instead of completing. By default (zero) the client
-	// follows the server down to v1 for compatibility — which also means
-	// an active attacker rewriting HELLOs can strip the v4 AKE; deploy
-	// MinProtocol=4 to pin forward secrecy once every server speaks v4
-	// (the TLS-style rollback rule; see DESIGN.md "Handshake v2").
-	MinProtocol uint8
 	// AutoReconnect makes a dialed client transparently re-dial and
 	// re-handshake when its connection has died (e.g. the server's idle
 	// reaper closed it) and no requests are in flight. On datagram
@@ -94,32 +83,28 @@ type SessionOptions struct {
 	// address to aim it at; the old socket is closed after the swap.
 	RedialPacket func() (net.PacketConn, net.Addr, error)
 
-	// RetryTimeout is the initial retransmission timeout on datagram
-	// sessions (0 = 250ms); each further retransmit of a request doubles
-	// it up to a cap. Ignored on stream transports.
+	// RetryTimeout is the initial retransmission timeout (0 = 250ms);
+	// each further retransmit of a request on a datagram session doubles
+	// it up to a cap. The handshake waits out the same schedule on both
+	// transports, re-sending its HELLO only on datagrams.
 	RetryTimeout time.Duration
 	// MaxRetries bounds retransmissions per request on datagram sessions
-	// before the call fails with a timeout error (0 = 8). Ignored on
-	// stream transports.
+	// before the call fails with a timeout error, and the steps of the
+	// handshake's wait schedule on both transports (0 = 8).
 	MaxRetries int
 
 	// Window bounds the client-side send window: how many requests may
 	// be awaiting responses before Go blocks (0 = defaultSendWindow,
 	// which matches the server's per-session in-flight window). Raising
 	// it past the server's window buys nothing — the excess queues
-	// server-side or, on v3 datagram sessions, risks stalling the
-	// reorder buffer; see DESIGN.md "Selective repeat & streaming
-	// experiments".
+	// server-side or, on datagram sessions, risks stalling the reorder
+	// buffer; see DESIGN.md "Selective repeat & streaming experiments".
 	Window int
 }
 
 func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
-	version := o.Protocol
-	if version == 0 || version > wire.Version {
-		version = wire.Version
-	}
 	h := &wire.Hello{
-		Version:   version,
+		Version:   wire.Version,
 		Nonce:     nonce,
 		Seed:      o.Seed,
 		Location:  uint8(o.Location),
@@ -140,35 +125,49 @@ func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
 	return h
 }
 
-// hsResult is one completed handshake: the session link, the negotiated
-// version and session ID, and — on v4 — the resumption state carried
-// into the next reconnect.
+// retryTimeout is RetryTimeout with its default applied.
+func (o SessionOptions) retryTimeout() time.Duration {
+	if o.RetryTimeout > 0 {
+		return o.RetryTimeout
+	}
+	return defaultRetryTimeout
+}
+
+// maxRetries is MaxRetries with its default applied.
+func (o SessionOptions) maxRetries() int {
+	if o.MaxRetries > 0 {
+		return o.MaxRetries
+	}
+	return defaultMaxRetries
+}
+
+// hsResult is one completed handshake: the session link and session ID,
+// and the resumption state carried into the next reconnect.
 type hsResult struct {
 	link      *securelink.Link
-	version   uint8
 	sessionID uint64
 	ticket    []byte // fresh single-use ticket from the sealed ack
 	rms       []byte // resumption secret the ticket will resume with
 	resumed   bool   // this handshake resumed from a prior ticket
 }
 
-// resumeState carries the previous v4 session's ticket and resumption
+// resumeState carries the previous session's ticket and resumption
 // secret into the next handshake.
 type resumeState struct {
 	ticket []byte
 	rms    []byte
 }
 
-// clientAKE is the client half of a v4 handshake in flight: the
-// ephemeral key pair, the HELLO transcript, and the cached resumption
-// secret when the HELLO offered a ticket.
+// clientAKE is the client half of a handshake in flight: the ephemeral
+// key pair, the HELLO transcript, and the cached resumption secret when
+// the HELLO offered a ticket.
 type clientAKE struct {
 	eph        *securelink.Ephemeral
 	transcript []byte
 	rms        []byte
 }
 
-// newClientAKE equips hello for the v4 AKE (key share plus optional
+// newClientAKE equips hello for the AKE (key share plus optional
 // resumption ticket) and returns the state needed to complete it.
 func newClientAKE(hello *wire.Hello, resume *resumeState) (*clientAKE, error) {
 	eph, err := securelink.NewEphemeral()
@@ -185,7 +184,7 @@ func newClientAKE(hello *wire.Hello, resume *resumeState) (*clientAKE, error) {
 	return a, nil
 }
 
-// complete mirrors the server's v4 key schedule against its CHALLENGE2
+// complete mirrors the server's key schedule against its CHALLENGE2
 // and returns the session link, the next resumption secret, and whether
 // the server resumed from the offered ticket. Any tampering with the
 // handshake messages desynchronizes the transcript here, so the sealed
@@ -213,22 +212,6 @@ func (a *clientAKE) complete(secret []byte, ch *wire.Challenge2) (link *secureli
 	return link, sched.ResumptionSecret(), ch.Resumed, nil
 }
 
-// checkAck validates the negotiated version in a HELLO-ACK against the
-// announced version, the handshake form that actually ran, and the
-// client's MinProtocol floor.
-func checkAck(ack *wire.HelloAck, announced, minProtocol uint8, akeDone bool) error {
-	if ack.Version < wire.MinVersion || ack.Version > announced {
-		return fmt.Errorf("shieldd: server negotiated unsupported version %d", ack.Version)
-	}
-	if akeDone != (ack.Version >= 4) {
-		return fmt.Errorf("shieldd: server acked version %d but ran the wrong handshake form", ack.Version)
-	}
-	if ack.Version < minProtocol {
-		return fmt.Errorf("%w: server negotiated v%d", ErrDowngrade, ack.Version)
-	}
-	return nil
-}
-
 // Call is one in-flight request on a pipelined session. Wait on Done (or
 // call Wait); then exactly one of Resp/Err is set.
 type Call struct {
@@ -239,10 +222,9 @@ type Call struct {
 	// failure) arrives. Buffered: the reader never blocks on it.
 	Done chan *Call
 	// OnProgress, when non-nil, receives streamed EXPERIMENT-PROGRESS
-	// frames for this call (v3 sessions only; never invoked on v2, where
-	// the experiment answers in a single frame). Called from the
-	// client's read loop — it must not block and must not issue requests
-	// on the same client synchronously.
+	// frames for this call. Called from the client's read loop — it must
+	// not block and must not issue requests on the same client
+	// synchronously.
 	OnProgress func(*wire.ExperimentProgress)
 
 	// release returns the call's send-window slot; installed at submit
@@ -265,24 +247,20 @@ func (call *Call) Wait() (wire.Message, error) {
 	return call.Resp, call.Err
 }
 
-// Client is one end of a shieldd session.
-//
-// On a v2 session the client is a pipelining multiplexer: Go submits a
-// request without waiting, requests are matched to responses by request
-// ID, and any number of goroutines may issue requests concurrently (the
-// server bounds in-flight work per session; beyond that, transport
-// backpressure applies). On a v1 session (negotiated with an old server,
-// or forced with SessionOptions.Protocol=1) requests are serialized into
-// strict request/response round trips.
+// Client is one end of a shieldd session: a pipelining multiplexer. Go
+// submits a request without waiting, requests are matched to responses
+// by request ID, and any number of goroutines may issue requests
+// concurrently (the server bounds in-flight work per session; beyond
+// that, transport backpressure applies).
 type Client struct {
 	opt    SessionOptions
 	secret []byte
-	redial func() (net.Conn, error) // nil unless created by Dial
-	// redialPacket re-creates the packet transport for datagram
-	// reconnects: a fresh local socket (the old one may be poisoned or
-	// its server-side peer state reaped) aimed at the same server.
-	redialPacket func() (net.PacketConn, net.Addr, error)
-	retry        *retrier // nil unless on a datagram transport
+	// redial opens a fresh transport to the same server for
+	// AutoReconnect — on datagrams a fresh local socket too, since the
+	// old one may be poisoned or its server-side peer state reaped. Nil
+	// when the client has nothing to re-dial.
+	redial func() (transportConn, error)
+	retry  *retrier // nil unless on a datagram transport
 
 	// backoff is the deterministic jitter source for BUSY retry delays,
 	// keyed off the session seed so overload behaviour replays exactly.
@@ -295,8 +273,7 @@ type Client struct {
 	// full window).
 	window chan struct{}
 
-	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received
-	// (v3 sessions).
+	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received.
 	progressFrames atomic.Uint64
 
 	mu        sync.Mutex // guards tc/link swap, pending, nextID, err
@@ -304,12 +281,11 @@ type Client struct {
 	reconnMu  sync.Mutex // serializes reconnect attempts (never held with mu)
 	tc        transportConn
 	link      *securelink.Link
-	version   uint8
 	sessionID uint64
-	// ticket and rms hold the v4 resumption state from the latest
+	// ticket and rms hold the resumption state from the latest
 	// handshake; reconnect offers them so a reap-then-reconnect
 	// completes in one round trip with forward-secret keys and no new
-	// DH. Empty on pre-v4 sessions.
+	// DH.
 	ticket  []byte
 	rms     []byte
 	resumed bool   // the latest handshake resumed from a ticket
@@ -318,8 +294,8 @@ type Client struct {
 	pending map[uint64]*Call
 	// ackCum is the highest request ID through which every response has
 	// been delivered; ackAbove holds delivered response IDs above a gap.
-	// Sent in every v3 request envelope so the server can prune its
-	// dedup ledger.
+	// Sent in every request envelope so the server can prune its dedup
+	// ledger.
 	ackCum   uint64
 	ackAbove map[uint64]struct{}
 	err      error // sticky transport error
@@ -338,47 +314,13 @@ func (o SessionOptions) sendWindow() int {
 
 // Dial opens a TCP session with a shieldd server.
 func Dial(addr string, secret []byte, opt SessionOptions) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewClient(conn, secret, opt)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.redial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	return c, nil
-}
-
-// NewClient runs the session handshake over an established stream
-// transport.
-func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error) {
-	hs, err := handshake(conn, secret, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	tc := &streamConn{c: conn}
-	c := &Client{
-		opt:       opt,
-		secret:    secret,
-		tc:        tc,
-		link:      hs.link,
-		version:   hs.version,
-		sessionID: hs.sessionID,
-		ticket:    hs.ticket,
-		rms:       hs.rms,
-		resumed:   hs.resumed,
-		nextID:    1,
-		pending:   make(map[uint64]*Call),
-		ackAbove:  make(map[uint64]struct{}),
-		window:    make(chan struct{}, opt.sendWindow()),
-		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
-	}
-	if hs.version >= 2 {
-		go c.readLoop(tc, hs.link, hs.version)
-	}
-	return c, nil
+	return dial(func() (transportConn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &streamConn{c: conn}, nil
+	}, secret, opt)
 }
 
 // DialUDP opens a datagram session with a shieldd server's UDP
@@ -389,51 +331,69 @@ func DialUDP(addr string, secret []byte, opt SessionOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc, err := net.ListenPacket("udp", ":0")
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewPacketClient(pc, raddr, secret, opt)
-	if err != nil {
-		pc.Close()
-		return nil, err
-	}
-	if c.redialPacket == nil {
-		c.redialPacket = func() (net.PacketConn, net.Addr, error) {
-			npc, err := net.ListenPacket("udp", ":0")
-			if err != nil {
-				return nil, nil, err
-			}
-			return npc, raddr, nil
+	return dial(func() (transportConn, error) {
+		pc, err := net.ListenPacket("udp", ":0")
+		if err != nil {
+			return nil, err
 		}
+		return &packetTC{fc: dgram.NewConn(pc, raddr)}, nil
+	}, secret, opt)
+}
+
+// dial opens a first transport with redial and runs the session
+// handshake over it; redial stays installed for AutoReconnect.
+func dial(redial func() (transportConn, error), secret []byte, opt SessionOptions) (*Client, error) {
+	tc, err := redial()
+	if err != nil {
+		return nil, err
+	}
+	c, err := newClient(tc, secret, opt, redial)
+	if err != nil {
+		tc.close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// NewPacketClient runs the datagram session handshake over an
-// established packet socket (UDP, or an in-process faultnet endpoint)
-// against the server at peer. The client becomes the socket's sole
-// reader. Datagram sessions are wire v2 only (the reliability layer
-// needs request IDs), so SessionOptions.Protocol must be 0 or ≥ 2, and
-// every request is tracked by the retransmit layer: loss is retried
-// transparently and surfaced in TransportStats rather than as errors,
-// until MaxRetries is exhausted.
+// NewClient runs the session handshake over an established stream
+// transport.
+func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error) {
+	return newClient(&streamConn{c: conn}, secret, opt, nil)
+}
+
+// NewPacketClient runs the session handshake over an established packet
+// socket (UDP, or an in-process faultnet endpoint) against the server at
+// peer. The client becomes the socket's sole reader, and every request
+// is tracked by the retransmit layer: loss is retried transparently and
+// surfaced in TransportStats rather than as errors, until MaxRetries is
+// exhausted.
 func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions) (*Client, error) {
-	if opt.Protocol == 1 {
-		return nil, fmt.Errorf("shieldd: datagram transport requires wire protocol v2")
+	var redial func() (transportConn, error)
+	if opt.RedialPacket != nil {
+		redial = func() (transportConn, error) {
+			pc, peer, err := opt.RedialPacket()
+			if err != nil {
+				return nil, err
+			}
+			return &packetTC{fc: dgram.NewConn(pc, peer)}, nil
+		}
 	}
-	dc := dgram.NewConn(pc, peer)
-	hs, err := packetHandshake(dc, secret, opt, nil)
+	return newClient(&packetTC{fc: dgram.NewConn(pc, peer)}, secret, opt, redial)
+}
+
+// newClient runs the handshake over tc, then starts the session's read
+// loop and, on an unreliable transport, its retransmit loop.
+func newClient(tc transportConn, secret []byte, opt SessionOptions, redial func() (transportConn, error)) (*Client, error) {
+	hs, err := handshake(tc, secret, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	tc := &packetTC{fc: dc}
 	c := &Client{
 		opt:       opt,
 		secret:    secret,
+		redial:    redial,
 		tc:        tc,
 		link:      hs.link,
-		version:   hs.version,
 		sessionID: hs.sessionID,
 		ticket:    hs.ticket,
 		rms:       hs.rms,
@@ -444,97 +404,94 @@ func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt Sessio
 		window:    make(chan struct{}, opt.sendWindow()),
 		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
-	c.redialPacket = opt.RedialPacket
-	c.retry = newRetrier(c, opt.RetryTimeout, opt.MaxRetries)
-	go c.retry.run()
-	go c.readLoop(tc, hs.link, hs.version)
+	if tc.unreliable() {
+		c.retry = newRetrier(c)
+		go c.retry.run()
+	}
+	go c.readLoop(tc, hs.link)
 	return c, nil
 }
 
-// packetHandshake performs HELLO → COOKIE → HELLO(cookie) → CHALLENGE →
-// HELLO-ACK over a datagram connection, retransmitting the HELLO until
-// the sealed ACK arrives. The first HELLO carries no cookie, so the
-// server's stateless admission gate answers it with one; echoing it
+// handshake is the client's one handshake state machine, shared by both
+// transports: HELLO → CHALLENGE2 → sealed HELLO-ACK, offering resume's
+// ticket when given. On datagrams the first HELLO carries no cookie, so
+// the server's stateless admission gate answers it with one; echoing it
 // back proves this client receives at its claimed source address, and
-// only then does the server commit any handshake state. A duplicate
-// CHALLENGE (the server re-answering a retransmitted HELLO with the
-// same nonce) just re-derives the same keys; an undecryptable datagram
-// is dropped, never fatal. BUSY refusals are honored with deterministic
-// seeded jittered exponential backoff before re-sending.
-func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
+// only then does the server commit any handshake state. BUSY refusals
+// are honored with deterministic seeded jittered exponential backoff.
+//
+// One wait schedule runs on both transports: step k waits
+// RetryTimeout<<k (capped at 8×) for MaxRetries+1 steps, and a handshake
+// that outlives it fails with ErrHandshakeTimeout. An unreliable
+// transport re-sends the HELLO at every step and drops whatever fails to
+// decode or open (a duplicate CHALLENGE2 is byte-identical, so it just
+// re-derives the same keys); a reliable one sends it once and fails on
+// the first bad frame.
+func handshake(tc transportConn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
 	var zero hsResult
 	var nonce [16]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return zero, fmt.Errorf("shieldd: nonce: %w", err)
 	}
 	hello := opt.hello(nonce)
-	if opt.MinProtocol > hello.Version {
-		return zero, fmt.Errorf("%w: MinProtocol %d exceeds announced version %d",
-			ErrDowngrade, opt.MinProtocol, hello.Version)
+	ake, err := newClientAKE(hello, resume)
+	if err != nil {
+		return zero, err
 	}
-	var ake *clientAKE
-	if hello.Version >= 4 {
-		var err error
-		if ake, err = newClientAKE(hello, resume); err != nil {
-			return zero, err
-		}
-	}
-	helloEnc := hello.Encode()
-	rto := opt.RetryTimeout
-	if rto <= 0 {
-		rto = defaultRetryTimeout
-	}
-	tries := opt.MaxRetries
-	if tries <= 0 {
-		tries = defaultMaxRetries
-	}
+	lossy := tc.unreliable()
+	rto, tries := opt.retryTimeout(), opt.maxRetries()
+	// Escalate the wait per step, capped at 8× the base timeout:
+	// handshake datagrams are tiny and a pending server handshake
+	// answers every retransmit immediately, so aggressive escalation only
+	// turns an unlucky loss stretch into seconds of stall.
+	wait := func(step int) time.Duration { return rto << uint(min(step, 3)) }
 	backoff := stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-handshake-backoff"))
 	busies := 0
 
 	var link *securelink.Link
 	var rms []byte
-	var resumed, akeDone bool
-	for attempt := 0; attempt <= tries; attempt++ {
-		if err := dc.WriteFrame(dgram.KindHandshake, helloEnc); err != nil {
-			return zero, err
+	var resumed bool
+	for step := 0; step <= tries; step++ {
+		if step == 0 || lossy {
+			if err := tc.writeHandshake(hello.Encode()); err != nil {
+				return zero, err
+			}
 		}
-		// Escalate the ACK wait per attempt, capped at a small multiple
-		// of the base timeout: handshake datagrams are tiny and a
-		// pending server handshake answers every retransmit immediately,
-		// so aggressive escalation only turns an unlucky loss stretch
-		// into seconds of stall.
-		wait := rto << uint(attempt)
-		if lim := 8 * rto; wait > lim {
-			wait = lim
+		deadline := time.Now().Add(wait(step))
+		if !lossy {
+			// Nothing is re-sent, so the rest of the schedule is one
+			// deadline: re-arming it could fire mid-frame and
+			// desynchronize the stream.
+			for step++; step <= tries; step++ {
+				deadline = deadline.Add(wait(step))
+			}
 		}
-		_ = dc.SetReadDeadline(time.Now().Add(wait))
+		_ = tc.setReadDeadline(deadline)
 		for {
-			kind, payload, err := dc.ReadFrame()
+			payload, hs, err := tc.readFrame()
 			if err != nil {
 				if isTimeout(err) {
-					break // resend the HELLO
+					break
 				}
 				return zero, fmt.Errorf("shieldd: handshake read: %w", err)
 			}
-			if kind == dgram.KindHandshake {
+			if hs {
 				msg, derr := wire.Decode(payload)
-				if derr != nil {
-					continue
-				}
 				switch m := msg.(type) {
 				case *wire.Error:
+					if m.Code == wire.CodeVersion {
+						return zero, fmt.Errorf("%w: %s", ErrVersion, m.Msg)
+					}
 					return zero, m
 				case *wire.Cookie:
 					// The stateless admission gate's round trip: echo the
-					// cookie in the HELLO and resend immediately. This
-					// costs no retry attempt — the gate answers every
-					// cookie-less HELLO, so the reply races only loss.
-					// The cookie is deliberately outside the v4 transcript
-					// (Hello.TranscriptBytes), so attaching it here does not
-					// desynchronize an AKE already offered in the first HELLO.
+					// cookie and resend immediately, at no step's cost —
+					// the gate answers every cookie-less HELLO, so the
+					// reply races only loss. The cookie is outside the
+					// transcript (Hello.TranscriptBytes), so attaching it
+					// does not desynchronize the AKE already offered.
 					hello.Cookie = m.Cookie
-					helloEnc = hello.Encode()
-					if err := dc.WriteFrame(dgram.KindHandshake, helloEnc); err != nil {
+					if err := tc.writeHandshake(hello.Encode()); err != nil {
 						return zero, err
 					}
 				case *wire.Busy:
@@ -554,62 +511,44 @@ func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *
 					}
 					d += time.Duration(backoff.Int63() % int64(d/2+1))
 					time.Sleep(d)
-					if err := dc.WriteFrame(dgram.KindHandshake, helloEnc); err != nil {
+					if err := tc.writeHandshake(hello.Encode()); err != nil {
 						return zero, err
 					}
-					_ = dc.SetReadDeadline(time.Now().Add(wait))
+					_ = tc.setReadDeadline(time.Now().Add(wait(step)))
 				case *wire.Challenge2:
-					if ake == nil {
-						continue // v4 challenge to a pre-v4 HELLO: noise
-					}
-					// A duplicate CHALLENGE2 (the server re-answering a
-					// retransmitted HELLO) is byte-identical — it entered the
-					// transcript — so re-deriving just reproduces the keys.
 					if link, rms, resumed, err = ake.complete(secret, m); err != nil {
 						return zero, err
 					}
-					akeDone = true
-					link.SetWindow(dgramWindow)
-					link.EnableRekey(sessionRekeyEvery)
-				case *wire.Challenge:
-					if opt.MinProtocol >= 4 {
-						return zero, fmt.Errorf("%w: server offered the legacy challenge", ErrDowngrade)
+					armLink(link, tc)
+				default:
+					// Undecodable or out of place: noise on a lossy
+					// transport, a broken handshake on a reliable one.
+					if !lossy {
+						return zero, fmt.Errorf("shieldd: unexpected handshake reply %T (%v)", msg, derr)
 					}
-					nonces := append(append([]byte(nil), nonce[:]...), m.ServerNonce[:]...)
-					_, link, err = securelink.Pair(securelink.SessionSecret(secret, nonces))
-					if err != nil {
-						return zero, err
-					}
-					akeDone = false
-					rms, resumed = nil, false
-					link.SetWindow(dgramWindow)
-					link.EnableRekey(sessionRekeyEvery)
 				}
 				continue
 			}
-			if link == nil {
-				continue // sealed frame before any challenge: stale noise
+			// A sealed frame must be the HELLO-ACK under the derived keys;
+			// anything else is stale or corrupt (dropped when lossy).
+			var ack *wire.HelloAck
+			if link != nil {
+				if plain, err := link.Open(payload); err == nil {
+					m, _ := wire.Decode(plain)
+					ack, _ = m.(*wire.HelloAck)
+				}
 			}
-			plain, oerr := link.Open(payload)
-			if oerr != nil {
-				continue // lost/duplicated ACK copy; keep waiting
+			if ack == nil {
+				if lossy {
+					continue
+				}
+				return zero, errors.New("shieldd: handshake: no valid sealed HELLO-ACK")
 			}
-			m, derr := wire.Decode(plain)
-			if derr != nil {
-				continue
+			if ack.Version != wire.Version {
+				return zero, fmt.Errorf("%w: server acked v%d", ErrVersion, ack.Version)
 			}
-			ack, ok := m.(*wire.HelloAck)
-			if !ok {
-				continue
-			}
-			if ack.Version < 2 {
-				return zero, fmt.Errorf("shieldd: server negotiated unsupported version %d", ack.Version)
-			}
-			if err := checkAck(ack, hello.Version, opt.MinProtocol, akeDone); err != nil {
-				return zero, err
-			}
-			_ = dc.SetReadDeadline(time.Time{})
-			return hsResult{link: link, version: ack.Version, sessionID: ack.SessionID,
+			_ = tc.setReadDeadline(time.Time{})
+			return hsResult{link: link, sessionID: ack.SessionID,
 				ticket: ack.Ticket, rms: rms, resumed: resumed}, nil
 		}
 	}
@@ -622,109 +561,12 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// handshake performs HELLO → CHALLENGE/CHALLENGE2 → sealed HELLO-ACK
-// over conn. A v4 announcement runs the AKE (or ticket resumption when
-// resume is offered); a legacy CHALLENGE reply falls back to the
-// SessionSecret derivation unless MinProtocol forbids it.
-func handshake(conn net.Conn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
-	var zero hsResult
-	var nonce [16]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return zero, fmt.Errorf("shieldd: nonce: %w", err)
-	}
-	hello := opt.hello(nonce)
-	if opt.MinProtocol > hello.Version {
-		return zero, fmt.Errorf("%w: MinProtocol %d exceeds announced version %d",
-			ErrDowngrade, opt.MinProtocol, hello.Version)
-	}
-	var ake *clientAKE
-	if hello.Version >= 4 {
-		var err error
-		if ake, err = newClientAKE(hello, resume); err != nil {
-			return zero, err
-		}
-	}
-	if err := wire.WriteFrame(conn, hello.Encode()); err != nil {
-		return zero, err
-	}
-
-	// The server answers a valid HELLO with a plaintext challenge (its
-	// half of the session key agreement), or a plaintext Error refusal.
-	raw, err := wire.ReadFrame(conn)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake read: %w", err)
-	}
-	first, err := wire.Decode(raw)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake: %w", err)
-	}
-	var link *securelink.Link
-	var rms []byte
-	var resumed, akeDone bool
-	switch ch := first.(type) {
-	case *wire.Error:
-		return zero, ch
-	case *wire.Challenge2:
-		if ake == nil {
-			return zero, fmt.Errorf("shieldd: v4 challenge to a v%d HELLO", hello.Version)
-		}
-		if link, rms, resumed, err = ake.complete(secret, ch); err != nil {
-			return zero, err
-		}
-		akeDone = true
-	case *wire.Challenge:
-		// The legacy pre-v4 challenge: an old server, or an attacker
-		// rewriting the handshake. Indistinguishable by design — the
-		// MinProtocol floor is what rules the second reading out.
-		if opt.MinProtocol >= 4 {
-			return zero, fmt.Errorf("%w: server offered the legacy challenge", ErrDowngrade)
-		}
-		nonces := append(append([]byte(nil), nonce[:]...), ch.ServerNonce[:]...)
-		if _, link, err = securelink.Pair(securelink.SessionSecret(secret, nonces)); err != nil {
-			return zero, err
-		}
-	default:
-		return zero, fmt.Errorf("shieldd: unexpected handshake reply %T", first)
-	}
-	link.SetWindow(sessionWindow)
-	link.EnableRekey(sessionRekeyEvery)
-
-	raw, err = wire.ReadFrame(conn)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake read: %w", err)
-	}
-	plain, err := link.Open(raw)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake: %w", err)
-	}
-	m, err := wire.Decode(plain)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake: %w", err)
-	}
-	ack, ok := m.(*wire.HelloAck)
-	if !ok {
-		return zero, fmt.Errorf("shieldd: unexpected handshake reply %T", m)
-	}
-	if err := checkAck(ack, hello.Version, opt.MinProtocol, akeDone); err != nil {
-		return zero, err
-	}
-	return hsResult{link: link, version: ack.Version, sessionID: ack.SessionID,
-		ticket: ack.Ticket, rms: rms, resumed: resumed}, nil
-}
-
 // SessionID returns the server-assigned session identifier (of the most
 // recent handshake, if the client has auto-reconnected).
 func (c *Client) SessionID() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sessionID
-}
-
-// Version returns the negotiated wire protocol version.
-func (c *Client) Version() uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Reconnects returns how many times the client has transparently
@@ -735,7 +577,7 @@ func (c *Client) Reconnects() uint64 {
 	return c.reconns
 }
 
-// Resumed reports whether the most recent handshake resumed from a v4
+// Resumed reports whether the most recent handshake resumed from a
 // ticket (one round trip, no fresh DH) rather than running the full AKE.
 func (c *Client) Resumed() bool {
 	c.mu.Lock()
@@ -751,20 +593,19 @@ func (c *Client) Resumes() uint64 {
 	return c.resumes
 }
 
-// readLoop is the v2/v3 demultiplexer: the sole reader of the transport,
+// readLoop is the demultiplexer: the sole reader of the transport,
 // matching responses to pending calls by request ID. It exits when the
 // transport dies, failing every pending call. On an unreliable
 // transport, frames that fail to open or decode are dropped datagrams
 // (duplicated responses die on the securelink window, corruption dies
 // on the GCM tag) — only a transport-level read error is fatal.
 //
-// On v3 sessions it additionally routes EnvPartial frames (streamed
-// EXPERIMENT-PROGRESS) to the call's OnProgress callback without
-// completing the call, refreshing its retransmit schedule — the partial
-// proves the server is alive and working — and feeds final ordered
-// responses to the retrier's fast-retransmit detector.
-func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8) {
-	lossy := tc.unreliable()
+// EnvPartial frames (streamed EXPERIMENT-PROGRESS) go to the call's
+// OnProgress callback without completing the call, refreshing its
+// retransmit schedule — the partial proves the server is alive and
+// working — and final ordered responses feed the retrier's
+// fast-retransmit detector.
+func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 	for {
 		raw, hs, err := tc.readFrame()
 		if err != nil {
@@ -775,25 +616,16 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 			continue // late challenge retransmit after an established session
 		}
 		plain, err := link.Open(raw)
-		if err != nil {
-			if lossy {
-				continue
-			}
-			c.fail(tc, err)
-			return
-		}
 		var (
 			id    uint64
 			flags uint8
 			msg   wire.Message
 		)
-		if version >= 3 {
+		if err == nil {
 			id, flags, _, msg, err = wire.DecodeEnvelopeV3(plain)
-		} else {
-			id, msg, err = wire.DecodeEnvelope(plain)
 		}
 		if err != nil {
-			if lossy {
+			if tc.unreliable() {
 				continue
 			}
 			c.fail(tc, err)
@@ -819,13 +651,11 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 		c.mu.Lock()
 		call := c.pending[id]
 		delete(c.pending, id)
-		if version >= 3 {
-			c.recordDelivered(id)
-		}
+		c.recordDelivered(id)
 		c.mu.Unlock()
 		if c.retry != nil {
 			c.retry.ack(id)
-			if version >= 3 && call != nil && orderedKind(call.Req.Kind()) {
+			if call != nil && orderedKind(call.Req.Kind()) {
 				// A final ordered response: ordered responses arrive in
 				// ID order, so any ordered request still pending below
 				// this ID has lost a datagram — count the skip toward
@@ -850,7 +680,7 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 }
 
 // recordDelivered advances the cumulative-delivery cursor over a freshly
-// delivered response ID. Callers hold c.mu. The cursor rides in every v3
+// delivered response ID. Callers hold c.mu. The cursor rides in every
 // request envelope, letting the server prune its dedup ledger.
 func (c *Client) recordDelivered(id uint64) {
 	if id <= c.ackCum {
@@ -965,12 +795,11 @@ func (c *Client) reconnect() error {
 		c.mu.Unlock()
 		return nil // a concurrent attempt already restored the session
 	}
-	if !c.opt.AutoReconnect || (c.redial == nil && c.redialPacket == nil) || len(c.pending) > 0 {
+	if !c.opt.AutoReconnect || c.redial == nil || len(c.pending) > 0 {
 		err := c.err
 		c.mu.Unlock()
 		return err
 	}
-	isPacket := c.retry != nil
 	// Offer the dead session's resumption ticket: after an idle reap the
 	// new handshake completes in one round trip on resumed forward-secret
 	// keys instead of a fresh DH. A refused or expired ticket silently
@@ -983,42 +812,14 @@ func (c *Client) reconnect() error {
 
 	// While c.err != nil every new request routes here and queues on
 	// reconnMu, so no one mutates tc/link/pending behind our back.
-	var tc transportConn
-	var hs hsResult
-	if isPacket {
-		// Datagram reconnect: a fresh local socket (the server may have
-		// reaped this address's peer entry, and a fresh source port makes
-		// the new handshake unambiguous), then the full cookie + HELLO
-		// retransmit schedule against the same server address.
-		if c.redialPacket == nil {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return err
-		}
-		pc, peer, err := c.redialPacket()
-		if err != nil {
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		dc := dgram.NewConn(pc, peer)
-		hs, err = packetHandshake(dc, c.secret, c.opt, resume)
-		if err != nil {
-			dc.Close()
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		tc = &packetTC{fc: dc}
-	} else {
-		conn, err := c.redial()
-		if err != nil {
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		var err2 error
-		hs, err2 = handshake(conn, c.secret, c.opt, resume)
-		if err2 != nil {
-			conn.Close()
-			return fmt.Errorf("shieldd: reconnect: %w", err2)
-		}
-		tc = &streamConn{c: conn}
+	tc, err := c.redial()
+	if err != nil {
+		return fmt.Errorf("shieldd: reconnect: %w", err)
+	}
+	hs, err := handshake(tc, c.secret, c.opt, resume)
+	if err != nil {
+		tc.close()
+		return fmt.Errorf("shieldd: reconnect: %w", err)
 	}
 
 	c.mu.Lock()
@@ -1028,8 +829,7 @@ func (c *Client) reconnect() error {
 		return ErrClientClosed
 	}
 	old := c.tc
-	c.tc, c.link = tc, hs.link
-	c.version, c.sessionID = hs.version, hs.sessionID
+	c.tc, c.link, c.sessionID = tc, hs.link, hs.sessionID
 	c.ticket, c.rms = hs.ticket, hs.rms
 	c.resumed = hs.resumed
 	if hs.resumed {
@@ -1045,19 +845,15 @@ func (c *Client) reconnect() error {
 	c.reconns++
 	c.mu.Unlock()
 	old.close()
-	if hs.version >= 2 {
-		go c.readLoop(tc, hs.link, hs.version)
-	}
+	go c.readLoop(tc, hs.link)
 	return nil
 }
 
 // Go submits a request and returns immediately with the in-flight Call.
-// On a v2/v3 session requests pipeline: many calls may be outstanding
-// and the server may complete non-scenario requests (PING, STATUS,
-// METRICS, EXPERIMENT) out of order; scenario requests complete in
-// submission order. Go blocks while the client-side send window
-// (SessionOptions.Window) is full, and on a v1 session for the whole
-// round trip (the transport has no request IDs to pipeline with).
+// Requests pipeline: many calls may be outstanding and the server may
+// complete non-scenario requests (PING, STATUS, METRICS, EXPERIMENT) out
+// of order; scenario requests complete in submission order. Go blocks
+// while the client-side send window (SessionOptions.Window) is full.
 func (c *Client) Go(req wire.Message) *Call {
 	call := &Call{Req: req, Done: make(chan *Call, 1)}
 	c.submit(call)
@@ -1071,8 +867,8 @@ func (c *Client) submit(call *Call) *Call {
 	req := call.Req
 
 	// Claim a send-window slot before allocating an ID, so request IDs
-	// hit the wire densely and in order — on v3 the server's reorder
-	// buffer is sized to the same window, and a sparser ID stream would
+	// hit the wire densely and in order — the server's reorder buffer is
+	// sized to the same window, and a sparser ID stream would
 	// let the client overrun it. BYE bypasses the window: Close must be
 	// able to end a session whose window is full of stuck calls.
 	if _, isBye := req.(*wire.Bye); !isBye {
@@ -1103,12 +899,6 @@ func (c *Client) submit(call *Call) *Call {
 			return call
 		}
 	}
-	if c.version == 1 {
-		tc, link := c.tc, c.link
-		c.mu.Unlock()
-		c.roundTripV1(call, tc, link)
-		return call
-	}
 	c.mu.Unlock()
 
 	// Submit, with one transparent retry through reconnect: if the
@@ -1129,22 +919,16 @@ func (c *Client) submit(call *Call) *Call {
 			return call
 		}
 		tc, link := c.tc, c.link
-		version := c.version
 		id := c.nextID
 		c.nextID++
 		c.pending[id] = call
 		cum := c.ackCum
 		c.mu.Unlock()
 
-		var env []byte
-		if version >= 3 {
-			// The cumulative-delivery cursor rides in every request so the
-			// server can prune its dedup ledger. Retransmits reuse the
-			// envelope verbatim — a stale cursor only delays pruning.
-			env = wire.EncodeEnvelopeV3(id, 0, cum, req)
-		} else {
-			env = wire.EncodeEnvelope(id, req)
-		}
+		// The cumulative-delivery cursor rides in every request so the
+		// server can prune its dedup ledger. Retransmits reuse the
+		// envelope verbatim — a stale cursor only delays pruning.
+		env := wire.EncodeEnvelopeV3(id, 0, cum, req)
 		// Seal+write as one unit so frames hit the transport in seq order.
 		c.writeMu.Lock()
 		err := tc.writeFrame(link.Seal(env))
@@ -1157,7 +941,7 @@ func (c *Client) submit(call *Call) *Call {
 			// bursts) — the retry schedule re-sends it, and if the socket
 			// is truly dead the retries exhaust into a timeout. Only a
 			// closed socket poisons the session, via the readLoop.
-			c.retry.track(id, env, version >= 3 && orderedKind(req.Kind()))
+			c.retry.track(id, env, orderedKind(req.Kind()))
 			return call
 		}
 		if err == nil {
@@ -1180,47 +964,6 @@ func (c *Client) submit(call *Call) *Call {
 	}
 }
 
-// roundTripV1 performs one strict request/response exchange. writeMu
-// doubles as the round-trip lock: v1 has no request IDs, so the response
-// on the wire always answers the most recent request. v1 only ever runs
-// on stream transports.
-func (c *Client) roundTripV1(call *Call, tc transportConn, link *securelink.Link) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := tc.writeFrame(link.Seal(call.Req.Encode())); err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	raw, _, err := tc.readFrame()
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	plain, err := link.Open(raw)
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	m, err := wire.Decode(plain)
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	if e, ok := m.(*wire.Error); ok {
-		call.finish(nil, e)
-		return
-	}
-	if b, ok := m.(*wire.Busy); ok {
-		call.finish(nil, &busyError{retryAfter: time.Duration(b.RetryAfterMillis) * time.Millisecond})
-		return
-	}
-	call.finish(m, nil)
-}
-
 // roundTrip submits a request and waits for its response. A BUSY-shed
 // request is transparently retried with a fresh request ID after a
 // deterministic jittered backoff honoring the server's retry-after
@@ -1228,10 +971,7 @@ func (c *Client) roundTripV1(call *Call, tc transportConn, link *securelink.Link
 // on datagram transports the shed response is dedup-cached under the
 // old ID, so re-sending it verbatim could only ever replay the BUSY.
 func (c *Client) roundTrip(req wire.Message) (wire.Message, error) {
-	tries := c.opt.MaxRetries
-	if tries <= 0 {
-		tries = defaultMaxRetries
-	}
+	tries := c.opt.maxRetries()
 	for attempt := 0; ; attempt++ {
 		m, err := c.Go(req).Wait()
 		if err == nil || attempt >= tries || !errors.Is(err, ErrServerBusy) {
@@ -1248,10 +988,7 @@ func (c *Client) roundTrip(req wire.Message) (wire.Message, error) {
 // instead of retrying in lockstep, yet each client's schedule replays
 // exactly per seed.
 func (c *Client) busyBackoff(err error, attempt int) time.Duration {
-	base := c.opt.RetryTimeout
-	if base <= 0 {
-		base = defaultRetryTimeout
-	}
+	base := c.opt.retryTimeout()
 	var be *busyError
 	if errors.As(err, &be) && be.retryAfter > 0 {
 		base = be.retryAfter
@@ -1320,17 +1057,12 @@ func (c *Client) Experiment(req wire.ExperimentReq) (string, error) {
 
 // ExperimentStream runs a registry experiment server-side, invoking
 // onProgress for each streamed EXPERIMENT-PROGRESS frame while it runs,
-// and returns the rendered table/figure. Progress streaming requires a
-// v3 session; on a v2 session the experiment still runs and answers in
-// one frame, and onProgress is simply never called. onProgress runs on
-// the client's read loop: it must be fast and must not call back into
+// and returns the rendered table/figure. onProgress runs on the client's
+// read loop: it must be fast and must not call back into
 // the client synchronously. A BUSY-shed request is retried like every
 // other call; progress restarts from zero on the retry.
 func (c *Client) ExperimentStream(req wire.ExperimentReq, onProgress func(*wire.ExperimentProgress)) (string, error) {
-	tries := c.opt.MaxRetries
-	if tries <= 0 {
-		tries = defaultMaxRetries
-	}
+	tries := c.opt.maxRetries()
 	for attempt := 0; ; attempt++ {
 		call := &Call{Req: &req, Done: make(chan *Call, 1), OnProgress: onProgress}
 		m, err := c.submit(call).Wait()
@@ -1362,8 +1094,8 @@ func (c *Client) Status() (*wire.StatusResp, error) {
 	return resp, nil
 }
 
-// Ping sends a keepalive probe and verifies the echoed token. On a v2
-// session the server answers from its reader fast path, ahead of any
+// Ping sends a keepalive probe and verifies the echoed token. The
+// server answers from its reader fast path, ahead of any
 // queued scenario work, so Ping also resets the idle-reap clock while
 // long requests run.
 func (c *Client) Ping() error {
@@ -1408,12 +1140,12 @@ func (c *Client) Metrics() (*wire.MetricsResp, error) {
 	return resp, nil
 }
 
-// Close ends the session with a BYE and closes the transport. On a v2+
-// session the server drains every in-flight request before answering the
-// BYE, so pending calls complete rather than die. On v3 the BYE is
-// sequenced after every earlier request, so Close refuses new
-// submissions from the moment it runs — the BYE must hold the session's
-// highest request ID, or the server would discard requests above it.
+// Close ends the session with a BYE and closes the transport. The server
+// drains every in-flight request before answering the BYE, so pending
+// calls complete rather than die. The BYE is sequenced after every
+// earlier request, so Close refuses new submissions from the moment it
+// runs — the BYE must hold the session's highest request ID, or the
+// server would discard requests above it.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {

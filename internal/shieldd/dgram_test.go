@@ -88,26 +88,6 @@ func TestPacketSessionOverRealUDP(t *testing.T) {
 	}
 }
 
-// Datagram sessions are wire-v2 only: a v1 client must be refused with
-// a plaintext error, client-side and server-side.
-func TestPacketRefusesV1(t *testing.T) {
-	nw := faultnet.New(2, faultnet.Impairment{})
-	defer nw.Close()
-	startPacketServer(t, nw, "server", shieldd.ServerConfig{})
-
-	pc, err := nw.Listen("v1-client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	if _, err := shieldd.NewPacketClient(pc, faultnet.Addr("server"), testSecret,
-		shieldd.SessionOptions{Seed: 1, Protocol: 1}); err == nil {
-		t.Fatal("v1 packet client accepted")
-	} else if !strings.Contains(err.Error(), "v2") {
-		t.Fatalf("v1 refusal error = %v", err)
-	}
-}
-
 // Batched exchanges, metrics, and experiments must all work over the
 // datagram transport, and the metrics frame must carry the securelink
 // window counters.

@@ -317,64 +317,6 @@ func TestChaosPipelinedSessions(t *testing.T) {
 	}
 }
 
-// TestV2InteropAgainstV3Server pins the downgrade path: a client capped
-// at protocol v2 against the v3 server must negotiate v2, run the old
-// arrival-order session loop with results identical to a v3 session at
-// the same seed, and receive its experiment answer as a single frame —
-// zero EXPERIMENT-PROGRESS partials on either side of the wire.
-func TestV2InteropAgainstV3Server(t *testing.T) {
-	nw := faultnet.New(44, faultnet.Impairment{Drop: 0.10, Dup: 0.05})
-	defer nw.Close()
-	srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
-
-	p, err := srv.Pipe(shieldd.SessionOptions{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSequential(p, chaosExchanges)
-	wantExp, err := p.Experiment(wire.ExperimentReq{Name: "fig7", Seed: 5, Trials: 130, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = p.Close()
-
-	c := dialPacket(t, nw, "v2-client", "server", shieldd.SessionOptions{
-		Seed:         31,
-		Protocol:     2,
-		RetryTimeout: 15 * time.Millisecond,
-		MaxRetries:   40,
-	})
-	defer c.Close()
-	if v := c.Version(); v != 2 {
-		t.Fatalf("negotiated wire v%d, want v2", v)
-	}
-
-	reportsEqual(t, "v2 session", runSequential(c, chaosExchanges), want)
-
-	progressCalls := 0
-	gotExp, err := c.ExperimentStream(wire.ExperimentReq{Name: "fig7", Seed: 5, Trials: 130, Workers: 1},
-		func(*wire.ExperimentProgress) { progressCalls++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotExp != wantExp {
-		t.Error("v2 experiment result diverged from v3 result at the same seed")
-	}
-	if progressCalls != 0 {
-		t.Errorf("v2 session received %d progress frames, want 0 (single-frame answers only)", progressCalls)
-	}
-	if ts := c.TransportStats(); ts.ProgressFrames != 0 {
-		t.Errorf("v2 transport counted %d progress frames, want 0", ts.ProgressFrames)
-	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ProgressFrames != 0 {
-		t.Errorf("server streamed %d progress frames to a v2 session, want 0", m.ProgressFrames)
-	}
-}
-
 // TestExperimentStreamProgress pins the streaming contract on a v3
 // datagram session: fig7 at 130 trials must produce exactly three
 // EXPERIMENT-PROGRESS frames (trials 64, 128, and the final 130 — the

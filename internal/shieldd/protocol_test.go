@@ -10,56 +10,6 @@ import (
 	"heartshield/internal/wire"
 )
 
-// A client forced to protocol v1 (the wire format old clients speak:
-// no request-ID envelope, strict request/response) must complete a full
-// session against a v2 server, and the negotiated version must come back
-// as 1 in the HELLO-ACK.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{})
-
-	c2, err := srv.Pipe(shieldd.SessionOptions{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Version(); got != wire.Version {
-		t.Fatalf("default client negotiated v%d, want v%d", got, wire.Version)
-	}
-	want := clientPair(t, c2)
-	c2.Close()
-
-	c1, err := srv.Pipe(shieldd.SessionOptions{Seed: 11, Protocol: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if got := c1.Version(); got != 1 {
-		t.Fatalf("forced-v1 client negotiated v%d, want 1", got)
-	}
-	// The full request vocabulary works over v1, including the kinds new
-	// in this protocol revision (batching and metrics are orthogonal to
-	// pipelining; only the envelope is v2-specific).
-	got := clientPair(t, c1)
-	if got != want {
-		t.Errorf("v1 session results %+v != v2 session results %+v", got, want)
-	}
-	if err := c1.Ping(); err != nil {
-		t.Errorf("ping over v1: %v", err)
-	}
-	if _, err := c1.BatchExchange([]wire.ExchangeItem{{IMD: 0, Cmd: wire.CmdInterrogate}}); err != nil {
-		t.Errorf("batch over v1: %v", err)
-	}
-	m, err := c1.Metrics()
-	if err != nil {
-		t.Fatalf("metrics over v1: %v", err)
-	}
-	if m.Protocol != 1 {
-		t.Errorf("metrics report protocol %d, want 1", m.Protocol)
-	}
-	if m.Exchanges != 2 || m.Batches != 1 || m.BatchedExchanges != 1 || m.Pings != 1 {
-		t.Errorf("v1 session counters %+v implausible", m)
-	}
-}
-
 // A batch must produce exactly the result stream of the same items sent
 // as individual EXCHANGE frames at the same seed — batching is a framing
 // optimization, never a physics change.
@@ -255,30 +205,6 @@ func TestIdleReaperReturnsScenarioToPool(t *testing.T) {
 	// The client's next request must fail (no auto-reconnect configured).
 	if _, err := c.Exchange(0, wire.CmdInterrogate); err == nil {
 		t.Fatal("exchange succeeded on a reaped session without AutoReconnect")
-	}
-}
-
-// The idle reaper must cover v1 sessions too: a silent v1 client cannot
-// pin a session slot and a pooled scenario forever.
-func TestIdleReaperCoversV1Sessions(t *testing.T) {
-	// The timeout must comfortably exceed the in-transit window of a
-	// request frame under -race on a loaded machine, or the reaper can
-	// kill the session between the handshake and the first exchange.
-	srv := newServer(t, shieldd.ServerConfig{IdleTimeout: 300 * time.Millisecond})
-	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 32, Protocol: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exchange(0, wire.CmdInterrogate); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == 0 || srv.Status().ActiveSessions != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle v1 session never reaped: %+v", srv.Status())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

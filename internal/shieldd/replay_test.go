@@ -64,12 +64,12 @@ func TestRecordedSessionReplayFails(t *testing.T) {
 	go srv.ServeConn(sEnd)
 	defer cEnd.Close()
 
-	// Replay the HELLO; the server answers with a (fresh) Challenge and a
-	// sealed HelloAck it expects us to be able to open.
+	// Replay the HELLO; the server answers with a (fresh) CHALLENGE2 and
+	// a sealed HelloAck it expects us to be able to open.
 	if err := wire.WriteFrame(cEnd, recorded[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(cEnd); err != nil { // Challenge
+	if _, err := wire.ReadFrame(cEnd); err != nil { // CHALLENGE2
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadFrame(cEnd); err != nil { // sealed HelloAck
@@ -130,28 +130,5 @@ func TestServerNonceIsFresh(t *testing.T) {
 	}
 	if bytes.Equal(a.KeyShare, b.KeyShare) {
 		t.Fatal("server reused its ephemeral key share for identical HELLOs")
-	}
-}
-
-// A pre-v4 client still gets the legacy Challenge (and its fresh nonce).
-func TestServerLegacyChallenge(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{})
-	hello := (&wire.Hello{Version: 3, Seed: 1}).Encode()
-	cEnd, sEnd := net.Pipe()
-	go srv.ServeConn(sEnd)
-	defer cEnd.Close()
-	if err := wire.WriteFrame(cEnd, hello); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := wire.ReadFrame(cEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.(*wire.Challenge); !ok {
-		t.Fatalf("first server frame for a v3 HELLO is %T, want Challenge", m)
 	}
 }

@@ -7,16 +7,16 @@ import (
 )
 
 // resequencer restores request-ID order for the scenario-ordered request
-// kinds (EXCHANGE, BATCH-EXCHANGE, ATTACK-TRIAL, BYE) on sessions whose
-// transport can reorder or lose datagrams. The deterministic result
-// contract is (seed, request sequence) → results, and the request
-// sequence is defined by the client's ID assignment — not by arrival
-// order. The reader feeds every freshly claimed ID through the
-// resequencer: ordered requests are released for execution only when
-// every lower ID has been accounted for (executed, or classified as a
-// non-ordered request the reader answers directly), and an ordered
-// request that arrives above a gap waits in the buffer until the gap's
-// retransmit lands. Together with the dedup ledger — which remembers
+// kinds (EXCHANGE, BATCH-EXCHANGE, ATTACK-TRIAL, BYE), whatever order
+// the transport delivers them in. The deterministic result contract is
+// (seed, request sequence) → results, and the request sequence is
+// defined by the client's ID assignment — not by arrival order. The
+// reader feeds every freshly claimed ID through the resequencer:
+// ordered requests are released for execution only when every lower ID
+// has been accounted for (executed, or classified as a non-ordered
+// request the reader answers directly), and an ordered request that
+// arrives above a gap waits in the buffer until the gap's retransmit
+// lands. Together with the dedup ledger — which remembers
 // what was answered so retransmits never re-execute — this makes the
 // pipeline exactly-once AND in-order: ops complete losslessly out of
 // order on the wire while the scenario still executes them in ID order.
@@ -54,19 +54,19 @@ func orderedKind(kind byte) bool {
 // submit accounts for a freshly claimed ordered request and returns the
 // envelopes now released for execution, in ID order: nothing if the
 // request is above a gap (it is buffered), or the request itself plus
-// any directly following buffered run once the cursor reaches it.
-func (rs *resequencer) submit(e envelope) []envelope {
+// any directly following buffered run once the cursor reaches it. ok is
+// false for an ID below the cursor: it was accounted for already, and
+// the dedup ledger lets one through only once its cache entry has been
+// evicted. The caller drops it (and frees its window slot); the peer's
+// call times out.
+func (rs *resequencer) submit(e envelope) (released []envelope, ok bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if e.id < rs.next {
-		// Below the cursor means already accounted for; dedup filters
-		// genuine duplicates, so this is only reachable by a peer reusing
-		// an ID it previously spent on a non-ordered request. Dropping it
-		// keeps the cursor consistent; the peer's call times out.
-		return nil
+		return nil, false
 	}
 	rs.buffered[e.id] = e
-	return rs.advance()
+	return rs.advance(), true
 }
 
 // skip accounts for a freshly claimed ID that will never reach the

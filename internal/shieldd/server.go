@@ -18,26 +18,20 @@
 // did before — the same determinism contract as the PR 1 parallel
 // experiment runner, extended to a network service.
 //
-// Three protocol versions are served, negotiated in HELLO:
-//
-//   - v1 is strict request/response: one request in flight, answered
-//     before the next is read.
-//   - v2 multiplexes a session over one connection: every sealed frame
-//     carries a request ID, the client pipelines requests, and the server
-//     completes them out of order under a bounded in-flight window.
-//     Scenario-mutating requests (EXCHANGE, BATCH-EXCHANGE, ATTACK) are
-//     executed strictly in arrival order by a per-session executor — that
-//     is what keeps the deterministic (seed, request sequence) → results
-//     contract intact under pipelining — while PING, STATUS,
-//     STATUS-METRICS, and EXPERIMENT requests complete independently and
-//     may overtake them.
-//   - v3 keeps the v2 shape but hardens it for pipelining over lossy
-//     datagram transports: envelopes carry flags and a cumulative-progress
-//     field, scenario-mutating requests are executed in request-ID order
-//     (a resequencer buffers arrivals above a loss-induced gap, so one
-//     lost datagram delays only itself, not the session), and EXPERIMENT
-//     requests stream incremental EXPERIMENT-PROGRESS frames while they
-//     run. See DESIGN.md "Selective repeat & streaming experiments".
+// One protocol is served, wire.Version; a HELLO announcing any other
+// version is refused with a plaintext CodeVersion error. Both transports
+// share one handshake state machine (serveTransport) and one session
+// loop (serveSession): every sealed frame carries a request ID, the
+// client pipelines requests, and the server completes them out of order
+// under a bounded in-flight window. Scenario-mutating requests
+// (EXCHANGE, BATCH-EXCHANGE, ATTACK) are executed strictly in
+// request-ID order by a per-session executor — that is what keeps the
+// deterministic (seed, request sequence) → results contract intact under
+// pipelining and datagram loss — while PING, STATUS, STATUS-METRICS, and
+// EXPERIMENT requests complete independently and may overtake them;
+// EXPERIMENT requests stream incremental EXPERIMENT-PROGRESS frames
+// while they run. See DESIGN.md "Selective repeat & streaming
+// experiments".
 package shieldd
 
 import (
@@ -71,10 +65,10 @@ const (
 	// sessions use the larger dgramWindow (transport.go), where
 	// reordering is real.
 	sessionWindow = 8
-	// maxHelloFrame bounds the plaintext HELLO (~50 bytes encoded for
-	// v1–v3; a v4 HELLO adds a 32-byte key share and an optional ~100-byte
-	// resumption ticket); an unauthenticated peer cannot make the server
-	// allocate a larger buffer.
+	// maxHelloFrame bounds a plaintext handshake frame on a stream (a
+	// HELLO is ~50 bytes plus a 32-byte key share and an optional
+	// ~100-byte resumption ticket); an unauthenticated peer cannot make
+	// the server allocate a larger buffer.
 	maxHelloFrame = 512
 	// handshakeTimeout bounds how long an unauthenticated connection may
 	// hold a goroutine before sending its HELLO.
@@ -87,7 +81,7 @@ const (
 	// defaultBusyRetryAfter is the retry-after hint carried in BUSY
 	// responses when the config does not set one.
 	defaultBusyRetryAfter = 250 * time.Millisecond
-	// defaultTicketLifetime bounds v4 resumption tickets when the config
+	// defaultTicketLifetime bounds resumption tickets when the config
 	// does not set one: long enough to resume after an idle reap, short
 	// enough that a ticket is not a durable capability. The ticket
 	// sealing key rotates on the same period, so any unexpired ticket is
@@ -113,8 +107,8 @@ type ServerConfig struct {
 	// PoolPerShape bounds idle scenarios retained per scenario shape.
 	// Default 16.
 	PoolPerShape int
-	// InFlightPerSession bounds how many pipelined v2 requests one
-	// session may have outstanding; further frames are not read until a
+	// InFlightPerSession bounds how many pipelined requests one session
+	// may have outstanding; further frames are not read until a
 	// slot frees (transport backpressure). Default 16.
 	InFlightPerSession int
 	// IdleTimeout, when positive, reaps sessions with no traffic and no
@@ -147,11 +141,7 @@ type ServerConfig struct {
 	// BusyRetryAfter is the retry-after hint carried in BUSY responses.
 	// Default 250ms.
 	BusyRetryAfter time.Duration
-	// MaxProtocol, when nonzero, caps the negotiated wire protocol
-	// version below wire.Version (staged rollouts, interop testing).
-	// Zero serves up to wire.Version.
-	MaxProtocol uint8
-	// TicketLifetime bounds how long a v4 resumption ticket stays
+	// TicketLifetime bounds how long a resumption ticket stays
 	// redeemable. Default 5m.
 	TicketLifetime time.Duration
 }
@@ -171,10 +161,9 @@ type Server struct {
 	// cookie, so a spoofed-source HELLO flood costs the server one HMAC
 	// and one small reply datagram per packet and zero state.
 	cookies *securelink.CookieSource
-	// tickets mints and redeems the single-use v4 resumption tickets: a
+	// tickets mints and redeems the single-use resumption tickets: a
 	// resumption secret sealed under a rotating server key, handed out in
-	// every v4 HELLO-ACK and redeemable once for a one-round-trip
-	// reconnect.
+	// every HELLO-ACK and redeemable once for a one-round-trip reconnect.
 	tickets *securelink.TicketSource
 	// hsLimiter, when non-nil, rate-limits cookie-verified handshakes
 	// per source address.
@@ -216,9 +205,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.TicketLifetime <= 0 {
 		cfg.TicketLifetime = defaultTicketLifetime
-	}
-	if cfg.MaxProtocol == 0 || cfg.MaxProtocol > wire.Version {
-		cfg.MaxProtocol = wire.Version
 	}
 	cookies, err := securelink.NewCookieSource(cookieRotateEvery)
 	if err != nil {
@@ -322,44 +308,27 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// srvHandshake is the server side of one negotiated handshake: the
-// encoded challenge to send the client, the derived session link, and —
-// on the v4 path — the fresh resumption ticket to embed in the sealed
-// ack plus whether the session resumed from a presented ticket.
+// srvHandshake is the server side of one handshake: the encoded
+// CHALLENGE2 to send the client, the derived session link, and the fresh
+// resumption ticket to embed in the sealed ack.
 type srvHandshake struct {
 	challenge []byte
 	link      *securelink.Link
 	ticket    []byte
-	resumed   bool
 }
 
-// deriveSessionLink runs the key agreement for one HELLO at the
-// negotiated version. For v1–v3 it is the legacy derivation: both
-// nonces into securelink.SessionSecret under the master. For v4 it is
-// the AKE: a transcript-bound HKDF schedule over the HELLO and
-// CHALLENGE2 bytes, mixing the master PSK with either the X25519
-// ephemeral-ephemeral shared secret or, when the HELLO carries a
-// redeemable ticket, the previous session's resumption secret (skipping
-// the DH for a one-round-trip reconnect). A fresh single-use ticket
-// bound to addr is minted for every v4 handshake.
+// deriveSessionLink runs the key agreement for one HELLO: a
+// transcript-bound HKDF schedule over the HELLO and CHALLENGE2 bytes,
+// mixing the master PSK with either the X25519 ephemeral-ephemeral
+// shared secret or, when the HELLO carries a redeemable ticket, the
+// previous session's resumption secret (skipping the DH for a
+// one-round-trip reconnect). A fresh single-use ticket bound to addr is
+// minted for every handshake.
 //
 // A nil link with a non-empty refuse means the HELLO is malformed and
 // should be refused in plaintext; a nil link with an empty refuse is an
 // internal failure (exhausted entropy) and the connection just drops.
-func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string) (hs srvHandshake, refuse string) {
-	if version < 4 {
-		var challenge wire.Challenge
-		if _, err := rand.Read(challenge.ServerNonce[:]); err != nil {
-			return srvHandshake{}, ""
-		}
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), challenge.ServerNonce[:]...)
-		link, _, err := securelink.Pair(securelink.SessionSecret(s.cfg.Secret, nonces))
-		if err != nil {
-			return srvHandshake{}, ""
-		}
-		return srvHandshake{challenge: challenge.Encode(), link: link}, ""
-	}
-
+func (s *Server) deriveSessionLink(hello *wire.Hello, addr string) (hs srvHandshake, refuse string) {
 	var challenge wire.Challenge2
 	if _, err := rand.Read(challenge.ServerNonce[:]); err != nil {
 		return srvHandshake{}, ""
@@ -377,7 +346,7 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string
 		challenge.Resumed = true
 	} else {
 		if len(hello.KeyShare) != securelink.KeyShareLen {
-			return srvHandshake{}, "wire protocol v4 requires an X25519 key share"
+			return srvHandshake{}, "HELLO requires an X25519 key share"
 		}
 		eph, err := securelink.NewEphemeral()
 		if err != nil {
@@ -404,131 +373,20 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string
 	}
 	// A mint failure only costs the client its next resumption.
 	ticket, _ := s.tickets.Mint(sched.ResumptionSecret(), addr)
-	return srvHandshake{challenge: enc, link: link, ticket: ticket, resumed: challenge.Resumed}, ""
+	return srvHandshake{challenge: enc, link: link, ticket: ticket}, ""
 }
 
-// ServeConn runs one session on an established transport (TCP connection
-// or one end of a net.Pipe) and blocks until the session ends. The
-// connection is always closed on return.
+// ServeConn runs one session on an established stream transport (TCP
+// connection or one end of a net.Pipe) and blocks until the session
+// ends. The connection is always closed on return.
 func (s *Server) ServeConn(conn net.Conn) {
-	defer conn.Close()
-
-	// Pre-authentication hardening: the peer has proven nothing yet, so
-	// it gets a tiny frame budget and a deadline — an unauthenticated
-	// connection can neither make the server allocate a MaxFrame buffer
-	// nor pin a goroutine indefinitely.
-	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-
-	// HELLO travels in plaintext: it carries the public nonce both ends
-	// feed into the session key derivation, and the client's highest
-	// protocol version. The negotiated version is the minimum of the two.
-	raw, err := wire.ReadFrameLimit(conn, maxHelloFrame)
-	if err != nil {
-		return
-	}
-	msg, err := wire.Decode(raw)
-	if err != nil {
-		return
-	}
-	hello, ok := msg.(*wire.Hello)
-	if !ok || hello.Version < wire.MinVersion {
-		return
-	}
-	version := hello.Version
-	if version > s.cfg.MaxProtocol {
-		version = s.cfg.MaxProtocol
-	}
-	opt, err := s.scenarioOptions(hello)
-	if err != nil {
-		// The link is not established yet, so the refusal is plaintext.
-		_ = wire.WriteFrame(conn, (&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}).Encode())
-		return
-	}
-
-	// The session keys bind a fresh server nonce (and on v4 a fresh
-	// ephemeral DH) alongside the client's, so a recorded session's
-	// sealed frames can never open in a new one: per-message replay
-	// protection extends to whole-session replay.
-	hs, refuse := s.deriveSessionLink(hello, version, conn.RemoteAddr().String())
-	if hs.link == nil {
-		if refuse != "" {
-			_ = wire.WriteFrame(conn, (&wire.Error{Code: wire.CodeBadRequest, Msg: refuse}).Encode())
-		}
-		return
-	}
-	if err := wire.WriteFrame(conn, hs.challenge); err != nil {
-		return
-	}
-	link := hs.link
-	link.SetWindow(sessionWindow)
-	link.EnableRekey(sessionRekeyEvery)
-
-	id := s.nextSession.Add(1)
-	ack := &wire.HelloAck{Version: version, SessionID: id, Ticket: hs.ticket}
-	if err := wire.WriteFrame(conn, link.Seal(ack.Encode())); err != nil {
-		return
-	}
-
-	// The peer has still proven nothing: read its first sealed frame under
-	// the handshake deadline, and only a successful open commits a session
-	// slot and a scenario. An unauthenticated connection can therefore
-	// exhaust neither.
-	raw, err = wire.ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	plain, err := link.Open(raw)
-	if err != nil {
-		return
-	}
-
-	// Authenticated (the ID handed out in the ack only becomes a counted
-	// session here). Admission: under the default AdmissionWait=0 policy
-	// this blocks until a session slot frees (bounded concurrency);
-	// shedding policies answer the first request with a sealed BUSY
-	// instead of queueing. Then lift the handshake deadline (experiment
-	// requests may legitimately run for minutes).
-	if !s.admitSession() {
-		s.met.ShedHandshakes.Add(1)
-		busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-		if version >= 2 {
-			if id, _, _, err := decodeReqEnvelope(version, plain); err == nil {
-				_ = wire.WriteFrame(conn, link.Seal(encodeRespEnvelope(version, envelope{id: id, msg: busy}, 0)))
-				return
-			}
-		}
-		_ = wire.WriteFrame(conn, link.Seal(busy.Encode()))
-		return
-	}
-	s.met.TotalSessions.Add(1)
-	defer func() { <-s.sem }()
-	s.met.ActiveSessions.Add(1)
-	defer s.met.ActiveSessions.Add(-1)
-
-	sess := s.newSession(opt)
-	sess.id = id
-	sess.version = version
-	sess.link = link
-	s.reg.Register(id, &sess.met)
-	defer s.reg.Unregister(id)
-	defer s.pool.put(sess.sc)
-	defer s.absorbLinkStats(link)
-	_ = conn.SetReadDeadline(time.Time{})
-
-	tc := &streamConn{c: conn}
-	if version == 1 {
-		s.serveV1(tc, link, sess, plain)
-		return
-	}
-	s.serveV2(tc, link, sess, plain)
+	s.serveTransport(&streamConn{c: conn}, conn.RemoteAddr().String())
 }
 
 // ServePacket serves datagram sessions from a packet socket (UDP, or an
 // in-process faultnet endpoint) until the socket is closed: one session
-// per remote address, each beginning with a plaintext HELLO datagram.
-// Only wire protocol v2 is served — the datagram reliability layer is
-// built on v2's request IDs, which v1 does not carry. It returns the
-// socket's read error.
+// per remote address, each beginning with a plaintext HELLO datagram
+// that passed handshakeGate. It returns the socket's read error.
 func (s *Server) ServePacket(pc net.PacketConn) error {
 	l := dgram.ListenGated(pc, s.handshakeGate)
 	s.dl.Store(l)
@@ -538,7 +396,7 @@ func (s *Server) ServePacket(pc net.PacketConn) error {
 		if err != nil {
 			return err
 		}
-		go s.servePeer(peer)
+		go s.serveTransport(&packetTC{fc: peer}, peer.RemoteAddr().String())
 	}
 }
 
@@ -552,6 +410,16 @@ func (s *Server) DatagramPeers() int {
 		return l.PeerCount()
 	}
 	return 0
+}
+
+// decodeHello returns payload as a HELLO, or nil if it is anything else.
+func decodeHello(payload []byte) *wire.Hello {
+	msg, err := wire.Decode(payload)
+	if err != nil {
+		return nil
+	}
+	hello, _ := msg.(*wire.Hello)
+	return hello
 }
 
 // handshakeGate is the stateless admission gate consulted by the
@@ -575,25 +443,24 @@ func (s *Server) DatagramPeers() int {
 //     only queue behind a full session table is refused with a
 //     plaintext BUSY carrying the retry-after hint.
 //
+// The gate does not look at the version byte: a verified HELLO of any
+// other version is refused by serveTransport, so the refusal, like every
+// other reply beyond a cookie, only ever goes to a verified address.
 // Every reply is at most a few dozen bytes to a cookie-carrying (and
 // for BUSY, cookie-verified) source, so the gate amplifies nothing and
 // commits no state: the cost of a spoofed flood is one HMAC per packet.
 func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, reply []byte) {
-	msg, err := wire.Decode(payload)
-	if err != nil {
+	hello := decodeHello(payload)
+	if hello == nil {
 		return false, nil
 	}
-	hello, ok := msg.(*wire.Hello)
-	if !ok {
-		return false, nil
-	}
-	// A v4 resumption ticket issued to exactly this source address stands
+	// A resumption ticket issued to exactly this source address stands
 	// in for the cookie round: it proves a prior completed handshake from
 	// the address, which is strictly stronger reachability proof than a
 	// cookie echo, so resumption stays one round trip. Peek consumes
-	// nothing — servePeer redeems. Any mismatch (moved address, expired,
-	// already used) falls through to the normal cookie ladder; the client
-	// still resumes its keys, one round trip later.
+	// nothing — the handshake redeems. Any mismatch (moved address,
+	// expired, already used) falls through to the normal cookie ladder;
+	// the client still resumes its keys, one round trip later.
 	if len(hello.Cookie) == 0 && len(hello.Ticket) > 0 && s.tickets.Peek(hello.Ticket, addr.String()) {
 		if s.hsLimiter != nil && !s.hsLimiter.allow(addr.String()) {
 			s.met.RateLimited.Add(1)
@@ -625,135 +492,112 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 	return true, nil
 }
 
-// servePeer runs one datagram session. The handshake mirrors ServeConn
-// — HELLO → CHALLENGE → sealed HELLO-ACK → first authenticated sealed
-// frame commits a session slot — with the lossy-transport differences:
-// a retransmitted HELLO re-sends the same CHALLENGE (and a re-sealed
-// ACK) instead of confusing the session, and undecryptable datagrams
-// are dropped instead of ending the handshake.
+// serveTransport is the server's one handshake state machine, shared by
+// both transports. It runs one session on tc and blocks until it ends,
+// closing tc on return:
 //
-// Pre-authentication hardening: a peer only reaches this point after
-// its HELLO passed handshakeGate — it echoed a valid stateless cookie,
-// proving it can receive at its source address, and passed the per-peer
-// rate limit. A spoofed-source flood therefore never starts a handshake
-// goroutine or derives a key; what floods can still reach here is
-// bounded by real, receive-capable addresses, each under the handshake
-// deadline.
-func (s *Server) servePeer(peer *dgram.PeerConn) {
-	defer peer.Close()
-	_ = peer.SetReadDeadline(time.Now().Add(handshakeTimeout))
+//	HELLO → CHALLENGE2 + sealed HELLO-ACK → the first sealed frame that
+//	opens commits a session slot and a scenario → serveSession.
+//
+// The transport decides two things. Framing: readFrame marks plaintext
+// handshake frames — a stream by position (its first frame), a datagram
+// by kind byte. Retry: on an unreliable transport a frame that fails to
+// decode or open is dropped instead of ending the handshake, and a
+// retransmitted HELLO (same client nonce) is answered with the
+// byte-identical CHALLENGE2 — it entered the transcript — plus a
+// re-sealed ack. A HELLO with a different nonce is a new client instance
+// on the address (the old one died with its handshake in flight): the
+// pending handshake is abandoned so the newcomer's next retransmit
+// starts fresh instead of stalling until the deadline.
+//
+// Pre-authentication hardening: the peer has proven nothing until its
+// first sealed frame opens, so it gets a deadline (and on a stream a
+// tiny plaintext frame budget) and can commit neither a session slot nor
+// a scenario. A datagram peer only gets here after its HELLO passed
+// handshakeGate, so a spoofed-source flood never starts a handshake.
+func (s *Server) serveTransport(tc transportConn, addr string) {
+	defer tc.close()
+	_ = tc.setReadDeadline(time.Now().Add(handshakeTimeout))
+	lossy := tc.unreliable()
+	refuse := func(code uint8, msg string) {
+		_ = tc.writeHandshake((&wire.Error{Code: code, Msg: msg}).Encode())
+	}
 
-	// Phase 1: a valid HELLO (the listener guarantees the first datagram
-	// was a handshake frame, but not that it decodes).
 	var hello *wire.Hello
 	for hello == nil {
-		kind, payload, err := peer.ReadFrame()
+		payload, hs, err := tc.readFrame()
 		if err != nil {
 			return
 		}
-		if kind != dgram.KindHandshake {
-			continue
+		if hs {
+			hello = decodeHello(payload)
 		}
-		msg, err := wire.Decode(payload)
-		if err != nil {
-			continue
+		if hello == nil && !lossy {
+			return
 		}
-		hello, _ = msg.(*wire.Hello)
 	}
-	refuse := func(msg string) {
-		_ = peer.WriteFrame(dgram.KindHandshake,
-			(&wire.Error{Code: wire.CodeBadRequest, Msg: msg}).Encode())
-	}
-	version := hello.Version
-	if version > s.cfg.MaxProtocol {
-		version = s.cfg.MaxProtocol
-	}
-	// The negotiated version (not just the announced one) must carry
-	// request IDs: a v1 client — or any client against a MaxProtocol=1
-	// server — cannot run the datagram reliability layer.
-	if hello.Version < 2 || version < 2 {
-		refuse("datagram transport requires wire protocol v2")
+	// One protocol: there is nothing to negotiate down to.
+	if hello.Version != wire.Version {
+		refuse(wire.CodeVersion, fmt.Sprintf("wire protocol v%d not supported (server speaks v%d)", hello.Version, wire.Version))
 		return
 	}
 	opt, err := s.scenarioOptions(hello)
 	if err != nil {
-		refuse(err.Error())
+		refuse(wire.CodeBadRequest, err.Error())
 		return
 	}
-
-	hs, refuseMsg := s.deriveSessionLink(hello, version, peer.RemoteAddr().String())
+	// The session keys bind a fresh server nonce and ephemeral DH
+	// alongside the client's, so a recorded session's sealed frames can
+	// never open in a new one: per-message replay protection extends to
+	// whole-session replay.
+	hs, why := s.deriveSessionLink(hello, addr)
 	if hs.link == nil {
-		if refuseMsg != "" {
-			refuse(refuseMsg)
+		if why != "" {
+			refuse(wire.CodeBadRequest, why)
 		}
 		return
 	}
-	link := hs.link
-	link.SetWindow(dgramWindow)
-	link.EnableRekey(sessionRekeyEvery)
-
+	link := armLink(hs.link, tc)
 	id := s.nextSession.Add(1)
-	ack := &wire.HelloAck{Version: version, SessionID: id, Ticket: hs.ticket}
-	// sendChallenge re-seals the ACK on every (re)send: the client's
-	// receive window accepts whichever copy lands first and replay-drops
-	// the rest. The challenge bytes themselves are fixed — on v4 they
-	// entered the handshake transcript, so every retransmit must be
-	// byte-identical.
+	ack := &wire.HelloAck{Version: wire.Version, SessionID: id, Ticket: hs.ticket}
+	// Every (re)send re-seals the ack: the client's receive window
+	// accepts whichever copy lands first and replay-drops the rest.
 	sendChallenge := func() bool {
-		if err := peer.WriteFrame(dgram.KindHandshake, hs.challenge); err != nil {
-			return false
-		}
-		return peer.WriteFrame(dgram.KindSealed, link.Seal(ack.Encode())) == nil
+		return tc.writeHandshake(hs.challenge) == nil && tc.writeFrame(link.Seal(ack.Encode())) == nil
 	}
 	if !sendChallenge() {
 		return
 	}
 
-	// Phase 2: the first frame that opens under the session keys commits
-	// the session. A duplicate HELLO (same client nonce) means the
-	// client missed the challenge — answer it again with the SAME
-	// nonce. A HELLO with a DIFFERENT nonce is a new client instance on
-	// the same address (the old one died with its BYE in flight):
-	// abandon this pending session so the newcomer's next retransmit
-	// starts a fresh one, instead of stalling it until the handshake
-	// deadline.
 	var plain []byte
 	for plain == nil {
-		kind, payload, err := peer.ReadFrame()
+		payload, hsFrame, err := tc.readFrame()
 		if err != nil {
 			return
 		}
-		if kind == dgram.KindHandshake {
-			if msg, err := wire.Decode(payload); err == nil {
-				if h, ok := msg.(*wire.Hello); ok {
-					if h.Nonce != hello.Nonce {
-						return
-					}
-					if !sendChallenge() {
-						return
-					}
-				}
+		if hsFrame {
+			if h := decodeHello(payload); h != nil && (h.Nonce != hello.Nonce || !sendChallenge()) {
+				return
 			}
 			continue
 		}
-		p, err := link.Open(payload)
-		if err != nil {
-			continue // lost to loss/corruption; the client retransmits
+		if plain, err = link.Open(payload); err != nil && !lossy {
+			return
 		}
-		plain = p
 	}
 
-	// Authenticated: commit a session slot and a scenario, exactly like
-	// the stream path. Under a shedding admission policy the gate already
-	// refuses HELLOs while the table is full, so shedding here only
-	// catches the race where the table filled between gate and commit;
-	// the refusal is a sealed BUSY bound to the first request's ID, so
-	// the client's pending call fails fast instead of timing out.
+	// Authenticated: the ID handed out in the ack only becomes a counted
+	// session here. Under the default AdmissionWait=0 policy admission
+	// blocks until a session slot frees; shedding policies answer the
+	// first request with a sealed BUSY bound to its ID, so the client's
+	// pending call fails fast. (On datagrams the gate already refuses
+	// HELLOs while the table is full; this catches the table filling
+	// between gate and commit.)
 	if !s.admitSession() {
 		s.met.ShedHandshakes.Add(1)
-		if reqID, _, _, err := decodeReqEnvelope(version, plain); err == nil {
+		if reqID, _, _, err := decodeReqEnvelope(plain); err == nil {
 			busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-			_ = peer.WriteFrame(dgram.KindSealed, link.Seal(encodeRespEnvelope(version, envelope{id: reqID, msg: busy}, 0)))
+			_ = tc.writeFrame(link.Seal(encodeRespEnvelope(envelope{id: reqID, msg: busy}, 0)))
 		}
 		return
 	}
@@ -763,58 +607,47 @@ func (s *Server) servePeer(peer *dgram.PeerConn) {
 	defer s.met.ActiveSessions.Add(-1)
 
 	sess := s.newSession(opt)
-	sess.id = id
-	sess.version = version
-	sess.link = link
-	origNonce := hello.Nonce
-	sess.takeover = func(payload []byte) bool {
-		return s.sessionTakeover(peer, origNonce, payload)
-	}
+	sess.id, sess.link, sess.addr, sess.nonce = id, link, addr, hello.Nonce
 	s.reg.Register(id, &sess.met)
 	defer s.reg.Unregister(id)
 	defer s.pool.put(sess.sc)
 	defer s.absorbLinkStats(link)
-	_ = peer.SetReadDeadline(time.Time{})
-
-	s.serveV2(&packetTC{fc: peer}, link, sess, plain)
+	// Lift the handshake deadline: experiments may run for minutes.
+	_ = tc.setReadDeadline(time.Time{})
+	s.serveSession(tc, sess, plain)
 }
 
-// sessionTakeover classifies a handshake datagram that reached an
-// ESTABLISHED datagram session and reports whether the session should
-// end to free its address. A HELLO with this session's own nonce is a
-// late retransmit: ignore it. A HELLO with a different nonce is a new
-// client instance on the same source address (the old one died with its
-// BYE lost to the network) — but the address is spoofable, so handover
-// demands the same proof the admission gate does: a cookie-less HELLO
-// is answered with a minted cookie, and only a cookie-VERIFIED new
-// nonce ends the session (an off-path attacker can spoof the address
-// but cannot receive the cookie, so established sessions cannot be
-// reset blind). The ended session's peer slot frees, and the newcomer's
-// HELLO retransmit reaches the admission gate to start fresh.
-func (s *Server) sessionTakeover(peer *dgram.PeerConn, origNonce [16]byte, payload []byte) bool {
-	msg, err := wire.Decode(payload)
-	if err != nil {
+// sessionTakeover classifies a handshake frame that reached an
+// ESTABLISHED session (only datagrams carry one) and reports whether the
+// session should end to free its address. A HELLO with this session's
+// own nonce is a late retransmit: ignore it. A HELLO with a different
+// nonce is a new client instance on the same source address (the old
+// one died with its BYE lost to the network) — but the address is
+// spoofable, so handover demands the same proof the admission gate
+// does: a cookie-less HELLO is answered with a minted cookie, and only a
+// cookie-VERIFIED new nonce ends the session (an off-path attacker can
+// spoof the address but cannot receive the cookie, so established
+// sessions cannot be reset blind). The ended session's peer slot frees,
+// and the newcomer's HELLO retransmit reaches the admission gate to
+// start fresh.
+func (s *Server) sessionTakeover(tc transportConn, sess *session, payload []byte) bool {
+	h := decodeHello(payload)
+	if h == nil || h.Nonce == sess.nonce {
 		return false
 	}
-	h, ok := msg.(*wire.Hello)
-	if !ok || h.Nonce == origNonce {
-		return false
-	}
-	addr := peer.RemoteAddr().String()
 	// A valid resumption ticket issued to this exact address is the same
 	// proof-of-receipt the cookie round would establish (the admission
 	// gate accepts it the same way), so a resuming client instance takes
 	// the address over without a cookie round trip.
-	if len(h.Cookie) == 0 && len(h.Ticket) > 0 && s.tickets.Peek(h.Ticket, addr) {
+	if len(h.Cookie) == 0 && len(h.Ticket) > 0 && s.tickets.Peek(h.Ticket, sess.addr) {
 		return true
 	}
 	if len(h.Cookie) == 0 {
 		s.met.CookiesSent.Add(1)
-		_ = peer.WriteFrame(dgram.KindHandshake,
-			(&wire.Cookie{Cookie: s.cookies.Mint(addr, h.Nonce[:])}).Encode())
+		_ = tc.writeHandshake((&wire.Cookie{Cookie: s.cookies.Mint(sess.addr, h.Nonce[:])}).Encode())
 		return false
 	}
-	if !s.cookies.Verify(addr, h.Nonce[:], h.Cookie) {
+	if !s.cookies.Verify(sess.addr, h.Nonce[:], h.Cookie) {
 		s.met.CookieRejects.Add(1)
 		return false
 	}
@@ -864,57 +697,12 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 	return func() { close(done) }
 }
 
-// serveV1 is the strict request/response loop: one request at a time,
-// answered before the next frame is read. plain is the already-opened
-// first request. Only stream transports reach it (datagram sessions are
-// v2-only).
-func (s *Server) serveV1(tc transportConn, link *securelink.Link, sess *session, plain []byte) {
-	// The idle reaper applies to v1 sessions too; "busy" means a request
-	// is being executed (experiments may legitimately run for minutes).
-	var lastActivity atomic.Int64
-	var busy atomic.Bool
-	lastActivity.Store(time.Now().UnixNano())
-	busy.Store(true)
-	defer s.startReaper(tc, &lastActivity, busy.Load)()
-
-	for {
-		req, err := wire.Decode(plain)
-		if err != nil {
-			req = nil // authentic but malformed: answer and keep the session
-		}
-		resp, done := s.dispatch(sess, req)
-		if _, isErr := resp.(*wire.Error); isErr {
-			sess.met.Errors.Add(1)
-		}
-		if err := tc.writeFrame(link.Seal(resp.Encode())); err != nil {
-			return
-		}
-		if done {
-			return
-		}
-		lastActivity.Store(time.Now().UnixNano())
-		busy.Store(false)
-		raw, _, err := tc.readFrame()
-		if err != nil {
-			return
-		}
-		busy.Store(true)
-		lastActivity.Store(time.Now().UnixNano())
-		plain, err = link.Open(raw)
-		if err != nil {
-			// Authentication/replay failure is a transport compromise, not
-			// a request error: tear the session down.
-			return
-		}
-	}
-}
-
 // envelope pairs a request ID with the message that answers (or asks)
-// it, plus the v3 frame roles: partial marks a streamed non-final
-// response (EnvPartial on the wire, never recorded in the dedup
-// ledger), and last marks the final frame of the session (the BYE
-// response) — after flushing it the writer closes the transport to
-// wake the reader into teardown.
+// it, plus the frame roles: partial marks a streamed non-final response
+// (EnvPartial on the wire, never recorded in the dedup ledger), and last
+// marks the final frame of the session (the BYE response) — after
+// flushing it the writer closes the transport to wake the reader into
+// teardown.
 type envelope struct {
 	id      uint64
 	msg     wire.Message
@@ -922,97 +710,79 @@ type envelope struct {
 	last    bool
 }
 
-// decodeReqEnvelope parses a request envelope by negotiated session
-// version. cum is the client's cumulative-progress report (always 0 on
-// v2). A client-sent partial flag is malformed.
-func decodeReqEnvelope(version uint8, plain []byte) (id uint64, cum uint64, m wire.Message, err error) {
-	if version >= 3 {
-		var flags uint8
-		id, flags, cum, m, err = wire.DecodeEnvelopeV3(plain)
-		if err == nil && flags != 0 {
-			return id, cum, nil, wire.ErrInvalid
-		}
-		return id, cum, m, err
+// decodeReqEnvelope parses a request envelope; cum is the client's
+// cumulative-progress report. A client-sent partial flag is malformed.
+func decodeReqEnvelope(plain []byte) (id, cum uint64, m wire.Message, err error) {
+	id, flags, cum, m, err := wire.DecodeEnvelopeV3(plain)
+	if err == nil && flags != 0 {
+		return id, cum, nil, wire.ErrInvalid
 	}
-	id, m, err = wire.DecodeEnvelope(plain)
-	return id, 0, m, err
+	return id, cum, m, err
 }
 
-// encodeRespEnvelope serializes a response envelope by negotiated
-// session version; cum is the server's cumulative-progress report
-// (dropped on v2).
-func encodeRespEnvelope(version uint8, e envelope, cum uint64) []byte {
-	if version >= 3 {
-		var flags uint8
-		if e.partial {
-			flags |= wire.EnvPartial
-		}
-		return wire.EncodeEnvelopeV3(e.id, flags, cum, e.msg)
+// encodeRespEnvelope serializes a response envelope; cum is the
+// server's cumulative-progress report.
+func encodeRespEnvelope(e envelope, cum uint64) []byte {
+	var flags uint8
+	if e.partial {
+		flags = wire.EnvPartial
 	}
-	return wire.EncodeEnvelope(e.id, e.msg)
+	return wire.EncodeEnvelopeV3(e.id, flags, cum, e.msg)
 }
 
-// serveV2 is the multiplexed loop (protocol v2 and v3). Three roles
-// share the connection:
+// serveSession is the multiplexed session loop. Three roles share the
+// transport:
 //
 //   - this goroutine (the reader) owns link.Open, classifies requests,
 //     and enforces the in-flight window;
 //   - a per-session executor goroutine runs scenario-mutating requests
-//     one at a time — in arrival order on v2 sessions, in request-ID
-//     order on v3 sessions (the resequencer restores ID order under
-//     datagram loss/reordering, which is what makes pipelined
-//     submission deterministic);
-//   - a writer goroutine owns link.Seal and conn writes, so responses
-//     from the executor, experiment goroutines, and the reader's own
-//     fast-path replies interleave safely.
+//     one at a time in request-ID order (the resequencer restores ID
+//     order under datagram loss and reordering, which is what makes
+//     pipelined submission deterministic);
+//   - a writer goroutine owns link.Seal and transport writes, so
+//     responses from the executor, experiment goroutines, and the
+//     reader's own fast-path replies interleave safely.
 //
-// A request's slot in the window is released only after its response has
-// been handed to the writer, so once the reader can claim every slot the
-// session is quiescent and the channels can be torn down safely.
+// A request's slot in the window is released only after its response
+// has been handed to the writer, so once the reader can claim every slot
+// the session is quiescent and the channels can be torn down safely.
 //
-// On an unreliable transport two more rules apply, which together give
-// exactly-once execution over an at-least-once network:
+// Four mechanisms make execution exactly-once and in order over an
+// at-least-once network, on every transport:
 //
-//   - securelink Open failures drop the datagram and keep reading (loss,
-//     duplication, and reordering are the transport's normal behaviour,
-//     not a compromise);
-//   - request IDs are deduplicated: a retransmitted request that is
-//     still executing is dropped, and one that already completed is
-//     answered again from the response cache without touching the
-//     scenario — re-execution would fork the deterministic per-seed
-//     result stream.
-//
-// On v3 sessions three more mechanisms run on top:
-//
+//   - request IDs pass the dedup ledger before they take a window slot:
+//     a retransmitted (or reused) ID that is still executing is dropped,
+//     and one that already completed is answered again from the
+//     response cache without touching the scenario — re-execution would
+//     fork the deterministic per-seed result stream — so no duplicate
+//     can ever wedge the reader;
 //   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) pass through the
 //     resequencer before the executor, so an op that arrives above a
 //     lost datagram waits in the reorder buffer instead of executing
-//     early, and duplicates are recognized before consuming a window
-//     slot (a gap-stalled window must never wedge the reader);
+//     early;
 //   - every response envelope carries the server's cumulative-progress
 //     report, and the client's report prunes the dedup ledger;
 //   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
 //     while they run; partials bypass the dedup ledger so the final
 //     answer still completes the request.
 //
-// BYE is sequenced like any ordered op on v3: the executor answers it
-// only after every lower ID has executed, drains the rest of the
-// window, and marks the response `last` — the writer flushes it, then
-// closes the transport to steer the reader into teardown.
-func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session, firstPlain []byte) {
+// A securelink Open failure is a dropped datagram on an unreliable
+// transport (loss, duplication, and reordering are normal there) and a
+// compromise that ends the session on a stream.
+//
+// BYE is sequenced like any ordered op: the executor answers it only
+// after every lower ID has executed, drains the rest of the window, and
+// marks the response `last` — the writer flushes it, then closes the
+// transport to steer the reader into teardown.
+func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte) {
+	link := sess.link
 	window := s.cfg.InFlightPerSession
 	slots := make(chan struct{}, window) // filled = in flight
 	exec := make(chan envelope, window)  // scenario ops, execution order
 	out := make(chan envelope, window+1) // responses to the writer
 	writerDone := make(chan struct{})
-	var dedup *dedupState
-	if tc.unreliable() {
-		dedup = newDedupState()
-	}
-	var rs *resequencer
-	if sess.version >= 3 {
-		rs = newResequencer()
-	}
+	dedup := newDedupState()
+	rs := newResequencer()
 	// dying closes when no further frame can ever be sent (the final BYE
 	// response was flushed, or the transport broke): the reader stops
 	// waiting for window slots — which may be held hostage by a reorder
@@ -1025,21 +795,18 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	// the reorder buffer (releasing its window slots) and drain exec
 	// without executing.
 	stopExec := make(chan struct{})
-
-	srvCum := func() uint64 {
-		if rs != nil {
-			return rs.cum()
-		}
-		return 0
+	// leave returns one finished request's window slot.
+	leave := func() {
+		sess.met.LeaveFlight()
+		<-slots
 	}
 
 	// Writer: sole owner of link.Seal and transport writes. On a write
 	// error it closes the transport (waking the reader) and keeps
-	// draining so no producer ever blocks forever. On unreliable
-	// transports it also records every final response in the dedup
-	// ledger before sending, so a retransmitted request can be
-	// re-answered; partial frames are never recorded (a cached partial
-	// would block the final answer forever).
+	// draining so no producer ever blocks forever. It records every
+	// final response in the dedup ledger before sending, so a
+	// retransmitted request can be re-answered; partial frames are never
+	// recorded (a cached partial would block the final answer forever).
 	go func() {
 		defer close(writerDone)
 		broken := false
@@ -1050,10 +817,10 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 				}
 				continue
 			}
-			if dedup != nil && !e.partial {
+			if !e.partial {
 				dedup.complete(e.id, e.msg)
 			}
-			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(sess.version, e, srvCum()))); err != nil {
+			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(e, rs.cum()))); err != nil {
 				broken = true
 				tc.close()
 				die()
@@ -1073,37 +840,33 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	}()
 
 	// Executor: scenario-mutating requests one at a time, in the order
-	// the reader (via the resequencer on v3) put them on exec. Every
-	// envelope on exec holds one slot of the global work budget, released
-	// as soon as the scenario work is done.
+	// the resequencer put them on exec. Every envelope on exec except the
+	// BYE holds one slot of the global work budget, released as soon as
+	// the scenario work is done.
 	go func() {
 		discard := false
 		stop := stopExec
+		dropBuffered := func() {
+			for range rs.discard() {
+				leave()
+			}
+		}
 		for {
 			select {
 			case <-stop:
 				stop = nil
 				discard = true
-				if rs != nil {
-					for range rs.discard() {
-						sess.met.LeaveFlight()
-						<-slots
-					}
-				}
+				dropBuffered()
 			case e, ok := <-exec:
 				if !ok {
 					return
 				}
-				if _, isBye := e.msg.(*wire.Bye); isBye && rs != nil {
+				if _, isBye := e.msg.(*wire.Bye); isBye {
 					// Ordered ops below the BYE have all executed (it was
 					// sequenced); anything buffered above it never will.
-					for range rs.discard() {
-						sess.met.LeaveFlight()
-						<-slots
-					}
+					dropBuffered()
 					if discard {
-						sess.met.LeaveFlight()
-						<-slots
+						leave()
 						continue
 					}
 					// Drain every other in-flight request (experiments,
@@ -1137,15 +900,13 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 				}
 				if discard {
 					s.releaseWork()
-					sess.met.LeaveFlight()
-					<-slots
+					leave()
 					continue
 				}
 				resp := s.dispatchScenario(sess, e.msg)
 				s.releaseWork()
 				out <- envelope{id: e.id, msg: resp}
-				sess.met.LeaveFlight()
-				<-slots
+				leave()
 			}
 		}
 	}()
@@ -1167,51 +928,51 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			sess.met.Errors.Add(1)
 		}
 		out <- envelope{id: id, msg: m}
-		sess.met.LeaveFlight()
-		<-slots
+		leave()
 	}
 
-	// dispatchReleased hands resequenced ordered requests to the executor
-	// (v3 only). Global load shedding happens at release time — a request
-	// buffered behind a gap must not sit on server-wide work budget while
-	// it waits. Reports whether the session's BYE was among the releases.
-	// A well-behaved client gives BYE its highest ID; anything released
+	// sequence hands resequenced ordered requests to the executor. Global
+	// load shedding happens at release time — a request buffered behind a
+	// gap must not sit on server-wide work budget while it waits. A
+	// well-behaved client gives BYE its highest ID; anything released
 	// after it came from a misbehaving peer and is dropped unanswered (its
 	// slot must not survive the executor's window drain).
-	dispatchReleased := func(rel []envelope) (bye bool) {
+	byeSeen := false
+	sequence := func(rel []envelope) {
 		for _, e := range rel {
-			if bye {
-				sess.met.LeaveFlight()
-				<-slots
-				continue
-			}
-			if _, isBye := e.msg.(*wire.Bye); isBye {
+			_, isBye := e.msg.(*wire.Bye)
+			switch {
+			case byeSeen:
+				leave()
+			case isBye:
 				exec <- e
-				bye = true
-				continue
-			}
-			if !s.acquireWork() {
+				byeSeen = true
+			case !s.acquireWork():
 				respond(e.id, s.shedRequest(sess))
-				continue
+			default:
+				exec <- e // the executor releases the slot and work budget
 			}
-			exec <- e
 		}
-		return bye
 	}
 
-	// quiesce blocks until every in-flight request has enqueued its
-	// response, then owns the whole window.
-	quiesce := func(alreadyHeld int) {
-		for i := alreadyHeld; i < window; i++ {
-			slots <- struct{}{}
-		}
+	// answer responds to a request the reader serves itself and moves the
+	// resequencer cursor past its ID.
+	answer := func(id uint64, m wire.Message) {
+		respond(id, m)
+		sequence(rs.skip(id))
 	}
-	shutdown := func(held int) {
-		close(stopExec)
-		quiesce(held)
-		close(exec)
-		close(out)
-		<-writerDone
+
+	// claim admits a request ID through the dedup ledger; false means a
+	// duplicate, dropped — or, if it already completed, re-answered from
+	// the cache — without taking a window slot.
+	claim := func(id uint64) bool {
+		fresh, cached := dedup.claim(id)
+		if cached != nil {
+			sess.met.Retransmits.Add(1)
+			s.met.TotalRetransmits.Add(1)
+			out <- envelope{id: id, msg: cached}
+		}
+		return fresh
 	}
 
 	// Idle reaper: "busy" means a request holds a window slot for live
@@ -1221,182 +982,97 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	// session must still be reapable.
 	var lastActivity atomic.Int64
 	lastActivity.Store(time.Now().UnixNano())
-	defer s.startReaper(tc, &lastActivity, func() bool {
-		held := len(slots)
-		if rs != nil {
-			held -= rs.pending()
-		}
-		return held > 0
-	})()
+	defer s.startReaper(tc, &lastActivity, func() bool { return len(slots) > rs.pending() })()
 
-	// handle classifies one authenticated plaintext. It returns true when
-	// the session is done (v2 BYE; v3 sessions end via the writer's
-	// transport close instead). The caller has NOT yet taken a slot.
-	byeSeen := false
-	handle := func(plain []byte) (done bool) {
-		id, cum, req, err := decodeReqEnvelope(sess.version, plain)
+	// handle classifies one authenticated plaintext.
+	handle := func(plain []byte) {
+		id, cum, req, err := decodeReqEnvelope(plain)
 		if err != nil {
-			// Authentic but malformed: answer (id 0 if the envelope was
-			// too short to carry one) and keep the session. On v3 the ID
-			// must still move the resequencer cursor, or every later
-			// ordered op would wait on it forever.
-			if rs != nil && id != 0 && dedup != nil {
-				if fresh, cached := dedup.claim(id); !fresh {
-					if cached != nil {
-						sess.met.Retransmits.Add(1)
-						s.met.TotalRetransmits.Add(1)
-						out <- envelope{id: id, msg: cached}
-					}
-					return false
-				}
-			}
-			if !takeSlot() {
-				return false
+			// Authentic but malformed: answer and keep the session. An
+			// envelope too short to carry an ID is answered as ID 0; a
+			// real ID must still be claimed and move the resequencer
+			// cursor, or every later ordered op would wait on it forever.
+			if id != 0 && !claim(id) || !takeSlot() {
+				return
 			}
 			sess.met.EnterFlight()
-			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"})
-			if rs != nil && id != 0 {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
+			malformed := &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"}
+			if id == 0 {
+				respond(id, malformed)
+			} else {
+				answer(id, malformed)
 			}
-			return false
+			return
 		}
-		if dedup != nil {
-			dedup.prune(cum)
-			fresh, cached := dedup.claim(id)
-			if !fresh {
-				if cached != nil {
-					// Already answered: the response datagram was lost —
-					// re-send it without re-executing anything.
-					sess.met.Retransmits.Add(1)
-					s.met.TotalRetransmits.Add(1)
-					out <- envelope{id: id, msg: cached}
-				}
-				// Still executing (or buffered): drop the duplicate; the
-				// original's response is coming. No window slot was
-				// consumed, so retransmits into a gap-stalled window can
-				// never wedge the reader.
-				return false
-			}
-		}
-		if byeSeen {
-			// The session's BYE has been sequenced; nothing fresh may
-			// enter the window while the executor drains it.
-			return false
-		}
-		if !takeSlot() {
-			return false
+		dedup.prune(cum)
+		// Once the session's BYE is sequenced nothing fresh may enter the
+		// window while the executor drains it.
+		if !claim(id) || byeSeen || !takeSlot() {
+			return
 		}
 		sess.met.EnterFlight()
 		switch m := req.(type) {
-		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq:
-			if rs != nil {
-				if dispatchReleased(rs.submit(envelope{id: id, msg: req})) {
-					byeSeen = true
-				}
-				return false
+		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
+			rel, ok := rs.submit(envelope{id: id, msg: req})
+			if !ok {
+				leave()
+				return
 			}
-			// Global load shedding: scenario work must fit the server-wide
-			// in-flight budget or be answered BUSY. The BUSY flows through
-			// the writer like any response, so on unreliable transports it
-			// lands in the dedup cache — a retransmit of the same request
-			// ID gets the cached BUSY, never a second execution attempt.
-			if !s.acquireWork() {
-				respond(id, s.shedRequest(sess))
-				return false
-			}
-			exec <- envelope{id: id, msg: m} // executor releases the slot and work budget
+			sequence(rel)
 		case *wire.ExperimentReq:
-			if !s.acquireWork() {
-				respond(id, s.shedRequest(sess))
-			} else {
+			if s.acquireWork() {
 				sess.met.Experiments.Add(1)
-				var emit func(*wire.ExperimentProgress)
-				if rs != nil {
-					emit = func(p *wire.ExperimentProgress) {
-						out <- envelope{id: id, msg: p, partial: true}
-					}
+				emit := func(p *wire.ExperimentProgress) {
+					out <- envelope{id: id, msg: p, partial: true}
 				}
 				go func() {
 					defer s.releaseWork()
 					respond(id, s.handleExperiment(m, emit))
 				}()
+			} else {
+				respond(id, s.shedRequest(sess))
 			}
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
+			sequence(rs.skip(id))
 		case *wire.Ping:
 			sess.met.Pings.Add(1)
 			s.met.TotalPings.Add(1)
-			respond(id, &wire.Pong{Token: m.Token})
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
+			answer(id, &wire.Pong{Token: m.Token})
 		case *wire.StatusReq:
 			st := s.Status()
-			respond(id, &st)
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
+			answer(id, &st)
 		case *wire.MetricsReq:
-			respond(id, s.handleMetrics(sess))
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
-		case *wire.Bye:
-			if rs != nil {
-				// Sequenced like any ordered op: the executor answers it
-				// after everything below it has executed.
-				if dispatchReleased(rs.submit(envelope{id: id, msg: req})) {
-					byeSeen = true
-				}
-				return false
-			}
-			// v2: drain every other in-flight request first so the BYE
-			// response is provably the last frame of the session.
-			quiesce(1)
-			out <- envelope{id: id, msg: &wire.Bye{}}
-			sess.met.LeaveFlight()
-			close(exec)
-			close(out)
-			<-writerDone
-			return true
+			answer(id, s.handleMetrics(sess))
 		default:
-			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "unexpected request"})
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
+			answer(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "unexpected request"})
 		}
-		return false
 	}
 
-	if handle(firstPlain) {
-		return
+	// shutdown stops the executor (discarding the reorder buffer), waits
+	// until every in-flight request has enqueued its response — the
+	// reader then owns the whole window — and flushes the writer.
+	shutdown := func() {
+		close(stopExec)
+		for i := 0; i < window; i++ {
+			slots <- struct{}{}
+		}
+		close(exec)
+		close(out)
+		<-writerDone
 	}
+
+	handle(firstPlain)
 	for {
 		raw, hs, err := tc.readFrame()
 		if err != nil {
-			shutdown(0)
+			shutdown()
 			return
 		}
 		if hs {
 			// A handshake datagram straggling into an established session
 			// is usually a late HELLO retransmit of this session: ignore
-			// it. A cookie-verified HELLO with a DIFFERENT nonce is a new
-			// client instance on this address — hand the address over.
-			if sess.takeover != nil && sess.takeover(raw) {
-				shutdown(0)
+			// it, unless it proves a new client instance on this address.
+			if s.sessionTakeover(tc, sess, raw) {
+				shutdown()
 				return
 			}
 			continue
@@ -1405,18 +1081,12 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 		plain, err := link.Open(raw)
 		if err != nil {
 			if tc.unreliable() {
-				// Duplicated, reordered-beyond-window, or corrupted
-				// datagram: normal loss, visible in link.Stats().
-				continue
+				continue // normal datagram loss, visible in link.Stats()
 			}
-			// On a stream, authentication/replay failure is a transport
-			// compromise: tear the session down.
-			shutdown(0)
+			shutdown()
 			return
 		}
-		if handle(plain) {
-			return
-		}
+		handle(plain)
 		lastActivity.Store(time.Now().UnixNano())
 	}
 }
@@ -1450,25 +1120,24 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 
 // session is one active session's simulated world plus cached per-IMD
 // calibration and counters. The scenario-touching fields are driven by
-// exactly one goroutine at a time (the v1 loop, or the v2 executor);
-// met and link are safe for concurrent use.
+// exactly one goroutine at a time (the session's executor); met and link
+// are safe for concurrent use.
 type session struct {
-	id      uint64
-	version uint8
-	sc      *testbed.Scenario
-	eaves   *adversary.Eavesdropper
-	adv     *adversary.Active
-	link    *securelink.Link
-	met     metrics.Session
+	id    uint64
+	sc    *testbed.Scenario
+	eaves *adversary.Eavesdropper
+	adv   *adversary.Active
+	link  *securelink.Link
+	met   metrics.Session
 	// rssi caches each implant's calibrated received power at the shield;
 	// switching exchange targets restores the matching measurement.
 	rssi   []float64
 	target int
-	// takeover, on datagram sessions, classifies handshake frames that
-	// straggle into the established session; returning true ends the
-	// session so a new client instance on the same address can start
-	// fresh (see sessionTakeover). Nil on stream sessions.
-	takeover func(payload []byte) bool
+	// addr and nonce identify the client instance that opened the
+	// session: a handshake frame straggling into it is judged against
+	// them (sessionTakeover).
+	addr  string
+	nonce [16]byte
 }
 
 // newSession wires a scenario into a session, calibrating every implant
@@ -1514,37 +1183,8 @@ func (sess *session) retarget(idx int) {
 	sess.target = idx
 }
 
-// dispatch executes one request serially — the v1 request/response path.
-// done reports that the session should end (BYE).
-func (s *Server) dispatch(sess *session, req wire.Message) (resp wire.Message, done bool) {
-	switch m := req.(type) {
-	case *wire.ExchangeReq:
-		return s.handleExchange(sess, m), false
-	case *wire.BatchReq:
-		return s.handleBatch(sess, m), false
-	case *wire.AttackReq:
-		return s.handleAttack(sess, m), false
-	case *wire.ExperimentReq:
-		sess.met.Experiments.Add(1)
-		return s.handleExperiment(m, nil), false
-	case *wire.StatusReq:
-		st := s.Status()
-		return &st, false
-	case *wire.Ping:
-		sess.met.Pings.Add(1)
-		s.met.TotalPings.Add(1)
-		return &wire.Pong{Token: m.Token}, false
-	case *wire.MetricsReq:
-		return s.handleMetrics(sess), false
-	case *wire.Bye:
-		return &wire.Bye{}, true
-	default:
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed or unexpected request"}, false
-	}
-}
-
-// dispatchScenario executes one scenario-mutating request — the v2
-// executor path. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it.
+// dispatchScenario executes one scenario-mutating request on the
+// session's executor. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it.
 func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message {
 	var resp wire.Message
 	switch m := req.(type) {
@@ -1666,9 +1306,9 @@ func (s *Server) handleAttack(sess *session, m *wire.AttackReq) wire.Message {
 const progressChunk = 64
 
 // handleExperiment runs a registry experiment server-side with the
-// deterministic worker fan-out bounded by the server config. When emit
-// is non-nil (v3 sessions), incremental progress is streamed through it
-// at progressChunk-trial granularity while the experiment runs.
+// deterministic worker fan-out bounded by the server config.
+// Incremental progress is streamed through emit at progressChunk-trial
+// granularity while the experiment runs.
 func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.ExperimentProgress)) wire.Message {
 	workers := int(m.Workers)
 	if workers > s.cfg.ExperimentWorkers {
@@ -1680,15 +1320,13 @@ func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.Experim
 		Quick:   m.Quick,
 		Workers: workers,
 	}
-	if emit != nil {
-		cfg.Progress = func(done, total int) {
-			if done%progressChunk == 0 || done == total {
-				emit(&wire.ExperimentProgress{
-					Done:  uint32(done),
-					Total: uint32(total),
-					Stage: m.Name,
-				})
-			}
+	cfg.Progress = func(done, total int) {
+		if done%progressChunk == 0 || done == total {
+			emit(&wire.ExperimentProgress{
+				Done:  uint32(done),
+				Total: uint32(total),
+				Stage: m.Name,
+			})
 		}
 	}
 	res, err := experiments.RunByName(m.Name, cfg)
@@ -1704,7 +1342,7 @@ func (s *Server) handleMetrics(sess *session) wire.Message {
 	ls := sess.link.Stats()
 	return &wire.MetricsResp{
 		SessionID:            sess.id,
-		Protocol:             sess.version,
+		Protocol:             wire.Version,
 		Exchanges:            sess.met.Exchanges.Load(),
 		Batches:              sess.met.Batches.Load(),
 		BatchedExchanges:     sess.met.BatchedExchanges.Load(),

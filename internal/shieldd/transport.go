@@ -6,43 +6,57 @@ import (
 	"sync/atomic"
 	"time"
 
+	"heartshield/internal/securelink"
 	"heartshield/internal/wire"
 	"heartshield/internal/wire/dgram"
 )
 
-// transportConn is the frame transport the session loops (server
-// serveV1/serveV2, client mux) are written against: a way to move
-// securelink-sealed frames, plus the two properties that distinguish a
-// datagram transport from a stream — whether a given inbound frame is a
-// plaintext handshake datagram, and whether the transport is unreliable
-// (loss, duplication, and reordering are normal, so a failed securelink
-// Open means "drop the datagram", not "tear the session down").
+// transportConn is the frame transport the handshake and session loops
+// of both ends are written against. The transport decides two things
+// and nothing else:
+//
+//   - framing: how a plaintext handshake frame is marked — by position
+//     on a stream (its first inbound frame), by kind byte on a datagram;
+//   - retry: whether it is unreliable (loss, duplication, and reordering
+//     are normal, so the client re-sends its HELLO, the server answers a
+//     duplicate HELLO again, and a failed securelink Open means "drop the
+//     datagram", not "tear the session down"), which also sizes the
+//     securelink receive window (armLink).
 type transportConn interface {
-	// readFrame returns the next inbound frame. handshake reports a
-	// plaintext handshake frame (only ever true on datagram transports,
-	// where a retransmitted HELLO can trail into an established session).
+	// readFrame returns the next inbound frame; handshake reports a
+	// plaintext handshake frame.
 	readFrame() (payload []byte, handshake bool, err error)
+	// writeHandshake sends one plaintext handshake frame.
+	writeHandshake(payload []byte) error
 	// writeFrame sends one sealed session frame.
 	writeFrame(payload []byte) error
 	close() error
 	setReadDeadline(t time.Time) error
-	// unreliable reports datagram loss semantics: securelink Open
-	// failures are dropped datagrams, request IDs may arrive twice, and
-	// responses may need re-sending from the dedup cache.
 	unreliable() bool
 }
 
 // streamConn adapts a net.Conn with the wire length-prefixed framing —
-// the TCP / net.Pipe transport the server has always spoken.
+// the TCP / net.Pipe transport.
 type streamConn struct {
 	c net.Conn
+	// sealed is set once the first inbound frame, the peer's plaintext
+	// handshake frame, has been read: every later frame is sealed.
+	sealed bool
 }
 
 func (s *streamConn) readFrame() ([]byte, bool, error) {
-	p, err := wire.ReadFrame(s.c)
-	return p, false, err
+	if s.sealed {
+		p, err := wire.ReadFrame(s.c)
+		return p, false, err
+	}
+	// The peer has proven nothing yet: a plaintext frame gets a tiny
+	// budget, so it cannot make this end allocate a MaxFrame buffer.
+	s.sealed = true
+	p, err := wire.ReadFrameLimit(s.c, maxHelloFrame)
+	return p, true, err
 }
 
+func (s *streamConn) writeHandshake(p []byte) error     { return wire.WriteFrame(s.c, p) }
 func (s *streamConn) writeFrame(p []byte) error         { return wire.WriteFrame(s.c, p) }
 func (s *streamConn) close() error                      { return s.c.Close() }
 func (s *streamConn) setReadDeadline(t time.Time) error { return s.c.SetReadDeadline(t) }
@@ -50,7 +64,7 @@ func (s *streamConn) unreliable() bool                  { return false }
 
 // packetTC adapts a dgram frame connection (client Conn or server
 // PeerConn): one datagram per frame, kind byte distinguishing plaintext
-// handshake retransmits from sealed session frames.
+// handshake frames from sealed session frames.
 type packetTC struct {
 	fc dgram.FrameConn
 }
@@ -63,10 +77,24 @@ func (p *packetTC) readFrame() ([]byte, bool, error) {
 	return payload, kind == dgram.KindHandshake, nil
 }
 
+func (p *packetTC) writeHandshake(b []byte) error     { return p.fc.WriteFrame(dgram.KindHandshake, b) }
 func (p *packetTC) writeFrame(b []byte) error         { return p.fc.WriteFrame(dgram.KindSealed, b) }
 func (p *packetTC) close() error                      { return p.fc.Close() }
 func (p *packetTC) setReadDeadline(t time.Time) error { return p.fc.SetReadDeadline(t) }
 func (p *packetTC) unreliable() bool                  { return true }
+
+// armLink applies the session-link hardening both ends agree on to a
+// freshly derived link: the rekey ratchet, and a receive window sized to
+// the reordering the transport can produce.
+func armLink(link *securelink.Link, tc transportConn) *securelink.Link {
+	window := sessionWindow
+	if tc.unreliable() {
+		window = dgramWindow
+	}
+	link.SetWindow(window)
+	link.EnableRekey(sessionRekeyEvery)
+	return link
+}
 
 // Datagram-transport session parameters.
 const (
@@ -81,10 +109,10 @@ const (
 	defaultMaxRetries = 8
 	// maxRetryBackoff caps the exponential retransmit backoff.
 	maxRetryBackoff = 4 * time.Second
-	// dedupCacheCap bounds the per-session response cache on datagram
-	// transports. It must exceed the in-flight window by enough margin
-	// that a response can still be re-sent for any request the client
-	// could plausibly retransmit.
+	// dedupCacheCap bounds the per-session response cache. It must
+	// exceed the in-flight window by enough margin that a response can
+	// still be re-sent for any request the client could plausibly
+	// retransmit.
 	dedupCacheCap = 256
 	// defaultSendWindow is the client's pipelining window: how many
 	// requests may be awaiting responses at once before Go blocks. It
@@ -102,19 +130,19 @@ const (
 	fastRetransmitSkips = 3
 )
 
-// dedupState is the server side of exactly-once execution over an
-// at-least-once transport: the reader consults it before dispatching a
-// request ID, and the writer records every response it sends, so a
-// retransmitted request is answered from cache instead of re-executing
-// against the scenario (which would fork the deterministic result
-// stream).
+// dedupState is the server side of exactly-once execution: the reader
+// consults it before a request ID may take a window slot, and the
+// writer records every response it sends, so a retransmitted (or
+// reused) request is answered from cache or dropped instead of
+// re-executing against the scenario (which would fork the deterministic
+// result stream).
 type dedupState struct {
 	mu       sync.Mutex
 	inflight map[uint64]struct{}
 	done     map[uint64]wire.Message
 	order    []uint64 // done-cache FIFO eviction order
 	maxID    uint64   // highest request ID ever claimed
-	pruned   uint64   // ids <= pruned are client-confirmed delivered (v3 cum)
+	pruned   uint64   // ids <= pruned are client-confirmed delivered (cum)
 }
 
 func newDedupState() *dedupState {
@@ -210,9 +238,8 @@ type TransportStats struct {
 	// every retransmission.
 	Timeouts uint64
 	// ProgressFrames is the number of streamed EXPERIMENT-PROGRESS
-	// frames received (v3 sessions; zero on v2 and on clients that never
-	// ran a streamed experiment). Unlike the other counters it is also
-	// populated on stream transports.
+	// frames received. Unlike the other counters it is also populated on
+	// stream transports.
 	ProgressFrames uint64
 }
 
@@ -238,24 +265,18 @@ type retrier struct {
 }
 
 type retryEntry struct {
-	env     []byte // plaintext envelope (v2: id||msg, v3: id||flags||cum||msg)
+	env     []byte // plaintext envelope id||flags||cum||msg
 	tries   int
 	next    time.Time
 	ordered bool // scenario-ordered request: responses arrive in ID order
 	skips   int  // ordered responses with higher IDs seen while pending
 }
 
-func newRetrier(c *Client, rto time.Duration, maxTries int) *retrier {
-	if rto <= 0 {
-		rto = defaultRetryTimeout
-	}
-	if maxTries <= 0 {
-		maxTries = defaultMaxRetries
-	}
+func newRetrier(c *Client) *retrier {
 	return &retrier{
 		c:        c,
-		rto:      rto,
-		maxTries: maxTries,
+		rto:      c.opt.retryTimeout(),
+		maxTries: c.opt.maxRetries(),
 		entries:  make(map[uint64]*retryEntry),
 		wake:     make(chan struct{}, 1),
 	}

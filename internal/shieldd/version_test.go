@@ -9,137 +9,166 @@ import (
 	"time"
 
 	"heartshield/internal/faultnet"
+	"heartshield/internal/securelink"
+	"heartshield/internal/securelink/sectest"
 	"heartshield/internal/shieldd"
 	"heartshield/internal/wire"
+	"heartshield/internal/wire/dgram"
 )
 
-// TestVersionInteropMatrix pins version negotiation across every client
-// protocol cap {1,2,3,4} against every server cap {1,2,3,4}, over both
-// transports. Every cell must end in a completed session at
-// min(client, server) or a clean typed error — never a hang. This is
-// the rollback safety net for the v4 handshake: old peers on either
-// side keep working.
-func TestVersionInteropMatrix(t *testing.T) {
-	want := localPair(7)
+// TestVersionRefused: one protocol version is spoken, so a HELLO
+// announcing any other is refused with the typed ErrVersion on both
+// transports — there is nothing to negotiate down to. A relay rewrites
+// the version byte of the real client's HELLO in flight, so each refusal
+// is observed end to end through the production client; on datagrams it
+// comes only after the cookie round, so no reply beyond a cookie ever
+// goes to an unverified address.
+func TestVersionRefused(t *testing.T) {
+	versions := []uint8{0, 1, 2, 3, 5, 255}
+	setVersion := func(v uint8) func([]byte) []byte {
+		return func(payload []byte) []byte {
+			m, err := wire.Decode(payload)
+			if h, ok := m.(*wire.Hello); err == nil && ok {
+				h.Version = v
+				return h.Encode()
+			}
+			return payload
+		}
+	}
 
 	t.Run("stream", func(t *testing.T) {
-		for sv := uint8(1); sv <= wire.Version; sv++ {
-			srv := newServer(t, shieldd.ServerConfig{MaxProtocol: sv})
-			for cv := uint8(1); cv <= wire.Version; cv++ {
-				t.Run(fmt.Sprintf("c%d_s%d", cv, sv), func(t *testing.T) {
-					c := dialCell(t, func() (*shieldd.Client, error) {
-						return srv.Pipe(shieldd.SessionOptions{Seed: 7, Protocol: cv})
-					})
-					defer c.Close()
-					if got, wantV := c.Version(), min(cv, sv); got != wantV {
-						t.Errorf("negotiated v%d, want v%d", got, wantV)
-					}
-					if got := clientPair(t, c); got != want {
-						t.Errorf("session results %+v != in-process %+v", got, want)
-					}
-				})
-			}
+		srv := newServer(t, shieldd.ServerConfig{})
+		for _, v := range versions {
+			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+				cliEnd, relayCli := net.Pipe()
+				relaySrv, srvEnd := net.Pipe()
+				defer cliEnd.Close()
+				go srv.ServeConn(srvEnd)
+				rw := setVersion(v)
+				sectest.RelayFrames(relayCli, relaySrv, func(_ wire.Message, f []byte) []byte { return rw(f) }, nil)
+				_, err := shieldd.NewClient(cliEnd, testSecret, shieldd.SessionOptions{Seed: 1})
+				if !errors.Is(err, shieldd.ErrVersion) {
+					t.Fatalf("HELLO rewritten to v%d: err = %v, want ErrVersion", v, err)
+				}
+			})
+		}
+		if m := srv.Metrics(); m.TotalSessions != 0 {
+			t.Errorf("refused HELLOs opened %d sessions", m.TotalSessions)
 		}
 	})
 
 	t.Run("datagram", func(t *testing.T) {
-		for sv := uint8(1); sv <= wire.Version; sv++ {
-			nw := faultnet.New(40+int64(sv), faultnet.Impairment{})
-			defer nw.Close()
-			startPacketServer(t, nw, "server", shieldd.ServerConfig{MaxProtocol: sv})
-			for cv := uint8(1); cv <= wire.Version; cv++ {
-				t.Run(fmt.Sprintf("c%d_s%d", cv, sv), func(t *testing.T) {
-					pc, err := nw.Listen(fmt.Sprintf("mx-%d-%d", cv, sv))
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := dialCellErr(t, func() (*shieldd.Client, error) {
-						return shieldd.NewPacketClient(pc, faultnet.Addr("server"), testSecret,
-							shieldd.SessionOptions{Seed: 7, Protocol: cv,
-								RetryTimeout: 20 * time.Millisecond, MaxRetries: 5})
-					})
-					if cv < 2 || sv < 2 {
-						// Datagram transport is v2+: a v1 cap on either side
-						// must refuse cleanly (client-side for cv=1, a
-						// plaintext server error for sv=1).
-						if c.err == nil {
-							c.c.Close()
-							t.Fatalf("v%d×v%d datagram session completed, want refusal", cv, sv)
-						}
-						pc.Close()
-						return
-					}
-					if c.err != nil {
-						t.Fatalf("datagram dial: %v", c.err)
-					}
-					defer c.c.Close()
-					if got, wantV := c.c.Version(), min(cv, sv); got != wantV {
-						t.Errorf("negotiated v%d, want v%d", got, wantV)
-					}
-					if got := clientPair(t, c.c); got != want {
-						t.Errorf("session results %+v != in-process %+v", got, want)
-					}
-				})
-			}
+		nw := faultnet.New(47, faultnet.Impairment{})
+		defer nw.Close()
+		srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+		for i, v := range versions {
+			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+				relay := fmt.Sprintf("relay-%d", i)
+				startDgramRelay(t, nw, relay, setVersion(v))
+				pc, err := nw.Listen(fmt.Sprintf("vclient-%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pc.Close()
+				_, err = shieldd.NewPacketClient(pc, faultnet.Addr(relay), testSecret,
+					shieldd.SessionOptions{Seed: 1, RetryTimeout: time.Second, MaxRetries: 2})
+				if !errors.Is(err, shieldd.ErrVersion) {
+					t.Fatalf("HELLO rewritten to v%d: err = %v, want ErrVersion", v, err)
+				}
+			})
+		}
+		m := srv.Metrics()
+		if m.CookiesSent != uint64(len(versions)) || m.CookieRejects != 0 || m.TotalSessions != 0 {
+			t.Errorf("cookies sent=%d rejects=%d sessions=%d, want %d/0/0 (one cookie round per refused dial)",
+				m.CookiesSent, m.CookieRejects, m.TotalSessions, len(versions))
+		}
+	})
+
+	t.Run("acked", func(t *testing.T) {
+		// A server that completes the key exchange but acks another
+		// version is refused the same way.
+		cEnd, sEnd := net.Pipe()
+		defer cEnd.Close()
+		defer sEnd.Close()
+		go fakeServer(t, sEnd, wire.Version+1)
+		_, err := shieldd.NewClient(cEnd, testSecret, shieldd.SessionOptions{Seed: 1})
+		if !errors.Is(err, shieldd.ErrVersion) {
+			t.Fatalf("ack of v%d: err = %v, want ErrVersion", wire.Version+1, err)
 		}
 	})
 }
 
-// dialCell runs dial under a watchdog: a matrix cell that hangs fails
-// fast instead of timing out the whole package.
-func dialCell(t *testing.T, dial func() (*shieldd.Client, error)) *shieldd.Client {
+// startDgramRelay forwards datagrams between one client and "server"
+// through a faultnet endpoint named addr, passing every plaintext
+// handshake payload from the client through rw — an on-path attacker on
+// the datagram transport.
+func startDgramRelay(t *testing.T, nw *faultnet.Network, addr string, rw func([]byte) []byte) {
 	t.Helper()
-	r := dialCellErr(t, dial)
-	if r.err != nil {
-		t.Fatalf("dial: %v", r.err)
-	}
-	return r.c
-}
-
-type dialResult struct {
-	c   *shieldd.Client
-	err error
-}
-
-func dialCellErr(t *testing.T, dial func() (*shieldd.Client, error)) dialResult {
-	t.Helper()
-	done := make(chan dialResult, 1)
-	go func() {
-		c, err := dial()
-		done <- dialResult{c, err}
-	}()
-	select {
-	case r := <-done:
-		return r
-	case <-time.After(15 * time.Second):
-		t.Fatal("handshake hung")
-		return dialResult{}
-	}
-}
-
-// TestMinProtocolRefusesOldServer: a client pinned to MinProtocol=4
-// must refuse to complete a session against a server capped below v4,
-// with the typed downgrade error — the deployment switch that makes
-// forward secrecy mandatory.
-func TestMinProtocolRefusesOldServer(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{MaxProtocol: 3})
-	_, err := srv.Pipe(shieldd.SessionOptions{Seed: 1, MinProtocol: 4})
-	if !errors.Is(err, shieldd.ErrDowngrade) {
-		t.Fatalf("pinned client against v3 server: err = %v, want ErrDowngrade", err)
-	}
-	// The same pin against a current server completes at v4.
-	full := newServer(t, shieldd.ServerConfig{})
-	c, err := full.Pipe(shieldd.SessionOptions{Seed: 1, MinProtocol: 4})
+	ep, err := nw.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Version() != 4 {
-		t.Fatalf("negotiated v%d, want v4", c.Version())
+	t.Cleanup(func() { ep.Close() })
+	go func() {
+		buf := make([]byte, dgram.MaxDatagram)
+		var client net.Addr
+		for {
+			n, from, err := ep.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			frame := append([]byte(nil), buf[:n]...)
+			if from.String() == "server" {
+				if client != nil {
+					_, _ = ep.WriteTo(frame, client)
+				}
+				continue
+			}
+			client = from
+			if kind, payload, err := dgram.Decode(frame); err == nil && kind == dgram.KindHandshake {
+				frame, _ = dgram.Encode(kind, rw(payload))
+			}
+			_, _ = ep.WriteTo(frame, faultnet.Addr("server"))
+		}
+	}()
+}
+
+// fakeServer answers one stream HELLO with a genuine key exchange whose
+// sealed HELLO-ACK announces ackVersion.
+func fakeServer(t *testing.T, conn net.Conn, ackVersion uint8) {
+	raw, err := wire.ReadFrame(conn)
+	if err != nil {
+		return
 	}
-	if c.Resumed() {
-		t.Fatal("fresh session reports itself resumed")
+	m, err := wire.Decode(raw)
+	hello, ok := m.(*wire.Hello)
+	if err != nil || !ok {
+		t.Errorf("fake server got %T, want HELLO", m)
+		return
 	}
+	eph, err := securelink.NewEphemeral()
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	dh, err := eph.Shared(hello.KeyShare)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	ch := (&wire.Challenge2{KeyShare: eph.Public()}).Encode()
+	sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
+	sched.MixHash(hello.TranscriptBytes())
+	sched.MixHash(ch)
+	sched.MixKey(testSecret)
+	sched.MixKey(dh)
+	link, _, err := securelink.Pair(sched.SessionSecret())
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	_ = wire.WriteFrame(conn, ch)
+	_ = wire.WriteFrame(conn, link.Seal((&wire.HelloAck{Version: ackVersion, SessionID: 1}).Encode()))
 }
 
 // TestV4ResumptionStream: after the idle reaper kills a stream session,

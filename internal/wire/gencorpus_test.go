@@ -32,8 +32,8 @@ func TestWriteV2Corpus(t *testing.T) {
 	write("v2-pong", (&Pong{Token: 42}).Encode())
 	write("v2-metrics-req", (&MetricsReq{}).Encode())
 	write("v2-metrics-resp", (&MetricsResp{SessionID: 3, Protocol: 2, Exchanges: 5, InFlightHWM: 9}).Encode())
-	write("v2-envelope-exchange", EncodeEnvelope(7, &ExchangeReq{IMD: 0, Cmd: CmdInterrogate}))
-	write("v2-envelope-batch", EncodeEnvelope(0xFFFFFFFFFFFFFFFF, (&BatchReq{Items: []ExchangeItem{{IMD: 0, Cmd: 0}}})))
+	write("v2-envelope-exchange", idFramed(7, &ExchangeReq{IMD: 0, Cmd: CmdInterrogate}))
+	write("v2-envelope-batch", idFramed(0xFFFFFFFFFFFFFFFF, (&BatchReq{Items: []ExchangeItem{{IMD: 0, Cmd: 0}}})))
 	write("v2-envelope-truncated", []byte{0, 0, 0, 0, 0, 0, 0})
 	write("v2-batch-lying-count", []byte{KindBatchReq, 0xFF, 0xFF, 0xFF, 0xFF})
 	cookieHello := &Hello{Version: Version, Seed: 11, Cookie: []byte("cookie-echo-0123")}
@@ -41,7 +41,7 @@ func TestWriteV2Corpus(t *testing.T) {
 	write("v6-hello-cookie", cookieHello.Encode())
 	write("v6-cookie", (&Cookie{Cookie: []byte("srv-cookie-challenge")}).Encode())
 	write("v6-busy", (&Busy{RetryAfterMillis: 1000}).Encode())
-	write("v6-envelope-busy", EncodeEnvelope(13, &Busy{RetryAfterMillis: 250}))
+	write("v6-envelope-busy", idFramed(13, &Busy{RetryAfterMillis: 250}))
 	write("v6-cookie-lying-len", []byte{KindCookie, 0xFF, 0xFF, 0xFF, 0xFF})
 	write("v8-progress", (&ExperimentProgress{Done: 64, Total: 400, Stage: "fig7"}).Encode())
 	write("v8-env3-progress", EncodeEnvelopeV3(21, EnvPartial, 20, &ExperimentProgress{Done: 128, Total: 400, Stage: "fig7"}))

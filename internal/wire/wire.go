@@ -4,47 +4,40 @@
 // EXPERIMENT, STATUS, STATUS-METRICS, PING/PONG).
 //
 // Transport framing is uint32 big-endian length || payload. The HELLO
-// frame travels in plaintext (it carries the public session nonce and,
-// from v4, the client's ephemeral key share that both ends feed into
-// the session key schedule); every frame after the handshake round is a
+// frame travels in plaintext (it carries the public session nonce and
+// the client's ephemeral key share that both ends feed into the session
+// key schedule); every frame after the handshake round is a
 // securelink-sealed message, so the payload on the wire is
 // seq(8) || AES-GCM ciphertext of an encoded message.
 //
-// Four protocol versions share this vocabulary, negotiated in HELLO
-// (client announces its highest version, HELLO-ACK carries the minimum
-// of the two):
+// One protocol version is spoken, Version, announced in HELLO and
+// confirmed in the sealed HELLO-ACK; a peer announcing any other version
+// byte is refused with a plaintext Error carrying CodeVersion. The
+// handshake is an authenticated key exchange: HELLO carries an X25519
+// key share (and optionally a resumption ticket), the server answers
+// with CHALLENGE2 carrying its own share, and the session keys come from
+// a transcript-bound HKDF schedule mixing the DH secret with the
+// provisioned PSK (securelink.Handshake). The sealed HELLO-ACK returns a
+// fresh single-use ticket for one-round-trip resumption.
 //
-//   - v1: the sealed plaintext is one encoded message, and the session is
-//     strict request/response — the client sends one request and waits.
-//   - v2: the sealed plaintext is an envelope id(8) || message. The id is
-//     a client-chosen request identifier echoed on the response, so the
-//     client may pipeline many requests over one connection and the
-//     server may complete them out of order (bounded by its in-flight
-//     window).
-//   - v3: the sealed plaintext is an envelope
-//     id(8) || flags(1) || cum(8) || message. EnvPartial marks a
-//     non-final response (an EXPERIMENT-PROGRESS frame streamed while the
-//     request is still executing); cum carries cumulative progress — the
-//     client reports the highest request ID through which every response
-//     has been received (the server prunes its dedup ledger below it),
-//     and the server reports the highest request ID through which every
-//     request has been received and sequenced.
-//   - v4: same sealed envelope as v3, but the handshake is an
-//     authenticated key exchange: HELLO carries an X25519 key share
-//     (and optionally a resumption ticket), the server answers with
-//     CHALLENGE2 carrying its own share, and the session keys come from
-//     a transcript-bound HKDF schedule mixing the DH secret with the
-//     provisioned PSK (securelink.Handshake) instead of the v1–v3
-//     SessionSecret derivation. The sealed HELLO-ACK returns a fresh
-//     single-use ticket for one-round-trip resumption.
+// Every sealed frame after the handshake carries an envelope
+// id(8) || flags(1) || cum(8) || message. The id is a client-chosen
+// request identifier echoed on the response, so the client may pipeline
+// many requests over one connection and the server may complete them out
+// of order. EnvPartial marks a non-final response (an
+// EXPERIMENT-PROGRESS frame streamed while the request is still
+// executing); cum carries cumulative progress — the client reports the
+// highest request ID through which every response has been received (the
+// server prunes its dedup ledger below it), and the server reports the
+// highest request ID through which every request has been received and
+// sequenced.
 //
 // Message encoding is kind(1) || body, with fixed-width big-endian
 // integers, IEEE-754 bits for floats, and uint32-length-prefixed byte
 // strings. Decode is total: it never panics, never over-allocates beyond
 // the input length, and accepts exactly the encodings Encode produces
 // (round-trip byte equality — the FuzzWireDecode invariant).
-// DecodeEnvelope and DecodeEnvelopeV3 inherit the same totality for
-// v2/v3 payloads.
+// DecodeEnvelopeV3 inherits the same totality for envelopes.
 package wire
 
 import (
@@ -55,13 +48,9 @@ import (
 	"math"
 )
 
-// Version is the highest protocol version this package speaks; HELLO
-// carries the client's highest version and HELLO-ACK the negotiated one.
+// Version is the one protocol version this package speaks; HELLO and
+// HELLO-ACK both carry it, and any other version byte is refused.
 const Version = 4
-
-// MinVersion is the lowest protocol version still accepted (v1 clients
-// keep working against a v2 server).
-const MinVersion = 1
 
 // MaxBatch bounds the number of exchanges one BATCH-EXCHANGE frame may
 // carry; Decode rejects larger counts before allocating.
@@ -126,7 +115,6 @@ func ReadFrameLimit(r io.Reader, limit uint32) ([]byte, error) {
 const (
 	KindHello              byte = 0x01
 	KindHelloAck           byte = 0x02
-	KindChallenge          byte = 0x03
 	KindCookie             byte = 0x04
 	KindChallenge2         byte = 0x05
 	KindExchangeReq        byte = 0x10
@@ -170,6 +158,7 @@ const (
 	CodeExchangeFailed    uint8 = 3
 	CodeBusy              uint8 = 4
 	CodeInternal          uint8 = 5
+	CodeVersion           uint8 = 6 // the HELLO's version byte is not Version
 )
 
 // Message is one protocol message.
@@ -190,10 +179,9 @@ type Message interface {
 // the cookie attached. Stream transports ignore the field (the TCP
 // three-way handshake already proves source-address reachability).
 //
-// KeyShare is the client's X25519 ephemeral public key, present when the
-// announced version is ≥ 4; Ticket optionally carries a resumption
-// ticket from a previous v4 session, asking the server to skip the DH
-// and resume in one round trip. Both are empty from v1–v3 clients.
+// KeyShare is the client's X25519 ephemeral public key; Ticket
+// optionally carries a resumption ticket from a previous session, asking
+// the server to skip the DH and resume in one round trip.
 type Hello struct {
 	Version   uint8
 	Nonce     [16]byte
@@ -206,7 +194,7 @@ type Hello struct {
 	Ticket    []byte
 }
 
-// TranscriptBytes returns the HELLO encoding that enters the v4
+// TranscriptBytes returns the HELLO encoding that enters the
 // handshake transcript: everything except the cookie. The cookie is
 // transport-level admission proof, not a negotiated parameter — it
 // legitimately differs between a client's first and cookied HELLO
@@ -236,16 +224,10 @@ type Busy struct {
 	RetryAfterMillis uint32
 }
 
-// Challenge is the server's plaintext reply to HELLO: a fresh server
-// nonce that joins the client's in the session key derivation, so a
-// recorded session's sealed frames can never open in a new one (full-
-// session replay protection).
-type Challenge struct {
-	ServerNonce [16]byte
-}
-
-// Challenge2 is the server's plaintext reply to a v4 HELLO: the fresh
-// server nonce plus the server's X25519 ephemeral key share. On ticket
+// Challenge2 is the server's plaintext reply to HELLO: a fresh server
+// nonce plus the server's X25519 ephemeral key share. Both join the
+// client's in the session key schedule, so a recorded session's sealed
+// frames can never open in a new one (full-session replay protection). On ticket
 // resumption the server skips the DH — KeyShare is empty and Resumed is
 // set, telling the client to mix its cached resumption secret instead of
 // a DH shared secret. The whole message enters the handshake transcript,
@@ -259,9 +241,8 @@ type Challenge2 struct {
 // HelloAck confirms the session. It is the first sealed frame, so opening
 // it also proves the server holds the pairing secret.
 //
-// Ticket is a fresh single-use resumption ticket minted for v4 sessions
-// (empty otherwise); the client presents it in a later HELLO to resume
-// in one round trip. It travels only inside this sealed frame, so an
+// Ticket is a fresh single-use resumption ticket; the client presents it
+// in a later HELLO to resume in one round trip. It travels only inside this sealed frame, so an
 // eavesdropper never sees it.
 type HelloAck struct {
 	Version   uint8
@@ -352,8 +333,8 @@ type MetricsResp struct {
 	Pings            uint64
 	Errors           uint64 // requests answered with an Error frame
 	// Retransmits counts responses the server re-sent from its dedup
-	// cache because a datagram-transport client retransmitted an
-	// already-answered request (always 0 on stream transports).
+	// cache because the client sent an already-answered request ID
+	// again (a datagram retransmit; 0 on a well-behaved stream session).
 	Retransmits uint64
 
 	// Securelink counters for this session's link (server side).
@@ -363,7 +344,7 @@ type MetricsResp struct {
 	BytesSealed   uint64
 	BytesOpened   uint64
 
-	// Pipelining gauges (always 0/1 on a v1 session).
+	// Pipelining gauges.
 	InFlight    uint32
 	InFlightHWM uint32
 
@@ -386,8 +367,8 @@ type MetricsResp struct {
 	ServerRateLimited    uint64 // handshake datagrams dropped by per-peer rate limit
 
 	// ProgressFrames counts EXPERIMENT-PROGRESS frames streamed to this
-	// session (appended at end of layout, PR 5 convention; always 0 on
-	// v1/v2 sessions).
+	// session (appended at the end of the layout, like the counters
+	// above).
 	ProgressFrames uint64
 }
 
@@ -406,7 +387,7 @@ type ExperimentResp struct {
 }
 
 // ExperimentProgress is a streamed partial answer to an EXPERIMENT
-// request (v3 sessions only): Done of Total trials of the named Stage
+// request: Done of Total trials of the named Stage
 // have completed. It always travels in an envelope flagged EnvPartial;
 // the final ExperimentResp still closes the request.
 type ExperimentProgress struct {
@@ -567,14 +548,6 @@ func (m *Busy) Encode() []byte {
 
 // Kind returns the wire kind byte.
 func (m *Busy) Kind() byte { return KindBusy }
-
-// Encode serializes the Challenge message.
-func (m *Challenge) Encode() []byte {
-	return append([]byte{KindChallenge}, m.ServerNonce[:]...)
-}
-
-// Kind returns the wire kind byte.
-func (m *Challenge) Kind() byte { return KindChallenge }
 
 // Encode serializes the Challenge2 message.
 func (m *Challenge2) Encode() []byte {
@@ -828,15 +801,6 @@ func Decode(b []byte) (Message, error) {
 		m = &Cookie{Cookie: c.bytes()}
 	case KindBusy:
 		m = &Busy{RetryAfterMillis: c.u32()}
-	case KindChallenge:
-		ch := &Challenge{}
-		if len(c.b) >= len(ch.ServerNonce) && c.err == nil {
-			copy(ch.ServerNonce[:], c.b)
-			c.b = c.b[len(ch.ServerNonce):]
-		} else {
-			c.err = ErrTruncated
-		}
-		m = ch
 	case KindChallenge2:
 		ch := &Challenge2{}
 		if len(c.b) >= len(ch.ServerNonce) && c.err == nil {
@@ -975,37 +939,9 @@ func Decode(b []byte) (Message, error) {
 	return m, nil
 }
 
-// --- v2 envelope -------------------------------------------------------
+// --- envelope -----------------------------------------------------------
 
-// EncodeEnvelope serializes a v2 frame payload: id(8) || message. The id
-// is a client-chosen request identifier; responses echo the id of the
-// request they answer, which is what lets a pipelined client match
-// out-of-order completions.
-func EncodeEnvelope(id uint64, m Message) []byte {
-	enc := m.Encode()
-	b := make([]byte, 8, 8+len(enc))
-	binary.BigEndian.PutUint64(b, id)
-	return append(b, enc...)
-}
-
-// DecodeEnvelope parses a v2 frame payload. It is as total as Decode:
-// truncated ids, malformed messages, and trailing bytes are all errors,
-// and an accepted envelope re-encodes to exactly the accepted bytes.
-func DecodeEnvelope(b []byte) (id uint64, m Message, err error) {
-	if len(b) < 8 {
-		return 0, nil, ErrTruncated
-	}
-	id = binary.BigEndian.Uint64(b[:8])
-	m, err = Decode(b[8:])
-	if err != nil {
-		return id, nil, err
-	}
-	return id, m, nil
-}
-
-// --- v3 envelope -------------------------------------------------------
-
-// Envelope flag bits (v3).
+// Envelope flag bits.
 const (
 	// EnvPartial marks a response frame that does not complete its
 	// request: more frames for the same id follow (EXPERIMENT-PROGRESS
@@ -1016,9 +952,9 @@ const (
 	envFlagsMask = EnvPartial
 )
 
-// EncodeEnvelopeV3 serializes a v3 frame payload:
+// EncodeEnvelopeV3 serializes a sealed frame payload:
 // id(8) || flags(1) || cum(8) || message. The id is the client-chosen
-// request identifier (echoed on responses, as in v2); cum is the
+// request identifier, echoed on responses; cum is the
 // sender's cumulative-progress report — client→server, the highest
 // request ID through which every response has been received (the server
 // may prune its dedup ledger at and below it); server→client, the
@@ -1033,7 +969,7 @@ func EncodeEnvelopeV3(id uint64, flags uint8, cum uint64, m Message) []byte {
 	return append(b, enc...)
 }
 
-// DecodeEnvelopeV3 parses a v3 frame payload. It is as total as Decode:
+// DecodeEnvelopeV3 parses a sealed frame payload. It is as total as Decode:
 // truncated headers, unknown flag bits, malformed messages, and trailing
 // bytes are all errors, and an accepted envelope re-encodes to exactly
 // the accepted bytes.

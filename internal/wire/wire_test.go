@@ -19,8 +19,6 @@ func sampleMessages() []Message {
 	akeHello := &Hello{Version: Version, Seed: 3,
 		KeyShare: bytes.Repeat([]byte{0x5A}, 32), Ticket: []byte("resumption-ticket-opaque")}
 	copy(akeHello.Nonce[:], "nonce-akexchange")
-	challenge := &Challenge{}
-	copy(challenge.ServerNonce[:], "srvnonce-9876543")
 	challenge2 := &Challenge2{KeyShare: bytes.Repeat([]byte{0xC3}, 32)}
 	copy(challenge2.ServerNonce[:], "srvnonce2-876543")
 	resumedChallenge2 := &Challenge2{Resumed: true}
@@ -29,7 +27,7 @@ func sampleMessages() []Message {
 		hello,
 		cookieHello,
 		akeHello,
-		challenge,
+		&Error{Code: CodeVersion, Msg: "wire protocol v3 not supported (server speaks v4)"},
 		challenge2,
 		resumedChallenge2,
 		&Cookie{Cookie: []byte("mac-over-addr-and-nonce!")},
@@ -144,29 +142,6 @@ func TestDecodeRejectsOversizeBatch(t *testing.T) {
 	lyingResp := []byte{KindBatchResp, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := Decode(lyingResp); err == nil {
 		t.Fatal("lying batch-resp count accepted")
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	for i, m := range sampleMessages() {
-		id := uint64(i)*0x0101010101 + 7
-		enc := EncodeEnvelope(id, m)
-		gotID, got, err := DecodeEnvelope(enc)
-		if err != nil {
-			t.Fatalf("%T: envelope decode: %v", m, err)
-		}
-		if gotID != id {
-			t.Fatalf("%T: envelope id %d, want %d", m, gotID, id)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T envelope round trip:\n got %+v\nwant %+v", m, got, m)
-		}
-	}
-	if _, _, err := DecodeEnvelope([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short envelope error = %v, want ErrTruncated", err)
-	}
-	if _, _, err := DecodeEnvelope(make([]byte, 8)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty-message envelope error = %v, want ErrTruncated", err)
 	}
 }
 
