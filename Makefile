@@ -192,7 +192,7 @@ seccheck:
 # Code-size report: Go lines that are neither blank, nor // comments,
 # nor in _test.go files, per serving-stack package plus a total. Changes
 # that claim to shrink the stack quote it for the parent and the change.
-LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest serve.go
+LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest internal/metrics internal/loadgen serve.go
 loc:
 	@total=0; for p in $(LOC_PKGS); do \
 		if [ -d $$p ]; then files=$$(ls $$p/*.go | grep -v '_test\.go$$'); else files=$$p; fi; \

@@ -423,9 +423,9 @@ func runImpaired(spec string, impairSeed, sessionSeed int64, n int, pipelined bo
 	fmt.Printf("  %d exchanges in %v (%.2f ms/exchange, handshake %v): mean BER %.4f, mean cancellation %.2f dB\n",
 		n, elapsed.Round(time.Millisecond), float64(elapsed.Microseconds())/1000/float64(n),
 		dialTime.Round(time.Millisecond), sumBER/float64(n), sumCancel/float64(n))
-	fmt.Printf("  client: retransmits=%d timeouts=%d\n", m.ClientRetransmits, m.ClientTimeouts)
+	fmt.Printf("  client: retransmits=%d timeouts=%d\n", m.Get("client.retransmits"), m.Get("client.timeouts"))
 	fmt.Printf("  server: cachedResends=%d replayDrops=%d windowAccepts=%d rekeys=%d\n",
-		m.Retransmits, m.ReplayDrops, m.WindowAccepts, m.Rekeys)
+		m.Get("retransmits"), m.Get("replayDrops"), m.Get("windowAccepts"), m.Get("rekeys"))
 	fmt.Printf("  faultnet: sent=%d delivered=%d dropped=%d dupped=%d reordered=%d corrupted=%d overflowed=%d noRoute=%d partitionDrops=%d\n",
 		st.Sent, st.Delivered, st.Dropped, st.Dupped, st.Reordered, st.Corrupted,
 		st.Overflowed, st.NoRoute, st.PartitionDrops)
@@ -441,9 +441,9 @@ func printSessionMetrics(remote *heartshield.RemoteSimulation, enabled bool) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return
 	}
-	fmt.Printf("[session %d metrics: protocol v%d exchanges=%d batches=%d batched=%d attacks=%d experiments=%d pings=%d errors=%d inflightHWM=%d sealedB=%d openedB=%d rekeys=%d srvRetransmits=%d replayDrops=%d windowAccepts=%d progressFrames=%d cliRetransmits=%d cliTimeouts=%d]\n",
-		m.SessionID, m.Protocol, m.Exchanges, m.Batches, m.BatchedExchanges,
-		m.Attacks, m.Experiments, m.Pings, m.Errors, m.InFlightHWM,
-		m.BytesSealed, m.BytesOpened, m.Rekeys,
-		m.Retransmits, m.ReplayDrops, m.WindowAccepts, m.ProgressFrames, m.ClientRetransmits, m.ClientTimeouts)
+	var b strings.Builder
+	for _, c := range m.Counters {
+		fmt.Fprintf(&b, " %s=%d", c.Name, c.Value)
+	}
+	fmt.Printf("[session %d metrics:%s]\n", m.SessionID, b.String())
 }

@@ -10,7 +10,7 @@ import (
 // reportSchema versions the fleet-report JSON; bump on any field change
 // so downstream tooling (CI gates, trend plots) fails loudly instead of
 // silently misreading.
-const reportSchema = "shieldtest-fleet-report/v2"
+const reportSchema = "shieldtest-fleet-report/v3"
 
 // ReportConfig echoes the run configuration into the report so a report
 // file is self-describing.
@@ -88,31 +88,26 @@ type Report struct {
 // per-daemon metrics dumps. Client-observed op counts must equal the
 // summed server counters exactly — the determinism contract means the
 // only legal divergence is a session that failed mid-op, so the exact
-// checks are gated on Failed == 0.
+// checks are gated on Failed == 0. Each check is named after the server
+// counter it reads.
 func (r *Report) Reconcile(daemons []DaemonReport) {
 	r.Daemons = daemons
-	var srv heartshield.ServerMetrics
-	for _, d := range daemons {
-		srv.TotalSessions += d.Metrics.TotalSessions
-		srv.TotalExchanges += d.Metrics.TotalExchanges
-		srv.TotalBatches += d.Metrics.TotalBatches
-		srv.TotalPings += d.Metrics.TotalPings
-		srv.TotalExperiments += d.Metrics.TotalExperiments
-		srv.TotalAttacks += d.Metrics.TotalAttacks
-	}
 	checks := []Check{
-		{Name: "sessions", Client: r.Sessions.Opened, Server: srv.TotalSessions},
+		{Name: "sessions", Client: r.Sessions.Opened},
 		// The server counts each exchange it executed: singles, batched
 		// items, and the leading items of a batch the simulated channel
 		// aborted mid-way (sim-failed singles were never counted).
-		{Name: "exchanges", Client: r.Ops.Exchanges + r.Ops.BatchedExchanges + r.Ops.PartialBatchExchanges, Server: srv.TotalExchanges},
-		{Name: "batches", Client: r.Ops.Batches, Server: srv.TotalBatches},
-		{Name: "pings", Client: r.Ops.Pings, Server: srv.TotalPings},
-		{Name: "experiments", Client: r.Ops.Experiments, Server: srv.TotalExperiments},
-		{Name: "attacks", Client: 0, Server: srv.TotalAttacks},
+		{Name: "exchanges", Client: r.Ops.Exchanges + r.Ops.BatchedExchanges + r.Ops.PartialBatchExchanges},
+		{Name: "batches", Client: r.Ops.Batches},
+		{Name: "pings", Client: r.Ops.Pings},
+		{Name: "experiments", Client: r.Ops.Experiments},
+		{Name: "attacks", Client: 0},
 	}
 	rec := Reconciliation{Checked: r.Sessions.Failed == 0, OK: true}
 	for i := range checks {
+		for _, d := range daemons {
+			checks[i].Server += d.Metrics.Get(checks[i].Name)
+		}
 		checks[i].OK = checks[i].Client == checks[i].Server
 		if !checks[i].OK {
 			rec.OK = false
@@ -130,8 +125,8 @@ func (r *Report) Reconcile(daemons []DaemonReport) {
 // Normalize zeroes every timing- and transport-dependent field so two
 // runs at the same seed produce byte-identical JSON: wall-clock rates,
 // latency digests, retransmission counters (legal under CPU saturation),
-// endpoint ports, and the volatile daemon gauges. The op and session
-// ledgers — the deterministic part — are left untouched.
+// endpoint ports, and every daemon counter but the reconciled ones. The
+// op and session ledgers — the deterministic part — are left untouched.
 func (r *Report) Normalize() {
 	r.Latency.Open = LatencySummary{Count: r.Latency.Open.Count}
 	r.Latency.Op = LatencySummary{Count: r.Latency.Op.Count}
@@ -147,19 +142,11 @@ func (r *Report) Normalize() {
 		r.Endpoints[i].Addr = ""
 	}
 	for i := range r.Daemons {
-		m := &r.Daemons[i].Metrics
-		m.ActiveSessions = 0
-		m.ReapedSessions = 0
-		m.TotalRetransmits = 0
-		m.TotalProgressFrames = 0
-		m.BytesSealed, m.BytesOpened = 0, 0
-		m.Rekeys = 0
-		m.ReplayDrops = 0
-		m.LateDrops, m.WindowAccepts = 0, 0
-		m.CookiesSent, m.CookieRejects = 0, 0
-		m.ShedHandshakes, m.ShedRequests, m.RateLimited = 0, 0, 0
-		m.PooledScenarios = 0
-		m.LiveSessions, m.LiveInFlight, m.LiveInFlightHWM = 0, 0, 0
+		var kept heartshield.ServerMetrics
+		for _, c := range r.Reconciliation.Checks {
+			kept.Set(c.Name, r.Daemons[i].Metrics.Get(c.Name))
+		}
+		r.Daemons[i].Metrics = kept
 	}
 }
 

@@ -1,10 +1,14 @@
 package metrics
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"heartshield/internal/securelink"
 )
 
 // The in-flight high-water mark must capture the true maximum depth even
@@ -99,5 +103,85 @@ func TestRegistryLiveAggregate(t *testing.T) {
 	// The sweep is allocation-free.
 	if allocs := testing.AllocsPerRun(100, func() { _ = r.Live() }); allocs != 0 {
 		t.Fatalf("Live() allocates %.1f objects per sweep, want 0", allocs)
+	}
+}
+
+// Each counter is declared once: every Server field has the snapshot
+// field that documents and names it, every snapshot field but the
+// scrape-time gauges has a Server field, and names are non-empty and
+// unique within their scope. Session and link counters share the
+// unscoped rows of STATUS-METRICS, so they share a scope.
+func TestCounterDeclarations(t *testing.T) {
+	srv, snap := reflect.TypeOf(Server{}), reflect.TypeOf(ServerSnapshot{})
+	for i := 0; i < srv.NumField(); i++ {
+		if _, ok := snap.FieldByName(srv.Field(i).Name); !ok {
+			t.Errorf("Server.%s has no ServerSnapshot field", srv.Field(i).Name)
+		}
+	}
+	gauges := map[string]bool{"PooledScenarios": true, "LiveSessions": true, "LiveInFlight": true, "LiveInFlightHWM": true}
+	for i := 0; i < snap.NumField(); i++ {
+		f := snap.Field(i)
+		if _, ok := srv.FieldByName(f.Name); !ok && !gauges[f.Name] {
+			t.Errorf("ServerSnapshot.%s has no Server field", f.Name)
+		}
+		if f.Tag.Get("metric") == "" {
+			t.Errorf("ServerSnapshot.%s has no metric name", f.Name)
+		}
+	}
+	sess := reflect.TypeOf(Session{})
+	for i := 0; i < sess.NumField(); i++ {
+		if sess.Field(i).Tag.Get("metric") == "" {
+			t.Errorf("Session.%s has no metric name", sess.Field(i).Name)
+		}
+	}
+
+	for scope, decls := range map[string][]any{
+		"server":  {&ServerSnapshot{}},
+		"session": {&Session{}, &securelink.Stats{}},
+	} {
+		seen := map[string]bool{}
+		for _, d := range decls {
+			Each(d, "", func(name string, _ uint64) {
+				if name == "" || seen[name] {
+					t.Errorf("%s scope: name %q empty or declared twice", scope, name)
+				}
+				seen[name] = true
+			})
+		}
+	}
+}
+
+// Snapshot copies every Server counter into its snapshot field, and Add
+// reaches a Server counter by its name and ignores names it lacks.
+func TestSnapshotAndAddFollowDeclarations(t *testing.T) {
+	var m Server
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch c := v.Field(i).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			c.Store(uint64(i + 1))
+		case *atomic.Int64:
+			c.Store(int64(i + 1))
+		}
+	}
+	snap := m.Snapshot()
+	sv := reflect.ValueOf(snap)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if got := sv.FieldByName(name).Convert(reflect.TypeOf(uint64(0))).Uint(); got != uint64(i+1) {
+			t.Errorf("snapshot %s = %d, want %d", name, got, i+1)
+		}
+	}
+
+	m.Add("authFails", 10)
+	m.Add("noSuchCounter", 10)
+	if got, want := m.Snapshot().Get("authFails"), snap.AuthFails+10; got != want {
+		t.Errorf("after Add: authFails = %d, want %d", got, want)
+	}
+	var kept ServerSnapshot
+	kept.Set("sessions", 7)
+	kept.Set("pooled", 3)
+	if kept.TotalSessions != 7 || kept.PooledScenarios != 3 || kept.Get("pooled") != 3 {
+		t.Errorf("Set by name: %+v", kept)
 	}
 }

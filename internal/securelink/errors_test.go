@@ -25,8 +25,8 @@ func wireKindMessages() map[string][]byte {
 		"attack-resp":     (&wire.AttackResp{ShieldJammed: true, AdversaryRSSIDBm: -30}).Encode(),
 		"experiment-req":  (&wire.ExperimentReq{Name: "fig7", Seed: 1, Quick: true}).Encode(),
 		"experiment-resp": (&wire.ExperimentResp{Rendered: "rows\n"}).Encode(),
-		"status-req":      (&wire.StatusReq{}).Encode(),
-		"status-resp":     (&wire.StatusResp{ActiveSessions: 1}).Encode(),
+		"metrics-req":     (&wire.MetricsReq{}).Encode(),
+		"metrics-resp":    (&wire.MetricsResp{SessionID: 1, Counters: wire.Counters{{Name: "server.active", Value: 1}}}).Encode(),
 		"bye":             (&wire.Bye{}).Encode(),
 		"error":           (&wire.Error{Code: wire.CodeBadRequest, Msg: "no"}).Encode(),
 	}

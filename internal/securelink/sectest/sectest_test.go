@@ -179,7 +179,7 @@ func testReplay(t *testing.T) {
 				t.Fatalf("server frame %d: %v", i, err)
 			}
 		}
-		exch := srv.Status().TotalExchanges
+		exch := srv.Metrics().TotalExchanges
 		for _, f := range rec.ClientFrames[1:] {
 			if err := wire.WriteFrame(conn, f); err != nil {
 				break // server hung up — acceptable at any point
@@ -189,7 +189,7 @@ func testReplay(t *testing.T) {
 		if _, err := wire.ReadFrame(conn); err == nil {
 			t.Fatal("server answered a replayed sealed frame")
 		}
-		if got := srv.Status().TotalExchanges; got != exch {
+		if got := srv.Metrics().TotalExchanges; got != exch {
 			t.Fatalf("replayed session executed %d exchanges", got-exch)
 		}
 	})

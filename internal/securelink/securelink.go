@@ -297,16 +297,20 @@ func (l *Link) Open(msg []byte) ([]byte, error) {
 // ReplayDrops counts duplicates of messages already accepted (network
 // dups and replays, including old-epoch arrivals), and LateDrops counts
 // messages that fell behind the window entirely before arriving.
+//
+// A `metric` tag names the counter in the session's STATUS-METRICS
+// frame; when the session ends, the server adds it to its own counter
+// of the same name, if it keeps one (internal/metrics).
 type Stats struct {
 	MsgsSealed    uint64
-	BytesSealed   uint64
+	BytesSealed   uint64 `metric:"sealedB"`
 	MsgsOpened    uint64
-	BytesOpened   uint64
-	Rekeys        uint64
-	ReplayDrops   uint64
-	LateDrops     uint64
-	WindowAccepts uint64
-	AuthFails     uint64
+	BytesOpened   uint64 `metric:"openedB"`
+	Rekeys        uint64 `metric:"rekeys"`
+	ReplayDrops   uint64 `metric:"replayDrops"`
+	LateDrops     uint64 `metric:"lateDrops"`
+	WindowAccepts uint64 `metric:"windowAccepts"`
+	AuthFails     uint64 `metric:"authFails"`
 }
 
 // Stats snapshots the link's counters. Safe to call from any goroutine.

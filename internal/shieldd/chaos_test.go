@@ -138,13 +138,13 @@ func TestChaosUDPSessions(t *testing.T) {
 			t.Errorf("session %d (seed %d): chaos report diverged from loss-free run\n got %+v\nwant %+v",
 				i, i+1, got[i], want[i])
 		}
-		if mets[i].Exchanges != chaosExchanges {
+		if mets[i].Get("exchanges") != chaosExchanges {
 			t.Errorf("session %d executed %d exchanges, want exactly %d (dedup must stop re-execution)",
-				i, mets[i].Exchanges, chaosExchanges)
+				i, mets[i].Get("exchanges"), chaosExchanges)
 		}
-		sumReplay += mets[i].ReplayDrops
-		sumWindow += mets[i].WindowAccepts
-		sumSrvRetrans += mets[i].Retransmits
+		sumReplay += mets[i].Get("replayDrops")
+		sumWindow += mets[i].Get("windowAccepts")
+		sumSrvRetrans += mets[i].Get("retransmits")
 		sumCliRetrans += transports[i].Retransmits
 	}
 
@@ -208,8 +208,8 @@ func TestChaosSpuriousRetransmitsAreHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Exchanges != chaosExchanges {
-		t.Errorf("%d exchanges executed, want %d: a duplicate was re-executed", m.Exchanges, chaosExchanges)
+	if m.Get("exchanges") != chaosExchanges {
+		t.Errorf("%d exchanges executed, want %d: a duplicate was re-executed", m.Get("exchanges"), chaosExchanges)
 	}
 	if ts := c.TransportStats(); ts.Retransmits == 0 {
 		t.Error("1ms retry timer produced zero retransmits: the retry layer is not engaged")

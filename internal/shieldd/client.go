@@ -766,7 +766,7 @@ func (c *Client) expireCall(id uint64) {
 // request datagrams were re-sent, how many requests gave up entirely
 // (both always zero on stream transports), and how many streamed
 // progress frames arrived. This is where the "silent" retries of Ping,
-// Status, and every other call become observable.
+// Metrics, and every other call become observable.
 func (c *Client) TransportStats() TransportStats {
 	ts := TransportStats{ProgressFrames: c.progressFrames.Load()}
 	if c.retry != nil {
@@ -851,7 +851,7 @@ func (c *Client) reconnect() error {
 
 // Go submits a request and returns immediately with the in-flight Call.
 // Requests pipeline: many calls may be outstanding and the server may
-// complete non-scenario requests (PING, STATUS, METRICS, EXPERIMENT) out
+// complete non-scenario requests (PING, STATUS-METRICS, EXPERIMENT) out
 // of order; scenario requests complete in submission order. Go blocks
 // while the client-side send window (SessionOptions.Window) is full.
 func (c *Client) Go(req wire.Message) *Call {
@@ -861,8 +861,8 @@ func (c *Client) Go(req wire.Message) *Call {
 }
 
 // submit runs Go's body for a prepared Call (Req and any OnProgress
-// set). Split out so ExperimentStream can attach its progress callback
-// before the request is on the wire.
+// set). Split out so roundTrip can attach a progress callback before the
+// request is on the wire.
 func (c *Client) submit(call *Call) *Call {
 	req := call.Req
 
@@ -964,21 +964,34 @@ func (c *Client) submit(call *Call) *Call {
 	}
 }
 
-// roundTrip submits a request and waits for its response. A BUSY-shed
-// request is transparently retried with a fresh request ID after a
-// deterministic jittered backoff honoring the server's retry-after
-// hint; the retry budget reuses MaxRetries. A fresh ID is load-bearing:
+// roundTrip submits a request and waits for its response, passing any
+// streamed EXPERIMENT-PROGRESS frames to onProgress (nil ignores them).
+// A BUSY-shed request is transparently retried with a fresh request ID
+// after a deterministic jittered backoff honoring the server's
+// retry-after hint; the retry budget reuses MaxRetries, and streamed
+// progress restarts from zero on the retry. A fresh ID is load-bearing:
 // on datagram transports the shed response is dedup-cached under the
 // old ID, so re-sending it verbatim could only ever replay the BUSY.
-func (c *Client) roundTrip(req wire.Message) (wire.Message, error) {
+func (c *Client) roundTrip(req wire.Message, onProgress func(*wire.ExperimentProgress)) (wire.Message, error) {
 	tries := c.opt.maxRetries()
 	for attempt := 0; ; attempt++ {
-		m, err := c.Go(req).Wait()
+		call := &Call{Req: req, Done: make(chan *Call, 1), OnProgress: onProgress}
+		m, err := c.submit(call).Wait()
 		if err == nil || attempt >= tries || !errors.Is(err, ErrServerBusy) {
 			return m, err
 		}
 		time.Sleep(c.busyBackoff(err, attempt))
 	}
+}
+
+// request runs one roundTrip and checks that the response is a T.
+func request[T wire.Message](c *Client, req wire.Message, onProgress func(*wire.ExperimentProgress)) (T, error) {
+	m, err := c.roundTrip(req, onProgress)
+	resp, ok := m.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("shieldd: unexpected response %T", m)
+	}
+	return resp, err
 }
 
 // busyBackoff returns the wait before retrying a BUSY-shed operation:
@@ -1006,15 +1019,7 @@ func (c *Client) busyBackoff(err error, attempt int) time.Duration {
 // Exchange runs one protected exchange against IMD index imdIdx with the
 // given command kind (wire.CmdInterrogate or wire.CmdSetTherapy).
 func (c *Client) Exchange(imdIdx int, cmd uint8) (*wire.ExchangeResp, error) {
-	m, err := c.roundTrip(&wire.ExchangeReq{IMD: uint8(imdIdx), Cmd: cmd})
-	if err != nil {
-		return nil, err
-	}
-	resp, ok := m.(*wire.ExchangeResp)
-	if !ok {
-		return nil, fmt.Errorf("shieldd: unexpected response %T", m)
-	}
-	return resp, nil
+	return request[*wire.ExchangeResp](c, &wire.ExchangeReq{IMD: uint8(imdIdx), Cmd: cmd}, nil)
 }
 
 // BatchExchange runs up to wire.MaxBatch protected exchanges in one
@@ -1022,13 +1027,9 @@ func (c *Client) Exchange(imdIdx int, cmd uint8) (*wire.ExchangeResp, error) {
 // item order and are identical to the same items sent as individual
 // Exchange calls.
 func (c *Client) BatchExchange(items []wire.ExchangeItem) ([]wire.ExchangeResp, error) {
-	m, err := c.roundTrip(&wire.BatchReq{Items: items})
+	resp, err := request[*wire.BatchResp](c, &wire.BatchReq{Items: items}, nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, ok := m.(*wire.BatchResp)
-	if !ok {
-		return nil, fmt.Errorf("shieldd: unexpected response %T", m)
 	}
 	if len(resp.Results) != len(items) {
 		return nil, fmt.Errorf("shieldd: batch returned %d results for %d items", len(resp.Results), len(items))
@@ -1038,15 +1039,7 @@ func (c *Client) BatchExchange(items []wire.ExchangeItem) ([]wire.ExchangeResp, 
 
 // Attack runs one unauthorized-command trial.
 func (c *Client) Attack(cmd uint8, shieldOn bool) (*wire.AttackResp, error) {
-	m, err := c.roundTrip(&wire.AttackReq{Cmd: cmd, ShieldOn: shieldOn})
-	if err != nil {
-		return nil, err
-	}
-	resp, ok := m.(*wire.AttackResp)
-	if !ok {
-		return nil, fmt.Errorf("shieldd: unexpected response %T", m)
-	}
-	return resp, nil
+	return request[*wire.AttackResp](c, &wire.AttackReq{Cmd: cmd, ShieldOn: shieldOn}, nil)
 }
 
 // Experiment runs a registry experiment server-side and returns its
@@ -1062,36 +1055,11 @@ func (c *Client) Experiment(req wire.ExperimentReq) (string, error) {
 // the client synchronously. A BUSY-shed request is retried like every
 // other call; progress restarts from zero on the retry.
 func (c *Client) ExperimentStream(req wire.ExperimentReq, onProgress func(*wire.ExperimentProgress)) (string, error) {
-	tries := c.opt.maxRetries()
-	for attempt := 0; ; attempt++ {
-		call := &Call{Req: &req, Done: make(chan *Call, 1), OnProgress: onProgress}
-		m, err := c.submit(call).Wait()
-		if err != nil {
-			if attempt < tries && errors.Is(err, ErrServerBusy) {
-				time.Sleep(c.busyBackoff(err, attempt))
-				continue
-			}
-			return "", err
-		}
-		resp, ok := m.(*wire.ExperimentResp)
-		if !ok {
-			return "", fmt.Errorf("shieldd: unexpected response %T", m)
-		}
-		return resp.Rendered, nil
-	}
-}
-
-// Status returns the server's counters.
-func (c *Client) Status() (*wire.StatusResp, error) {
-	m, err := c.roundTrip(&wire.StatusReq{})
+	resp, err := request[*wire.ExperimentResp](c, &req, onProgress)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	resp, ok := m.(*wire.StatusResp)
-	if !ok {
-		return nil, fmt.Errorf("shieldd: unexpected response %T", m)
-	}
-	return resp, nil
+	return resp.Rendered, nil
 }
 
 // Ping sends a keepalive probe and verifies the echoed token. The
@@ -1102,13 +1070,9 @@ func (c *Client) Ping() error {
 	c.mu.Lock()
 	token := c.nextID ^ 0x70696E67 // any value; uniqueness is not required
 	c.mu.Unlock()
-	m, err := c.roundTrip(&wire.Ping{Token: token})
+	pong, err := request[*wire.Pong](c, &wire.Ping{Token: token}, nil)
 	if err != nil {
 		return err
-	}
-	pong, ok := m.(*wire.Pong)
-	if !ok {
-		return fmt.Errorf("shieldd: unexpected response %T", m)
 	}
 	if pong.Token != token {
 		return fmt.Errorf("shieldd: pong token %#x does not match ping %#x", pong.Token, token)
@@ -1127,17 +1091,9 @@ func (c *Client) LinkStats() securelink.Stats {
 	return link.Stats()
 }
 
-// Metrics returns the session's STATUS-METRICS snapshot.
+// Metrics returns the session's STATUS-METRICS frame.
 func (c *Client) Metrics() (*wire.MetricsResp, error) {
-	m, err := c.roundTrip(&wire.MetricsReq{})
-	if err != nil {
-		return nil, err
-	}
-	resp, ok := m.(*wire.MetricsResp)
-	if !ok {
-		return nil, fmt.Errorf("shieldd: unexpected response %T", m)
-	}
-	return resp, nil
+	return request[*wire.MetricsResp](c, &wire.MetricsReq{}, nil)
 }
 
 // Close ends the session with a BYE and closes the transport. The server
@@ -1169,7 +1125,7 @@ func (c *Client) Close() error {
 			}
 			timer.Stop()
 		} else {
-			_, _ = c.roundTrip(&wire.Bye{})
+			_, _ = c.roundTrip(&wire.Bye{}, nil)
 		}
 	}
 	if c.retry != nil {

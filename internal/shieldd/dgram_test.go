@@ -80,8 +80,8 @@ func TestPacketSessionOverRealUDP(t *testing.T) {
 	if got != want {
 		t.Errorf("UDP session %+v != in-process %+v", got, want)
 	}
-	if st, err := c.Status(); err != nil || st.ActiveSessions == 0 {
-		t.Errorf("status over UDP: %+v, %v", st, err)
+	if st, err := c.Metrics(); err != nil || st.Get("server.active") == 0 {
+		t.Errorf("server metrics over UDP: %+v, %v", st, err)
 	}
 	if err := c.Ping(); err != nil {
 		t.Errorf("ping over UDP: %v", err)
@@ -115,7 +115,7 @@ func TestPacketBatchAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if m.Batches != 1 || m.BatchedExchanges != 2 || m.Retransmits != 0 {
+	if m.Get("batches") != 1 || m.Get("batched") != 2 || m.Get("retransmits") != 0 {
 		t.Errorf("metrics %+v: want 1 batch, 2 batched, 0 retransmits on a perfect network", m)
 	}
 	if ts := c.TransportStats(); ts.Retransmits != 0 || ts.Timeouts != 0 {

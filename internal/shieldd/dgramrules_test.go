@@ -125,15 +125,15 @@ func (p *rawPeer) retransmitUntilChallenge(h *wire.Hello) (ch, sealedAck []byte)
 	return nil, nil
 }
 
-// ping sends a sealed PING envelope with request ID id and reports
-// whether its PONG came back within wait.
-func (p *rawPeer) ping(link *securelink.Link, id uint64, wait time.Duration) bool {
+// request sends msg in a sealed envelope with request ID id and returns
+// the response to that ID, or nil when none comes back within wait.
+func (p *rawPeer) request(link *securelink.Link, id uint64, msg wire.Message, wait time.Duration) wire.Message {
 	p.t.Helper()
-	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(id, 0, id-1, &wire.Ping{Token: id})))
+	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(id, 0, id-1, msg)))
 	for {
 		kind, payload, ok := p.read(wait)
 		if !ok {
-			return false
+			return nil
 		}
 		if kind != dgram.KindSealed {
 			continue
@@ -142,11 +142,17 @@ func (p *rawPeer) ping(link *securelink.Link, id uint64, wait time.Duration) boo
 		if err != nil {
 			continue
 		}
-		rid, _, _, m, err := wire.DecodeEnvelopeV3(plain)
-		if pong, ok := m.(*wire.Pong); err == nil && ok && rid == id && pong.Token == id {
-			return true
+		if rid, _, _, m, err := wire.DecodeEnvelopeV3(plain); err == nil && rid == id {
+			return m
 		}
 	}
+}
+
+// ping sends a PING with request ID id and reports whether its PONG
+// came back within wait.
+func (p *rawPeer) ping(link *securelink.Link, id uint64, wait time.Duration) bool {
+	pong, ok := p.request(link, id, &wire.Ping{Token: id}, wait).(*wire.Pong)
+	return ok && pong.Token == id
 }
 
 // rawAKE is the client half of one hand-driven handshake.

@@ -200,9 +200,9 @@ func TestFloodLeavesSessionsUnharmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ServerCookiesSent != wantSent || m.ServerCookieRejects != wantRejects {
+	if m.Get("server.cookiesSent") != wantSent || m.Get("server.cookieRejects") != wantRejects {
 		t.Errorf("wire metrics cookies sent/rejects = %d/%d, want %d/%d",
-			m.ServerCookiesSent, m.ServerCookieRejects, wantSent, wantRejects)
+			m.Get("server.cookiesSent"), m.Get("server.cookieRejects"), wantSent, wantRejects)
 	}
 }
 
@@ -277,9 +277,9 @@ func TestPartitionRideout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.Exchanges != chaosExchanges {
+				if m.Get("exchanges") != chaosExchanges {
 					t.Errorf("session %d executed %d exchanges, want exactly %d (duplicate execution across the partition)",
-						i, m.Exchanges, chaosExchanges)
+						i, m.Get("exchanges"), chaosExchanges)
 				}
 				if n := clients[i].Reconnects(); n != 0 {
 					t.Errorf("session %d reconnected %d times: backoff alone should ride out 2s", i, n)
@@ -398,20 +398,20 @@ func TestShedRequestsExactlyOnce(t *testing.T) {
 		}
 		mets[name] = m
 	}
-	if n := mets["hammer"].Exchanges; n != hammered {
+	if n := mets["hammer"].Get("exchanges"); n != hammered {
 		t.Errorf("hammer session executed %d exchanges, want exactly %d", n, hammered)
 	}
-	if n := mets["script"].Exchanges; n != chaosExchanges {
+	if n := mets["script"].Get("exchanges"); n != chaosExchanges {
 		t.Errorf("scripted session executed %d exchanges, want exactly %d", n, chaosExchanges)
 	}
-	if n := mets["exp"].Experiments; n != 1 {
+	if n := mets["exp"].Get("experiments"); n != 1 {
 		t.Errorf("experiment session executed %d experiments, want exactly 1", n)
 	}
 
 	// The per-session Shed counters and the server-wide ShedRequests are
 	// incremented together; at quiescence they reconcile exactly, and
 	// the wire snapshot agrees.
-	sumShed := mets["exp"].Shed + mets["hammer"].Shed + mets["script"].Shed
+	sumShed := mets["exp"].Get("shed") + mets["hammer"].Get("shed") + mets["script"].Get("shed")
 	snap := srv.Metrics()
 	if snap.ShedRequests == 0 {
 		t.Error("no shed requests counted")
@@ -419,8 +419,8 @@ func TestShedRequestsExactlyOnce(t *testing.T) {
 	if snap.ShedRequests != sumShed {
 		t.Errorf("server ShedRequests=%d != per-session shed sum %d", snap.ShedRequests, sumShed)
 	}
-	if mets["hammer"].ServerShedRequests != snap.ShedRequests {
-		t.Errorf("wire ServerShedRequests=%d != server counter %d", mets["hammer"].ServerShedRequests, snap.ShedRequests)
+	if mets["hammer"].Get("server.shedRequests") != snap.ShedRequests {
+		t.Errorf("wire ServerShedRequests=%d != server counter %d", mets["hammer"].Get("server.shedRequests"), snap.ShedRequests)
 	}
 	t.Logf("shed wall: %d sheds (%d hammer exchanges), reports identical", sumShed, hammered)
 }
@@ -498,8 +498,8 @@ func TestIdleReapAutoReconnectOverImpairedPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Exchanges != 2 {
-		t.Errorf("new session executed %d exchanges, want exactly 2", m.Exchanges)
+	if m.Get("exchanges") != 2 {
+		t.Errorf("new session executed %d exchanges, want exactly 2", m.Get("exchanges"))
 	}
 }
 

@@ -138,8 +138,8 @@ func TestPipelinedPerfectLinkNoSpuriousRetransmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Exchanges != okCount(want) {
-		t.Errorf("server executed %d exchanges, want exactly %d", m.Exchanges, okCount(want))
+	if m.Get("exchanges") != okCount(want) {
+		t.Errorf("server executed %d exchanges, want exactly %d", m.Get("exchanges"), okCount(want))
 	}
 	if ts := c.TransportStats(); ts.Retransmits != 0 {
 		t.Errorf("%d spurious retransmits on a perfect link, want 0", ts.Retransmits)
@@ -237,8 +237,8 @@ func TestPipelinedReorderDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Exchanges != okCount(want) {
-		t.Errorf("server executed %d exchanges, want exactly %d", m.Exchanges, okCount(want))
+	if m.Get("exchanges") != okCount(want) {
+		t.Errorf("server executed %d exchanges, want exactly %d", m.Get("exchanges"), okCount(want))
 	}
 }
 
@@ -310,9 +310,9 @@ func TestChaosPipelinedSessions(t *testing.T) {
 			continue
 		}
 		reportsEqual(t, fmt.Sprintf("chaos session %d (seed %d)", i, 100+i), got[i], want[i])
-		if mets[i].Exchanges != okCount(want[i]) {
+		if mets[i].Get("exchanges") != okCount(want[i]) {
 			t.Errorf("session %d executed %d exchanges, want exactly %d (dedup must stop re-execution)",
-				i, mets[i].Exchanges, okCount(want[i]))
+				i, mets[i].Get("exchanges"), okCount(want[i]))
 		}
 	}
 }
@@ -379,8 +379,8 @@ func TestExperimentStreamProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ProgressFrames != uint64(len(wantDone)) {
-		t.Errorf("session metrics counted %d progress frames, want %d", m.ProgressFrames, len(wantDone))
+	if m.Get("progressFrames") != uint64(len(wantDone)) {
+		t.Errorf("session metrics counted %d progress frames, want %d", m.Get("progressFrames"), len(wantDone))
 	}
 	if snap := srv.Metrics(); snap.TotalProgressFrames < uint64(len(wantDone)) {
 		t.Errorf("server-wide progress frames %d < %d", snap.TotalProgressFrames, len(wantDone))

@@ -34,7 +34,7 @@ const poolShardCapFactor = 4
 // shard (its own mutex, free-list map, and total bound), so concurrent
 // session churn across different shapes never serializes on one lock,
 // and same-shape churn contends only with itself. The idle count is a
-// single atomic aggregate, so STATUS scrapes never take any pool lock.
+// single atomic aggregate, so metrics scrapes never take any pool lock.
 type scenarioPool struct {
 	// perShape bounds how many idle scenarios each shape retains.
 	perShape int
@@ -127,6 +127,6 @@ func (p *scenarioPool) put(sc *testbed.Scenario) {
 }
 
 // idle reports the number of pooled scenarios. Lock-free: one atomic
-// load, so STATUS and metrics scrapes stay cheap no matter how many
+// load, so metrics scrapes stay cheap no matter how many
 // sessions are churning the pool.
 func (p *scenarioPool) idle() int { return int(p.idleN.Load()) }

@@ -139,7 +139,7 @@ func TestPoolPerShardTotalBound(t *testing.T) {
 }
 
 // The idle() aggregate must track get/put exactly: it is the lock-free
-// counter STATUS scrapes read, so drift would misreport pool health
+// counter metrics scrapes read, so drift would misreport pool health
 // forever.
 func TestPoolIdleAggregateTracksGetPut(t *testing.T) {
 	p := newScenarioPool(8)

@@ -79,7 +79,7 @@ func TestRecordedSessionReplayFails(t *testing.T) {
 	// Replay every recorded sealed frame. The server must never answer a
 	// request — it tears the connection down at the first frame, because
 	// the recorded session's keys are dead.
-	exch := srv.Status().TotalExchanges
+	exch := srv.Metrics().TotalExchanges
 	for _, frame := range recorded[1:] {
 		if err := wire.WriteFrame(cEnd, frame); err != nil {
 			break // server hung up: exactly what we want
@@ -88,7 +88,7 @@ func TestRecordedSessionReplayFails(t *testing.T) {
 	if _, err := wire.ReadFrame(cEnd); err == nil {
 		t.Fatal("server answered a replayed sealed frame")
 	}
-	if got := srv.Status().TotalExchanges; got != exch {
+	if got := srv.Metrics().TotalExchanges; got != exch {
 		t.Fatalf("replayed session executed %d exchanges", got-exch)
 	}
 }

@@ -40,7 +40,7 @@ func newResequencer() *resequencer {
 }
 
 // orderedKind reports whether a request kind executes against the
-// scenario in ID order. Everything else (PING, STATUS, METRICS,
+// scenario in ID order. Everything else (PING, STATUS-METRICS,
 // EXPERIMENT, and reader-answered errors/BUSY) is answered as it
 // arrives and only moves the cursor.
 func orderedKind(kind byte) bool {

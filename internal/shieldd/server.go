@@ -27,7 +27,7 @@
 // (EXCHANGE, BATCH-EXCHANGE, ATTACK) are executed strictly in
 // request-ID order by a per-session executor — that is what keeps the
 // deterministic (seed, request sequence) → results contract intact under
-// pipelining and datagram loss — while PING, STATUS, STATUS-METRICS, and
+// pipelining and datagram loss — while PING, STATUS-METRICS, and
 // EXPERIMENT requests complete independently and may overtake them;
 // EXPERIMENT requests stream incremental EXPERIMENT-PROGRESS frames
 // while they run. See DESIGN.md "Selective repeat & streaming
@@ -654,16 +654,11 @@ func (s *Server) sessionTakeover(tc transportConn, sess *session, payload []byte
 	return true
 }
 
-// absorbLinkStats folds a finished session's link traffic into the
-// server-wide metrics.
+// absorbLinkStats adds a finished session's link counters to the
+// server counters of the same name.
 func (s *Server) absorbLinkStats(link *securelink.Link) {
 	st := link.Stats()
-	s.met.BytesSealed.Add(st.BytesSealed)
-	s.met.BytesOpened.Add(st.BytesOpened)
-	s.met.Rekeys.Add(st.Rekeys)
-	s.met.ReplayDrops.Add(st.ReplayDrops)
-	s.met.LateDrops.Add(st.LateDrops)
-	s.met.WindowAccepts.Add(st.WindowAccepts)
+	metrics.Each(&st, "", s.met.Add)
 }
 
 // startReaper watches a session for idleness: when busy() is false and
@@ -1037,9 +1032,6 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			sess.met.Pings.Add(1)
 			s.met.TotalPings.Add(1)
 			answer(id, &wire.Pong{Token: m.Token})
-		case *wire.StatusReq:
-			st := s.Status()
-			answer(id, &st)
 		case *wire.MetricsReq:
 			answer(id, s.handleMetrics(sess))
 		default:
@@ -1077,7 +1069,6 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			}
 			continue
 		}
-		lastActivity.Store(time.Now().UnixNano())
 		plain, err := link.Open(raw)
 		if err != nil {
 			if tc.unreliable() {
@@ -1086,6 +1077,9 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			shutdown()
 			return
 		}
+		// Only a frame that opens is activity: the client's address is
+		// spoofable, so anything else must not hold the session open.
+		lastActivity.Store(time.Now().UnixNano())
 		handle(plain)
 		lastActivity.Store(time.Now().UnixNano())
 	}
@@ -1337,49 +1331,18 @@ func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.Experim
 	return &wire.ExperimentResp{Rendered: res.Render()}
 }
 
-// handleMetrics builds the session's STATUS-METRICS snapshot.
+// handleMetrics builds the session's STATUS-METRICS frame: the session's
+// counters and its link's, then the server's under metrics.ServerScope.
 func (s *Server) handleMetrics(sess *session) wire.Message {
-	ls := sess.link.Stats()
-	return &wire.MetricsResp{
-		SessionID:            sess.id,
-		Protocol:             wire.Version,
-		Exchanges:            sess.met.Exchanges.Load(),
-		Batches:              sess.met.Batches.Load(),
-		BatchedExchanges:     sess.met.BatchedExchanges.Load(),
-		Attacks:              sess.met.Attacks.Load(),
-		Experiments:          sess.met.Experiments.Load(),
-		Pings:                sess.met.Pings.Load(),
-		Errors:               sess.met.Errors.Load(),
-		Retransmits:          sess.met.Retransmits.Load(),
-		Rekeys:               ls.Rekeys,
-		ReplayDrops:          ls.ReplayDrops,
-		WindowAccepts:        ls.WindowAccepts,
-		BytesSealed:          ls.BytesSealed,
-		BytesOpened:          ls.BytesOpened,
-		InFlight:             uint32(sess.met.InFlight()),
-		InFlightHWM:          uint32(sess.met.InFlightHWM()),
-		ServerActiveSessions: uint32(s.met.ActiveSessions.Load()),
-		ServerTotalSessions:  s.met.TotalSessions.Load(),
-		ServerReapedSessions: s.met.ReapedSessions.Load(),
-		Shed:                 sess.met.Shed.Load(),
-		ServerCookiesSent:    s.met.CookiesSent.Load(),
-		ServerCookieRejects:  s.met.CookieRejects.Load(),
-		ServerShedHandshakes: s.met.ShedHandshakes.Load(),
-		ServerShedRequests:   s.met.ShedRequests.Load(),
-		ServerRateLimited:    s.met.RateLimited.Load(),
-		ProgressFrames:       sess.met.ProgressFrames.Load(),
+	resp := &wire.MetricsResp{SessionID: sess.id}
+	add := func(name string, v uint64) {
+		resp.Counters = append(resp.Counters, wire.Counter{Name: name, Value: v})
 	}
-}
-
-// Status returns server-wide counters.
-func (s *Server) Status() wire.StatusResp {
-	return wire.StatusResp{
-		ActiveSessions:   uint32(s.met.ActiveSessions.Load()),
-		PooledScenarios:  uint32(s.pool.idle()),
-		TotalSessions:    s.met.TotalSessions.Load(),
-		TotalExchanges:   s.met.TotalExchanges.Load(),
-		TotalExperiments: s.met.TotalExperiments.Load(),
-	}
+	link, srv := sess.link.Stats(), s.Metrics()
+	metrics.Each(&sess.met, "", add)
+	metrics.Each(&link, "", add)
+	metrics.Each(&srv, metrics.ServerScope, add)
+	return resp
 }
 
 // Metrics snapshots the server-wide metrics (the cmd/shieldd -metrics

@@ -108,7 +108,7 @@ func TestPoolRecyclingIsUnobservable(t *testing.T) {
 	// The server's scenario return runs after its side of the BYE
 	// exchange; give it a moment.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Status().PooledScenarios == 0 {
+	for srv.Metrics().PooledScenarios == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no scenarios pooled after sessions ended")
 		}
@@ -267,12 +267,12 @@ func TestRemoteAttackAndExperiment(t *testing.T) {
 		t.Error("unknown experiment accepted")
 	}
 
-	st, err := c.Status()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ActiveSessions < 1 || st.TotalExperiments < 1 {
-		t.Errorf("status counters implausible: %+v", st)
+	if st.Get("server.active") < 1 || st.Get("server.experiments") < 1 {
+		t.Errorf("server counters implausible: %+v", st)
 	}
 }
 

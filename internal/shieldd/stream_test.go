@@ -68,7 +68,7 @@ func TestStreamReusedRequestID(t *testing.T) {
 	if pong, ok := await(2).(*wire.Pong); !ok || pong.Token != 9 {
 		t.Fatal("PING after reused request IDs was not answered")
 	}
-	if got := srv.Status().TotalExchanges; got != 1 {
+	if got := srv.Metrics().TotalExchanges; got != 1 {
 		t.Errorf("server executed %d exchanges, want 1", got)
 	}
 

@@ -229,18 +229,19 @@ func (d *dedupState) complete(id uint64, msg wire.Message) {
 
 // TransportStats counts the client-side cost of an unreliable
 // transport: how many requests were retransmitted and how many gave up.
-// Always zero on stream transports.
+// Always zero on stream transports. Each `metric` tag names the counter
+// among a session's metrics, under metrics.ClientScope.
 type TransportStats struct {
 	// Retransmits is the number of request datagrams re-sent after a
 	// retry timeout expired without a response.
-	Retransmits uint64
+	Retransmits uint64 `metric:"retransmits"`
 	// Timeouts is the number of requests that failed after exhausting
 	// every retransmission.
-	Timeouts uint64
+	Timeouts uint64 `metric:"timeouts"`
 	// ProgressFrames is the number of streamed EXPERIMENT-PROGRESS
 	// frames received. Unlike the other counters it is also populated on
 	// stream transports.
-	ProgressFrames uint64
+	ProgressFrames uint64 `metric:"progressFrames"`
 }
 
 // retrier is the client-side reliability layer for datagram sessions:

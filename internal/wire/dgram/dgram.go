@@ -10,12 +10,12 @@
 //
 // kind distinguishes the two payload classes a session socket carries:
 //
-//   - KindHandshake: a plaintext wire message (HELLO, CHALLENGE, or a
-//     pre-session Error refusal). Handshake datagrams are the only
-//     plaintext the transport ever carries, and marking them explicitly
-//     is what lets a lossy handshake retry safely: a retransmitted HELLO
-//     arriving after the server moved on is recognizable without trial
-//     decryption.
+//   - KindHandshake: a plaintext wire message (HELLO, COOKIE,
+//     CHALLENGE2, BUSY, or a pre-session Error refusal). Handshake
+//     datagrams are the only plaintext the transport ever carries, and
+//     marking them explicitly is what lets a lossy handshake retry
+//     safely: a retransmitted HELLO arriving after the server moved on
+//     is recognizable without trial decryption.
 //   - KindSealed: a securelink-sealed frame (seq(8) || AES-GCM
 //     ciphertext), exactly the payload the stream transport carries
 //     behind its length prefix.
@@ -48,8 +48,8 @@ const Version byte = 1
 
 // Frame kinds.
 const (
-	// KindHandshake marks a plaintext handshake message (HELLO,
-	// CHALLENGE, pre-session Error).
+	// KindHandshake marks a plaintext handshake message (HELLO, COOKIE,
+	// CHALLENGE2, BUSY, pre-session Error).
 	KindHandshake byte = 0x01
 	// KindSealed marks a securelink-sealed session frame.
 	KindSealed byte = 0x02

@@ -31,7 +31,6 @@ func TestWriteV2Corpus(t *testing.T) {
 	write("v2-ping", (&Ping{Token: 0x1122334455667788}).Encode())
 	write("v2-pong", (&Pong{Token: 42}).Encode())
 	write("v2-metrics-req", (&MetricsReq{}).Encode())
-	write("v2-metrics-resp", (&MetricsResp{SessionID: 3, Protocol: 2, Exchanges: 5, InFlightHWM: 9}).Encode())
 	write("v2-envelope-exchange", idFramed(7, &ExchangeReq{IMD: 0, Cmd: CmdInterrogate}))
 	write("v2-envelope-batch", idFramed(0xFFFFFFFFFFFFFFFF, (&BatchReq{Items: []ExchangeItem{{IMD: 0, Cmd: 0}}})))
 	write("v2-envelope-truncated", []byte{0, 0, 0, 0, 0, 0, 0})
@@ -60,4 +59,7 @@ func TestWriteV2Corpus(t *testing.T) {
 	write("v10-challenge2-resumed", (&Challenge2{Resumed: true}).Encode())
 	write("v10-helloack-ticket", (&HelloAck{Version: Version, SessionID: 5, Ticket: []byte("minted-ticket")}).Encode())
 	write("v10-challenge2-lying-len", []byte{KindChallenge2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	write("v16-metrics-pairs", (&MetricsResp{SessionID: 3, Counters: Counters{
+		{Name: "exchanges", Value: 5}, {Name: "inflightHWM", Value: 9}, {Name: "server.authFails", Value: 2}}}).Encode())
+	write("v16-metrics-lying-count", appendU32(appendU64([]byte{KindMetricsResp}, 3), 64))
 }

@@ -1,7 +1,7 @@
 // Package wire defines the binary wire protocol of the shieldd session
 // server: a length-prefixed outer transport framing and a set of typed
 // messages (HELLO/pairing, EXCHANGE, BATCH-EXCHANGE, ATTACK-TRIAL,
-// EXPERIMENT, STATUS, STATUS-METRICS, PING/PONG).
+// EXPERIMENT, STATUS-METRICS, PING/PONG).
 //
 // Transport framing is uint32 big-endian length || payload. The HELLO
 // frame travels in plaintext (it carries the public session nonce and
@@ -55,6 +55,10 @@ const Version = 4
 // MaxBatch bounds the number of exchanges one BATCH-EXCHANGE frame may
 // carry; Decode rejects larger counts before allocating.
 const MaxBatch = 256
+
+// MaxCounters bounds the (name, value) pairs one STATUS-METRICS frame may
+// carry; Decode rejects larger counts before allocating.
+const MaxCounters = 256
 
 // MaxFrame bounds the outer transport frame length; a peer announcing
 // more is treated as malformed (ErrFrameTooBig) before any allocation.
@@ -126,8 +130,6 @@ const (
 	KindExperimentReq      byte = 0x20
 	KindExperimentResp     byte = 0x21
 	KindExperimentProgress byte = 0x22
-	KindStatusReq          byte = 0x30
-	KindStatusResp         byte = 0x31
 	KindPing               byte = 0x32
 	KindPong               byte = 0x33
 	KindMetricsReq         byte = 0x34
@@ -318,58 +320,33 @@ type Pong struct {
 // MetricsReq asks for the session's STATUS-METRICS snapshot.
 type MetricsReq struct{}
 
-// MetricsResp is the STATUS-METRICS snapshot: per-session counters plus
-// a few server-wide gauges for context.
+// MetricsResp is the STATUS-METRICS frame: the session's counters by
+// name (internal/metrics declares and names them). Carrying the names
+// keeps the frame readable across builds: a reader looks its counters
+// up with Get, and a row it does not know is simply not read.
 type MetricsResp struct {
 	SessionID uint64
-	Protocol  uint8
+	Counters
+}
 
-	// Request counters for this session.
-	Exchanges        uint64 // single EXCHANGE frames served
-	Batches          uint64 // BATCH-EXCHANGE frames served
-	BatchedExchanges uint64 // exchanges carried inside those batches
-	Attacks          uint64
-	Experiments      uint64
-	Pings            uint64
-	Errors           uint64 // requests answered with an Error frame
-	// Retransmits counts responses the server re-sent from its dedup
-	// cache because the client sent an already-answered request ID
-	// again (a datagram retransmit; 0 on a well-behaved stream session).
-	Retransmits uint64
+// Counter is one (name, value) row of a STATUS-METRICS frame.
+type Counter struct {
+	Name  string
+	Value uint64
+}
 
-	// Securelink counters for this session's link (server side).
-	Rekeys        uint64 // key-ratchet epoch advances, both directions
-	ReplayDrops   uint64
-	WindowAccepts uint64 // out-of-order frames the receive window absorbed
-	BytesSealed   uint64
-	BytesOpened   uint64
+// Counters is the body of a STATUS-METRICS frame.
+type Counters []Counter
 
-	// Pipelining gauges.
-	InFlight    uint32
-	InFlightHWM uint32
-
-	// Server-wide context.
-	ServerActiveSessions uint32
-	ServerTotalSessions  uint64
-	ServerReapedSessions uint64
-
-	// Shed counts requests in this session answered with BUSY by the
-	// admission gate (never half-executed; appended at end of layout,
-	// PR 5 convention).
-	Shed uint64
-
-	// Server-wide overload/admission counters (appended at end of
-	// layout, PR 5 convention).
-	ServerCookiesSent    uint64 // cookie challenges sent to cookie-less HELLOs
-	ServerCookieRejects  uint64 // HELLOs dropped for an invalid/stale cookie
-	ServerShedHandshakes uint64 // handshakes answered BUSY at the admission gate
-	ServerShedRequests   uint64 // in-session requests answered BUSY
-	ServerRateLimited    uint64 // handshake datagrams dropped by per-peer rate limit
-
-	// ProgressFrames counts EXPERIMENT-PROGRESS frames streamed to this
-	// session (appended at the end of the layout, like the counters
-	// above).
-	ProgressFrames uint64
+// Get returns the value of the named counter, or 0 when there is no row
+// by that name (a peer of another build may carry another set).
+func (cs Counters) Get(name string) uint64 {
+	for _, c := range cs {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // ExperimentReq runs a registry experiment server-side.
@@ -394,18 +371,6 @@ type ExperimentProgress struct {
 	Done  uint32
 	Total uint32
 	Stage string
-}
-
-// StatusReq asks for server-wide counters.
-type StatusReq struct{}
-
-// StatusResp reports server-wide counters.
-type StatusResp struct {
-	ActiveSessions   uint32
-	PooledScenarios  uint32
-	TotalSessions    uint64
-	TotalExchanges   uint64
-	TotalExperiments uint64
 }
 
 // Bye closes the session cleanly.
@@ -649,41 +614,16 @@ func (m *MetricsReq) Encode() []byte { return []byte{KindMetricsReq} }
 // Kind returns the wire kind byte.
 func (m *MetricsReq) Kind() byte { return KindMetricsReq }
 
-// Encode serializes the MetricsResp message.
+// Encode serializes the MetricsResp message: the session ID, a pair
+// count, then each pair as a length-prefixed name and a uint64 value.
 func (m *MetricsResp) Encode() []byte {
 	b := appendU64([]byte{KindMetricsResp}, m.SessionID)
-	b = append(b, m.Protocol)
-	b = appendU64(b, m.Exchanges)
-	b = appendU64(b, m.Batches)
-	b = appendU64(b, m.BatchedExchanges)
-	b = appendU64(b, m.Attacks)
-	b = appendU64(b, m.Experiments)
-	b = appendU64(b, m.Pings)
-	b = appendU64(b, m.Errors)
-	b = appendU64(b, m.Rekeys)
-	b = appendU64(b, m.ReplayDrops)
-	b = appendU64(b, m.BytesSealed)
-	b = appendU64(b, m.BytesOpened)
-	b = appendU32(b, m.InFlight)
-	b = appendU32(b, m.InFlightHWM)
-	b = appendU32(b, m.ServerActiveSessions)
-	b = appendU64(b, m.ServerTotalSessions)
-	b = appendU64(b, m.ServerReapedSessions)
-	// The PR 5 transport counters are appended at the END of the layout
-	// deliberately: a cross-build STATUS-METRICS mismatch then fails
-	// loudly in both directions (ErrTruncated / ErrTrailing) instead of
-	// silently shifting every later counter into the wrong field.
-	b = appendU64(b, m.Retransmits)
-	b = appendU64(b, m.WindowAccepts)
-	// PR 6 overload/admission counters — same append-at-end convention.
-	b = appendU64(b, m.Shed)
-	b = appendU64(b, m.ServerCookiesSent)
-	b = appendU64(b, m.ServerCookieRejects)
-	b = appendU64(b, m.ServerShedHandshakes)
-	b = appendU64(b, m.ServerShedRequests)
-	b = appendU64(b, m.ServerRateLimited)
-	// PR 8 streaming counter — same append-at-end convention.
-	return appendU64(b, m.ProgressFrames)
+	b = appendU32(b, uint32(len(m.Counters)))
+	for _, c := range m.Counters {
+		b = appendBytes(b, []byte(c.Name))
+		b = appendU64(b, c.Value)
+	}
+	return b
 }
 
 // Kind returns the wire kind byte.
@@ -738,24 +678,6 @@ func (m *ExperimentProgress) Encode() []byte {
 
 // Kind returns the wire kind byte.
 func (m *ExperimentProgress) Kind() byte { return KindExperimentProgress }
-
-// Encode serializes the StatusReq message.
-func (m *StatusReq) Encode() []byte { return []byte{KindStatusReq} }
-
-// Kind returns the wire kind byte.
-func (m *StatusReq) Kind() byte { return KindStatusReq }
-
-// Encode serializes the StatusResp message.
-func (m *StatusResp) Encode() []byte {
-	b := appendU32([]byte{KindStatusResp}, m.ActiveSessions)
-	b = appendU32(b, m.PooledScenarios)
-	b = appendU64(b, m.TotalSessions)
-	b = appendU64(b, m.TotalExchanges)
-	return appendU64(b, m.TotalExperiments)
-}
-
-// Kind returns the wire kind byte.
-func (m *StatusResp) Kind() byte { return KindStatusResp }
 
 // Encode serializes the Bye message.
 func (m *Bye) Encode() []byte { return []byte{KindBye} }
@@ -861,35 +783,23 @@ func Decode(b []byte) (Message, error) {
 	case KindMetricsReq:
 		m = &MetricsReq{}
 	case KindMetricsResp:
-		m = &MetricsResp{
-			SessionID:            c.u64(),
-			Protocol:             c.u8(),
-			Exchanges:            c.u64(),
-			Batches:              c.u64(),
-			BatchedExchanges:     c.u64(),
-			Attacks:              c.u64(),
-			Experiments:          c.u64(),
-			Pings:                c.u64(),
-			Errors:               c.u64(),
-			Rekeys:               c.u64(),
-			ReplayDrops:          c.u64(),
-			BytesSealed:          c.u64(),
-			BytesOpened:          c.u64(),
-			InFlight:             c.u32(),
-			InFlightHWM:          c.u32(),
-			ServerActiveSessions: c.u32(),
-			ServerTotalSessions:  c.u64(),
-			ServerReapedSessions: c.u64(),
-			Retransmits:          c.u64(),
-			WindowAccepts:        c.u64(),
-			Shed:                 c.u64(),
-			ServerCookiesSent:    c.u64(),
-			ServerCookieRejects:  c.u64(),
-			ServerShedHandshakes: c.u64(),
-			ServerShedRequests:   c.u64(),
-			ServerRateLimited:    c.u64(),
-			ProgressFrames:       c.u64(),
+		mr := &MetricsResp{SessionID: c.u64()}
+		n := c.u32()
+		if c.err == nil && n > MaxCounters {
+			c.err = ErrInvalid
 		}
+		// Each pair is at least 12 bytes (a name length prefix and a
+		// uint64); check before allocating.
+		if c.err == nil && uint32(len(c.b)) < n*12 {
+			c.err = ErrTruncated
+		}
+		if c.err == nil && n > 0 {
+			mr.Counters = make(Counters, n)
+			for i := range mr.Counters {
+				mr.Counters[i] = Counter{Name: c.string(), Value: c.u64()}
+			}
+		}
+		m = mr
 	case KindAttackReq:
 		m = &AttackReq{Cmd: c.u8(), ShieldOn: c.bool()}
 	case KindAttackResp:
@@ -915,16 +825,6 @@ func Decode(b []byte) (Message, error) {
 			Done:  c.u32(),
 			Total: c.u32(),
 			Stage: c.string(),
-		}
-	case KindStatusReq:
-		m = &StatusReq{}
-	case KindStatusResp:
-		m = &StatusResp{
-			ActiveSessions:   c.u32(),
-			PooledScenarios:  c.u32(),
-			TotalSessions:    c.u64(),
-			TotalExchanges:   c.u64(),
-			TotalExperiments: c.u64(),
 		}
 	case KindBye:
 		m = &Bye{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -43,9 +44,8 @@ func sampleMessages() []Message {
 		&ExperimentResp{Rendered: "Fig. 7 — antidote cancellation\nmean 34.9 dB\n"},
 		&ExperimentProgress{Done: 64, Total: 400, Stage: "fig7"},
 		&ExperimentProgress{},
-		&StatusReq{},
-		&StatusResp{ActiveSessions: 32, PooledScenarios: 4, TotalSessions: 100,
-			TotalExchanges: 12345, TotalExperiments: 6},
+		&MetricsResp{SessionID: 3},
+		&MetricsResp{SessionID: 1 << 63, Counters: Counters{{Name: "server.inflight", Value: math.MaxUint64}}},
 		&BatchReq{Items: []ExchangeItem{{IMD: 0, Cmd: CmdInterrogate}, {IMD: 2, Cmd: CmdSetTherapy}}},
 		&BatchResp{Results: []ExchangeResp{
 			{Response: []byte("a"), ResponseCommand: "data-response", EavesBER: 0.5, CancellationDB: 30},
@@ -56,15 +56,9 @@ func sampleMessages() []Message {
 		&Ping{Token: 0xFEEDFACE},
 		&Pong{Token: 0xFEEDFACE},
 		&MetricsReq{},
-		&MetricsResp{SessionID: 17, Protocol: 2, Exchanges: 9, Batches: 2,
-			BatchedExchanges: 32, Attacks: 1, Experiments: 3, Pings: 5, Errors: 1,
-			Retransmits: 7, Rekeys: 4, ReplayDrops: 0, WindowAccepts: 11,
-			BytesSealed: 1 << 20, BytesOpened: 9000,
-			InFlight: 3, InFlightHWM: 12, ServerActiveSessions: 2,
-			ServerTotalSessions: 40, ServerReapedSessions: 6,
-			Shed: 2, ServerCookiesSent: 64, ServerCookieRejects: 9,
-			ServerShedHandshakes: 12, ServerShedRequests: 5, ServerRateLimited: 30,
-			ProgressFrames: 13},
+		&MetricsResp{SessionID: 17, Counters: Counters{
+			{Name: "exchanges", Value: 9}, {Name: "inflightHWM", Value: 12},
+			{Name: "authFails", Value: 5}, {Name: "server.sessions", Value: 40}}},
 		&Bye{},
 		&Error{Code: CodeExchangeFailed, Msg: "IMD did not respond"},
 	}
@@ -142,6 +136,47 @@ func TestDecodeRejectsOversizeBatch(t *testing.T) {
 	lyingResp := []byte{KindBatchResp, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := Decode(lyingResp); err == nil {
 		t.Fatal("lying batch-resp count accepted")
+	}
+}
+
+// A STATUS-METRICS frame announcing more pairs than MaxCounters is
+// refused before the pair slice is allocated, and a count its body
+// cannot hold reads as truncated.
+func TestDecodeRejectsOversizeMetrics(t *testing.T) {
+	head := appendU64([]byte{KindMetricsResp}, 7)
+	over := appendU32(append([]byte(nil), head...), MaxCounters+1)
+	over = append(over, make([]byte, 12*(MaxCounters+1))...)
+	if _, err := Decode(over); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("over-MaxCounters decode error = %v, want ErrInvalid", err)
+	}
+	empty := (&MetricsResp{SessionID: 7}).Encode()
+	got := testing.AllocsPerRun(20, func() { _, _ = Decode(over) })
+	base := testing.AllocsPerRun(20, func() { _, _ = Decode(empty) })
+	if got > base {
+		t.Fatalf("over-MaxCounters decode allocates %.0f objects, an empty frame %.0f", got, base)
+	}
+	lying := appendU32(append([]byte(nil), head...), 64) // 64 pairs, no bodies
+	if _, err := Decode(lying); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying pair count error = %v, want ErrTruncated", err)
+	}
+}
+
+// Names keep STATUS-METRICS readable across builds: a frame carrying a
+// row this build does not know still decodes, and a row it lacks reads
+// as 0.
+func TestMetricsRespAcrossBuilds(t *testing.T) {
+	enc := (&MetricsResp{SessionID: 5, Counters: Counters{
+		{Name: "exchanges", Value: 3}, {Name: "fromANewerBuild", Value: 42}}}).Encode()
+	m, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("frame with an unknown row: %v", err)
+	}
+	mr := m.(*MetricsResp)
+	if got := mr.Get("exchanges"); got != 3 {
+		t.Errorf("Get(exchanges) = %d, want 3", got)
+	}
+	if got := mr.Get("fromAnOlderBuild"); got != 0 {
+		t.Errorf("Get of a missing row = %d, want 0", got)
 	}
 }
 

@@ -98,56 +98,14 @@ func NewServer(opt ServeOptions) (*Server, error) {
 }
 
 // ServerMetrics is a point-in-time snapshot of server-wide counters
-// (sessions, request mix, sealed/opened traffic) — what the cmd/shieldd
-// -metrics flag dumps periodically.
-type ServerMetrics struct {
-	TotalSessions    uint64
-	ActiveSessions   int64
-	ReapedSessions   uint64
-	TotalExchanges   uint64
-	TotalBatches     uint64
-	TotalAttacks     uint64
-	TotalExperiments uint64
-	TotalPings       uint64
-	// TotalRetransmits counts responses re-sent from session dedup
-	// caches (the server-side cost of transport loss).
-	TotalRetransmits uint64
-	// TotalProgressFrames counts streamed EXPERIMENT-PROGRESS frames
-	// written to sessions.
-	TotalProgressFrames uint64
-	BytesSealed         uint64
-	BytesOpened         uint64
-	Rekeys              uint64
-	ReplayDrops         uint64
-	// LateDrops counts frames that arrived behind the securelink receive
-	// window; WindowAccepts counts out-of-order frames it absorbed.
-	LateDrops     uint64
-	WindowAccepts uint64
-	// Overload/admission counters: stateless-cookie activity on datagram
-	// handshakes, BUSY answers at admission and inside sessions, and
-	// handshakes dropped by the per-peer rate limiter.
-	CookiesSent    uint64
-	CookieRejects  uint64
-	ShedHandshakes uint64
-	ShedRequests   uint64
-	RateLimited    uint64
-	// PooledScenarios is the idle scenario-pool depth; LiveSessions,
-	// LiveInFlight, and LiveInFlightHWM aggregate the live sessions'
-	// gauges at snapshot time (current total pipelining depth and the
-	// deepest per-session high-water mark).
-	PooledScenarios int
-	LiveSessions    int
-	LiveInFlight    int64
-	LiveInFlightHWM int64
-}
-
-// String renders the snapshot as one log line.
-func (m ServerMetrics) String() string { return metrics.ServerSnapshot(m).String() }
+// (sessions, request mix, sealed/opened traffic, admission, and
+// scrape-time gauges) — what the cmd/shieldd -metrics flag dumps
+// periodically. Its String is that dump line; Get reads a counter by
+// its name in the line.
+type ServerMetrics = metrics.ServerSnapshot
 
 // Metrics snapshots the server's aggregate counters.
-func (s *Server) Metrics() ServerMetrics {
-	return ServerMetrics(s.s.Metrics())
-}
+func (s *Server) Metrics() ServerMetrics { return s.s.Metrics() }
 
 // Serve accepts and serves sessions until the listener is closed.
 func (s *Server) Serve(l net.Listener) error { return s.s.Serve(l) }
@@ -374,80 +332,33 @@ func (r *RemoteSimulation) ProtectedExchangeBatch(items []BatchItem) ([]Exchange
 // scenario work and the probe resets the idle-reap clock.
 func (r *RemoteSimulation) Ping() error { return r.c.Ping() }
 
-// SessionMetrics reports this session's counters (the STATUS-METRICS
-// frame): request mix, batching, pipelining depth, link traffic, and —
-// on datagram sessions — the transport-level retransmission activity on
-// both sides, so loss is observable instead of silently absorbed by the
-// retry layer.
+// SessionMetrics reports one session's counters by name. Counters
+// holds the session's STATUS-METRICS frame — its request mix, batching,
+// pipelining depth and link traffic, then the server's counters under
+// the "server." scope — followed by the client's TransportStats under
+// "client.", so datagram loss is observable on both sides instead of
+// silently absorbed by the retry layer. Get reads one counter; a name
+// the server does not report reads 0.
 type SessionMetrics struct {
-	SessionID        uint64
-	Protocol         uint8
-	Exchanges        uint64
-	Batches          uint64
-	BatchedExchanges uint64
-	Attacks          uint64
-	Experiments      uint64
-	Pings            uint64
-	Errors           uint64
-	// Retransmits counts responses the server re-sent from its dedup
-	// cache (a request retransmit arrived after the original response
-	// was lost, or a client reused a request ID). 0 on a well-behaved
-	// stream session.
-	Retransmits uint64
-	Rekeys      uint64
-	ReplayDrops uint64
-	// WindowAccepts counts out-of-order frames the server's securelink
-	// receive window absorbed.
-	WindowAccepts uint64
-	BytesSealed   uint64
-	BytesOpened   uint64
-	InFlight      uint32
-	InFlightHWM   uint32
-	// Shed counts this session's requests answered BUSY by the global
-	// load-shedding gate.
-	Shed uint64
-	// ProgressFrames counts streamed EXPERIMENT-PROGRESS frames the
-	// server wrote to this session.
-	ProgressFrames uint64
-	// ClientRetransmits and ClientTimeouts are the client-side retry
-	// counters (local, not from the wire): request datagrams re-sent,
-	// and requests abandoned after exhausting retransmission. Always 0
-	// on stream transports.
-	ClientRetransmits uint64
-	ClientTimeouts    uint64
+	SessionID uint64
+	Counters
 }
 
-// SessionMetrics returns the session's STATUS-METRICS snapshot merged
-// with the client-side transport retry counters.
+// Counters is a list of named counters; Get reads one by name.
+type Counters = wire.Counters
+
+// SessionMetrics returns the session's STATUS-METRICS frame followed by
+// the client-side transport counters.
 func (r *RemoteSimulation) SessionMetrics() (SessionMetrics, error) {
 	m, err := r.c.Metrics()
 	if err != nil {
 		return SessionMetrics{}, err
 	}
 	ts := r.c.TransportStats()
-	return SessionMetrics{
-		SessionID:         m.SessionID,
-		Protocol:          m.Protocol,
-		Exchanges:         m.Exchanges,
-		Batches:           m.Batches,
-		BatchedExchanges:  m.BatchedExchanges,
-		Attacks:           m.Attacks,
-		Experiments:       m.Experiments,
-		Pings:             m.Pings,
-		Errors:            m.Errors,
-		Retransmits:       m.Retransmits,
-		Rekeys:            m.Rekeys,
-		ReplayDrops:       m.ReplayDrops,
-		WindowAccepts:     m.WindowAccepts,
-		BytesSealed:       m.BytesSealed,
-		BytesOpened:       m.BytesOpened,
-		InFlight:          m.InFlight,
-		InFlightHWM:       m.InFlightHWM,
-		Shed:              m.Shed,
-		ProgressFrames:    m.ProgressFrames,
-		ClientRetransmits: ts.Retransmits,
-		ClientTimeouts:    ts.Timeouts,
-	}, nil
+	metrics.Each(&ts, metrics.ClientScope, func(name string, v uint64) {
+		m.Counters = append(m.Counters, wire.Counter{Name: name, Value: v})
+	})
+	return SessionMetrics{SessionID: m.SessionID, Counters: m.Counters}, nil
 }
 
 // TransportStats reports the client-side transport counters of a
@@ -530,29 +441,5 @@ func (r *RemoteSimulation) RunExperimentStream(name string, cfg ExperimentConfig
 	}, cb)
 }
 
-// Status returns the server's session/exchange counters.
-func (r *RemoteSimulation) Status() (ServerStatus, error) {
-	st, err := r.c.Status()
-	if err != nil {
-		return ServerStatus{}, err
-	}
-	return ServerStatus{
-		ActiveSessions:   int(st.ActiveSessions),
-		PooledScenarios:  int(st.PooledScenarios),
-		TotalSessions:    st.TotalSessions,
-		TotalExchanges:   st.TotalExchanges,
-		TotalExperiments: st.TotalExperiments,
-	}, nil
-}
-
 // Close ends the session.
 func (r *RemoteSimulation) Close() error { return r.c.Close() }
-
-// ServerStatus reports server-wide counters.
-type ServerStatus struct {
-	ActiveSessions   int
-	PooledScenarios  int
-	TotalSessions    uint64
-	TotalExchanges   uint64
-	TotalExperiments uint64
-}

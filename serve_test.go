@@ -39,12 +39,12 @@ func TestServeDialRoundTrip(t *testing.T) {
 		t.Errorf("remote exchange %+v != local %+v", got, want)
 	}
 
-	st, err := remote.Status()
+	st, err := remote.SessionMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalExchanges < 1 || st.ActiveSessions < 1 {
-		t.Errorf("status counters implausible: %+v", st)
+	if st.Get("server.exchanges") < 1 || st.Get("server.active") < 1 {
+		t.Errorf("server counters implausible: %+v", st)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestServePacketDialUDPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Exchanges != 1 || m.Pings != 1 {
+	if m.Get("exchanges") != 1 || m.Get("pings") != 1 {
 		t.Errorf("session metrics %+v: want 1 exchange, 1 ping", m)
 	}
 	// Loopback UDP is effectively loss-free: no retries should have
