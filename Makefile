@@ -33,9 +33,10 @@
 #   make seccheck     - adversarial handshake wall: forward-secrecy,
 #                       key-compromise, replay, and version-rewrite attacks
 #                       against a live server (internal/securelink/sectest)
-#   make loc          - code-size report for the serving stack: non-blank,
-#                       non-comment, non-test Go lines per package + total
-#                       (a report, not a gate)
+#   make loc          - code-size report for the serving stack and the
+#                       scenario packages: non-blank, non-comment,
+#                       non-test Go lines per package + total (a report,
+#                       not a gate)
 #   make chaos-soak   - loop the overload/partition chaos walls for
 #                       SOAK_DURATION seconds, appending to SOAK_latest.txt;
 #                       fails on any iteration failure or if fewer than
@@ -190,9 +191,10 @@ seccheck:
 	$(GO) test -count=1 -timeout 5m ./internal/securelink/sectest
 
 # Code-size report: Go lines that are neither blank, nor // comments,
-# nor in _test.go files, per serving-stack package plus a total. Changes
-# that claim to shrink the stack quote it for the parent and the change.
-LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest internal/metrics internal/loadgen serve.go
+# nor in _test.go files, per serving-stack and scenario package plus a
+# total. Changes that claim to shrink the code quote it for the parent
+# and the change.
+LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest internal/metrics internal/loadgen internal/testbed internal/experiments heartshield.go registry.go serve.go
 loc:
 	@total=0; for p in $(LOC_PKGS); do \
 		if [ -d $$p ]; then files=$$(ls $$p/*.go | grep -v '_test\.go$$'); else files=$$p; fi; \

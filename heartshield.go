@@ -23,12 +23,10 @@ package heartshield
 import (
 	"fmt"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/airlog"
 	"heartshield/internal/channel"
 	"heartshield/internal/imd"
 	"heartshield/internal/mics"
-	"heartshield/internal/phy"
 	"heartshield/internal/shieldcore"
 	"heartshield/internal/testbed"
 )
@@ -65,19 +63,19 @@ type SimOptions struct {
 }
 
 // Simulation is a fully wired testbed: medium, IMD, shield, programmer,
-// adversary, eavesdropper, and observer.
+// adversary, eavesdropper, and observer — a testbed.World, the same one a
+// shieldd session builds for the same seed and options.
 type Simulation struct {
-	sc    *testbed.Scenario
-	eaves *adversary.Eavesdropper
-	adv   *adversary.Active
+	w *testbed.World
 }
 
 // NewSimulation builds the testbed and calibrates the shield (channel
 // estimation and IMD power measurement).
 func NewSimulation(opt SimOptions) *Simulation {
 	tOpt := testbed.Options{
-		Seed:     opt.Seed,
-		Location: opt.Location,
+		Seed:          opt.Seed,
+		Location:      opt.Location,
+		DigitalCancel: opt.DigitalCancel,
 	}
 	if opt.HighPowerAdversary {
 		tOpt.AdversaryPowerDBm = testbed.HighPowerAdvDBm
@@ -85,52 +83,23 @@ func NewSimulation(opt SimOptions) *Simulation {
 	if opt.FlatJam {
 		tOpt.Shape = shieldcore.FlatJam
 	}
-	if opt.DigitalCancel {
-		tOpt.DigitalCancel = true
-	}
 	if opt.Concerto {
 		tOpt.Profile = imd.ConcertoCRT
 	}
-	sc := testbed.NewScenario(tOpt)
-	sc.CalibrateShieldRSSI()
-	cfo := testbed.IMDCFOHz
-	return &Simulation{
-		sc: sc,
-		eaves: &adversary.Eavesdropper{
-			Antenna: testbed.AntEavesdropper,
-			Medium:  sc.Medium,
-			RX:      sc.EavesRX,
-			Modem:   sc.FSK,
-			CFOHint: &cfo,
-		},
-		adv: &adversary.Active{
-			Antenna: testbed.AntAdversary,
-			Medium:  sc.Medium,
-			TX:      sc.AdvTX,
-			RX:      sc.AdvRX,
-			Modem:   sc.FSK,
-		},
-	}
+	return &Simulation{w: testbed.NewWorld(testbed.NewScenario(tOpt))}
 }
 
 // Location returns the adversary/eavesdropper placement in use.
-func (s *Simulation) Location() string { return s.sc.Location.String() }
+func (s *Simulation) Location() string { return s.w.Location.String() }
 
 // IMDName returns the protected device's model name.
-func (s *Simulation) IMDName() string { return s.sc.IMD.Profile.Name }
+func (s *Simulation) IMDName() string { return s.w.IMD.Profile.Name }
 
 // Therapy returns the IMD's current therapy parameters (pacing rate BPM,
 // shock energy J, therapy-enabled flag).
 func (s *Simulation) Therapy() (rate, shock, enabled byte) {
-	th := s.sc.IMD.Therapy()
+	th := s.w.IMD.Therapy()
 	return th.PacingRateBPM, th.ShockEnergyJ, th.TherapyEnabled
-}
-
-func (s *Simulation) command(kind CommandKind) *phy.Frame {
-	if kind == SetTherapy {
-		return s.sc.SetTherapyFrame(200)
-	}
-	return s.sc.InterrogateFrame()
 }
 
 // ExchangeReport describes one protected (shield-proxied) exchange.
@@ -153,7 +122,7 @@ type ExchangeReport struct {
 // same.
 func (s *Simulation) ProtectedExchange(kind CommandKind) (ExchangeReport, error) {
 	var rep ExchangeReport
-	out, err := s.sc.RunProtectedExchange(s.eaves, 0, s.command(kind))
+	out, err := s.w.Exchange(0, kind == SetTherapy)
 	rep.CancellationDB = out.CancellationDB
 	if err != nil {
 		return rep, fmt.Errorf("heartshield: %w", err)
@@ -183,7 +152,7 @@ type AttackReport struct {
 // Attack replays an unauthorized command from the configured adversary
 // location, with the shield active or not, and reports the outcome.
 func (s *Simulation) Attack(kind CommandKind, shieldOn bool) AttackReport {
-	out := s.sc.RunAttackTrial(s.adv, s.command(kind), shieldOn)
+	out := s.w.Attack(kind == SetTherapy, shieldOn)
 	return AttackReport{
 		ShieldOn:         shieldOn,
 		IMDResponded:     out.Responded,
@@ -198,9 +167,9 @@ func (s *Simulation) Attack(kind CommandKind, shieldOn bool) AttackReport {
 // shield's receive antenna over one fresh estimate/drift cycle (the Fig. 7
 // micro-benchmark).
 func (s *Simulation) CancellationDB() float64 {
-	s.sc.NewTrial()
-	s.sc.PrepareShield()
-	return s.sc.Shield.CancellationDB(8192)
+	s.w.NewTrial()
+	s.w.PrepareShield()
+	return s.w.Shield.CancellationDB(8192)
 }
 
 // AttackTrace runs one attack like Attack and additionally returns a
@@ -209,14 +178,14 @@ func (s *Simulation) CancellationDB() float64 {
 // antidote, and any IMD response.
 func (s *Simulation) AttackTrace(kind CommandKind, shieldOn bool) (AttackReport, string) {
 	rep := s.Attack(kind, shieldOn)
-	log := airlog.New(s.sc.FSK, s.sc.FSK.Config().SampleRate, airlog.Names{
+	log := airlog.New(s.w.FSK, s.w.FSK.Config().SampleRate, airlog.Names{
 		testbed.AntIMD:        "imd",
 		testbed.AntShieldJam:  "shield-jam",
 		testbed.AntShieldRx:   "shield-rx",
 		testbed.AntProgrammer: "programmer",
 		testbed.AntAdversary:  "adversary",
 	})
-	log.RecordMedium(s.sc.Medium, mics.NumChannels, func(b *channel.Burst) (airlog.Kind, string) {
+	log.RecordMedium(s.w.Medium, mics.NumChannels, func(b *channel.Burst) (airlog.Kind, string) {
 		switch b.From {
 		case testbed.AntShieldJam:
 			return airlog.KindJam, ""

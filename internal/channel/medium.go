@@ -170,15 +170,6 @@ func (m *Medium) HasLink(a, b AntennaID) bool {
 	return ok
 }
 
-// LinkConfig returns the installed configuration for a link.
-func (m *Medium) LinkConfig(a, b AntennaID) (Link, bool) {
-	st, ok := m.links[canon(a, b)]
-	if !ok {
-		return Link{}, false
-	}
-	return st.cfg, true
-}
-
 func (m *Medium) refreshLink(st *linkState) {
 	st.epochDB = st.cfg.LossDB + m.rng.Normal(0, st.cfg.ShadowSigmaDB)
 	amp := math.Sqrt(math.Pow(10, -st.epochDB/10))

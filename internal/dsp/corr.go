@@ -2,27 +2,6 @@ package dsp
 
 import "math"
 
-// CrossCorrelate returns c[k] = sum_n x[n+k] * conj(ref[n]) for
-// k = 0 .. len(x)-len(ref), in the direct O(N·m) form. len(ref) must be
-// <= len(x) and > 0; otherwise it returns nil.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	m := len(ref)
-	if m == 0 || m > len(x) {
-		return nil
-	}
-	out := make([]complex128, len(x)-m+1)
-	for k := range out {
-		var acc complex128
-		seg := x[k : k+m]
-		for n := 0; n < m; n++ {
-			r := ref[n]
-			acc += seg[n] * complex(real(r), -imag(r))
-		}
-		out[k] = acc
-	}
-	return out
-}
-
 // NormalizedCorrelation returns |<x_seg, ref>|^2 / (E(x_seg) * E(ref)) at
 // each lag: a value in [0,1] that is 1 when the segment is a scaled rotated
 // copy of ref. This is the standard scale-invariant sync metric in its

@@ -180,12 +180,6 @@ func newFIRPlanShell(m int) *FIRPlan {
 	return p
 }
 
-// TapLen returns the number of taps the plan was built for.
-func (p *FIRPlan) TapLen() int { return p.m }
-
-// BlockLen returns the FFT block size the plan uses.
-func (p *FIRPlan) BlockLen() int { return p.block }
-
 // Filter convolves x with the planned taps into dst and returns it, with
 // FIR.Filter's "same" alignment. If dst is nil a new slice is allocated;
 // otherwise len(dst) must equal len(x). dst must not alias x — each

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/phy"
 	"heartshield/internal/testbed"
 )
@@ -25,8 +24,8 @@ type AblationAntidoteResult struct {
 func AblationAntidote(cfg Config) AblationAntidoteResult {
 	trials := cfg.trials(30, 10)
 	res := AblationAntidoteResult{Trials: trials}
-	outs := runTrials(cfg, testbed.Options{Seed: cfg.seed("ablation-antidote")}, trials, calibrate,
-		func(_ int, sc *testbed.Scenario, _ struct{}) [2]bool {
+	outs := runTrials(cfg, testbed.Options{Seed: cfg.seed("ablation-antidote")}, trials, testbed.NewWorld,
+		func(_ int, sc *testbed.Scenario, _ *testbed.World) [2]bool {
 			var decoded [2]bool
 			for arm, enabled := range []bool{true, false} {
 				if arm > 0 {
@@ -90,8 +89,8 @@ func AblationDigitalCancel(cfg Config) AblationDigitalResult {
 			Seed:          cfg.seed("ablation-digital"),
 			JamPowerRelDB: res.RelJamDB,
 			DigitalCancel: digital,
-		}, trials, calibrate,
-			func(_ int, sc *testbed.Scenario, _ struct{}) bool {
+		}, trials, testbed.NewWorld,
+			func(_ int, sc *testbed.Scenario, _ *testbed.World) bool {
 				sc.PrepareShield()
 				pending, err := sc.Shield.PlaceCommand(sc.InterrogateFrame(), 0)
 				if err != nil {
@@ -165,18 +164,18 @@ func AblationBThresh(cfg Config) AblationBThreshResult {
 	// occasional bit errors, the situation bthresh exists for. Each keyed
 	// trial observes one own-device and one other-device packet.
 	outs := runTrials(cfg, testbed.Options{Seed: cfg.seed("ablation-bthresh"), Location: 11}, trials,
-		calibrateActive,
-		func(_ int, sc *testbed.Scenario, adv *adversary.Active) pairObs {
+		testbed.NewWorld,
+		func(_ int, sc *testbed.Scenario, w *testbed.World) pairObs {
 			var po pairObs
 			sc.PrepareShield()
-			b := adv.Replay(sc.Channel(), 800, sc.InterrogateFrame())
+			b := w.Adv.Replay(sc.Channel(), 800, sc.InterrogateFrame())
 			rep := sc.Shield.DefendWindow(0, int(b.End())+1500)
 			po.own = obs{rep.BurstDetected, rep.SidChecked, rep.SidErrors}
 
 			sc.NewTrial()
 			sc.PrepareShield()
 			f := &phy.Frame{Serial: other, Command: phy.CmdInterrogate, Payload: testbed.CommandPayload()}
-			b = adv.Replay(sc.Channel(), 800, f)
+			b = w.Adv.Replay(sc.Channel(), 800, f)
 			rep = sc.Shield.DefendWindow(0, int(b.End())+1500)
 			po.foreign = obs{rep.BurstDetected, rep.SidChecked, rep.SidErrors}
 			return po

@@ -39,8 +39,8 @@ type BatteryResult struct {
 func Battery(cfg Config) BatteryResult {
 	// One proxied exchange (a single keyed trial): command air time +
 	// jammed response window.
-	jamSec := runTrials(cfg, testbed.Options{Seed: cfg.seed("battery")}, 1, calibrate,
-		func(_ int, sc *testbed.Scenario, _ struct{}) float64 {
+	jamSec := runTrials(cfg, testbed.Options{Seed: cfg.seed("battery")}, 1, testbed.NewWorld,
+		func(_ int, sc *testbed.Scenario, _ *testbed.World) float64 {
 			sc.PrepareShield()
 			pending, err := sc.Shield.PlaceCommand(sc.InterrogateFrame(), 0)
 			if err != nil {

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"heartshield/internal/adversary"
-	"heartshield/internal/phy"
 	"heartshield/internal/stats"
 	"heartshield/internal/testbed"
 )
@@ -84,15 +82,16 @@ func (c Config) seed(label string) int64 {
 //
 // Work is distributed at trial granularity over cfg.workers() workers.
 // Each worker owns at most one scenario at a time, built with optsAt(p)
-// and prepared with prep (calibration, adversary construction); because a
-// worker's claimed work indices only increase, it crosses each point
-// boundary at most once, so at most points+workers-1 scenarios are built
-// in total. Before fn runs, the engine calls sc.NewTrialAt(trial), which
-// re-derives every random stream from (point seed, trial index) — so
-// fn(p, i) computes the same value on any worker, for any worker count,
-// in any execution order, and the assembled output is byte-identical to
-// the serial run. fn must confine itself to its own scenario and its
-// per-trial streams (no cross-trial state).
+// and prepared with prep (usually testbed.NewWorld: calibration plus the
+// standard adversaries); because a worker's claimed work indices only
+// increase, it crosses each point boundary at most once, so at most
+// points+workers-1 scenarios are built in total. Before fn runs, the
+// engine calls sc.NewTrialAt(trial), which re-derives every random
+// stream from (point seed, trial index) — so fn(p, i) computes the same
+// value on any worker, for any worker count, in any execution order, and
+// the assembled output is byte-identical to the serial run. fn must
+// confine itself to its own scenario and its per-trial streams (no
+// cross-trial state).
 func runSweep[S, T any](cfg Config, points, perPoint int,
 	optsAt func(point int) testbed.Options,
 	prep func(*testbed.Scenario) S,
@@ -181,27 +180,6 @@ func runTrials[S, T any](cfg Config, opts testbed.Options, n int,
 	return out[0]
 }
 
-// calibrate is the standard prep for experiments that only need the
-// shield's IMD-RSSI calibration.
-func calibrate(sc *testbed.Scenario) struct{} {
-	sc.CalibrateShieldRSSI()
-	return struct{}{}
-}
-
-// calibrateEaves preps a scenario for confidentiality measurements:
-// calibration plus the standard eavesdropper.
-func calibrateEaves(sc *testbed.Scenario) *adversary.Eavesdropper {
-	sc.CalibrateShieldRSSI()
-	return newEaves(sc)
-}
-
-// calibrateActive preps a scenario for attack trials: calibration plus
-// the standard active adversary.
-func calibrateActive(sc *testbed.Scenario) *adversary.Active {
-	sc.CalibrateShieldRSSI()
-	return newActive(sc)
-}
-
 // parallelMap runs fn(i) for i in [0, n) across w workers and returns the
 // results in index order. fn must be self-contained per index (build its
 // own scenario, seeded exactly as the serial loop would); the ordered
@@ -235,61 +213,6 @@ func parallelMap[T any](w, n int, fn func(int) T) []T {
 	wg.Wait()
 	return out
 }
-
-// newActive builds the standard active adversary for a scenario.
-func newActive(sc *testbed.Scenario) *adversary.Active {
-	return &adversary.Active{
-		Antenna: testbed.AntAdversary,
-		Medium:  sc.Medium,
-		TX:      sc.AdvTX,
-		RX:      sc.AdvRX,
-		Modem:   sc.FSK,
-	}
-}
-
-// newEaves builds the standard eavesdropper for a scenario: genie timing
-// plus perfect knowledge of the IMD's carrier offset — the strongest
-// single-antenna adversary the threat model admits.
-func newEaves(sc *testbed.Scenario) *adversary.Eavesdropper {
-	cfo := testbed.IMDCFOHz
-	return &adversary.Eavesdropper{
-		Antenna: testbed.AntEavesdropper,
-		Medium:  sc.Medium,
-		RX:      sc.EavesRX,
-		Modem:   sc.FSK,
-		CFOHint: &cfo,
-	}
-}
-
-// activeTrialOutcome is the result of one unauthorized-command attempt.
-type activeTrialOutcome struct {
-	Responded      bool
-	TherapyChanged bool
-	Alarmed        bool
-	ShieldJammed   bool
-	RSSIAtShield   float64
-}
-
-// runActiveTrial performs one replay attempt against the IMD with the
-// shield on or off, and reports what happened. The trial sequence itself
-// is the canonical one shared with the public API and the session server.
-func runActiveTrial(sc *testbed.Scenario, adv *adversary.Active, frame frameMaker, shieldOn bool) activeTrialOutcome {
-	out := sc.RunAttackTrial(adv, frame(sc), shieldOn)
-	return activeTrialOutcome{
-		Responded:      out.Responded,
-		TherapyChanged: out.TherapyChanged,
-		Alarmed:        out.Alarmed,
-		ShieldJammed:   out.Jammed,
-		RSSIAtShield:   out.RSSIAtShieldDBm,
-	}
-}
-
-// frameMaker builds the unauthorized command for one trial.
-type frameMaker func(*testbed.Scenario) *phy.Frame
-
-// The concrete frame builders used by the attack experiments.
-func interrogateFrame(sc *testbed.Scenario) *phy.Frame { return sc.InterrogateFrame() }
-func therapyFrame(sc *testbed.Scenario) *phy.Frame     { return sc.SetTherapyFrame(200) }
 
 // renderHeader formats an experiment title banner.
 func renderHeader(title string) string {

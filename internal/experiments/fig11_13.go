@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/stats"
 	"heartshield/internal/testbed"
 )
@@ -21,7 +20,6 @@ type AttackPoint struct {
 // AttackResult is the per-location success table of Fig. 11/12/13.
 type AttackResult struct {
 	Title     string
-	Succeeded func(activeTrialOutcome) bool
 	Points    []AttackPoint
 	HighPower bool
 }
@@ -32,11 +30,12 @@ type attackTrial struct {
 }
 
 // runAttackExperiment measures per-location success probabilities for a
-// replayed command with the shield off and on. Every (location, trial)
-// pair is an independent keyed work item (scenario seeds derive from the
-// experiment label and the location index), so the whole grid fans out
-// over cfg.Workers and merges in (location, trial) order.
-func runAttackExperiment(cfg Config, label, title string, maker frameMaker, success func(activeTrialOutcome) bool, locations int, powerDBm float64) AttackResult {
+// replayed command (an interrogation, or a therapy change when therapy
+// is set) with the shield off and on. Every (location, trial) pair is an
+// independent keyed work item (scenario seeds derive from the experiment
+// label and the location index), so the whole grid fans out over
+// cfg.Workers and merges in (location, trial) order.
+func runAttackExperiment(cfg Config, label, title string, therapy bool, success func(testbed.AttackOutcome) bool, locations int, powerDBm float64) AttackResult {
 	trials := cfg.trials(100, 12)
 	res := AttackResult{Title: title, HighPower: powerDBm > testbed.FCCLimitDBm}
 	base := cfg.seed(label)
@@ -48,11 +47,11 @@ func runAttackExperiment(cfg Config, label, title string, maker frameMaker, succ
 				AdversaryPowerDBm: powerDBm,
 			}
 		},
-		calibrateActive,
-		func(_, _ int, sc *testbed.Scenario, adv *adversary.Active) attackTrial {
+		testbed.NewWorld,
+		func(_, _ int, _ *testbed.Scenario, w *testbed.World) attackTrial {
 			var tr attackTrial
-			tr.offOK = success(runActiveTrial(sc, adv, maker, false))
-			out := runActiveTrial(sc, adv, maker, true)
+			tr.offOK = success(w.Attack(therapy, false))
+			out := w.Attack(therapy, true)
 			tr.onOK = success(out)
 			tr.alarmed = out.Alarmed
 			return tr
@@ -86,8 +85,8 @@ func runAttackExperiment(cfg Config, label, title string, maker frameMaker, succ
 func Fig11(cfg Config) AttackResult {
 	return runAttackExperiment(cfg, "fig11",
 		"Fig. 11 — probability the IMD replies to a replayed interrogation",
-		interrogateFrame,
-		func(o activeTrialOutcome) bool { return o.Responded },
+		false,
+		func(o testbed.AttackOutcome) bool { return o.Responded },
 		14, testbed.FCCLimitDBm)
 }
 
@@ -95,8 +94,8 @@ func Fig11(cfg Config) AttackResult {
 func Fig12(cfg Config) AttackResult {
 	return runAttackExperiment(cfg, "fig12",
 		"Fig. 12 — probability the IMD changes treatment on a replayed command",
-		therapyFrame,
-		func(o activeTrialOutcome) bool { return o.TherapyChanged },
+		true,
+		func(o testbed.AttackOutcome) bool { return o.TherapyChanged },
 		14, testbed.FCCLimitDBm)
 }
 
@@ -105,8 +104,8 @@ func Fig12(cfg Config) AttackResult {
 func Fig13(cfg Config) AttackResult {
 	return runAttackExperiment(cfg, "fig13",
 		"Fig. 13 — high-powered (100×) adversary: therapy change and alarms",
-		therapyFrame,
-		func(o activeTrialOutcome) bool { return o.TherapyChanged },
+		true,
+		func(o testbed.AttackOutcome) bool { return o.TherapyChanged },
 		18, testbed.HighPowerAdvDBm)
 }
 

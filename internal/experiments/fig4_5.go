@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/dsp"
 	"heartshield/internal/modem"
 	"heartshield/internal/shieldcore"
@@ -146,8 +145,8 @@ type pairedBERTrial struct {
 func pairedJammedBER(cfg Config, relDB float64, trials int) (shaped, flat float64) {
 	outs := runTrials(cfg, testbed.Options{
 		Seed: cfg.seed("fig5-paired"), Location: 1, JamPowerRelDB: relDB,
-	}, trials, calibrateEaves,
-		func(_ int, sc *testbed.Scenario, eaves *adversary.Eavesdropper) pairedBERTrial {
+	}, trials, testbed.NewWorld,
+		func(_ int, sc *testbed.Scenario, w *testbed.World) pairedBERTrial {
 			var tr pairedBERTrial
 			for _, shape := range []shieldcore.JamShape{shieldcore.ShapedJam, shieldcore.FlatJam} {
 				sc.Medium.ClearBursts()
@@ -163,7 +162,7 @@ func pairedJammedBER(cfg Config, relDB float64, trials int) (shaped, flat float6
 				}
 				pending.Collect()
 				truth := re.Response.MarshalBits()
-				ber := eaves.InterceptBER(sc.Channel(), re.ResponseBurst.Start, truth)
+				ber := w.Eaves.InterceptBER(sc.Channel(), re.ResponseBurst.Start, truth)
 				if shape == shieldcore.ShapedJam {
 					tr.shaped, tr.shapedOK = ber, true
 				} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/phy"
 	"heartshield/internal/stats"
 	"heartshield/internal/testbed"
@@ -26,8 +25,8 @@ type Fig7Result struct {
 func Fig7(cfg Config) Fig7Result {
 	trials := cfg.trials(200, 40)
 	res := Fig7Result{
-		CancellationsDB: runTrials(cfg, testbed.Options{Seed: cfg.seed("fig7")}, trials, calibrate,
-			func(_ int, sc *testbed.Scenario, _ struct{}) float64 {
+		CancellationsDB: runTrials(cfg, testbed.Options{Seed: cfg.seed("fig7")}, trials, testbed.NewWorld,
+			func(_ int, sc *testbed.Scenario, _ *testbed.World) float64 {
 				sc.PrepareShield()
 				return sc.Shield.CancellationDB(8192)
 			}),
@@ -84,8 +83,8 @@ func Fig8(cfg Config) Fig8Result {
 				Seed: stats.TrialSeed(base, p), Location: 1, JamPowerRelDB: rels[p],
 			}
 		},
-		calibrateEaves,
-		func(_, _ int, sc *testbed.Scenario, eaves *adversary.Eavesdropper) fig8Trial {
+		testbed.NewWorld,
+		func(_, _ int, sc *testbed.Scenario, w *testbed.World) fig8Trial {
 			var tr fig8Trial
 			sc.PrepareShield()
 			pending, err := sc.Shield.PlaceCommand(sc.InterrogateFrame(), 0)
@@ -100,7 +99,7 @@ func Fig8(cfg Config) Fig8Result {
 			tr.tried = true
 			tr.lost = result.Response == nil
 			truth := re.Response.MarshalBits()
-			got := eaves.InterceptBits(sc.Channel(), re.ResponseBurst.Start, len(truth))
+			got := w.Eaves.InterceptBits(sc.Channel(), re.ResponseBurst.Start, len(truth))
 			tr.errs, tr.bits = phy.CountBitErrors(got, truth)
 			return tr
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/stats"
 	"heartshield/internal/testbed"
 )
@@ -45,8 +44,8 @@ func Fig9And10(cfg Config) Fig9_10Result {
 				Seed: stats.TrialSeed(base, p), Location: testbed.Locations[p].Index,
 			}
 		},
-		calibrateEaves,
-		func(_, _ int, sc *testbed.Scenario, eaves *adversary.Eavesdropper) fig9Trial {
+		testbed.NewWorld,
+		func(_, _ int, sc *testbed.Scenario, w *testbed.World) fig9Trial {
 			var tr fig9Trial
 			sc.PrepareShield()
 			pending, err := sc.Shield.PlaceCommand(sc.InterrogateFrame(), 0)
@@ -61,7 +60,7 @@ func Fig9And10(cfg Config) Fig9_10Result {
 			tr.tried = true
 			tr.lost = result.Response == nil
 			truth := re.Response.MarshalBits()
-			tr.ber = eaves.InterceptBER(sc.Channel(), re.ResponseBurst.Start, truth)
+			tr.ber = w.Eaves.InterceptBER(sc.Channel(), re.ResponseBurst.Start, truth)
 			return tr
 		})
 

@@ -37,8 +37,8 @@ func ProbeStaleness(cfg Config) ProbeStalenessResult {
 	opts := testbed.Options{Seed: cfg.seed("ablation-probe")}
 	outs := runSweep(cfg, len(stepsList), trials,
 		func(int) testbed.Options { return opts },
-		calibrate,
-		func(point, _ int, sc *testbed.Scenario, _ struct{}) float64 {
+		testbed.NewWorld,
+		func(point, _ int, sc *testbed.Scenario, _ *testbed.World) float64 {
 			sc.Shield.EstimateChannels()
 			for k := 0; k < stepsList[point]; k++ {
 				sc.Medium.Perturb()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/stats"
 	"heartshield/internal/testbed"
 )
@@ -50,10 +49,10 @@ func Table1(cfg Config) Table1Result {
 				AdversaryPowerDBm: powers[p],
 			}
 		},
-		calibrateActive,
-		func(_, _ int, sc *testbed.Scenario, adv *adversary.Active) table1Trial {
-			out := runActiveTrial(sc, adv, interrogateFrame, true)
-			return table1Trial{responded: out.Responded, rssi: out.RSSIAtShield}
+		testbed.NewWorld,
+		func(_, _ int, _ *testbed.Scenario, w *testbed.World) table1Trial {
+			out := w.Attack(false, true)
+			return table1Trial{responded: out.Responded, rssi: out.RSSIAtShieldDBm}
 		})
 	var res Table1Result
 	for _, trials := range outs {

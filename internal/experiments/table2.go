@@ -57,7 +57,7 @@ func Table2(cfg Config) Table2Result {
 	outs := runTrials(cfg, testbed.Options{Seed: cfg.seed("table2"), Location: 1}, trials,
 		func(sc *testbed.Scenario) table2Prep {
 			sc.CalibrateShieldRSSI()
-			p := table2Prep{adv: newActive(sc)}
+			p := table2Prep{adv: sc.Adversary()}
 			// The radiosonde transmits GMSK at FCC power from its own
 			// antenna 3 m away (Vaisala RS92-AGP stand-in).
 			p.gmsk = modem.NewGMSK(modem.GMSKConfig{

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -549,17 +548,4 @@ func (r *runner) pickOp(rng *rand.Rand) string {
 		return "ping"
 	}
 	return "experiment"
-}
-
-// sortedReasons lists fail reasons deterministically for log lines.
-func sortedReasons(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		keys[i] = fmt.Sprintf("%s=%d", k, m[k])
-	}
-	return keys
 }

@@ -45,9 +45,6 @@ func (c FSKConfig) SamplesPerSymbol() int {
 	return n
 }
 
-// BitDuration returns the duration of one bit in samples.
-func (c FSKConfig) BitDuration() int { return c.SamplesPerSymbol() }
-
 // SamplesForBits returns the sample count of a bits-long transmission.
 func (c FSKConfig) SamplesForBits(bits int) int { return bits * c.SamplesPerSymbol() }
 

@@ -100,21 +100,6 @@ func TwoTap(direct, echo complex128, delay int) Channel {
 	return Channel{Taps: taps}
 }
 
-// FlatFrom collapses the channel to its single strongest tap — what a
-// narrowband (single-tap) estimator would see.
-func (c Channel) FlatFrom() complex128 {
-	var best complex128
-	var bestMag float64
-	for _, t := range c.Taps {
-		m := real(t)*real(t) + imag(t)*imag(t)
-		if m > bestMag {
-			bestMag = m
-			best = t
-		}
-	}
-	return best
-}
-
 // Apply convolves x with the channel taps ("same" alignment from the
 // first sample).
 func (c Channel) Apply(x []complex128) []complex128 {

@@ -39,9 +39,6 @@ const (
 	// DefaultProbePowerDBm: probes are sent at low power to preserve
 	// spatial reuse (§5, "channel estimation").
 	DefaultProbePowerDBm = -40.0
-	// DefaultTXPowerDBm is the FCC MICS EIRP limit the shield must respect
-	// even while jamming an adversary (§7(d)).
-	DefaultTXPowerDBm = -16.0
 	// senseThresholdDBm is the energy-detect level for "a signal is
 	// present" while monitoring.
 	senseThresholdDBm = -95.0

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"heartshield/internal/securelink"
 	"heartshield/internal/stats"
+	"heartshield/internal/testbed"
 	"heartshield/internal/wire"
 	"heartshield/internal/wire/dgram"
 )
@@ -102,7 +104,16 @@ type SessionOptions struct {
 	Window int
 }
 
-func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
+// hello builds the session's HELLO. Location and ExtraIMDs travel as
+// single bytes, so a value outside their range is refused here rather
+// than wrapped onto another world.
+func (o SessionOptions) hello(nonce [16]byte) (*wire.Hello, error) {
+	if o.Location < 0 || o.Location > len(testbed.Locations) {
+		return nil, fmt.Errorf("shieldd: SessionOptions.Location %d out of range 0..%d", o.Location, len(testbed.Locations))
+	}
+	if o.ExtraIMDs < 0 || o.ExtraIMDs > math.MaxUint8 {
+		return nil, fmt.Errorf("shieldd: SessionOptions.ExtraIMDs %d out of range 0..%d", o.ExtraIMDs, math.MaxUint8)
+	}
 	h := &wire.Hello{
 		Version:   wire.Version,
 		Nonce:     nonce,
@@ -122,7 +133,7 @@ func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
 	if o.Concerto {
 		h.Flags |= wire.FlagConcerto
 	}
-	return h
+	return h, nil
 }
 
 // retryTimeout is RetryTimeout with its default applied.
@@ -433,7 +444,10 @@ func handshake(tc transportConn, secret []byte, opt SessionOptions, resume *resu
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return zero, fmt.Errorf("shieldd: nonce: %w", err)
 	}
-	hello := opt.hello(nonce)
+	hello, err := opt.hello(nonce)
+	if err != nil {
+		return zero, err
+	}
 	ake, err := newClientAKE(hello, resume)
 	if err != nil {
 		return zero, err

@@ -1,26 +1,16 @@
 package shieldd
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"heartshield/internal/testbed"
 )
 
-// poolShardCount is the number of independent shards the scenario pool
-// splits its free lists across. Power of two so the shard index is a
-// mask of the shape-key hash. 16 shards keeps worst-case lock contention
-// at fleet scale to 1/16th of a single-mutex pool while staying small
-// enough that a mostly-idle server wastes nothing.
-const poolShardCount = 16
-
-// poolShardCapFactor bounds each shard's TOTAL retained scenarios to
+// poolTotalFactor bounds the pool's TOTAL retained scenarios to
 // perShape * this factor, so a workload cycling through many distinct
-// shapes cannot grow a shard's memory without bound even though every
+// shapes cannot grow the pool without bound even though every
 // individual shape respects its per-shape cap.
-const poolShardCapFactor = 4
+const poolTotalFactor = 4
 
 // scenarioPool recycles testbed scenarios between sessions. Building a
 // scenario allocates the whole IQ-level testbed (medium, devices, radio
@@ -30,41 +20,26 @@ const poolShardCapFactor = 4
 // scenario bit-identical to a fresh build at the session's seed, so which
 // physical scenario serves a session is unobservable.
 //
-// The pool is sharded by shape-key hash: each shape lives in exactly one
-// shard (its own mutex, free-list map, and total bound), so concurrent
-// session churn across different shapes never serializes on one lock,
-// and same-shape churn contends only with itself. The idle count is a
-// single atomic aggregate, so metrics scrapes never take any pool lock.
+// One mutex guards the free lists. A session takes it twice in its
+// lifetime, for one map operation each time, beside a Reset and a
+// calibration that cost milliseconds, so it does not contend even at a
+// thousand concurrent sessions (see DESIGN.md "Scenario pool").
 type scenarioPool struct {
-	// perShape bounds how many idle scenarios each shape retains.
-	perShape int
-	// shardCap bounds each shard's total retained scenarios across all
-	// of its shapes (perShape * poolShardCapFactor).
-	shardCap int
-	// idleN is the lock-free pooled-scenario aggregate behind idle().
-	idleN  atomic.Int64
-	shards [poolShardCount]poolShard
-}
+	// perShape bounds how many idle scenarios each shape retains;
+	// maxTotal bounds them across all shapes (perShape * poolTotalFactor).
+	perShape, maxTotal int
 
-// poolShard is one independently locked slice of the pool.
-type poolShard struct {
 	mu    sync.Mutex
 	free  map[testbed.Options][]*testbed.Scenario
 	total int
 }
 
 func newScenarioPool(perShape int) *scenarioPool {
-	if perShape <= 0 {
-		perShape = 16
-	}
-	p := &scenarioPool{
+	return &scenarioPool{
 		perShape: perShape,
-		shardCap: perShape * poolShardCapFactor,
+		maxTotal: perShape * poolTotalFactor,
+		free:     make(map[testbed.Options][]*testbed.Scenario),
 	}
-	for i := range p.shards {
-		p.shards[i].free = make(map[testbed.Options][]*testbed.Scenario)
-	}
-	return p
 }
 
 // shapeKey is the pool key: the scenario options normalized (so a
@@ -76,57 +51,43 @@ func shapeKey(opt testbed.Options) testbed.Options {
 	return opt
 }
 
-// shapeShardIndex maps a normalized shape key onto its shard: FNV-1a
-// over the key's printed form, masked to the shard count. The printed
-// form is a pure function of the key's field values, so the assignment
-// is stable across calls, goroutines, and processes — a shape always
-// lives in exactly one shard.
-func shapeShardIndex(key testbed.Options) int {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", key)
-	return int(h.Sum64() & (poolShardCount - 1))
-}
-
 // get returns a scenario for the given options, recycled if one with the
 // same shape is idle, freshly built otherwise. Either way the caller
 // receives a scenario indistinguishable from NewScenario(opt).
 func (p *scenarioPool) get(opt testbed.Options) *testbed.Scenario {
 	key := shapeKey(opt)
-	sh := &p.shards[shapeShardIndex(key)]
-	sh.mu.Lock()
-	list := sh.free[key]
-	if n := len(list); n > 0 {
-		sc := list[n-1]
-		list[n-1] = nil
-		sh.free[key] = list[:n-1]
-		sh.total--
-		sh.mu.Unlock()
-		p.idleN.Add(-1)
-		sc.Reset(opt.Seed)
-		return sc
+	p.mu.Lock()
+	list := p.free[key]
+	n := len(list)
+	if n == 0 {
+		p.mu.Unlock()
+		return testbed.NewScenario(opt)
 	}
-	sh.mu.Unlock()
-	return testbed.NewScenario(opt)
+	sc := list[n-1]
+	list[n-1] = nil
+	p.free[key] = list[:n-1]
+	p.total--
+	p.mu.Unlock()
+	sc.Reset(opt.Seed)
+	return sc
 }
 
 // put returns an idle scenario to the pool. It is retained only while
-// both its shape's bound and its shard's total bound have room;
-// otherwise it is dropped for the GC.
+// both its shape's bound and the pool's total bound have room; otherwise
+// it is dropped for the GC.
 func (p *scenarioPool) put(sc *testbed.Scenario) {
 	key := shapeKey(sc.Opt)
-	sh := &p.shards[shapeShardIndex(key)]
-	sh.mu.Lock()
-	if len(sh.free[key]) < p.perShape && sh.total < p.shardCap {
-		sh.free[key] = append(sh.free[key], sc)
-		sh.total++
-		sh.mu.Unlock()
-		p.idleN.Add(1)
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free[key]) < p.perShape && p.total < p.maxTotal {
+		p.free[key] = append(p.free[key], sc)
+		p.total++
 	}
-	sh.mu.Unlock()
 }
 
-// idle reports the number of pooled scenarios. Lock-free: one atomic
-// load, so metrics scrapes stay cheap no matter how many
-// sessions are churning the pool.
-func (p *scenarioPool) idle() int { return int(p.idleN.Load()) }
+// idle reports the number of pooled scenarios.
+func (p *scenarioPool) idle() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.total
+}

@@ -60,87 +60,26 @@ func TestPoolShapesAreDisjointAndBounded(t *testing.T) {
 	}
 }
 
-// Shard assignment must be a pure, stable function of the normalized
-// shape: repeated calls agree, seeds never influence it (they are zeroed
-// out of the key), and a defaulted request lands in the same shard as
-// its explicitly normalized form — otherwise a put could strand a
-// scenario in a shard its next get never looks in.
-func TestPoolShardingIsStable(t *testing.T) {
-	shapes := []testbed.Options{
-		{},
-		{Location: 5},
-		{ExtraIMDs: 2},
-		{DigitalCancel: true},
-		{Location: 9, ExtraIMDs: 4, DigitalCancel: true},
-	}
-	for _, opt := range shapes {
-		key := shapeKey(opt)
-		want := shapeShardIndex(key)
-		for i := 0; i < 8; i++ {
-			if got := shapeShardIndex(key); got != want {
-				t.Fatalf("shape %+v: shard index flapped %d -> %d", opt, want, got)
-			}
-		}
-		// Seeds are not part of the shape.
-		for seed := int64(1); seed <= 3; seed++ {
-			withSeed := opt
-			withSeed.Seed = seed
-			if got := shapeShardIndex(shapeKey(withSeed)); got != want {
-				t.Fatalf("shape %+v: seed %d moved the shard %d -> %d", opt, seed, want, got)
-			}
-		}
-		// Defaulted and normalized forms agree.
-		if got := shapeShardIndex(shapeKey(opt.Normalized())); got != want {
-			t.Fatalf("shape %+v: normalized form hashed to shard %d, defaulted to %d", opt, got, want)
-		}
-	}
-	if shapeShardIndex(shapeKey(testbed.Options{})) >= poolShardCount {
-		t.Fatal("shard index out of range")
-	}
-}
-
-// Each shard bounds its total retained scenarios across all shapes at
-// perShape*poolShardCapFactor, even when every individual shape is under
+// The pool bounds its total retained scenarios across all shapes at
+// perShape*poolTotalFactor, even when every individual shape is under
 // its own per-shape bound — the memory backstop for shape-diverse
-// workloads. Locations give us many distinct shapes; the ones that land
-// in the same shard must collectively cap out.
-func TestPoolPerShardTotalBound(t *testing.T) {
+// workloads. The 18 locations give 18 distinct shapes, more than the
+// total bound holds at perShape each.
+func TestPoolTotalBound(t *testing.T) {
 	const perShape = 2
 	p := newScenarioPool(perShape)
-
-	// Group a spread of shapes by the shard they hash to.
-	byShard := make(map[int][]testbed.Options)
 	for loc := 1; loc <= len(testbed.Locations); loc++ {
-		opt := testbed.Options{Seed: 1, Location: loc}
-		idx := shapeShardIndex(shapeKey(opt))
-		byShard[idx] = append(byShard[idx], opt)
+		for i := 0; i < perShape; i++ {
+			p.put(testbed.NewScenario(testbed.Options{Seed: int64(i + 1), Location: loc}))
+		}
 	}
-	// Find a shard with enough distinct shapes to overflow the cap.
-	for idx, shapes := range byShard {
-		if len(shapes)*perShape <= p.shardCap {
-			continue
-		}
-		for _, opt := range shapes {
-			for i := 0; i < perShape; i++ {
-				o := opt
-				o.Seed = int64(i + 1)
-				p.put(testbed.NewScenario(o))
-			}
-		}
-		if got := p.shards[idx].total; got != p.shardCap {
-			t.Fatalf("shard %d retains %d scenarios, want the shard cap %d", idx, got, p.shardCap)
-		}
-		if got := p.idle(); got != p.shardCap {
-			t.Fatalf("idle() = %d, want %d (only one shard was filled)", got, p.shardCap)
-		}
-		return
+	if want := perShape * poolTotalFactor; p.idle() != want {
+		t.Fatalf("pool retains %d scenarios, want the total bound %d", p.idle(), want)
 	}
-	t.Skip("no shard collected enough shapes to overflow; increase the shape spread")
 }
 
-// The idle() aggregate must track get/put exactly: it is the lock-free
-// counter metrics scrapes read, so drift would misreport pool health
-// forever.
+// The idle() aggregate must track get/put exactly: it is the counter
+// metrics scrapes read, so drift would misreport pool health forever.
 func TestPoolIdleAggregateTracksGetPut(t *testing.T) {
 	p := newScenarioPool(8)
 	opt := testbed.Options{Seed: 3}
@@ -169,8 +108,7 @@ func TestPoolIdleAggregateTracksGetPut(t *testing.T) {
 
 // Recycled scenarios must be bit-exact against fresh builds under
 // concurrent get/put from 16 goroutines mixing shapes and seeds — the
-// sharded pool's core correctness contract, raced in the `make race`
-// leg. The fingerprint is the IMD calibration measurement: a real
+// pool's core correctness contract, raced in the `make race` leg. The fingerprint is the IMD calibration measurement: a real
 // physics number drawn from the scenario's RNG streams, so any
 // cross-contamination of recycled state shows up as a mismatch.
 func TestPoolConcurrentRecyclingIsBitExact(t *testing.T) {

@@ -170,7 +170,7 @@ func TestPipelinedExchangesStayDeterministic(t *testing.T) {
 // milliseconds, and a half-window interval made the reaper win those
 // races spuriously.
 func TestIdleReaperReturnsScenarioToPool(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{IdleTimeout: 400 * time.Millisecond, PoolPerShape: 4})
+	srv := newServer(t, shieldd.ServerConfig{IdleTimeout: 400 * time.Millisecond})
 	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 30})
 	if err != nil {
 		t.Fatal(err)

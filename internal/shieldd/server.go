@@ -8,15 +8,17 @@
 // reordering are handled by client retransmission, the securelink
 // receive window, and server-side request deduplication.
 //
-// Every session is an independent simulated world: its own medium,
-// devices, and random streams, all derived from the session seed the
-// client announces in HELLO. The scenario pool makes sessions cheap
-// (recycling is an RNG re-derivation, not a rebuild) without making them
-// observable to each other: a session's EavesdropperBER/CancellationDB
-// stream depends only on its seed and request sequence, never on which
-// pooled scenario served it, which goroutine ran it, or what the server
-// did before — the same determinism contract as the PR 1 parallel
-// experiment runner, extended to a network service.
+// Every session is an independent testbed.World: its own medium,
+// devices, random streams, calibrated shield and standard adversaries,
+// all derived from the session seed and options the client announces in
+// HELLO — the same World the in-process Simulation builds for them. The
+// scenario pool makes sessions cheap (recycling is an RNG re-derivation,
+// not a rebuild) without making them observable to each other: a
+// session's EavesdropperBER/CancellationDB stream depends only on its
+// seed and request sequence, never on which pooled scenario served it,
+// which goroutine ran it, or what the server did before — the same
+// determinism contract as the parallel experiment runner, extended to a
+// network service.
 //
 // One protocol is served, wire.Version; a HELLO announcing any other
 // version is refused with a plaintext CodeVersion error. Both transports
@@ -42,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"heartshield/internal/adversary"
 	"heartshield/internal/experiments"
 	"heartshield/internal/imd"
 	"heartshield/internal/metrics"
@@ -81,12 +82,14 @@ const (
 	// defaultBusyRetryAfter is the retry-after hint carried in BUSY
 	// responses when the config does not set one.
 	defaultBusyRetryAfter = 250 * time.Millisecond
-	// defaultTicketLifetime bounds resumption tickets when the config
-	// does not set one: long enough to resume after an idle reap, short
-	// enough that a ticket is not a durable capability. The ticket
-	// sealing key rotates on the same period, so any unexpired ticket is
-	// at most one rotation old and still opens.
-	defaultTicketLifetime = 5 * time.Minute
+	// ticketLifetime bounds resumption tickets: long enough to resume
+	// after an idle reap, short enough that a ticket is not a durable
+	// capability. The ticket sealing key rotates on the same period, so
+	// any unexpired ticket is at most one rotation old and still opens.
+	ticketLifetime = 5 * time.Minute
+	// poolPerShape bounds the idle scenarios the pool retains per
+	// scenario shape (and, times four, in total).
+	poolPerShape = 16
 )
 
 // ServerConfig configures a session server.
@@ -104,9 +107,6 @@ type ServerConfig struct {
 	// MaxExtraIMDs caps the batched multi-IMD size a client may request.
 	// Default 8.
 	MaxExtraIMDs int
-	// PoolPerShape bounds idle scenarios retained per scenario shape.
-	// Default 16.
-	PoolPerShape int
 	// InFlightPerSession bounds how many pipelined requests one session
 	// may have outstanding; further frames are not read until a
 	// slot frees (transport backpressure). Default 16.
@@ -141,9 +141,6 @@ type ServerConfig struct {
 	// BusyRetryAfter is the retry-after hint carried in BUSY responses.
 	// Default 250ms.
 	BusyRetryAfter time.Duration
-	// TicketLifetime bounds how long a resumption ticket stays
-	// redeemable. Default 5m.
-	TicketLifetime time.Duration
 }
 
 // Server is a concurrent shield session server.
@@ -203,20 +200,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.HandshakeBurst <= 0 {
 		cfg.HandshakeBurst = 4
 	}
-	if cfg.TicketLifetime <= 0 {
-		cfg.TicketLifetime = defaultTicketLifetime
-	}
 	cookies, err := securelink.NewCookieSource(cookieRotateEvery)
 	if err != nil {
 		return nil, fmt.Errorf("shieldd: %w", err)
 	}
-	tickets, err := securelink.NewTicketSource(cfg.TicketLifetime, cfg.TicketLifetime)
+	tickets, err := securelink.NewTicketSource(ticketLifetime, ticketLifetime)
 	if err != nil {
 		return nil, fmt.Errorf("shieldd: %w", err)
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    newScenarioPool(cfg.PoolPerShape),
+		pool:    newScenarioPool(poolPerShape),
 		sem:     make(chan struct{}, cfg.MaxSessions),
 		cookies: cookies,
 		tickets: tickets,
@@ -606,11 +600,13 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	s.met.ActiveSessions.Add(1)
 	defer s.met.ActiveSessions.Add(-1)
 
-	sess := s.newSession(opt)
-	sess.id, sess.link, sess.addr, sess.nonce = id, link, addr, hello.Nonce
+	sess := &session{
+		World: testbed.NewWorld(s.pool.get(opt)),
+		id:    id, link: link, addr: addr, nonce: hello.Nonce,
+	}
 	s.reg.Register(id, &sess.met)
 	defer s.reg.Unregister(id)
-	defer s.pool.put(sess.sc)
+	defer s.pool.put(sess.Scenario)
 	defer s.absorbLinkStats(link)
 	// Lift the handshake deadline: experiments may run for minutes.
 	_ = tc.setReadDeadline(time.Time{})
@@ -1112,69 +1108,21 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 	return opt, nil
 }
 
-// session is one active session's simulated world plus cached per-IMD
-// calibration and counters. The scenario-touching fields are driven by
-// exactly one goroutine at a time (the session's executor); met and link
-// are safe for concurrent use.
+// session is one active session: its testbed.World (the calibrated
+// scenario and adversaries its seed and options determine — the world
+// the public Simulation builds for the same seed) plus link and
+// counters. The world is driven by exactly one goroutine at a time (the
+// session's executor); met and link are safe for concurrent use.
 type session struct {
-	id    uint64
-	sc    *testbed.Scenario
-	eaves *adversary.Eavesdropper
-	adv   *adversary.Active
-	link  *securelink.Link
-	met   metrics.Session
-	// rssi caches each implant's calibrated received power at the shield;
-	// switching exchange targets restores the matching measurement.
-	rssi   []float64
-	target int
+	*testbed.World
+	id   uint64
+	link *securelink.Link
+	met  metrics.Session
 	// addr and nonce identify the client instance that opened the
 	// session: a handshake frame straggling into it is judged against
 	// them (sessionTakeover).
 	addr  string
 	nonce [16]byte
-}
-
-// newSession wires a scenario into a session, calibrating every implant
-// in index order (for a single-IMD session this is exactly the public
-// NewSimulation setup, which is what keeps remote and in-process results
-// identical per seed).
-func (s *Server) newSession(opt testbed.Options) *session {
-	sc := s.pool.get(opt)
-	sess := &session{sc: sc, rssi: make([]float64, len(sc.IMDs))}
-	for i := range sc.IMDs {
-		sess.rssi[i] = sc.CalibrateIMD(i)
-	}
-	if len(sc.IMDs) > 1 {
-		// Calibration walked the targets; return to the primary.
-		sc.Shield.SetProtected(sc.IMDs[0].Profile)
-		sc.Shield.SetIMDRSSI(sess.rssi[0])
-	}
-	cfo := testbed.IMDCFOHz
-	sess.eaves = &adversary.Eavesdropper{
-		Antenna: testbed.AntEavesdropper,
-		Medium:  sc.Medium,
-		RX:      sc.EavesRX,
-		Modem:   sc.FSK,
-		CFOHint: &cfo,
-	}
-	sess.adv = &adversary.Active{
-		Antenna: testbed.AntAdversary,
-		Medium:  sc.Medium,
-		TX:      sc.AdvTX,
-		RX:      sc.AdvRX,
-		Modem:   sc.FSK,
-	}
-	return sess
-}
-
-// retarget points the shield at IMD idx with its calibrated RSSI.
-func (sess *session) retarget(idx int) {
-	if idx == sess.target {
-		return
-	}
-	sess.sc.Shield.SetProtected(sess.sc.IMDs[idx].Profile)
-	sess.sc.Shield.SetIMDRSSI(sess.rssi[idx])
-	sess.target = idx
 }
 
 // dispatchScenario executes one scenario-mutating request on the
@@ -1197,19 +1145,11 @@ func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message 
 	return resp
 }
 
-// runExchange executes one protected exchange against IMD index idx —
-// the same sequence as the public Simulation path, so the per-seed
-// result stream is identical in-process and over the wire.
+// runExchange executes one protected exchange against IMD index idx on
+// the session's world — the per-seed result stream of the public
+// Simulation, over the wire.
 func (s *Server) runExchange(sess *session, idx int, cmdKind uint8) (wire.ExchangeResp, error) {
-	sess.retarget(idx)
-	sc := sess.sc
-
-	var cmd = sc.InterrogateFrameFor(idx)
-	if cmdKind == wire.CmdSetTherapy {
-		cmd = sc.SetTherapyFrameFor(idx, 200)
-	}
-
-	out, err := sc.RunProtectedExchange(sess.eaves, idx, cmd)
+	out, err := sess.Exchange(idx, cmdKind == wire.CmdSetTherapy)
 	if err != nil {
 		return wire.ExchangeResp{}, err
 	}
@@ -1225,7 +1165,7 @@ func (s *Server) runExchange(sess *session, idx int, cmdKind uint8) (wire.Exchan
 // handleExchange runs one protected exchange.
 func (s *Server) handleExchange(sess *session, m *wire.ExchangeReq) wire.Message {
 	idx := int(m.IMD)
-	if idx >= len(sess.sc.IMDs) {
+	if idx >= len(sess.IMDs) {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("IMD index %d out of range", idx)}
 	}
 	resp, err := s.runExchange(sess, idx, m.Cmd)
@@ -1248,7 +1188,7 @@ func (s *Server) handleBatch(sess *session, m *wire.BatchReq) wire.Message {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "batch exceeds MaxBatch"}
 	}
 	for i, it := range m.Items {
-		if int(it.IMD) >= len(sess.sc.IMDs) {
+		if int(it.IMD) >= len(sess.IMDs) {
 			return &wire.Error{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("item %d: IMD index %d out of range", i, it.IMD)}
 		}
@@ -1268,18 +1208,10 @@ func (s *Server) handleBatch(sess *session, m *wire.BatchReq) wire.Message {
 	return &wire.BatchResp{Results: results}
 }
 
-// handleAttack runs one unauthorized-command trial (the Simulation.Attack
-// sequence).
+// handleAttack runs one unauthorized-command trial on the session's
+// world (the Simulation.Attack sequence).
 func (s *Server) handleAttack(sess *session, m *wire.AttackReq) wire.Message {
-	sess.retarget(0)
-	sc := sess.sc
-
-	var cmd = sc.InterrogateFrameFor(0)
-	if m.Cmd == wire.CmdSetTherapy {
-		cmd = sc.SetTherapyFrameFor(0, 200)
-	}
-
-	out := sc.RunAttackTrial(sess.adv, cmd, m.ShieldOn)
+	out := sess.Attack(m.Cmd == wire.CmdSetTherapy, m.ShieldOn)
 	sess.met.Attacks.Add(1)
 	s.met.TotalAttacks.Add(1)
 	return &wire.AttackResp{
@@ -1348,8 +1280,8 @@ func (s *Server) handleMetrics(sess *session) wire.Message {
 // Metrics snapshots the server-wide metrics (the cmd/shieldd -metrics
 // periodic dump). Cheap enough to scrape continuously under thousands
 // of live sessions: the counter snapshot is pure atomic loads, the pool
-// depth is one atomic load (no pool lock), and the live-session sweep
-// is atomic loads under a read lock — no allocation anywhere.
+// depth one counter read under the pool's lock, and the live-session
+// sweep atomic loads under a read lock — no allocation anywhere.
 func (s *Server) Metrics() metrics.ServerSnapshot {
 	snap := s.met.Snapshot()
 	snap.PooledScenarios = s.pool.idle()

@@ -3,12 +3,15 @@ package shieldd_test
 import (
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"heartshield"
 	"heartshield/internal/shieldd"
+	"heartshield/internal/testbed"
 	"heartshield/internal/wire"
 )
 
@@ -88,11 +91,12 @@ func TestSessionMatchesInProcessSimulation(t *testing.T) {
 	}
 }
 
-// Recycled scenarios must be unobservable: with a pool bounded to a
-// single scenario, back-to-back sessions at the same seed — the second
-// guaranteed to ride a recycled testbed — must agree with the first.
+// Recycled scenarios must be unobservable: with one session slot,
+// back-to-back sessions at the same seed — each admitted only after the
+// previous one returned its scenario, so it rides a recycled testbed —
+// must agree with the first.
 func TestPoolRecyclingIsUnobservable(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{MaxSessions: 1, PoolPerShape: 1})
+	srv := newServer(t, shieldd.ServerConfig{MaxSessions: 1})
 	want := localPair(5)
 	for round := 0; round < 3; round++ {
 		c, err := srv.Pipe(shieldd.SessionOptions{Seed: 5})
@@ -226,6 +230,34 @@ func TestMultiIMDSession(t *testing.T) {
 			t.Errorf("imd %d: eavesdropper BER %.3f — jamming not protecting this implant", i, ber)
 		}
 	}
+
+	// Retargeting lives in testbed.World: a session walking the implants
+	// out of order must equal a World driven with the same calls.
+	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 9, ExtraIMDs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := testbed.NewWorld(testbed.NewScenario(testbed.Options{Seed: 9, ExtraIMDs: 2}))
+	for step, idx := range []int{0, 2, 1, 0} {
+		out, err := w.Exchange(idx, false)
+		if err != nil {
+			t.Fatalf("step %d: world exchange with imd %d: %v", step, idx, err)
+		}
+		got, err := c.Exchange(idx, wire.CmdInterrogate)
+		if err != nil {
+			t.Fatalf("step %d: session exchange with imd %d: %v", step, idx, err)
+		}
+		want := wire.ExchangeResp{
+			Response:        out.Response.Payload,
+			ResponseCommand: out.Response.Command.String(),
+			EavesBER:        out.EavesdropperBER,
+			CancellationDB:  out.CancellationDB,
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("step %d (imd %d): session %+v != world %+v", step, idx, *got, want)
+		}
+	}
 }
 
 // Attack trials and experiments over the wire must match their in-process
@@ -289,13 +321,40 @@ func TestWrongSecretFailsHandshake(t *testing.T) {
 	}
 }
 
-// Server-side request validation: a HELLO demanding more implants than
-// the server allows is refused before any scenario is built.
+// Out-of-range session options are refused, never mapped onto another
+// world. The client refuses a Location or ExtraIMDs that does not fit
+// its single HELLO byte before sending it, naming the field (a Location
+// of 257 would otherwise arrive as location 1); the server refuses more
+// implants than it allows before any scenario is built.
 func TestHelloValidation(t *testing.T) {
 	srv := newServer(t, shieldd.ServerConfig{MaxExtraIMDs: 2})
-	if _, err := srv.Pipe(shieldd.SessionOptions{Seed: 1, ExtraIMDs: 5}); err == nil {
-		t.Fatal("over-limit ExtraIMDs accepted")
+	for _, tc := range []struct {
+		opt  shieldd.SessionOptions
+		want string
+	}{
+		{shieldd.SessionOptions{Seed: 1, ExtraIMDs: 5}, "exceeds server limit"},
+		{shieldd.SessionOptions{Seed: 9, Location: 257}, "SessionOptions.Location"},
+		{shieldd.SessionOptions{Seed: 9, Location: -255}, "SessionOptions.Location"},
+		{shieldd.SessionOptions{Seed: 9, Location: 19}, "SessionOptions.Location"},
+		{shieldd.SessionOptions{Seed: 9, ExtraIMDs: 264}, "SessionOptions.ExtraIMDs"},
+		{shieldd.SessionOptions{Seed: 9, ExtraIMDs: -1}, "SessionOptions.ExtraIMDs"},
+	} {
+		c, err := srv.Pipe(tc.opt)
+		if err == nil {
+			c.Close()
+			t.Errorf("Location %d, ExtraIMDs %d: session opened", tc.opt.Location, tc.opt.ExtraIMDs)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Location %d, ExtraIMDs %d: error %q does not contain %q",
+				tc.opt.Location, tc.opt.ExtraIMDs, err, tc.want)
+		}
 	}
+	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 9, Location: len(testbed.Locations)})
+	if err != nil {
+		t.Fatalf("last location refused: %v", err)
+	}
+	c.Close()
 }
 
 // BenchmarkSessionExchange measures one protected exchange through the

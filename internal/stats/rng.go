@@ -183,16 +183,6 @@ func (g *RNG) LogNormalDB(sigmaDB float64) float64 {
 	return math.Pow(10, g.Normal(0, sigmaDB)/10)
 }
 
-// Rayleigh returns a Rayleigh-distributed sample with scale sigma
-// (the magnitude of a CN(0, 2σ²) variable).
-func (g *RNG) Rayleigh(sigma float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return sigma * math.Sqrt(-2*math.Log(u))
-}
-
 // UnitPhasor returns e^{jθ} with θ uniform in [0, 2π): a random carrier
 // phase.
 func (g *RNG) UnitPhasor() complex128 {

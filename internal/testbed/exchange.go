@@ -28,9 +28,8 @@ type ExchangeOutcome struct {
 // against IMD imdIdx: fresh trial, channel estimation plus drift,
 // cancellation measurement, command relay, IMD reaction, decode through
 // jamming, and the eavesdropper's intercept attempt. It is THE protected-
-// exchange sequence — the public Simulation and the shieldd session
-// server both call it, which is what makes their per-seed results
-// provably identical rather than two hand-kept copies.
+// exchange sequence: World.Exchange, which the public Simulation and the
+// shieldd session server both drive, calls it.
 func (sc *Scenario) RunProtectedExchange(eaves *adversary.Eavesdropper, imdIdx int, cmd *phy.Frame) (ExchangeOutcome, error) {
 	var out ExchangeOutcome
 	sc.NewTrial()
@@ -66,8 +65,8 @@ type AttackOutcome struct {
 
 // RunAttackTrial runs the canonical replay-attack trial: the adversary
 // transmits cmd, the shield (if on) detects and defends, and the primary
-// IMD reacts to whatever reached it. The public Simulation, the shieldd
-// server, and the attack experiments all share this sequence.
+// IMD reacts to whatever reached it. World.Attack — behind the public
+// Simulation, the shieldd server, and the attack experiments — calls it.
 func (sc *Scenario) RunAttackTrial(adv *adversary.Active, cmd *phy.Frame, shieldOn bool) AttackOutcome {
 	var out AttackOutcome
 	sc.NewTrial()

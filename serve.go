@@ -20,52 +20,11 @@ var ErrServerBusy = shieldd.ErrServerBusy
 // to downgrade to. Match with errors.Is.
 var ErrProtocolVersion = shieldd.ErrVersion
 
-// ServeOptions configures a shield session server.
-type ServeOptions struct {
-	// Secret is the provisioned master pairing secret shared with
-	// authorized programmers; per-session keys are derived from it.
-	// Required.
-	Secret []byte
-	// MaxSessions bounds concurrently active sessions (default 64);
-	// further handshakes queue until a slot frees.
-	MaxSessions int
-	// ExperimentWorkers caps the deterministic per-point fan-out of
-	// remotely requested experiments (default 1).
-	ExperimentWorkers int
-	// MaxExtraIMDs caps the batched multi-IMD size a session may request
-	// (default 8).
-	MaxExtraIMDs int
-	// InFlightPerSession bounds how many pipelined requests one session
-	// may have outstanding (default 16); beyond it, transport
-	// backpressure applies.
-	InFlightPerSession int
-	// IdleTimeout, when positive, reaps sessions with no traffic and no
-	// in-flight work for this long, returning their scenarios to the
-	// pool. Clients hold sessions open with Ping keepalives and may
-	// auto-reconnect with a fresh handshake after a reap. Zero disables.
-	IdleTimeout time.Duration
-	// AdmissionWait selects what happens to a handshake when every
-	// session slot is taken: zero queues until a slot frees (the
-	// default), negative sheds immediately with a BUSY response,
-	// positive waits up to that long before shedding.
-	AdmissionWait time.Duration
-	// HandshakeRate, when positive, rate-limits datagram handshakes per
-	// source address to this many per second (burst HandshakeBurst,
-	// default 4). Only cookie-verified addresses are metered.
-	HandshakeRate  float64
-	HandshakeBurst int
-	// MaxInFlightGlobal, when positive, bounds scenario/experiment work
-	// in flight across all sessions; over-budget requests are answered
-	// BUSY instead of queueing.
-	MaxInFlightGlobal int
-	// TicketLifetime bounds how long a resumption ticket stays
-	// redeemable (and how often the ticket-sealing key rotates).
-	// Zero means 5 minutes.
-	TicketLifetime time.Duration
-	// BusyRetryAfter is the retry-after hint carried in BUSY responses
-	// (default 250ms).
-	BusyRetryAfter time.Duration
-}
+// ServeOptions configures a shield session server: the master secret,
+// session and in-flight bounds, idle reaping, and admission control.
+// Each option is documented on shieldd.ServerConfig; zero values select
+// the defaults.
+type ServeOptions = shieldd.ServerConfig
 
 // Server is a running shield session service: it owns a pool of recycled
 // testbed scenarios and serves the securelink-sealed wire protocol over
@@ -77,20 +36,7 @@ type Server struct {
 
 // NewServer builds a session server.
 func NewServer(opt ServeOptions) (*Server, error) {
-	s, err := shieldd.NewServer(shieldd.ServerConfig{
-		Secret:             opt.Secret,
-		MaxSessions:        opt.MaxSessions,
-		ExperimentWorkers:  opt.ExperimentWorkers,
-		MaxExtraIMDs:       opt.MaxExtraIMDs,
-		InFlightPerSession: opt.InFlightPerSession,
-		IdleTimeout:        opt.IdleTimeout,
-		AdmissionWait:      opt.AdmissionWait,
-		HandshakeRate:      opt.HandshakeRate,
-		HandshakeBurst:     opt.HandshakeBurst,
-		MaxInFlightGlobal:  opt.MaxInFlightGlobal,
-		BusyRetryAfter:     opt.BusyRetryAfter,
-		TicketLifetime:     opt.TicketLifetime,
-	})
+	s, err := shieldd.NewServer(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -243,16 +189,21 @@ func (r *RemoteSimulation) ProtectedExchange(kind CommandKind) (ExchangeReport, 
 // ProtectedExchangeWith runs one shield-proxied exchange with the implant
 // at the given index (batched multi-IMD sessions).
 func (r *RemoteSimulation) ProtectedExchangeWith(imdIdx int, kind CommandKind) (ExchangeReport, error) {
-	var rep ExchangeReport
 	resp, err := r.c.Exchange(imdIdx, wireCmd(kind))
 	if err != nil {
-		return rep, err
+		return ExchangeReport{}, err
 	}
-	rep.Response = resp.Response
-	rep.ResponseCommand = resp.ResponseCommand
-	rep.EavesdropperBER = resp.EavesBER
-	rep.CancellationDB = resp.CancellationDB
-	return rep, nil
+	return exchangeReport(resp), nil
+}
+
+// exchangeReport converts a wire exchange result to its public form.
+func exchangeReport(resp *wire.ExchangeResp) ExchangeReport {
+	return ExchangeReport{
+		Response:        resp.Response,
+		ResponseCommand: resp.ResponseCommand,
+		EavesdropperBER: resp.EavesBER,
+		CancellationDB:  resp.CancellationDB,
+	}
 }
 
 // PendingExchange is an in-flight pipelined exchange started with
@@ -265,20 +216,15 @@ type PendingExchange struct {
 
 // Wait blocks until the exchange completes and returns its report.
 func (p *PendingExchange) Wait() (ExchangeReport, error) {
-	var rep ExchangeReport
 	m, err := p.call.Wait()
 	if err != nil {
-		return rep, err
+		return ExchangeReport{}, err
 	}
 	resp, ok := m.(*wire.ExchangeResp)
 	if !ok {
-		return rep, fmt.Errorf("heartshield: unexpected response %T", m)
+		return ExchangeReport{}, fmt.Errorf("heartshield: unexpected response %T", m)
 	}
-	rep.Response = resp.Response
-	rep.ResponseCommand = resp.ResponseCommand
-	rep.EavesdropperBER = resp.EavesBER
-	rep.CancellationDB = resp.CancellationDB
-	return rep, nil
+	return exchangeReport(resp), nil
 }
 
 // StartProtectedExchange submits a shield-proxied exchange with the
@@ -317,13 +263,8 @@ func (r *RemoteSimulation) ProtectedExchangeBatch(items []BatchItem) ([]Exchange
 		return nil, err
 	}
 	reports := make([]ExchangeReport, len(results))
-	for i, res := range results {
-		reports[i] = ExchangeReport{
-			Response:        res.Response,
-			ResponseCommand: res.ResponseCommand,
-			EavesdropperBER: res.EavesBER,
-			CancellationDB:  res.CancellationDB,
-		}
+	for i := range results {
+		reports[i] = exchangeReport(&results[i])
 	}
 	return reports, nil
 }
@@ -362,24 +303,12 @@ func (r *RemoteSimulation) SessionMetrics() (SessionMetrics, error) {
 }
 
 // TransportStats reports the client-side transport counters of a
-// session: datagram retries (always zero on stream transports) and
-// streamed experiment progress frames received.
-type TransportStats struct {
-	// Retransmits is the number of request datagrams re-sent after a
-	// retry timeout.
-	Retransmits uint64
-	// Timeouts is the number of requests that failed after exhausting
-	// every retransmission.
-	Timeouts uint64
-	// ProgressFrames is the number of streamed EXPERIMENT-PROGRESS
-	// frames received.
-	ProgressFrames uint64
-}
+// session: datagram retransmits and timeouts (always zero on stream
+// transports) and streamed experiment progress frames received.
+type TransportStats = shieldd.TransportStats
 
 // TransportStats returns the session's client-side retry counters.
-func (r *RemoteSimulation) TransportStats() TransportStats {
-	return TransportStats(r.c.TransportStats())
-}
+func (r *RemoteSimulation) TransportStats() TransportStats { return r.c.TransportStats() }
 
 // Attack runs one unauthorized-command trial, equivalent to
 // Simulation.Attack at the same seed.
@@ -401,13 +330,7 @@ func (r *RemoteSimulation) Attack(kind CommandKind, shieldOn bool) (AttackReport
 // RunExperiment runs a registry experiment server-side and returns its
 // rendered table/figure.
 func (r *RemoteSimulation) RunExperiment(name string, cfg ExperimentConfig) (string, error) {
-	return r.c.Experiment(wire.ExperimentReq{
-		Name:    name,
-		Seed:    cfg.Seed,
-		Trials:  int32(cfg.Trials),
-		Quick:   cfg.Quick,
-		Workers: uint8(min(cfg.Workers, 255)),
-	})
+	return r.RunExperimentStream(name, cfg, nil)
 }
 
 // ExperimentProgress is one streamed progress report from a server-side

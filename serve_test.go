@@ -2,6 +2,7 @@ package heartshield_test
 
 import (
 	"net"
+	"reflect"
 	"testing"
 
 	"heartshield"
@@ -48,12 +49,52 @@ func TestServeDialRoundTrip(t *testing.T) {
 	}
 }
 
-// The in-process pipe transport and a remotely executed experiment.
+// The in-process pipe transport: for every scenario variant and command,
+// a session's exchanges and attacks equal NewSimulation's field for
+// field, and a remotely executed experiment renders as the local one.
 func TestServerPipeExperiment(t *testing.T) {
 	srv, err := heartshield.NewServer(heartshield.ServeOptions{Secret: []byte("s"), ExperimentWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	variants := []heartshield.SimOptions{
+		{Seed: 9},
+		{Seed: 9, Location: 7},
+		{Seed: 9, HighPowerAdversary: true},
+		{Seed: 9, FlatJam: true},
+		{Seed: 9, DigitalCancel: true},
+		{Seed: 9, Concerto: true},
+	}
+	for _, opt := range variants {
+		for _, kind := range []heartshield.CommandKind{heartshield.Interrogate, heartshield.SetTherapy} {
+			local := heartshield.NewSimulation(opt)
+			remote, err := srv.Pipe(heartshield.DialOptions{SimOptions: opt})
+			if err != nil {
+				t.Fatalf("%+v: %v", opt, err)
+			}
+			for i := 0; i < 3; i++ {
+				want, wantErr := local.ProtectedExchange(kind)
+				got, gotErr := remote.ProtectedExchange(kind)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Errorf("%+v kind %d exchange %d: remote error %v, local %v", opt, kind, i, gotErr, wantErr)
+				} else if wantErr == nil && !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v kind %d exchange %d: remote %+v != local %+v", opt, kind, i, got, want)
+				}
+			}
+			for _, shieldOn := range []bool{false, true} {
+				want := local.Attack(kind, shieldOn)
+				got, err := remote.Attack(kind, shieldOn)
+				if err != nil {
+					t.Fatalf("%+v kind %d attack: %v", opt, kind, err)
+				}
+				if got != want {
+					t.Errorf("%+v kind %d attack (shield %v): remote %+v != local %+v", opt, kind, shieldOn, got, want)
+				}
+			}
+			remote.Close()
+		}
+	}
+
 	remote, err := srv.Pipe(heartshield.DialOptions{SimOptions: heartshield.SimOptions{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
