@@ -13,7 +13,9 @@
 //
 // -listen-udp additionally serves the datagram transport (the same
 // protocol, with client retransmission and server-side request dedup)
-// on a UDP socket, alongside TCP. The admission flags bound overload:
+// on a UDP socket, alongside TCP. Each session pipelines up to 16
+// requests: the window is part of the protocol, the same constant at
+// both ends, so no flag sets it. The admission flags bound overload:
 // -admission-wait caps how long a handshake may queue for a session slot
 // (negative sheds immediately), -handshake-rate/-handshake-burst meter
 // datagram handshakes per peer, and -max-inflight-global sheds requests
@@ -48,7 +50,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 64, "concurrently active session bound")
 		expWorkers  = flag.Int("exp-workers", runtime.NumCPU(), "worker cap for remotely requested experiments")
 		maxExtra    = flag.Int("max-extra-imds", 8, "largest multi-IMD batch a session may request")
-		inFlight    = flag.Int("inflight", 16, "pipelined in-flight request window per session")
 		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "reap sessions idle this long (0 disables)")
 		metricsEach = flag.Duration("metrics", 0, "dump server metrics at this interval (0 disables)")
 
@@ -79,21 +80,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("shieldd listening on %s (max %d sessions, window %d, %d experiment workers, idle timeout %v)\n",
-		l.Addr(), *maxSessions, *inFlight, *expWorkers, *idleTimeout)
+	fmt.Printf("shieldd listening on %s (max %d sessions, %d experiment workers, idle timeout %v)\n",
+		l.Addr(), *maxSessions, *expWorkers, *idleTimeout)
 
 	srv, err := heartshield.NewServer(heartshield.ServeOptions{
-		Secret:             key,
-		MaxSessions:        *maxSessions,
-		ExperimentWorkers:  *expWorkers,
-		MaxExtraIMDs:       *maxExtra,
-		InFlightPerSession: *inFlight,
-		IdleTimeout:        *idleTimeout,
-		AdmissionWait:      *admissionWait,
-		HandshakeRate:      *handshakeRate,
-		HandshakeBurst:     *handshakeBurst,
-		MaxInFlightGlobal:  *maxInFlight,
-		BusyRetryAfter:     *busyRetryAfter,
+		Secret:            key,
+		MaxSessions:       *maxSessions,
+		ExperimentWorkers: *expWorkers,
+		MaxExtraIMDs:      *maxExtra,
+		IdleTimeout:       *idleTimeout,
+		AdmissionWait:     *admissionWait,
+		HandshakeRate:     *handshakeRate,
+		HandshakeBurst:    *handshakeBurst,
+		MaxInFlightGlobal: *maxInFlight,
+		BusyRetryAfter:    *busyRetryAfter,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

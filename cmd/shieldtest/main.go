@@ -64,7 +64,6 @@ func main() {
 		maxRetries   = flag.Int("max-retries", 8, "datagram retransmissions per request")
 
 		maxSessions = flag.Int("max-sessions", 0, "per-daemon session bound (0 = auto: workers + 8)")
-		inFlight    = flag.Int("inflight", 16, "per-session pipelining window on the daemons")
 		expWorkers  = flag.Int("exp-workers", runtime.NumCPU(), "per-daemon experiment worker cap")
 
 		minConcurrent = flag.Int64("min-concurrent", 0, "gate: fail unless this many sessions were open at once")
@@ -81,7 +80,7 @@ func main() {
 	}
 
 	if *daemonMode {
-		os.Exit(runDaemonChild(trs, []byte(*secret), *maxSessions, *inFlight, *expWorkers))
+		os.Exit(runDaemonChild(trs, []byte(*secret), *maxSessions, *expWorkers))
 	}
 
 	mix, err := loadgen.ParseMix(*mixFlag)
@@ -96,13 +95,12 @@ func main() {
 	var fleet []loadgen.Daemon
 	if *inproc {
 		fleet, err = loadgen.StartInprocFleet(*daemons, trs, heartshield.ServeOptions{
-			Secret:             []byte(*secret),
-			MaxSessions:        *maxSessions,
-			InFlightPerSession: *inFlight,
-			ExperimentWorkers:  *expWorkers,
+			Secret:            []byte(*secret),
+			MaxSessions:       *maxSessions,
+			ExperimentWorkers: *expWorkers,
 		})
 	} else {
-		fleet, err = startProcFleet(*daemons, trs, *secret, *maxSessions, *inFlight, *expWorkers)
+		fleet, err = startProcFleet(*daemons, trs, *secret, *maxSessions, *expWorkers)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -175,15 +173,14 @@ func main() {
 // runDaemonChild is the hidden -daemon mode: serve on ephemeral localhost
 // ports, announce them on stdout, answer METRICS requests on stdin, exit
 // on stdin EOF (the parent closing our pipe is the shutdown signal).
-func runDaemonChild(transports []string, secret []byte, maxSessions, inFlight, expWorkers int) int {
+func runDaemonChild(transports []string, secret []byte, maxSessions, expWorkers int) int {
 	if maxSessions == 0 {
 		maxSessions = 64
 	}
 	srv, err := heartshield.NewServer(heartshield.ServeOptions{
-		Secret:             secret,
-		MaxSessions:        maxSessions,
-		InFlightPerSession: inFlight,
-		ExperimentWorkers:  expWorkers,
+		Secret:            secret,
+		MaxSessions:       maxSessions,
+		ExperimentWorkers: expWorkers,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "daemon error:", err)
@@ -247,14 +244,14 @@ type procDaemon struct {
 
 // startProcFleet spawns n daemon children by re-exec'ing this binary
 // with -daemon (os.Executable survives `go run` and test binaries).
-func startProcFleet(n int, transports []string, secret string, maxSessions, inFlight, expWorkers int) ([]loadgen.Daemon, error) {
+func startProcFleet(n int, transports []string, secret string, maxSessions, expWorkers int) ([]loadgen.Daemon, error) {
 	self, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	fleet := make([]loadgen.Daemon, 0, n)
 	for i := 0; i < n; i++ {
-		d, err := startProcDaemon(self, i, transports, secret, maxSessions, inFlight, expWorkers)
+		d, err := startProcDaemon(self, i, transports, secret, maxSessions, expWorkers)
 		if err != nil {
 			loadgen.CloseFleet(fleet)
 			return nil, err
@@ -264,13 +261,12 @@ func startProcFleet(n int, transports []string, secret string, maxSessions, inFl
 	return fleet, nil
 }
 
-func startProcDaemon(self string, id int, transports []string, secret string, maxSessions, inFlight, expWorkers int) (*procDaemon, error) {
+func startProcDaemon(self string, id int, transports []string, secret string, maxSessions, expWorkers int) (*procDaemon, error) {
 	cmd := exec.Command(self,
 		"-daemon",
 		"-transports", strings.Join(transports, ","),
 		"-secret", secret,
 		"-max-sessions", fmt.Sprint(maxSessions),
-		"-inflight", fmt.Sprint(inFlight),
 		"-exp-workers", fmt.Sprint(expWorkers),
 	)
 	cmd.Stderr = os.Stderr

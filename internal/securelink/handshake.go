@@ -115,6 +115,22 @@ func (hs *Handshake) ResumptionSecret() []byte {
 	return hkdfExpand32(hkdfExtract(hs.ck[:], hs.h[:]), "resumption")
 }
 
+// KeySchedule runs the wire protocol's v4 key schedule, which both ends
+// must run identically: the HELLO transcript bytes and the encoded
+// CHALLENGE2 into the transcript hash under HandshakeLabelV4, then the
+// master psk and the handshake's second secret — the X25519 shared
+// secret of a full handshake, or the resumption secret a resumed one
+// redeems — into the chaining key. It returns the session secret (for
+// Pair) and the resumption secret the next handshake may resume with.
+func KeySchedule(psk, hello, challenge, secret []byte) (session, resumption []byte) {
+	hs := NewHandshake(HandshakeLabelV4)
+	hs.MixHash(hello)
+	hs.MixHash(challenge)
+	hs.MixKey(psk)
+	hs.MixKey(secret)
+	return hs.SessionSecret(), hs.ResumptionSecret()
+}
+
 // Ephemeral is one handshake's X25519 ephemeral key pair.
 type Ephemeral struct {
 	priv *ecdh.PrivateKey

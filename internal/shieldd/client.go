@@ -94,14 +94,6 @@ type SessionOptions struct {
 	// before the call fails with a timeout error, and the steps of the
 	// handshake's wait schedule on both transports (0 = 8).
 	MaxRetries int
-
-	// Window bounds the client-side send window: how many requests may
-	// be awaiting responses before Go blocks (0 = defaultSendWindow,
-	// which matches the server's per-session in-flight window). Raising
-	// it past the server's window buys nothing — the excess queues
-	// server-side or, on datagram sessions, risks stalling the reorder
-	// buffer; see DESIGN.md "Selective repeat & streaming experiments".
-	Window int
 }
 
 // hello builds the session's HELLO. Location and ExtraIMDs travel as
@@ -200,27 +192,20 @@ func newClientAKE(hello *wire.Hello, resume *resumeState) (*clientAKE, error) {
 // the server resumed from the offered ticket. Any tampering with the
 // handshake messages desynchronizes the transcript here, so the sealed
 // HELLO-ACK that follows fails to open.
-func (a *clientAKE) complete(secret []byte, ch *wire.Challenge2) (link *securelink.Link, rms []byte, resumed bool, err error) {
-	sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
-	sched.MixHash(a.transcript)
-	sched.MixHash(ch.Encode())
-	sched.MixKey(secret)
+func (a *clientAKE) complete(psk []byte, ch *wire.Challenge2) (link *securelink.Link, rms []byte, resumed bool, err error) {
+	secret := a.rms
 	if ch.Resumed {
 		if a.rms == nil {
 			return nil, nil, false, fmt.Errorf("shieldd: server resumed a session this client did not offer")
 		}
-		sched.MixKey(a.rms)
-	} else {
-		dh, derr := a.eph.Shared(ch.KeyShare)
-		if derr != nil {
-			return nil, nil, false, fmt.Errorf("shieldd: server key share: %w", derr)
-		}
-		sched.MixKey(dh)
+	} else if secret, err = a.eph.Shared(ch.KeyShare); err != nil {
+		return nil, nil, false, fmt.Errorf("shieldd: server key share: %w", err)
 	}
-	if _, link, err = securelink.Pair(sched.SessionSecret()); err != nil {
+	session, rms := securelink.KeySchedule(psk, a.transcript, ch.Encode(), secret)
+	if _, link, err = securelink.Pair(session); err != nil {
 		return nil, nil, false, err
 	}
-	return link, sched.ResumptionSecret(), ch.Resumed, nil
+	return link, rms, ch.Resumed, nil
 }
 
 // Call is one in-flight request on a pipelined session. Wait on Done (or
@@ -242,6 +227,17 @@ type Call struct {
 	// time, run exactly once at finish.
 	release     func()
 	releaseOnce sync.Once
+
+	// The call's request ID and, on a datagram session, its retransmit
+	// state: the plaintext envelope id||flags||cum||msg, the tries so
+	// far, when the next retransmit is due, and the ordered responses
+	// with higher IDs seen while it was pending. Guarded by the client's
+	// mu and written before the request's frame goes out.
+	id    uint64
+	env   []byte
+	tries int
+	due   time.Time
+	skips int
 }
 
 func (call *Call) finish(resp wire.Message, err error) {
@@ -273,15 +269,16 @@ type Client struct {
 	redial func() (transportConn, error)
 	retry  *retrier // nil unless on a datagram transport
 
-	// backoff is the deterministic jitter source for BUSY retry delays,
-	// keyed off the session seed so overload behaviour replays exactly.
+	// backoff is the deterministic jitter source for BUSY retry delays
+	// (busyDelay), keyed off the session seed so overload behaviour
+	// replays exactly.
 	backoffMu sync.Mutex
 	backoff   *stats.RNG
 
-	// window is the send-window semaphore: Go blocks acquiring a slot
-	// before allocating a request ID, and the slot is released when the
-	// call finishes. BYE bypasses it (Close must not deadlock behind a
-	// full window).
+	// window is the send-window semaphore, requestWindow slots: Go
+	// blocks acquiring a slot before allocating a request ID, and the
+	// slot is released when the call finishes. BYE bypasses it (Close
+	// must not deadlock behind a full window).
 	window chan struct{}
 
 	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received.
@@ -302,25 +299,20 @@ type Client struct {
 	resumed bool   // the latest handshake resumed from a ticket
 	resumes uint64 // total resumed handshakes over the client's life
 	nextID  uint64
+	// pending holds every call awaiting its response, and with it, on a
+	// datagram session, the retry schedule: deleting a call from pending
+	// takes it off the schedule.
 	pending map[uint64]*Call
 	// ackCum is the highest request ID through which every response has
 	// been delivered; ackAbove holds delivered response IDs above a gap.
-	// Sent in every request envelope so the server can prune its dedup
-	// ledger.
+	// Sent in every request envelope so the server can prune its
+	// ledger's response cache.
 	ackCum   uint64
 	ackAbove map[uint64]struct{}
 	err      error // sticky transport error
 	closed   bool
 	closing  bool // Close in progress: the BYE must get the highest ID
 	reconns  uint64
-}
-
-// sendWindow sizes the client's send-window semaphore.
-func (o SessionOptions) sendWindow() int {
-	if o.Window > 0 {
-		return o.Window
-	}
-	return defaultSendWindow
 }
 
 // Dial opens a TCP session with a shieldd server.
@@ -412,12 +404,12 @@ func newClient(tc transportConn, secret []byte, opt SessionOptions, redial func(
 		nextID:    1,
 		pending:   make(map[uint64]*Call),
 		ackAbove:  make(map[uint64]struct{}),
-		window:    make(chan struct{}, opt.sendWindow()),
+		window:    make(chan struct{}, requestWindow),
 		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
 	if tc.unreliable() {
-		c.retry = newRetrier(c)
-		go c.retry.run()
+		c.retry = &retrier{rto: opt.retryTimeout(), maxTries: opt.maxRetries(), wake: make(chan struct{}, 1)}
+		go c.retransmitLoop()
 	}
 	go c.readLoop(tc, hs.link)
 	return c, nil
@@ -516,15 +508,7 @@ func handshake(tc transportConn, secret []byte, opt SessionOptions, resume *resu
 					if busies++; busies > tries {
 						return zero, fmt.Errorf("%w: handshake refused %d times", ErrServerBusy, busies)
 					}
-					d := time.Duration(m.RetryAfterMillis) * time.Millisecond
-					if d <= 0 {
-						d = rto
-					}
-					if d <<= uint(busies - 1); d > maxRetryBackoff || d <= 0 {
-						d = maxRetryBackoff
-					}
-					d += time.Duration(backoff.Int63() % int64(d/2+1))
-					time.Sleep(d)
+					time.Sleep(busyDelay(time.Duration(m.RetryAfterMillis)*time.Millisecond, rto, busies-1, backoff))
 					if err := tc.writeHandshake(hello.Encode()); err != nil {
 						return zero, err
 					}
@@ -617,8 +601,10 @@ func (c *Client) Resumes() uint64 {
 // EnvPartial frames (streamed EXPERIMENT-PROGRESS) go to the call's
 // OnProgress callback without completing the call, refreshing its
 // retransmit schedule — the partial proves the server is alive and
-// working — and final ordered responses feed the retrier's
-// fast-retransmit detector.
+// working — and final ordered responses feed the fast-retransmit rule.
+// A frame read after reconnect has replaced tc is dropped, and the loop
+// ends: request IDs restart at 1 on the new session, so a stale response
+// could otherwise complete a new call.
 func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 	for {
 		raw, hs, err := tc.readFrame()
@@ -645,16 +631,22 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 			c.fail(tc, err)
 			return
 		}
+		c.mu.Lock()
+		if c.tc != tc {
+			c.mu.Unlock()
+			return
+		}
+		call := c.pending[id]
 		if flags&wire.EnvPartial != 0 {
 			// Streamed progress: the request is still executing. Do not
-			// complete the call or advance the delivery cursor.
-			c.progressFrames.Add(1)
-			if c.retry != nil {
-				c.retry.touch(id)
+			// complete the call or advance the delivery cursor; the
+			// server holds the request, so its full retry timer and try
+			// budget start over.
+			if call != nil && c.retry != nil {
+				call.tries, call.due = 0, time.Now().Add(c.retry.rto)
 			}
-			c.mu.Lock()
-			call := c.pending[id]
 			c.mu.Unlock()
+			c.progressFrames.Add(1)
 			if call != nil && call.OnProgress != nil {
 				if p, ok := msg.(*wire.ExperimentProgress); ok {
 					call.OnProgress(p)
@@ -662,21 +654,14 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 			}
 			continue
 		}
-		c.mu.Lock()
-		call := c.pending[id]
 		delete(c.pending, id)
 		c.recordDelivered(id)
-		c.mu.Unlock()
-		if c.retry != nil {
-			c.retry.ack(id)
-			if call != nil && orderedKind(call.Req.Kind()) {
-				// A final ordered response: ordered responses arrive in
-				// ID order, so any ordered request still pending below
-				// this ID has lost a datagram — count the skip toward
-				// fast retransmit.
-				c.retry.observe(id)
-			}
+		var resend [][]byte
+		if c.retry != nil && call != nil && orderedKind(call.Req.Kind()) {
+			resend = c.fastRetransmits(id)
 		}
+		c.mu.Unlock()
+		c.resend(tc, link, resend)
 		if call == nil {
 			continue // response to an abandoned or unknown id
 		}
@@ -728,51 +713,119 @@ func (c *Client) fail(tc transportConn, err error) {
 	}
 	for id, call := range c.pending {
 		delete(c.pending, id)
-		if c.retry != nil {
-			c.retry.ack(id)
-		}
 		call.finish(nil, fmt.Errorf("shieldd: session lost: %w", err))
 	}
 }
 
-// resendEnvelope re-seals and re-sends a tracked request's plaintext
-// envelope — the retrier's transmit path. Each retransmission claims a
-// fresh securelink sequence number: a byte-identical resend would be
-// replay-dropped by the server before the request ID could be examined.
-// Send errors are ignored; the retry schedule (and eventual expiry)
-// owns failure.
-func (c *Client) resendEnvelope(env []byte) {
-	c.mu.Lock()
-	if c.closed || c.err != nil {
+// retransmitLoop is a datagram session's retry schedule: it sleeps until
+// the earliest due pending call (or a poke), re-sends every call that is
+// due on an exponential backoff, and fails every call out of tries. It
+// exits once the client is closed.
+//
+// With AutoReconnect, an exhausted call also poisons the session: the
+// full retry schedule spans many seconds of silence, which on a datagram
+// transport is the only observable signature of a server that reaped the
+// session (there is no FIN), so the next request re-handshakes instead
+// of feeding more retransmits to a dead peer table.
+func (c *Client) retransmitLoop() {
+	r := c.retry
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
+		var earliest time.Time
+		for _, call := range c.pending {
+			if earliest.IsZero() || call.due.Before(earliest) {
+				earliest = call.due
+			}
+		}
 		c.mu.Unlock()
-		return
+
+		if earliest.IsZero() {
+			// Nothing in flight: sleep until poked.
+			<-r.wake
+			continue
+		}
+		if d := time.Until(earliest); d > 0 {
+			timer := time.NewTimer(d)
+			select {
+			case <-r.wake:
+				timer.Stop()
+				continue
+			case <-timer.C:
+			}
+		}
+
+		now := time.Now()
+		var resend [][]byte
+		var expired []*Call
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
+		for id, call := range c.pending {
+			if call.due.After(now) {
+				continue
+			}
+			if call.tries++; call.tries > r.maxTries {
+				delete(c.pending, id)
+				expired = append(expired, call)
+				continue
+			}
+			call.due = now.Add(r.backoff(call.tries))
+			resend = append(resend, call.env)
+		}
+		tc, link := c.tc, c.link
+		c.mu.Unlock()
+
+		c.resend(tc, link, resend)
+		for _, call := range expired {
+			r.timeouts.Add(1)
+			err := fmt.Errorf("shieldd: request %d timed out after %d retransmits", call.id, r.maxTries)
+			call.finish(nil, err)
+			if c.opt.AutoReconnect {
+				c.fail(tc, err)
+			}
+		}
 	}
-	tc, link := c.tc, c.link
-	c.mu.Unlock()
-	c.writeMu.Lock()
-	_ = tc.writeFrame(link.Seal(env))
-	c.writeMu.Unlock()
 }
 
-// expireCall fails a request whose retransmissions are exhausted. With
-// AutoReconnect, exhaustion also poisons the session: the full retry
-// schedule spans many seconds of silence, which on a datagram transport
-// is the only observable signature of a server that reaped the session
-// (there is no FIN), so the next request re-handshakes instead of
-// feeding more retransmits to a dead peer table.
-func (c *Client) expireCall(id uint64) {
-	c.mu.Lock()
-	call := c.pending[id]
-	delete(c.pending, id)
-	tc := c.tc
-	c.mu.Unlock()
-	if call == nil {
-		return
+// fastRetransmits applies the selective-repeat rule to a final ordered
+// response and returns the envelopes it makes due. Ordered responses
+// leave the server in ID order, so every ordered request still pending
+// below respID has had its response sent, and that datagram is in flight
+// or lost. After fastRetransmitSkips such signals the request is re-sent
+// at once, at round-trip rather than retry-timer latency. Callers hold
+// c.mu.
+func (c *Client) fastRetransmits(respID uint64) (resend [][]byte) {
+	now := time.Now()
+	for id, call := range c.pending {
+		if id >= respID || !orderedKind(call.Req.Kind()) {
+			continue
+		}
+		if call.skips++; call.skips >= fastRetransmitSkips {
+			call.skips = 0
+			call.due = now.Add(c.retry.backoff(call.tries))
+			resend = append(resend, call.env)
+		}
 	}
-	err := fmt.Errorf("shieldd: request %d timed out after %d retransmits", id, c.retry.maxTries)
-	call.finish(nil, err)
-	if c.opt.AutoReconnect {
-		c.fail(tc, err)
+	return resend
+}
+
+// resend re-seals and writes request envelopes on tc. Each
+// retransmission takes a fresh securelink sequence number: a
+// byte-identical resend would be replay-dropped by the server before
+// its request ID could be matched against the ledger. Send errors are
+// ignored; the retry schedule, and eventual expiry, owns failure.
+func (c *Client) resend(tc transportConn, link *securelink.Link, envs [][]byte) {
+	for _, env := range envs {
+		c.retry.retransmits.Add(1)
+		c.writeMu.Lock()
+		_ = tc.writeFrame(link.Seal(env))
+		c.writeMu.Unlock()
 	}
 }
 
@@ -849,9 +902,9 @@ func (c *Client) reconnect() error {
 	if hs.resumed {
 		c.resumes++
 	}
-	// The new session is a fresh request-ID space: the server's
-	// resequencer cursor and dedup ledger start empty, so ID allocation
-	// and the delivery cursor restart with them.
+	// The new session is a fresh request-ID space: the server's ledger
+	// starts empty with its cursor at 1, so ID allocation and the
+	// delivery cursor restart with it.
 	c.nextID = 1
 	c.ackCum = 0
 	c.ackAbove = make(map[uint64]struct{})
@@ -867,7 +920,7 @@ func (c *Client) reconnect() error {
 // Requests pipeline: many calls may be outstanding and the server may
 // complete non-scenario requests (PING, STATUS-METRICS, EXPERIMENT) out
 // of order; scenario requests complete in submission order. Go blocks
-// while the client-side send window (SessionOptions.Window) is full.
+// while the session's request window (16 requests) is full.
 func (c *Client) Go(req wire.Message) *Call {
 	call := &Call{Req: req, Done: make(chan *Call, 1)}
 	c.submit(call)
@@ -881,10 +934,10 @@ func (c *Client) submit(call *Call) *Call {
 	req := call.Req
 
 	// Claim a send-window slot before allocating an ID, so request IDs
-	// hit the wire densely and in order — the server's reorder buffer is
-	// sized to the same window, and a sparser ID stream would
-	// let the client overrun it. BYE bypasses the window: Close must be
-	// able to end a session whose window is full of stuck calls.
+	// hit the wire densely and in order — the server's in-flight slots
+	// are the same window, and a sparser ID stream would let the client
+	// overrun it. BYE bypasses the window: Close must be able to end a
+	// session whose window is full of stuck calls.
 	if _, isBye := req.(*wire.Bye); !isBye {
 		c.window <- struct{}{}
 		call.release = func() { <-c.window }
@@ -935,27 +988,32 @@ func (c *Client) submit(call *Call) *Call {
 		tc, link := c.tc, c.link
 		id := c.nextID
 		c.nextID++
+		// The cumulative-delivery cursor rides in every request so the
+		// server can prune its ledger. Retransmits reuse the envelope
+		// verbatim — a stale cursor only delays pruning.
+		env := wire.EncodeEnvelopeV3(id, 0, c.ackCum, req)
+		call.id = id
+		if c.retry != nil {
+			// Datagram transport: the call joins the retry schedule
+			// before its frame goes out, so a response that overtakes the
+			// write still takes it off.
+			call.env, call.due = env, time.Now().Add(c.retry.rto)
+		}
 		c.pending[id] = call
-		cum := c.ackCum
 		c.mu.Unlock()
 
-		// The cumulative-delivery cursor rides in every request so the
-		// server can prune its dedup ledger. Retransmits reuse the
-		// envelope verbatim — a stale cursor only delays pruning.
-		env := wire.EncodeEnvelopeV3(id, 0, cum, req)
 		// Seal+write as one unit so frames hit the transport in seq order.
 		c.writeMu.Lock()
 		err := tc.writeFrame(link.Seal(env))
 		c.writeMu.Unlock()
 		if c.retry != nil {
-			// Datagram transport: keep the plaintext envelope for
-			// retransmission until the response acks it. A send error on
-			// an unreliable transport is just a dropped datagram (real
-			// UDP sockets return transient ENOBUFS-style errors under
-			// bursts) — the retry schedule re-sends it, and if the socket
-			// is truly dead the retries exhaust into a timeout. Only a
-			// closed socket poisons the session, via the readLoop.
-			c.retry.track(id, env, orderedKind(req.Kind()))
+			// A send error on an unreliable transport is just a dropped
+			// datagram (real UDP sockets return transient ENOBUFS-style
+			// errors under bursts) — the retry schedule re-sends it, and
+			// if the socket is truly dead the retries exhaust into a
+			// timeout. Only a closed socket poisons the session, via the
+			// readLoop.
+			c.retry.poke()
 			return call
 		}
 		if err == nil {
@@ -1008,26 +1066,35 @@ func request[T wire.Message](c *Client, req wire.Message, onProgress func(*wire.
 	return resp, err
 }
 
-// busyBackoff returns the wait before retrying a BUSY-shed operation:
-// the server's retry-after hint (falling back to the retry timeout),
-// doubled per consecutive refusal and capped, plus up to 50% jitter
-// from the seed-keyed source — a herd of shed clients spreads out
-// instead of retrying in lockstep, yet each client's schedule replays
-// exactly per seed.
+// busyBackoff returns the wait before retrying an operation after its
+// attempt-th consecutive BUSY refusal (from 0).
 func (c *Client) busyBackoff(err error, attempt int) time.Duration {
-	base := c.opt.retryTimeout()
+	var hint time.Duration
 	var be *busyError
-	if errors.As(err, &be) && be.retryAfter > 0 {
-		base = be.retryAfter
-	}
-	d := base << uint(attempt)
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
+	if errors.As(err, &be) {
+		hint = be.retryAfter
 	}
 	c.backoffMu.Lock()
-	j := time.Duration(c.backoff.Int63() % int64(d/2+1))
-	c.backoffMu.Unlock()
-	return d + j
+	defer c.backoffMu.Unlock()
+	return busyDelay(hint, c.opt.retryTimeout(), attempt, c.backoff)
+}
+
+// busyDelay is the wait after the n-th consecutive BUSY refusal (from
+// 0), for handshakes and requests alike: the server's retry-after hint
+// (the retry timeout rto when it gave none), doubled per refusal and
+// capped at maxRetryBackoff, plus up to 50% jitter drawn from the
+// caller's seed-keyed rng. A herd of shed clients spreads out instead of
+// retrying in lockstep, yet each client's schedule replays exactly per
+// seed.
+func busyDelay(hint, rto time.Duration, n int, rng *stats.RNG) time.Duration {
+	d := hint
+	if d <= 0 {
+		d = rto
+	}
+	if d <<= uint(n); d > maxRetryBackoff || d <= 0 {
+		d = maxRetryBackoff
+	}
+	return d + time.Duration(rng.Int63()%int64(d/2+1))
 }
 
 // Exchange runs one protected exchange against IMD index imdIdx with the
@@ -1142,13 +1209,13 @@ func (c *Client) Close() error {
 			_, _ = c.roundTrip(&wire.Bye{}, nil)
 		}
 	}
-	if c.retry != nil {
-		c.retry.stop()
-	}
 	c.mu.Lock()
 	c.closed = true
 	tc := c.tc
 	c.mu.Unlock()
+	if c.retry != nil {
+		c.retry.poke() // the retransmit loop exits once the client is closed
+	}
 	return tc.close()
 }
 

@@ -154,7 +154,7 @@ func TestPipelinedPerfectLinkNoSpuriousRetransmits(t *testing.T) {
 // still match the loss-free run — the burst that sat in retransmit
 // limbo executes exactly once, in order.
 func TestPipelinedWindowBlocks(t *testing.T) {
-	const window = 4
+	const window = 16
 	nw := faultnet.New(13, faultnet.Impairment{})
 	defer nw.Close()
 	srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
@@ -168,7 +168,6 @@ func TestPipelinedWindowBlocks(t *testing.T) {
 
 	c := dialPacket(t, nw, "window-client", "server", shieldd.SessionOptions{
 		Seed:         5,
-		Window:       window,
 		RetryTimeout: 10 * time.Millisecond,
 		MaxRetries:   200,
 	})

@@ -207,6 +207,30 @@ func TestIdleReaperReturnsScenarioToPool(t *testing.T) {
 	}
 }
 
+// TestTinyIdleTimeoutReaps: any positive IdleTimeout reaps. The reaper
+// ticks at a quarter of the timeout, floored at a millisecond; without
+// the floor a timeout under 4ns made a zero tick interval, and
+// time.NewTicker panicked inside the reaper goroutine, taking the whole
+// server process down.
+func TestTinyIdleTimeoutReaps(t *testing.T) {
+	srv := newServer(t, shieldd.ServerConfig{IdleTimeout: time.Nanosecond})
+	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The PING commits the session; the reaper may close it before the
+	// PONG is written, so only the reap is checked.
+	_ = c.Ping()
+	deadline := time.Now().Add(5 * time.Second)
+	for m := srv.Metrics(); m.ReapedSessions == 0 || m.ActiveSessions != 0; m = srv.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("session with a 1ns idle timeout never reaped: %+v", m)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A dialed client with AutoReconnect re-handshakes transparently after
 // the idle reaper closes its connection; the fresh session restarts the
 // deterministic stream at the session seed.

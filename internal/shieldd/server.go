@@ -107,10 +107,6 @@ type ServerConfig struct {
 	// MaxExtraIMDs caps the batched multi-IMD size a client may request.
 	// Default 8.
 	MaxExtraIMDs int
-	// InFlightPerSession bounds how many pipelined requests one session
-	// may have outstanding; further frames are not read until a
-	// slot frees (transport backpressure). Default 16.
-	InFlightPerSession int
 	// IdleTimeout, when positive, reaps sessions with no traffic and no
 	// in-flight work for this long: the connection is closed and the
 	// scenario returns to the pool. Clients can hold a session open with
@@ -190,9 +186,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.MaxExtraIMDs <= 0 {
 		cfg.MaxExtraIMDs = 8
-	}
-	if cfg.InFlightPerSession <= 0 {
-		cfg.InFlightPerSession = 16
 	}
 	if cfg.BusyRetryAfter <= 0 {
 		cfg.BusyRetryAfter = defaultBusyRetryAfter
@@ -335,7 +328,7 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, addr string) (hs srvHandsh
 	if len(hello.Ticket) > 0 {
 		rms, _ = s.tickets.Redeem(hello.Ticket)
 	}
-	var dh []byte
+	secret := rms
 	if rms != nil {
 		challenge.Resumed = true
 	} else {
@@ -347,26 +340,18 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, addr string) (hs srvHandsh
 			return srvHandshake{}, ""
 		}
 		challenge.KeyShare = eph.Public()
-		if dh, err = eph.Shared(hello.KeyShare); err != nil {
+		if secret, err = eph.Shared(hello.KeyShare); err != nil {
 			return srvHandshake{}, "invalid X25519 key share"
 		}
 	}
 	enc := challenge.Encode()
-	sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
-	sched.MixHash(hello.TranscriptBytes())
-	sched.MixHash(enc)
-	sched.MixKey(s.cfg.Secret)
-	if rms != nil {
-		sched.MixKey(rms)
-	} else {
-		sched.MixKey(dh)
-	}
-	link, _, err := securelink.Pair(sched.SessionSecret())
+	session, resumption := securelink.KeySchedule(s.cfg.Secret, hello.TranscriptBytes(), enc, secret)
+	link, _, err := securelink.Pair(session)
 	if err != nil {
 		return srvHandshake{}, ""
 	}
 	// A mint failure only costs the client its next resumption.
-	ticket, _ := s.tickets.Mint(sched.ResumptionSecret(), addr)
+	ticket, _ := s.tickets.Mint(resumption, addr)
 	return srvHandshake{challenge: enc, link: link, ticket: ticket}, ""
 }
 
@@ -455,23 +440,13 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 	// nothing — the handshake redeems. Any mismatch (moved address,
 	// expired, already used) falls through to the normal cookie ladder;
 	// the client still resumes its keys, one round trip later.
-	if len(hello.Cookie) == 0 && len(hello.Ticket) > 0 && s.tickets.Peek(hello.Ticket, addr.String()) {
-		if s.hsLimiter != nil && !s.hsLimiter.allow(addr.String()) {
-			s.met.RateLimited.Add(1)
-			return false, nil
+	proven := len(hello.Cookie) == 0 && len(hello.Ticket) > 0 && s.tickets.Peek(hello.Ticket, addr.String())
+	if !proven && len(hello.Cookie) > 0 {
+		if proven = s.cookies.Verify(addr.String(), hello.Nonce[:], hello.Cookie); !proven {
+			s.met.CookieRejects.Add(1)
 		}
-		if s.cfg.AdmissionWait != 0 && len(s.sem) == cap(s.sem) {
-			s.met.ShedHandshakes.Add(1)
-			return false, (&wire.Busy{RetryAfterMillis: s.retryAfterMillis()}).Encode()
-		}
-		return true, nil
 	}
-	if len(hello.Cookie) == 0 {
-		s.met.CookiesSent.Add(1)
-		return false, (&wire.Cookie{Cookie: s.cookies.Mint(addr.String(), hello.Nonce[:])}).Encode()
-	}
-	if !s.cookies.Verify(addr.String(), hello.Nonce[:], hello.Cookie) {
-		s.met.CookieRejects.Add(1)
+	if !proven {
 		s.met.CookiesSent.Add(1)
 		return false, (&wire.Cookie{Cookie: s.cookies.Mint(addr.String(), hello.Nonce[:])}).Encode()
 	}
@@ -669,7 +644,9 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 	}
 	done := make(chan struct{})
 	go func() {
-		tick := time.NewTicker(s.cfg.IdleTimeout / 4)
+		// A quarter of the timeout, floored so any positive timeout
+		// gives time.NewTicker a positive interval.
+		tick := time.NewTicker(max(s.cfg.IdleTimeout/4, time.Millisecond))
 		defer tick.Stop()
 		for {
 			select {
@@ -690,7 +667,7 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 
 // envelope pairs a request ID with the message that answers (or asks)
 // it, plus the frame roles: partial marks a streamed non-final response
-// (EnvPartial on the wire, never recorded in the dedup ledger), and last
+// (EnvPartial on the wire, never recorded in the ledger), and last
 // marks the final frame of the session (the BYE response) — after
 // flushing it the writer closes the transport to wake the reader into
 // teardown.
@@ -727,7 +704,7 @@ func encodeRespEnvelope(e envelope, cum uint64) []byte {
 //   - this goroutine (the reader) owns link.Open, classifies requests,
 //     and enforces the in-flight window;
 //   - a per-session executor goroutine runs scenario-mutating requests
-//     one at a time in request-ID order (the resequencer restores ID
+//     one at a time in request-ID order (the session ledger restores ID
 //     order under datagram loss and reordering, which is what makes
 //     pipelined submission deterministic);
 //   - a writer goroutine owns link.Seal and transport writes, so
@@ -738,24 +715,24 @@ func encodeRespEnvelope(e envelope, cum uint64) []byte {
 // has been handed to the writer, so once the reader can claim every slot
 // the session is quiescent and the channels can be torn down safely.
 //
-// Four mechanisms make execution exactly-once and in order over an
-// at-least-once network, on every transport:
+// The session ledger (ledger.go) makes execution exactly-once and in
+// order over an at-least-once network, on every transport:
 //
-//   - request IDs pass the dedup ledger before they take a window slot:
-//     a retransmitted (or reused) ID that is still executing is dropped,
-//     and one that already completed is answered again from the
-//     response cache without touching the scenario — re-execution would
-//     fork the deterministic per-seed result stream — so no duplicate
-//     can ever wedge the reader;
-//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) pass through the
-//     resequencer before the executor, so an op that arrives above a
-//     lost datagram waits in the reorder buffer instead of executing
+//   - request IDs pass the ledger before they take a window slot: a
+//     retransmitted (or reused) ID that is still executing is dropped,
+//     and one that already completed is answered again from its recorded
+//     response without touching the scenario — re-execution would fork
+//     the deterministic per-seed result stream — so no duplicate can
+//     ever wedge the reader;
+//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) reach the executor
+//     only as the ledger's cursor passes them, so an op that arrives
+//     above a lost datagram waits in its entry instead of executing
 //     early;
 //   - every response envelope carries the server's cumulative-progress
-//     report, and the client's report prunes the dedup ledger;
+//     report, and the client's report prunes the ledger's cache;
 //   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
-//     while they run; partials bypass the dedup ledger so the final
-//     answer still completes the request.
+//     while they run; partials are never recorded, so the final answer
+//     still completes the request.
 //
 // A securelink Open failure is a dropped datagram on an unreliable
 // transport (loss, duplication, and reordering are normal there) and a
@@ -767,24 +744,23 @@ func encodeRespEnvelope(e envelope, cum uint64) []byte {
 // transport to steer the reader into teardown.
 func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte) {
 	link := sess.link
-	window := s.cfg.InFlightPerSession
+	window := requestWindow
 	slots := make(chan struct{}, window) // filled = in flight
 	exec := make(chan envelope, window)  // scenario ops, execution order
 	out := make(chan envelope, window+1) // responses to the writer
 	writerDone := make(chan struct{})
-	dedup := newDedupState()
-	rs := newResequencer()
+	l := newLedger()
 	// dying closes when no further frame can ever be sent (the final BYE
 	// response was flushed, or the transport broke): the reader stops
-	// waiting for window slots — which may be held hostage by a reorder
-	// buffer whose gap can now never be filled — and falls through to
-	// its read error.
+	// waiting for window slots — which may be held hostage by requests
+	// waiting on a gap that can now never be filled — and falls through
+	// to its read error.
 	dying := make(chan struct{})
 	var dyingOnce sync.Once
 	die := func() { dyingOnce.Do(func() { close(dying) }) }
 	// stopExec tells the executor the session is tearing down: discard
-	// the reorder buffer (releasing its window slots) and drain exec
-	// without executing.
+	// the requests waiting on a gap (releasing their window slots) and
+	// drain exec without executing.
 	stopExec := make(chan struct{})
 	// leave returns one finished request's window slot.
 	leave := func() {
@@ -795,9 +771,9 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	// Writer: sole owner of link.Seal and transport writes. On a write
 	// error it closes the transport (waking the reader) and keeps
 	// draining so no producer ever blocks forever. It records every
-	// final response in the dedup ledger before sending, so a
-	// retransmitted request can be re-answered; partial frames are never
-	// recorded (a cached partial would block the final answer forever).
+	// final response in the ledger before sending, so a retransmitted
+	// request can be re-answered; partial frames are never recorded (a
+	// cached partial would block the final answer forever).
 	go func() {
 		defer close(writerDone)
 		broken := false
@@ -809,9 +785,9 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 				continue
 			}
 			if !e.partial {
-				dedup.complete(e.id, e.msg)
+				l.complete(e.id, e.msg)
 			}
-			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(e, rs.cum()))); err != nil {
+			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(e, l.cum()))); err != nil {
 				broken = true
 				tc.close()
 				die()
@@ -831,14 +807,14 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	}()
 
 	// Executor: scenario-mutating requests one at a time, in the order
-	// the resequencer put them on exec. Every envelope on exec except the
+	// the ledger released them onto exec. Every envelope on exec except the
 	// BYE holds one slot of the global work budget, released as soon as
 	// the scenario work is done.
 	go func() {
 		discard := false
 		stop := stopExec
 		dropBuffered := func() {
-			for range rs.discard() {
+			for range l.discard() {
 				leave()
 			}
 		}
@@ -922,9 +898,9 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		leave()
 	}
 
-	// sequence hands resequenced ordered requests to the executor. Global
-	// load shedding happens at release time — a request buffered behind a
-	// gap must not sit on server-wide work budget while it waits. A
+	// sequence hands released ordered requests to the executor. Global
+	// load shedding happens at release time — a request waiting on a gap
+	// must not sit on server-wide work budget while it waits. A
 	// well-behaved client gives BYE its highest ID; anything released
 	// after it came from a misbehaving peer and is dropped unanswered (its
 	// slot must not survive the executor's window drain).
@@ -946,18 +922,20 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		}
 	}
 
-	// answer responds to a request the reader serves itself and moves the
-	// resequencer cursor past its ID.
+	// answer responds to a request the reader serves itself. Its ID
+	// enters the ledger before the response reaches the writer, which
+	// records the response in the ID's entry.
 	answer := func(id uint64, m wire.Message) {
+		rel := l.skip(id)
 		respond(id, m)
-		sequence(rs.skip(id))
+		sequence(rel)
 	}
 
-	// claim admits a request ID through the dedup ledger; false means a
+	// claim admits a request ID through the ledger; false means a
 	// duplicate, dropped — or, if it already completed, re-answered from
-	// the cache — without taking a window slot.
+	// its recorded response — without taking a window slot.
 	claim := func(id uint64) bool {
-		fresh, cached := dedup.claim(id)
+		fresh, cached := l.admit(id)
 		if cached != nil {
 			sess.met.Retransmits.Add(1)
 			s.met.TotalRetransmits.Add(1)
@@ -968,12 +946,12 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 
 	// Idle reaper: "busy" means a request holds a window slot for live
 	// work — long experiments and deep pipelines are never reaped
-	// mid-work. Slots held by the reorder buffer do NOT count: a client
-	// that died with a gap outstanding leaves them held forever, and the
-	// session must still be reapable.
+	// mid-work. Slots held by requests waiting on a gap do NOT count: a
+	// client that died with a gap outstanding leaves them held forever,
+	// and the session must still be reapable.
 	var lastActivity atomic.Int64
 	lastActivity.Store(time.Now().UnixNano())
-	defer s.startReaper(tc, &lastActivity, func() bool { return len(slots) > rs.pending() })()
+	defer s.startReaper(tc, &lastActivity, func() bool { return len(slots) > l.waiting() })()
 
 	// handle classifies one authenticated plaintext.
 	handle := func(plain []byte) {
@@ -981,8 +959,8 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		if err != nil {
 			// Authentic but malformed: answer and keep the session. An
 			// envelope too short to carry an ID is answered as ID 0; a
-			// real ID must still be claimed and move the resequencer
-			// cursor, or every later ordered op would wait on it forever.
+			// real ID must still be claimed and move the ledger's cursor,
+			// or every later ordered op would wait on it forever.
 			if id != 0 && !claim(id) || !takeSlot() {
 				return
 			}
@@ -995,7 +973,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			}
 			return
 		}
-		dedup.prune(cum)
+		l.prune(cum)
 		// Once the session's BYE is sequenced nothing fresh may enter the
 		// window while the executor drains it.
 		if !claim(id) || byeSeen || !takeSlot() {
@@ -1004,13 +982,9 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		sess.met.EnterFlight()
 		switch m := req.(type) {
 		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
-			rel, ok := rs.submit(envelope{id: id, msg: req})
-			if !ok {
-				leave()
-				return
-			}
-			sequence(rel)
+			sequence(l.submit(id, req))
 		case *wire.ExperimentReq:
+			rel := l.skip(id)
 			if s.acquireWork() {
 				sess.met.Experiments.Add(1)
 				emit := func(p *wire.ExperimentProgress) {
@@ -1023,7 +997,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			} else {
 				respond(id, s.shedRequest(sess))
 			}
-			sequence(rs.skip(id))
+			sequence(rel)
 		case *wire.Ping:
 			sess.met.Pings.Add(1)
 			s.met.TotalPings.Add(1)
@@ -1035,7 +1009,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		}
 	}
 
-	// shutdown stops the executor (discarding the reorder buffer), waits
+	// shutdown stops the executor (discarding waiting requests), waits
 	// until every in-flight request has enqueued its response — the
 	// reader then owns the whole window — and flushes the writer.
 	shutdown := func() {

@@ -17,7 +17,7 @@ import (
 // slots stopped reading once the window filled, never answered another
 // request, and kept the idle reaper from ever collecting it.
 func TestStreamReusedRequestID(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{InFlightPerSession: 4, IdleTimeout: 200 * time.Millisecond})
+	srv := newServer(t, shieldd.ServerConfig{IdleTimeout: 200 * time.Millisecond})
 	cEnd, sEnd := net.Pipe()
 	go srv.ServeConn(sEnd)
 	defer cEnd.Close()
@@ -61,8 +61,9 @@ func TestStreamReusedRequestID(t *testing.T) {
 		t.Fatal("first exchange failed")
 	}
 	// A full window's worth of already-sequenced IDs.
-	for _, id := range []uint64{1, 0, 1, 0} {
-		send(id, exchange)
+	for i := 0; i < 8; i++ {
+		send(1, exchange)
+		send(0, exchange)
 	}
 	send(2, &wire.Ping{Token: 9})
 	if pong, ok := await(2).(*wire.Pong); !ok || pong.Token != 9 {

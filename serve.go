@@ -108,10 +108,6 @@ type DialOptions struct {
 	// before the call fails, and the handshake's wait schedule on both
 	// transports (0 = 8).
 	MaxRetries int
-	// Window bounds the client-side send window: how many pipelined
-	// requests may await responses before submission blocks (0 = 16,
-	// matching the server's default per-session in-flight window).
-	Window int
 }
 
 func (o DialOptions) session() shieldd.SessionOptions {
@@ -126,7 +122,6 @@ func (o DialOptions) session() shieldd.SessionOptions {
 		AutoReconnect:      o.AutoReconnect,
 		RetryTimeout:       o.RetryTimeout,
 		MaxRetries:         o.MaxRetries,
-		Window:             o.Window,
 	}
 }
 
@@ -232,7 +227,7 @@ func (p *PendingExchange) Wait() (ExchangeReport, error) {
 // can keep a full send window of exchanges in flight (on datagram
 // sessions, a lost request then delays only itself — the selective
 // repeat layer retransmits just the missing ID). It blocks only while
-// the client send window (DialOptions.Window) is full. Results are
+// the session's window of 16 in-flight requests is full. Results are
 // deterministic in submission order, identical to the same sequence of
 // blocking ProtectedExchangeWith calls. Unlike the blocking calls, a
 // BUSY shed under server overload surfaces as an error (matching
