@@ -5,8 +5,10 @@
 #   make fmt          - fail if any file is not gofmt-clean
 #   make staticcheck  - staticcheck ./... (skips with a notice if the
 #                       binary is not installed; CI installs it)
-#   make race         - race detector over the concurrent packages, plus
-#                       ten repeated runs of the request-table tests
+#   make race         - race detector over the concurrent packages (the
+#                       serving stack, including securelink's shared
+#                       cookie and ticket sources), plus ten repeated
+#                       runs of the request-table tests
 #   make fuzz         - FUZZTIME smoke of every fuzz target
 #   make ci           - exactly what each .github/workflows/ci.yml test
 #                       job runs: fmt + vet + staticcheck + build + test
@@ -170,7 +172,7 @@ staticcheck-install:
 # ledger by its reader, writer and executor.
 RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule
 race:
-	$(GO) test -race ./internal/shieldd/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
+	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
 	$(GO) test -race -run TestExperimentWorkerDeterminism -count=1 .
 	$(GO) test -race -run 'Plan|RandSource|Stream|Receive|Demod|Sync' ./internal/dsp ./internal/stats ./internal/modem

@@ -14,72 +14,67 @@ import (
 // keeping the HELLO retry small.
 const CookieLen = 16
 
-// CookieSource mints and verifies stateless handshake cookies: a keyed
-// MAC over the client's transport address and HELLO nonce under a
-// rotating server secret. The server keeps no per-client state — a valid
-// cookie proves only that the sender can receive datagrams at the source
-// address it claims, which is exactly the property a spoofed-source
-// flood lacks.
-//
-// Secrets rotate on a fixed interval (lazily, on use); a cookie minted
-// under the previous secret still verifies, so an honest client's
-// echo never races a rotation. Two intervals bound a cookie's life.
-type CookieSource struct {
-	mu       sync.Mutex
-	current  [32]byte
-	previous [32]byte
-	hasPrev  bool
+// keyPair is the lazily rotated (current, previous) key pair behind
+// CookieSource and TicketSource. Keys rotate on a fixed interval, on use,
+// and a credential minted under the previous key still verifies, so an
+// honest client's echo never races a rotation and two intervals bound a
+// credential's life. Both slots start keyed: a previous key nobody
+// minted under verifies nothing, so the slot needs no validity flag. Its
+// owner's mutex guards it.
+type keyPair[K any] struct {
+	cur, prev K
+	// epoch counts rotations, naming the current key; the previous key
+	// is epoch-1.
+	epoch    uint8
 	interval time.Duration
 	nextRot  time.Time
+	newKey   func() (K, error)
 	now      func() time.Time // test hook; time.Now outside tests
 }
 
-// NewCookieSource creates a source whose secret rotates every interval
-// (0 or negative disables time-based rotation; Rotate still works).
-func NewCookieSource(interval time.Duration) (*CookieSource, error) {
-	s := &CookieSource{interval: interval, now: time.Now}
-	if _, err := rand.Read(s.current[:]); err != nil {
-		return nil, err
+// newKeyPair keys both slots from newKey; interval 0 or negative
+// disables time-based rotation (rotate still works).
+func newKeyPair[K any](interval time.Duration, newKey func() (K, error)) (keyPair[K], error) {
+	p := keyPair[K]{interval: interval, newKey: newKey, now: time.Now}
+	var err error
+	if p.prev, err = newKey(); err != nil {
+		return p, err
+	}
+	if p.cur, err = newKey(); err != nil {
+		return p, err
 	}
 	if interval > 0 {
-		s.nextRot = s.now().Add(interval)
+		p.nextRot = p.now().Add(interval)
 	}
-	return s, nil
+	return p, nil
 }
 
-// Rotate retires the current secret to the previous slot and installs a
-// fresh one. Cookies minted under the retired secret keep verifying
-// until the next rotation.
-func (s *CookieSource) Rotate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rotateLocked()
-}
-
-func (s *CookieSource) rotateLocked() error {
-	s.previous = s.current
-	s.hasPrev = true
-	if _, err := rand.Read(s.current[:]); err != nil {
+// rotate retires the current key to the previous slot and installs a
+// fresh one. A key failure (exhausted entropy source) changes nothing.
+func (p *keyPair[K]) rotate() error {
+	k, err := p.newKey()
+	if err != nil {
 		return err
 	}
-	if s.interval > 0 {
-		s.nextRot = s.now().Add(s.interval)
+	p.prev, p.cur = p.cur, k
+	p.epoch++
+	if p.interval > 0 {
+		p.nextRot = p.now().Add(p.interval)
 	}
 	return nil
 }
 
-// maybeRotateLocked applies every time-based rotation that has come due
-// since the last use, not just one: after a quiet period spanning two or
-// more intervals, a single rotation would park the pre-gap secret in the
-// previous slot and an arbitrarily old cookie would still verify,
-// breaking the "two intervals bound a cookie's life" contract. Two
-// rotations retire every pre-gap secret, so the count is capped there.
-// A rotation failure (exhausted entropy source) keeps the old secret —
-// stale cookies are a smaller hazard than an unkeyed one.
-func (s *CookieSource) maybeRotateLocked() {
-	due := rotationsDue(s.now(), s.nextRot, s.interval)
+// rotateDue applies every time-based rotation that has come due since
+// the last use, not just one: after a quiet period spanning two or more
+// intervals, a single rotation would park the pre-gap key in the
+// previous slot and an arbitrarily old credential would still verify,
+// breaking the "two intervals bound a credential's life" contract. A
+// rotation failure keeps the old key — stale credentials are a smaller
+// hazard than an unkeyed source.
+func (p *keyPair[K]) rotateDue() {
+	due := rotationsDue(p.now(), p.nextRot, p.interval)
 	for i := 0; i < due; i++ {
-		if s.rotateLocked() != nil {
+		if p.rotate() != nil {
 			return
 		}
 	}
@@ -102,11 +97,45 @@ func rotationsDue(now, nextRot time.Time, interval time.Duration) int {
 	return due
 }
 
+// CookieSource mints and verifies stateless handshake cookies: a keyed
+// MAC over the client's transport address and HELLO nonce under a
+// rotating server secret. The server keeps no per-client state — a valid
+// cookie proves only that the sender can receive datagrams at the source
+// address it claims, which is exactly the property a spoofed-source
+// flood lacks. A cookie verifies under the current or previous secret
+// (keyPair), so two rotation intervals bound its life.
+type CookieSource struct {
+	mu   sync.Mutex
+	keys keyPair[[32]byte]
+}
+
+// NewCookieSource creates a source whose secret rotates every interval
+// (0 or negative disables time-based rotation; Rotate still works).
+func NewCookieSource(interval time.Duration) (*CookieSource, error) {
+	keys, err := newKeyPair(interval, func() (k [32]byte, err error) {
+		_, err = rand.Read(k[:])
+		return k, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &CookieSource{keys: keys}, nil
+}
+
+// Rotate retires the current secret to the previous slot and installs a
+// fresh one. Cookies minted under the retired secret keep verifying
+// until the next rotation.
+func (s *CookieSource) Rotate() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keys.rotate()
+}
+
 // cookieMAC computes the truncated cookie MAC for (addr, nonce) under
 // key. The address is length-prefixed so (addr, nonce) pairs cannot
 // collide across a boundary shift.
-func cookieMAC(key []byte, addr string, nonce []byte) []byte {
-	mac := hmac.New(sha256.New, key)
+func cookieMAC(key [32]byte, addr string, nonce []byte) []byte {
+	mac := hmac.New(sha256.New, key[:])
 	mac.Write([]byte("securelink cookie v1"))
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(addr)))
@@ -120,8 +149,8 @@ func cookieMAC(key []byte, addr string, nonce []byte) []byte {
 func (s *CookieSource) Mint(addr string, nonce []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maybeRotateLocked()
-	return cookieMAC(s.current[:], addr, nonce)
+	s.keys.rotateDue()
+	return cookieMAC(s.keys.cur, addr, nonce)
 }
 
 // Verify reports whether cookie is valid for (addr, nonce) under the
@@ -132,9 +161,7 @@ func (s *CookieSource) Verify(addr string, nonce, cookie []byte) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maybeRotateLocked()
-	if hmac.Equal(cookie, cookieMAC(s.current[:], addr, nonce)) {
-		return true
-	}
-	return s.hasPrev && hmac.Equal(cookie, cookieMAC(s.previous[:], addr, nonce))
+	s.keys.rotateDue()
+	return hmac.Equal(cookie, cookieMAC(s.keys.cur, addr, nonce)) ||
+		hmac.Equal(cookie, cookieMAC(s.keys.prev, addr, nonce))
 }

@@ -77,8 +77,8 @@ func TestCookieTimedRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := time.Unix(1_700_000_000, 0)
-	s.now = func() time.Time { return clock }
-	s.nextRot = clock.Add(time.Hour)
+	s.keys.now = func() time.Time { return clock }
+	s.keys.nextRot = clock.Add(time.Hour)
 
 	nonce := []byte("timed-nonce-0123")
 	c := s.Mint("addr", nonce)
@@ -99,7 +99,7 @@ func TestCookieTimedRotation(t *testing.T) {
 }
 
 // Regression: a quiet period spanning several rotation intervals must
-// retire a pre-gap cookie. The old maybeRotateLocked performed at most
+// retire a pre-gap cookie. An earlier lazy rotation performed at most
 // one rotation per use regardless of elapsed time, so the ancient
 // secret landed in the previous slot and the cookie still verified.
 func TestCookieQuietPeriodRetiresOldSecrets(t *testing.T) {
@@ -108,8 +108,8 @@ func TestCookieQuietPeriodRetiresOldSecrets(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := time.Unix(1_700_000_000, 0)
-	s.now = func() time.Time { return clock }
-	s.nextRot = clock.Add(time.Hour)
+	s.keys.now = func() time.Time { return clock }
+	s.keys.nextRot = clock.Add(time.Hour)
 
 	nonce := []byte("quiet-nonce-0123")
 	c := s.Mint("addr", nonce)

@@ -189,73 +189,27 @@ var ErrTicket = errors.New("securelink: invalid resumption ticket")
 // because the resumption secret inside never travels in plaintext.
 type TicketSource struct {
 	mu        sync.Mutex
-	current   cipher.AEAD
-	previous  cipher.AEAD
-	curEpoch  uint8
-	hasPrev   bool
-	interval  time.Duration
+	keys      keyPair[cipher.AEAD]
 	lifetime  time.Duration
-	nextRot   time.Time
 	used      map[string]struct{}
 	usedOrder []string
-	now       func() time.Time // test hook; time.Now outside tests
 }
 
 // NewTicketSource creates a source whose sealing key rotates every
 // interval (0 or negative disables time-based rotation) and whose
 // tickets expire after lifetime.
 func NewTicketSource(interval, lifetime time.Duration) (*TicketSource, error) {
-	t := &TicketSource{
-		interval: interval,
-		lifetime: lifetime,
-		used:     make(map[string]struct{}),
-		now:      time.Now,
-	}
-	aead, err := newTicketAEAD()
-	if err != nil {
-		return nil, err
-	}
-	t.current = aead
-	if interval > 0 {
-		t.nextRot = t.now().Add(interval)
-	}
-	return t, nil
-}
-
-func newTicketAEAD() (cipher.AEAD, error) {
-	var key [32]byte
-	if _, err := rand.Read(key[:]); err != nil {
-		return nil, err
-	}
-	return newAEAD(key[:])
-}
-
-func (t *TicketSource) rotateLocked() error {
-	aead, err := newTicketAEAD()
-	if err != nil {
-		return err
-	}
-	t.previous = t.current
-	t.hasPrev = true
-	t.current = aead
-	t.curEpoch++
-	if t.interval > 0 {
-		t.nextRot = t.now().Add(t.interval)
-	}
-	return nil
-}
-
-// maybeRotateLocked applies every due time-based rotation, exactly like
-// CookieSource: after a quiet period spanning two or more intervals,
-// both key slots must be fresher than the gap, or a ticket minted
-// before it would outlive its two-interval bound.
-func (t *TicketSource) maybeRotateLocked() {
-	due := rotationsDue(t.now(), t.nextRot, t.interval)
-	for i := 0; i < due; i++ {
-		if t.rotateLocked() != nil {
-			return // keep the old key; stale beats unkeyed
+	keys, err := newKeyPair(interval, func() (cipher.AEAD, error) {
+		var key [32]byte
+		if _, err := rand.Read(key[:]); err != nil {
+			return nil, err
 		}
+		return newAEAD(key[:])
+	})
+	if err != nil {
+		return nil, err
 	}
+	return &TicketSource{keys: keys, lifetime: lifetime, used: make(map[string]struct{})}, nil
 }
 
 // Mint seals a resumption secret into a ticket bound to the issuing
@@ -266,17 +220,17 @@ func (t *TicketSource) Mint(rms []byte, addr string) ([]byte, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.maybeRotateLocked()
+	t.keys.rotateDue()
 	ticket := make([]byte, 1+ticketNonceLen, 1+ticketNonceLen+ticketRMSLen+8+len(addr)+16)
-	ticket[0] = t.curEpoch
+	ticket[0] = t.keys.epoch
 	if _, err := rand.Read(ticket[1 : 1+ticketNonceLen]); err != nil {
 		return nil, err
 	}
 	pt := make([]byte, 0, ticketRMSLen+8+len(addr))
 	pt = append(pt, rms...)
-	pt = binary.BigEndian.AppendUint64(pt, uint64(t.now().Add(t.lifetime).UnixNano()))
+	pt = binary.BigEndian.AppendUint64(pt, uint64(t.keys.now().Add(t.lifetime).UnixNano()))
 	pt = append(pt, addr...)
-	return t.current.Seal(ticket, ticket[1:1+ticketNonceLen], pt, ticket[:1]), nil
+	return t.keys.cur.Seal(ticket, ticket[1:1+ticketNonceLen], pt, ticket[:1]), nil
 }
 
 // openLocked decrypts a ticket under whichever epoch key its epoch byte
@@ -288,13 +242,10 @@ func (t *TicketSource) openLocked(ticket []byte) (rms []byte, addr string, ok bo
 	}
 	var aead cipher.AEAD
 	switch ticket[0] {
-	case t.curEpoch:
-		aead = t.current
-	case t.curEpoch - 1:
-		if !t.hasPrev {
-			return nil, "", false
-		}
-		aead = t.previous
+	case t.keys.epoch:
+		aead = t.keys.cur
+	case t.keys.epoch - 1:
+		aead = t.keys.prev
 	default:
 		return nil, "", false
 	}
@@ -306,7 +257,7 @@ func (t *TicketSource) openLocked(ticket []byte) (rms []byte, addr string, ok bo
 		return nil, "", false
 	}
 	expiry := int64(binary.BigEndian.Uint64(pt[ticketRMSLen:]))
-	if t.now().UnixNano() >= expiry {
+	if t.keys.now().UnixNano() >= expiry {
 		return nil, "", false
 	}
 	return pt[:ticketRMSLen], string(pt[ticketRMSLen+8:]), true
@@ -320,7 +271,7 @@ func (t *TicketSource) openLocked(ticket []byte) (rms []byte, addr string, ok bo
 func (t *TicketSource) Peek(ticket []byte, addr string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.maybeRotateLocked()
+	t.keys.rotateDue()
 	if _, used := t.used[string(ticket)]; used {
 		return false
 	}
@@ -337,7 +288,7 @@ func (t *TicketSource) Peek(ticket []byte, addr string) bool {
 func (t *TicketSource) Redeem(ticket []byte) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.maybeRotateLocked()
+	t.keys.rotateDue()
 	if _, used := t.used[string(ticket)]; used {
 		return nil, false
 	}

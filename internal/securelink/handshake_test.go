@@ -118,9 +118,9 @@ func newTestTicketSource(t *testing.T, interval, lifetime time.Duration) (*Ticke
 		t.Fatal(err)
 	}
 	clock := time.Unix(1_700_000_000, 0)
-	ts.now = func() time.Time { return clock }
+	ts.keys.now = func() time.Time { return clock }
 	if interval > 0 {
-		ts.nextRot = clock.Add(interval)
+		ts.keys.nextRot = clock.Add(interval)
 	}
 	return ts, &clock
 }

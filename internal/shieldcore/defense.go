@@ -345,20 +345,6 @@ func (s *Shield) CancellationDB(n int) float64 {
 	return pwDBm - pcDBm
 }
 
-// JamProfile exposes the generator's spectral template for the Fig. 5
-// experiment (natural FFT order).
-func (s *Shield) JamProfile() []float64 { return s.jamGen.Profile() }
-
 // GenerateJamSamples returns fresh unit-power jam samples (for spectral
 // analysis experiments).
 func (s *Shield) GenerateJamSamples(n int) []complex128 { return s.jamGen.Generate(n) }
-
-// ExpectedSINRGapDB reports the estimated jam-antenna coupling loss
-// implied by the current channel estimate — useful for diagnostics; the
-// honest cancellation measurement is CancellationDB.
-func (s *Shield) ExpectedSINRGapDB() float64 {
-	if !s.est.Valid {
-		return 0
-	}
-	return -dsp.DB(magSq(s.est.HJamToRx))
-}

@@ -241,9 +241,6 @@ func (s *Shield) Retune(ch int) {
 	s.Channel = ch
 }
 
-// Estimate returns the current channel estimate.
-func (s *Shield) Estimate() ChannelEstimate { return s.est }
-
 // Alarms returns the alarm log.
 func (s *Shield) Alarms() []Alarm { return s.alarms }
 
@@ -440,15 +437,6 @@ func (s *Shield) DecodeWhileJamming(jp *JamPlacement) (modem.RxFrame, bool) {
 	}
 	obs = s.RX.ProcessInPlace(obs)
 	return s.Modem.ReceiveFrame(obs, imd.SyncThreshold)
-}
-
-// ResidualJamDBm reports the jam power measured at the receive antenna for
-// a placement, used by the cancellation micro-benchmark (Fig. 7): callers
-// compare it with and without the antidote present.
-func (s *Shield) ResidualJamDBm(jp *JamPlacement) float64 {
-	n := int(jp.End - jp.Start)
-	s.obsScratch = s.Medium.ObserveInto(s.obsScratch, s.RxAntenna, jp.Channel, jp.Start, n)
-	return radio.RSSIdBm(s.obsScratch)
 }
 
 // String identifies the shield for logs.

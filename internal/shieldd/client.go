@@ -517,7 +517,7 @@ func handshake(tc transportConn, secret []byte, opt SessionOptions, resume *resu
 					if link, rms, resumed, err = ake.complete(secret, m); err != nil {
 						return zero, err
 					}
-					armLink(link, tc)
+					armLink(link)
 				default:
 					// Undecodable or out of place: noise on a lossy
 					// transport, a broken handshake on a reliable one.

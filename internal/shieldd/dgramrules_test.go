@@ -23,6 +23,9 @@ import (
 type rawPeer struct {
 	t  *testing.T
 	dc *dgram.Conn
+	// skipped collects the handshake messages request read past while
+	// it waited for its response.
+	skipped []wire.Message
 }
 
 func newRawPeer(t *testing.T, nw *faultnet.Network, addr string) *rawPeer {
@@ -136,6 +139,9 @@ func (p *rawPeer) request(link *securelink.Link, id uint64, msg wire.Message, wa
 			return nil
 		}
 		if kind != dgram.KindSealed {
+			if m, err := wire.Decode(payload); err == nil {
+				p.skipped = append(p.skipped, m)
+			}
 			continue
 		}
 		plain, err := link.Open(payload)
@@ -366,4 +372,114 @@ func TestDatagramTakeover(t *testing.T) {
 			t.Errorf("sessions total=%d active=%d, want 1/1", m.TotalSessions, m.ActiveSessions)
 		}
 	})
+}
+
+// TestForeignHelloNeedsProof: a foreign-nonce HELLO that reaches a
+// registered peer — a pending handshake (CHALLENGE2 received, no sealed
+// frame sent yet) or an established session — ends it only on the proof
+// the admission gate demands: a verified cookie, or a resumption ticket
+// issued to this address. An unproven HELLO (no cookie, a forged one)
+// leaves the handshake or session alive and is answered with a cookie.
+func TestForeignHelloNeedsProof(t *testing.T) {
+	type proof int
+	const (
+		noCookie proof = iota
+		forgedCookie
+		verifiedCookie
+		addressTicket
+	)
+	rows := []struct {
+		name        string
+		established bool
+		proof       proof
+	}{
+		{"pending no cookie", false, noCookie},
+		{"pending forged cookie", false, forgedCookie},
+		{"pending verified cookie", false, verifiedCookie},
+		{"pending address-bound ticket", false, addressTicket},
+		{"established no cookie", true, noCookie},
+		{"established forged cookie", true, forgedCookie},
+		{"established verified cookie", true, verifiedCookie},
+		{"established address-bound ticket", true, addressTicket},
+	}
+	for i, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			nw := faultnet.New(int64(70+i), faultnet.Impairment{})
+			t.Cleanup(func() { nw.Close() })
+			srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+			p := newRawPeer(t, nw, "owner")
+
+			newcomer := newRawAKE(t, 2, nil, nil)
+			if row.proof == verifiedCookie {
+				// Earned at the gate, before the address is registered.
+				p.cookieRound(newcomer.hello)
+			}
+			owner := newRawAKE(t, 1, nil, nil)
+			p.cookieRound(owner.hello)
+			ch, ack := p.challenge(owner.hello)
+			link, ticket, rms, _ := owner.finish(t, ch, ack)
+			nextID := uint64(1)
+			if row.established {
+				if !p.ping(link, nextID, 5*time.Second) {
+					t.Fatal("first PING of the established session unanswered")
+				}
+				nextID++
+			}
+			switch row.proof {
+			case forgedCookie:
+				newcomer.hello.Cookie = bytes.Repeat([]byte{0xAA}, securelink.CookieLen)
+			case addressTicket:
+				newcomer = newRawAKE(t, 2, ticket, rms)
+			}
+			before := srv.Metrics()
+
+			if row.proof == verifiedCookie || row.proof == addressTicket {
+				// The first send ends the owner's handshake or session; a
+				// retransmit then reaches the gate.
+				ch, ack := p.retransmitUntilChallenge(newcomer.hello)
+				nlink, _, _, resumed := newcomer.finish(t, ch, ack)
+				if resumed != (row.proof == addressTicket) {
+					t.Errorf("newcomer resumed = %v", resumed)
+				}
+				if !p.ping(nlink, 1, 5*time.Second) {
+					t.Fatal("newcomer's session did not complete")
+				}
+				m := srv.Metrics()
+				if m.TotalSessions != before.TotalSessions+1 || m.ActiveSessions != 1 {
+					t.Errorf("sessions total=%d active=%d, want %d/1 (the owner's must have ended)",
+						m.TotalSessions, m.ActiveSessions, before.TotalSessions+1)
+				}
+				if m.CookiesSent != before.CookiesSent {
+					t.Errorf("a proven HELLO cost %d cookie rounds, want 0", m.CookiesSent-before.CookiesSent)
+				}
+				return
+			}
+
+			p.skipped = nil
+			p.send(dgram.KindHandshake, newcomer.hello.Encode())
+			// The server judges frames from one address in order: once
+			// this PING is answered, the HELLO has been judged, and any
+			// reply to it has arrived ahead of the PONG.
+			if !p.ping(link, nextID, 5*time.Second) {
+				t.Error("an unproven HELLO ended the owner's handshake or session")
+			}
+			if len(p.skipped) != 1 {
+				t.Errorf("unproven HELLO answered with %d handshake messages, want one COOKIE", len(p.skipped))
+			} else if _, ok := p.skipped[0].(*wire.Cookie); !ok {
+				t.Errorf("unproven HELLO answered with %T, want a COOKIE", p.skipped[0])
+			}
+			wantRejects := before.CookieRejects
+			if row.proof == forgedCookie {
+				wantRejects++
+			}
+			m := srv.Metrics()
+			if m.CookiesSent != before.CookiesSent+1 || m.CookieRejects != wantRejects {
+				t.Errorf("cookies sent=%d rejects=%d, want %d/%d",
+					m.CookiesSent, m.CookieRejects, before.CookiesSent+1, wantRejects)
+			}
+			if m.TotalSessions != 1 || m.ActiveSessions != 1 {
+				t.Errorf("sessions total=%d active=%d, want 1/1", m.TotalSessions, m.ActiveSessions)
+			}
+		})
+	}
 }

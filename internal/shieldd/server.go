@@ -60,12 +60,11 @@ const (
 	// sessionRekeyEvery ratchets each direction's AEAD key every this many
 	// messages, so a long-lived session link never exhausts one key.
 	sessionRekeyEvery = 512
-	// sessionWindow tolerates this much sequence reordering on stream
-	// sessions; TCP delivers in order, so it is never hit there, but
-	// running with it on keeps the code path live end-to-end. Datagram
-	// sessions use the larger dgramWindow (transport.go), where
-	// reordering is real.
-	sessionWindow = 8
+	// sessionWindow is the securelink receive window of every session:
+	// large enough to absorb the reordering datagram retransmits cause,
+	// far below the 63-position cap. Streams deliver in order, so it is
+	// never hit there.
+	sessionWindow = 32
 	// maxHelloFrame bounds a plaintext handshake frame on a stream (a
 	// HELLO is ~50 bytes plus a 32-byte key share and an optional
 	// ~100-byte resumption ticket); an unauthenticated peer cannot make
@@ -367,7 +366,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 // per remote address, each beginning with a plaintext HELLO datagram
 // that passed handshakeGate. It returns the socket's read error.
 func (s *Server) ServePacket(pc net.PacketConn) error {
-	l := dgram.ListenGated(pc, s.handshakeGate)
+	l := dgram.Listen(pc, s.handshakeGate)
 	s.dl.Store(l)
 	defer l.Close()
 	for {
@@ -407,48 +406,30 @@ func decodeHello(payload []byte) *wire.Hello {
 //
 //  1. the datagram must decode as a HELLO (anything else is dropped
 //     silently — no reflection surface for garbage);
-//  2. a HELLO without a cookie is answered with a freshly minted one
-//     (keyed MAC over the source address and the client's nonce) and
-//     NOT admitted — this is the stateless round trip that proves the
-//     peer can receive at its claimed source address;
-//  3. a HELLO with an invalid cookie (spoofed, corrupted, or two
-//     rotations stale) is answered with a fresh cookie so a legitimate
-//     client with a stale cookie recovers in one round trip;
-//  4. a cookie-verified HELLO passes the per-peer rate limiter (only
-//     verified addresses allocate limiter entries) — over-rate peers
-//     are dropped silently, they already have a valid cookie to retry
-//     with;
-//  5. finally, under a shedding admission policy, a HELLO that would
+//  2. the HELLO must prove its address (proveAddress); an unproven one
+//     is answered with a freshly minted cookie and NOT admitted — the
+//     stateless round trip that proves the peer can receive at its
+//     claimed source address;
+//  3. a proven HELLO passes the per-peer rate limiter (only proven
+//     addresses allocate limiter entries) — over-rate peers are dropped
+//     silently, they already hold the proof to retry with;
+//  4. finally, under a shedding admission policy, a HELLO that would
 //     only queue behind a full session table is refused with a
 //     plaintext BUSY carrying the retry-after hint.
 //
 // The gate does not look at the version byte: a verified HELLO of any
 // other version is refused by serveTransport, so the refusal, like every
 // other reply beyond a cookie, only ever goes to a verified address.
-// Every reply is at most a few dozen bytes to a cookie-carrying (and
-// for BUSY, cookie-verified) source, so the gate amplifies nothing and
+// Every reply is at most a few dozen bytes to a HELLO-shaped datagram
+// (and for BUSY, a proven source), so the gate amplifies nothing and
 // commits no state: the cost of a spoofed flood is one HMAC per packet.
 func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, reply []byte) {
 	hello := decodeHello(payload)
 	if hello == nil {
 		return false, nil
 	}
-	// A resumption ticket issued to exactly this source address stands
-	// in for the cookie round: it proves a prior completed handshake from
-	// the address, which is strictly stronger reachability proof than a
-	// cookie echo, so resumption stays one round trip. Peek consumes
-	// nothing — the handshake redeems. Any mismatch (moved address,
-	// expired, already used) falls through to the normal cookie ladder;
-	// the client still resumes its keys, one round trip later.
-	proven := len(hello.Cookie) == 0 && len(hello.Ticket) > 0 && s.tickets.Peek(hello.Ticket, addr.String())
-	if !proven && len(hello.Cookie) > 0 {
-		if proven = s.cookies.Verify(addr.String(), hello.Nonce[:], hello.Cookie); !proven {
-			s.met.CookieRejects.Add(1)
-		}
-	}
-	if !proven {
-		s.met.CookiesSent.Add(1)
-		return false, (&wire.Cookie{Cookie: s.cookies.Mint(addr.String(), hello.Nonce[:])}).Encode()
+	if proven, cookie := s.proveAddress(addr.String(), hello); !proven {
+		return false, cookie
 	}
 	if s.hsLimiter != nil && !s.hsLimiter.allow(addr.String()) {
 		s.met.RateLimited.Add(1)
@@ -461,6 +442,50 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 	return true, nil
 }
 
+// proveAddress is the one proof of address a datagram HELLO must give
+// before it may commit state at its source address, or end the handshake
+// or session registered there (handshakeGate, strayHello). A HELLO that
+// echoes a cookie is proven when the cookie verifies for (addr, nonce);
+// a cookie-less one by a resumption ticket issued to exactly addr —
+// proof of a prior completed handshake from the address, so resumption
+// stays one round trip (Peek consumes nothing; the handshake redeems).
+// Anything else is counted and gets the encoded COOKIE to answer with:
+// a legitimate client recovers in one round trip, an off-path spoofer
+// never sees it.
+func (s *Server) proveAddress(addr string, h *wire.Hello) (proven bool, cookie []byte) {
+	switch {
+	case len(h.Cookie) > 0:
+		if s.cookies.Verify(addr, h.Nonce[:], h.Cookie) {
+			return true, nil
+		}
+		s.met.CookieRejects.Add(1)
+	case len(h.Ticket) > 0 && s.tickets.Peek(h.Ticket, addr):
+		return true, nil
+	}
+	s.met.CookiesSent.Add(1)
+	return false, (&wire.Cookie{Cookie: s.cookies.Mint(addr, h.Nonce[:])}).Encode()
+}
+
+// strayHello applies the one rule for a handshake frame that reaches
+// the registered peer of addr — a pending handshake or an established
+// session — whose client instance sent nonce. A HELLO with that nonce is
+// the instance's own retransmit. A foreign nonce is a new client
+// instance on the address (the old one died with its handshake in
+// flight, or its BYE lost): it ends the handshake or session only when
+// proveAddress accepts it, and an unproven one is answered with a
+// cookie. The newcomer's next retransmit then reaches handshakeGate.
+func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, payload []byte) (retransmit, newcomer bool) {
+	h := decodeHello(payload)
+	if h == nil || h.Nonce == nonce {
+		return h != nil, false
+	}
+	proven, cookie := s.proveAddress(addr, h)
+	if !proven {
+		_ = tc.writeHandshake(cookie)
+	}
+	return false, proven
+}
+
 // serveTransport is the server's one handshake state machine, shared by
 // both transports. It runs one session on tc and blocks until it ends,
 // closing tc on return:
@@ -471,13 +496,13 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 // The transport decides two things. Framing: readFrame marks plaintext
 // handshake frames — a stream by position (its first frame), a datagram
 // by kind byte. Retry: on an unreliable transport a frame that fails to
-// decode or open is dropped instead of ending the handshake, and a
-// retransmitted HELLO (same client nonce) is answered with the
+// decode or open is dropped instead of ending the handshake, and a later
+// HELLO follows strayHello's rule, the same one an established session
+// follows: a retransmit (same client nonce) is answered with the
 // byte-identical CHALLENGE2 — it entered the transcript — plus a
-// re-sealed ack. A HELLO with a different nonce is a new client instance
-// on the address (the old one died with its handshake in flight): the
-// pending handshake is abandoned so the newcomer's next retransmit
-// starts fresh instead of stalling until the deadline.
+// re-sealed ack, and the pending handshake steps aside for a foreign
+// nonce only when it proves its address, so the newcomer's next
+// retransmit starts fresh instead of stalling until the deadline.
 //
 // Pre-authentication hardening: the peer has proven nothing until its
 // first sealed frame opens, so it gets a deadline (and on a stream a
@@ -526,7 +551,7 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 		}
 		return
 	}
-	link := armLink(hs.link, tc)
+	link := armLink(hs.link)
 	id := s.nextSession.Add(1)
 	ack := &wire.HelloAck{Version: wire.Version, SessionID: id, Ticket: hs.ticket}
 	// Every (re)send re-seals the ack: the client's receive window
@@ -545,7 +570,8 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 			return
 		}
 		if hsFrame {
-			if h := decodeHello(payload); h != nil && (h.Nonce != hello.Nonce || !sendChallenge()) {
+			retransmit, newcomer := s.strayHello(tc, addr, hello.Nonce, payload)
+			if newcomer || retransmit && !sendChallenge() {
 				return
 			}
 			continue
@@ -586,43 +612,6 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	// Lift the handshake deadline: experiments may run for minutes.
 	_ = tc.setReadDeadline(time.Time{})
 	s.serveSession(tc, sess, plain)
-}
-
-// sessionTakeover classifies a handshake frame that reached an
-// ESTABLISHED session (only datagrams carry one) and reports whether the
-// session should end to free its address. A HELLO with this session's
-// own nonce is a late retransmit: ignore it. A HELLO with a different
-// nonce is a new client instance on the same source address (the old
-// one died with its BYE lost to the network) — but the address is
-// spoofable, so handover demands the same proof the admission gate
-// does: a cookie-less HELLO is answered with a minted cookie, and only a
-// cookie-VERIFIED new nonce ends the session (an off-path attacker can
-// spoof the address but cannot receive the cookie, so established
-// sessions cannot be reset blind). The ended session's peer slot frees,
-// and the newcomer's HELLO retransmit reaches the admission gate to
-// start fresh.
-func (s *Server) sessionTakeover(tc transportConn, sess *session, payload []byte) bool {
-	h := decodeHello(payload)
-	if h == nil || h.Nonce == sess.nonce {
-		return false
-	}
-	// A valid resumption ticket issued to this exact address is the same
-	// proof-of-receipt the cookie round would establish (the admission
-	// gate accepts it the same way), so a resuming client instance takes
-	// the address over without a cookie round trip.
-	if len(h.Cookie) == 0 && len(h.Ticket) > 0 && s.tickets.Peek(h.Ticket, sess.addr) {
-		return true
-	}
-	if len(h.Cookie) == 0 {
-		s.met.CookiesSent.Add(1)
-		_ = tc.writeHandshake((&wire.Cookie{Cookie: s.cookies.Mint(sess.addr, h.Nonce[:])}).Encode())
-		return false
-	}
-	if !s.cookies.Verify(sess.addr, h.Nonce[:], h.Cookie) {
-		s.met.CookieRejects.Add(1)
-		return false
-	}
-	return true
 }
 
 // absorbLinkStats adds a finished session's link counters to the
@@ -1033,7 +1022,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			// A handshake datagram straggling into an established session
 			// is usually a late HELLO retransmit of this session: ignore
 			// it, unless it proves a new client instance on this address.
-			if s.sessionTakeover(tc, sess, raw) {
+			if _, newcomer := s.strayHello(tc, sess.addr, sess.nonce, raw); newcomer {
 				shutdown()
 				return
 			}
@@ -1094,7 +1083,7 @@ type session struct {
 	met  metrics.Session
 	// addr and nonce identify the client instance that opened the
 	// session: a handshake frame straggling into it is judged against
-	// them (sessionTakeover).
+	// them (strayHello).
 	addr  string
 	nonce [16]byte
 }

@@ -19,8 +19,7 @@ import (
 //   - retry: whether it is unreliable (loss, duplication, and reordering
 //     are normal, so the client re-sends its HELLO, the server answers a
 //     duplicate HELLO again, and a failed securelink Open means "drop the
-//     datagram", not "tear the session down"), which also sizes the
-//     securelink receive window (armLink).
+//     datagram", not "tear the session down").
 type transportConn interface {
 	// readFrame returns the next inbound frame; handshake reports a
 	// plaintext handshake frame.
@@ -83,25 +82,16 @@ func (p *packetTC) setReadDeadline(t time.Time) error { return p.fc.SetReadDeadl
 func (p *packetTC) unreliable() bool                  { return true }
 
 // armLink applies the session-link hardening both ends agree on to a
-// freshly derived link: the rekey ratchet, and a receive window sized to
-// the reordering the transport can produce.
-func armLink(link *securelink.Link, tc transportConn) *securelink.Link {
-	window := sessionWindow
-	if tc.unreliable() {
-		window = dgramWindow
-	}
-	link.SetWindow(window)
+// freshly derived link: the receive window and the rekey ratchet.
+func armLink(link *securelink.Link) *securelink.Link {
+	link.SetWindow(sessionWindow)
 	link.EnableRekey(sessionRekeyEvery)
 	return link
 }
 
-// Session transport parameters: the datagram receive window and retry
-// schedule, and the request window and response cache of every session.
+// Session transport parameters: the datagram retry schedule, and the
+// request window and response cache of every session.
 const (
-	// dgramWindow is the securelink receive window on datagram sessions:
-	// large enough to absorb retransmit-induced reordering, far below the
-	// 63-position cap.
-	dgramWindow = 32
 	// defaultRetryTimeout is the client's initial retransmit timeout.
 	defaultRetryTimeout = 250 * time.Millisecond
 	// defaultMaxRetries bounds retransmissions per request before the

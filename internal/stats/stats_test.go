@@ -137,37 +137,6 @@ func TestCDFQuantileAndStats(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0.5, 2.5, 4.5, 6.5, 8.5, 99} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	if counts[0] != 2 { // -1 clamps into bin 0 alongside 0.5
-		t.Fatalf("bin 0 count = %d, want 2", counts[0])
-	}
-	if counts[4] != 2 { // 8.5 and clamped 99
-		t.Fatalf("bin 4 count = %d, want 2", counts[4])
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-	fr := h.Fractions()
-	var sum float64
-	for _, f := range fr {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("fractions sum = %g, want 1", sum)
-	}
-	if h.BinCenter(0) != 1 {
-		t.Fatalf("bin 0 center = %g, want 1", h.BinCenter(0))
-	}
-	if s := h.Sparkline(20); len(s) == 0 {
-		t.Fatal("empty sparkline")
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	g := NewRNG(9)
 	a := g.Split()

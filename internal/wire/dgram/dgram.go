@@ -228,16 +228,10 @@ type Listener struct {
 // listener's read loop, so it must be cheap — one MAC, no blocking.
 type Gate func(addr net.Addr, payload []byte) (accept bool, reply []byte)
 
-// Listen starts demultiplexing the packet socket. The listener owns the
-// socket's read side from here on.
-func Listen(pc net.PacketConn) *Listener {
-	return ListenGated(pc, nil)
-}
-
-// ListenGated is Listen with an admission gate consulted before any
-// per-peer state is allocated for a new address. A nil gate admits
-// every handshake (identical to Listen).
-func ListenGated(pc net.PacketConn, gate Gate) *Listener {
+// Listen starts demultiplexing the packet socket, consulting gate
+// before any per-peer state is allocated for a new address. The
+// listener owns the socket's read side from here on.
+func Listen(pc net.PacketConn, gate Gate) *Listener {
 	l := &Listener{
 		pc:       pc,
 		gate:     gate,
@@ -286,16 +280,13 @@ func (l *Listener) readLoop() {
 			if kind != KindHandshake {
 				continue // sessions begin with a handshake frame
 			}
-			if l.gate != nil {
-				accept, reply := l.gate(addr, payload)
-				if !accept {
-					if reply != nil {
-						if b, err := Encode(KindHandshake, reply); err == nil {
-							_, _ = l.pc.WriteTo(b, addr)
-						}
+			if accept, reply := l.gate(addr, payload); !accept {
+				if reply != nil {
+					if b, err := Encode(KindHandshake, reply); err == nil {
+						_, _ = l.pc.WriteTo(b, addr)
 					}
-					continue
 				}
+				continue
 			}
 			peer = &PeerConn{
 				l:      l,

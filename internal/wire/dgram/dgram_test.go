@@ -60,6 +60,10 @@ func TestDecodeRejections(t *testing.T) {
 	}
 }
 
+// admitAll is the gate of the tests that exercise the listener's
+// demultiplexing rather than its admission.
+func admitAll(net.Addr, []byte) (bool, []byte) { return true, nil }
+
 // One listener socket must demux two client sockets into independent
 // peer connections, starting each only from a handshake frame, and a
 // client Conn must filter traffic from other peers.
@@ -70,7 +74,7 @@ func TestListenerDemuxAndConnFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := dgram.Listen(spc)
+	l := dgram.Listen(spc, admitAll)
 	defer l.Close()
 
 	accepted := make(chan *dgram.PeerConn, 2)
@@ -150,7 +154,7 @@ func TestPeerCloseAllowsRehandshake(t *testing.T) {
 	nw := faultnet.New(2, faultnet.Impairment{})
 	defer nw.Close()
 	spc, _ := nw.Listen("server")
-	l := dgram.Listen(spc)
+	l := dgram.Listen(spc, admitAll)
 	defer l.Close()
 	cpc, _ := nw.Listen("client")
 	c := dgram.NewConn(cpc, faultnet.Addr("client-server-view"))
@@ -186,7 +190,7 @@ func TestDeadlineAndClose(t *testing.T) {
 	nw := faultnet.New(3, faultnet.Impairment{})
 	defer nw.Close()
 	spc, _ := nw.Listen("server")
-	l := dgram.Listen(spc)
+	l := dgram.Listen(spc, admitAll)
 	cpc, _ := nw.Listen("client")
 	enc, _ := dgram.Encode(dgram.KindHandshake, []byte("hs"))
 	if _, err := cpc.WriteTo(enc, faultnet.Addr("server")); err != nil {
@@ -228,7 +232,7 @@ func TestListenerGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := 0
-	l := dgram.ListenGated(spc, func(addr net.Addr, payload []byte) (bool, []byte) {
+	l := dgram.Listen(spc, func(addr net.Addr, payload []byte) (bool, []byte) {
 		gated++
 		if bytes.Equal(payload, []byte("open-sesame")) {
 			return true, nil
