@@ -24,6 +24,14 @@
 #   make perfbench-check - repo-benchmark wall: perfbench (its own module)
 #                       must vet, pass its tests, and report "correct":true
 #                       on a one-second run of every workload (~15 s)
+#   make ab           - paired A/B run of the repo benchmark: PAIRS
+#                       alternating runs of WORKLOAD from BASE (exported
+#                       under .bench_build/ab/) and from the working tree at
+#                       seeds SEED, SEED+1, ...; prints every pair, each
+#                       side's median and quartiles, the wins and the
+#                       verdicts (cmd/perfab), keeps every run's report in
+#                       .bench_build/ab/logs/, and fails on an exceeded
+#                       bound or an incorrect run
 #   make sim          - regenerate every paper table/figure (quick trial counts)
 #   make golden       - re-record testdata/golden after an intentional physics
 #                       change (review the diff!)
@@ -134,7 +142,7 @@ NIGHTLY_FUZZ_TARGETS = \
 COVER_PKGS = heartshield/internal/securelink,heartshield/internal/wire,heartshield/internal/wire/dgram
 COVER_TEST_PKGS = ./internal/securelink ./internal/securelink/sectest ./internal/wire/... ./internal/shieldd ./internal/faultnet
 
-.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck loc ci bench benchcheck benchbaseline perfbench-check sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
+.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck loc ci bench benchcheck benchbaseline perfbench-check ab sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
 
 # The markdown files the docs gate link-checks.
 DOCS_FILES = README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md PAPER.md
@@ -169,8 +177,10 @@ staticcheck-install:
 # The request tables get a repeated leg of their own: the client's
 # pending calls (and their retry state) are shared under one mutex by
 # submitters, the read loop and the retransmit loop, and a session's
-# ledger by its reader, writer and executor.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule
+# ledger by its reader, writer and executor. So does a session's world,
+# which its executor builds on the first physics request and its
+# teardown returns to the pool.
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld
 race:
 	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
@@ -270,6 +280,15 @@ perfbench-check:
 	last=$$(printf '%s\n' "$$out" | tail -n 1); echo "$$last"; \
 	case "$$last" in *'"correct":true'*) echo "perfbench-check ok";; \
 		*) echo "perfbench-check FAILED: result is not \"correct\":true"; exit 1;; esac
+
+# Paired A/B run of the repo benchmark against a parent revision, e.g.
+#   make ab BASE=HEAD~1 WORKLOAD=churn PAIRS=10 SEED=301
+# Each run lasts BENCHMARK.json's run_seconds; both trees build their own
+# benchmark binary, so the first pair also pays two cold builds.
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	$(GO) run ./cmd/perfab -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS) -seed $(SEED)
 
 sim:
 	$(GO) run ./cmd/shieldsim -run all -quick

@@ -20,10 +20,12 @@ const poolTotalFactor = 4
 // scenario bit-identical to a fresh build at the session's seed, so which
 // physical scenario serves a session is unobservable.
 //
-// One mutex guards the free lists. A session takes it twice in its
-// lifetime, for one map operation each time, beside a Reset and a
-// calibration that cost milliseconds, so it does not contend even at a
-// thousand concurrent sessions (see DESIGN.md "Scenario pool").
+// One mutex guards the free lists. A session that runs physics takes it
+// twice in its lifetime, at its first physics request and at teardown,
+// for one map operation each time, beside a Reset and a calibration that
+// cost milliseconds, so it does not contend even at a thousand
+// concurrent sessions; a session that never runs physics never takes it
+// (see DESIGN.md "Scenario pool").
 type scenarioPool struct {
 	// perShape bounds how many idle scenarios each shape retains;
 	// maxTotal bounds them across all shapes (perShape * poolTotalFactor).

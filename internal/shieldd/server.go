@@ -1,24 +1,26 @@
 // Package shieldd is the concurrent shield session server: a long-lived
 // daemon that owns a pool of recycled testbed scenarios (one per active
-// session) and serves the securelink-sealed wire protocol of
-// internal/wire over two transport families — streams (TCP from
-// cmd/shieldd, or an in-process net.Pipe for tests and embedded use)
-// and datagrams (UDP via ServePacket, or any net.PacketConn such as the
-// internal/faultnet impairment network), where loss, duplication, and
-// reordering are handled by client retransmission, the securelink
+// session that runs physics) and serves the securelink-sealed wire
+// protocol of internal/wire over two transport families — streams (TCP
+// from cmd/shieldd, or an in-process net.Pipe for tests and embedded
+// use) and datagrams (UDP via ServePacket, or any net.PacketConn such as
+// the internal/faultnet impairment network), where loss, duplication,
+// and reordering are handled by client retransmission, the securelink
 // receive window, and server-side request deduplication.
 //
-// Every session is an independent testbed.World: its own medium,
+// Every session owns an independent testbed.World: its own medium,
 // devices, random streams, calibrated shield and standard adversaries,
 // all derived from the session seed and options the client announces in
 // HELLO — the same World the in-process Simulation builds for them. The
-// scenario pool makes sessions cheap (recycling is an RNG re-derivation,
-// not a rebuild) without making them observable to each other: a
-// session's EavesdropperBER/CancellationDB stream depends only on its
-// seed and request sequence, never on which pooled scenario served it,
-// which goroutine ran it, or what the server did before — the same
-// determinism contract as the parallel experiment runner, extended to a
-// network service.
+// world is built on the session's first physics request, so a session
+// that only pings, scrapes metrics or runs experiments never builds
+// one. The scenario pool makes worlds cheap (recycling is an RNG
+// re-derivation, not a rebuild) without making sessions observable to
+// each other: a session's EavesdropperBER/CancellationDB stream depends
+// only on its seed and request sequence, never on which pooled scenario
+// served it, when its world was built, which goroutine ran it, or what
+// the server did before — the same determinism contract as the parallel
+// experiment runner, extended to a network service.
 //
 // One protocol is served, wire.Version; a HELLO announcing any other
 // version is refused with a plaintext CodeVersion error. Both transports
@@ -108,9 +110,9 @@ type ServerConfig struct {
 	MaxExtraIMDs int
 	// IdleTimeout, when positive, reaps sessions with no traffic and no
 	// in-flight work for this long: the connection is closed and the
-	// scenario returns to the pool. Clients can hold a session open with
-	// PING keepalives and reconnect with a fresh handshake after a reap.
-	// Zero disables reaping.
+	// session's scenario, if it ran physics, returns to the pool. Clients
+	// can hold a session open with PING keepalives and reconnect with a
+	// fresh handshake after a reap. Zero disables reaping.
 	IdleTimeout time.Duration
 
 	// AdmissionWait selects what happens to a handshake when every
@@ -491,7 +493,12 @@ func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, paylo
 // closing tc on return:
 //
 //	HELLO → CHALLENGE2 + sealed HELLO-ACK → the first sealed frame that
-//	opens commits a session slot and a scenario → serveSession.
+//	opens commits a session slot → serveSession.
+//
+// The session keeps the HELLO's scenario options, not a scenario: its
+// world is built by the executor on its first physics request, inside
+// the work budget that request holds (Server.world), and teardown
+// returns the scenario to the pool only if the session took one.
 //
 // The transport decides two things. Framing: readFrame marks plaintext
 // handshake frames — a stream by position (its first frame), a datagram
@@ -601,13 +608,17 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	s.met.ActiveSessions.Add(1)
 	defer s.met.ActiveSessions.Add(-1)
 
-	sess := &session{
-		World: testbed.NewWorld(s.pool.get(opt)),
-		id:    id, link: link, addr: addr, nonce: hello.Nonce,
-	}
+	sess := &session{id: id, link: link, addr: addr, nonce: hello.Nonce, opt: opt}
 	s.reg.Register(id, &sess.met)
 	defer s.reg.Unregister(id)
-	defer s.pool.put(sess.Scenario)
+	// serveSession returns only after the writer has drained the
+	// executor's last response, so the world the executor built (if any)
+	// is visible here.
+	defer func() {
+		if sess.world != nil {
+			s.pool.put(sess.world.Scenario)
+		}
+	}()
 	defer s.absorbLinkStats(link)
 	// Lift the handshake deadline: experiments may run for minutes.
 	_ = tc.setReadDeadline(time.Time{})
@@ -623,10 +634,11 @@ func (s *Server) absorbLinkStats(link *securelink.Link) {
 
 // startReaper watches a session for idleness: when busy() is false and
 // no frame has arrived for idle, it closes the transport (waking the
-// blocked reader; the session defers return the scenario to the pool)
-// and counts the reap. A ticker-based watcher — deliberately not a read
-// deadline, which could fire mid-frame and desynchronize the framing.
-// The returned stop function must be called at session end.
+// blocked reader; the session defers return its scenario, if it took
+// one, to the pool) and counts the reap. A ticker-based watcher —
+// deliberately not a read deadline, which could fire mid-frame and
+// desynchronize the framing. The returned stop function must be called
+// at session end.
 func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy func() bool) (stop func()) {
 	if s.cfg.IdleTimeout <= 0 {
 		return func() {}
@@ -1044,7 +1056,8 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	}
 }
 
-// scenarioOptions validates a HELLO and maps it onto testbed options.
+// scenarioOptions validates a HELLO and maps it onto normalized testbed
+// options.
 func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 	var opt testbed.Options
 	if int(h.ExtraIMDs) > s.cfg.MaxExtraIMDs {
@@ -1068,16 +1081,15 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 	if h.Flags&wire.FlagConcerto != 0 {
 		opt.Profile = imd.ConcertoCRT
 	}
-	return opt, nil
+	return opt.Normalized(), nil
 }
 
-// session is one active session: its testbed.World (the calibrated
-// scenario and adversaries its seed and options determine — the world
-// the public Simulation builds for the same seed) plus link and
-// counters. The world is driven by exactly one goroutine at a time (the
-// session's executor); met and link are safe for concurrent use.
+// session is one active session: its link and counters, the normalized
+// scenario options its HELLO announced, and, once it runs physics, its
+// testbed.World (the calibrated scenario and adversaries its seed and
+// options determine — the world the public Simulation builds for the
+// same seed). met and link are safe for concurrent use.
 type session struct {
-	*testbed.World
 	id   uint64
 	link *securelink.Link
 	met  metrics.Session
@@ -1086,10 +1098,34 @@ type session struct {
 	// them (strayHello).
 	addr  string
 	nonce [16]byte
+	// opt is the world's shape and seed, and what requests' implant
+	// indices are checked against before anything is built.
+	opt testbed.Options
+	// world stays nil until Server.world builds it. Only the session's
+	// executor reaches it while the session runs; teardown reads it after
+	// serveSession has drained the executor.
+	world *testbed.World
+}
+
+// implants is the number of implants the session's world holds (or will).
+func (sess *session) implants() int { return 1 + sess.opt.ExtraIMDs }
+
+// world returns the session's world, building it on first use from a
+// pooled scenario reset to the session's seed (or a fresh build).
+// Only the executor calls it, for a request that passed validation and
+// holds the work budget, so refused and shed requests build nothing. A
+// world is a pure function of (seed, options) and nothing draws from it
+// before its first scenario request, so when it is built moves no result.
+func (s *Server) world(sess *session) *testbed.World {
+	if sess.world == nil {
+		sess.world = testbed.NewWorld(s.pool.get(sess.opt))
+	}
+	return sess.world
 }
 
 // dispatchScenario executes one scenario-mutating request on the
-// session's executor. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it.
+// session's executor. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it;
+// the first one that passes validation builds the session's world.
 func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message {
 	var resp wire.Message
 	switch m := req.(type) {
@@ -1112,7 +1148,7 @@ func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message 
 // the session's world — the per-seed result stream of the public
 // Simulation, over the wire.
 func (s *Server) runExchange(sess *session, idx int, cmdKind uint8) (wire.ExchangeResp, error) {
-	out, err := sess.Exchange(idx, cmdKind == wire.CmdSetTherapy)
+	out, err := s.world(sess).Exchange(idx, cmdKind == wire.CmdSetTherapy)
 	if err != nil {
 		return wire.ExchangeResp{}, err
 	}
@@ -1128,7 +1164,7 @@ func (s *Server) runExchange(sess *session, idx int, cmdKind uint8) (wire.Exchan
 // handleExchange runs one protected exchange.
 func (s *Server) handleExchange(sess *session, m *wire.ExchangeReq) wire.Message {
 	idx := int(m.IMD)
-	if idx >= len(sess.IMDs) {
+	if idx >= sess.implants() {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("IMD index %d out of range", idx)}
 	}
 	resp, err := s.runExchange(sess, idx, m.Cmd)
@@ -1151,7 +1187,7 @@ func (s *Server) handleBatch(sess *session, m *wire.BatchReq) wire.Message {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "batch exceeds MaxBatch"}
 	}
 	for i, it := range m.Items {
-		if int(it.IMD) >= len(sess.IMDs) {
+		if int(it.IMD) >= sess.implants() {
 			return &wire.Error{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("item %d: IMD index %d out of range", i, it.IMD)}
 		}
@@ -1174,7 +1210,7 @@ func (s *Server) handleBatch(sess *session, m *wire.BatchReq) wire.Message {
 // handleAttack runs one unauthorized-command trial on the session's
 // world (the Simulation.Attack sequence).
 func (s *Server) handleAttack(sess *session, m *wire.AttackReq) wire.Message {
-	out := sess.Attack(m.Cmd == wire.CmdSetTherapy, m.ShieldOn)
+	out := s.world(sess).Attack(m.Cmd == wire.CmdSetTherapy, m.ShieldOn)
 	sess.met.Attacks.Add(1)
 	s.met.TotalAttacks.Add(1)
 	return &wire.AttackResp{

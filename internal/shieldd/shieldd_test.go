@@ -74,19 +74,47 @@ func clientPair(t *testing.T, c *shieldd.Client) exchangePair {
 
 // A shieldd session must produce, per session seed, exactly the numbers
 // the public in-process Simulation produces — the wire, the sealing, the
-// scenario pool, and the server goroutines must all be unobservable.
+// scenario pool, the server goroutines, and whatever the session sent
+// before the first exchange that builds its world must all be
+// unobservable.
 func TestSessionMatchesInProcessSimulation(t *testing.T) {
 	srv := newServer(t, shieldd.ServerConfig{})
-	for _, seed := range []int64{1, 2, 7} {
-		want := localPair(seed)
-		c, err := srv.Pipe(shieldd.SessionOptions{Seed: seed})
+	// Requests that run no physics, and a batch refused for an
+	// out-of-range implant index.
+	noPhysics := func(t *testing.T, c *shieldd.Client) {
+		for i := 0; i < 3; i++ {
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.BatchExchange([]wire.ExchangeItem{{IMD: 0}, {IMD: 1}}); err == nil {
+			t.Fatal("batch with an out-of-range implant index accepted")
+		}
+	}
+	for _, tc := range []struct {
+		seed   int64
+		before func(*testing.T, *shieldd.Client)
+	}{
+		{1, nil},
+		{2, nil},
+		{7, nil},
+		{11, noPhysics},
+	} {
+		want := localPair(tc.seed)
+		c, err := srv.Pipe(shieldd.SessionOptions{Seed: tc.seed})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.before != nil {
+			tc.before(t, c)
 		}
 		got := clientPair(t, c)
 		c.Close()
 		if got != want {
-			t.Errorf("seed %d: remote %+v != local %+v", seed, got, want)
+			t.Errorf("seed %d: remote %+v != local %+v", tc.seed, got, want)
 		}
 	}
 }
