@@ -656,8 +656,11 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 			case <-tick.C:
 				idleFor := time.Duration(time.Now().UnixNano() - lastActivity.Load())
 				if !busy() && idleFor >= s.cfg.IdleTimeout {
-					s.met.ReapedSessions.Add(1)
+					// Close before counting: whoever sees the reap counted
+					// also finds the transport closed, so a stream client's
+					// next frame does not race the close.
 					tc.close()
+					s.met.ReapedSessions.Add(1)
 					return
 				}
 			}
@@ -985,6 +988,11 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
 			sequence(l.submit(id, req))
 		case *wire.ExperimentReq:
+			if m.Trials > wire.MaxExperimentTrials {
+				answer(id, &wire.Error{Code: wire.CodeBadRequest,
+					Msg: fmt.Sprintf("experiment trials %d exceed the limit of %d", m.Trials, wire.MaxExperimentTrials)})
+				return
+			}
 			rel := l.skip(id)
 			if s.acquireWork() {
 				sess.met.Experiments.Add(1)

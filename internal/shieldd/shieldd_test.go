@@ -1,13 +1,13 @@
 package shieldd_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"heartshield"
 	"heartshield/internal/shieldd"
@@ -138,13 +138,19 @@ func TestPoolRecyclingIsUnobservable(t *testing.T) {
 		}
 	}
 	// The server's scenario return runs after its side of the BYE
-	// exchange; give it a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics().PooledScenarios == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no scenarios pooled after sessions ended")
-		}
-		time.Sleep(time.Millisecond)
+	// exchange, before it frees the only session slot: a probe session's
+	// first reply therefore follows the last teardown. The probe only
+	// pings, so it takes nothing from the pool.
+	probe, err := srv.Pipe(shieldd.SessionOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	if err := probe.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Metrics().PooledScenarios == 0 {
+		t.Fatal("no scenarios pooled after sessions ended")
 	}
 }
 
@@ -336,6 +342,31 @@ func TestRemoteAttackAndExperiment(t *testing.T) {
 	}
 }
 
+// An EXPERIMENT asking for more than wire.MaxExperimentTrials trials per
+// point is refused before it takes any work budget: with a budget of
+// one, an EXCHANGE sent right behind it on the same session is served,
+// not answered BUSY.
+func TestOverBoundExperimentTakesNoWorkBudget(t *testing.T) {
+	srv := newServer(t, shieldd.ServerConfig{MaxInFlightGlobal: 1})
+	c, err := srv.Pipe(shieldd.SessionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Go sends each request once: a BUSY answer is not retried.
+	exp := c.Go(&wire.ExperimentReq{Name: "fig7", Seed: 1, Trials: wire.MaxExperimentTrials + 1})
+	exch := c.Go(&wire.ExchangeReq{IMD: 0, Cmd: wire.CmdInterrogate})
+	if _, err := exch.Wait(); err != nil {
+		t.Fatalf("exchange behind an over-bound experiment: %v", err)
+	}
+	_, err = exp.Wait()
+	var refusal *wire.Error
+	if !errors.As(err, &refusal) || refusal.Code != wire.CodeBadRequest ||
+		!strings.Contains(refusal.Msg, fmt.Sprint(wire.MaxExperimentTrials)) {
+		t.Fatalf("over-bound experiment: err %v, want CodeBadRequest naming the limit %d", err, wire.MaxExperimentTrials)
+	}
+}
+
 // A client with the wrong master secret must fail the handshake: its
 // HELLO is accepted (it is plaintext) but the sealed HELLO-ACK can never
 // open on its mis-derived link.
@@ -404,5 +435,68 @@ func BenchmarkSessionExchange(b *testing.B) {
 		if _, err := c.Exchange(0, wire.CmdInterrogate); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPingTCP and BenchmarkPingUDP measure one PING round trip of
+// a committed session over a 127.0.0.1 socket: framing, sealing and the
+// server reader's fast path plus the loopback hop, which the
+// Pipe-based session benchmarks never cross.
+func BenchmarkPingTCP(b *testing.B) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Skipf("cannot listen on loopback: %v", err)
+	}
+	defer l.Close()
+	srv, err := shieldd.NewServer(shieldd.ServerConfig{Secret: testSecret})
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l)
+	c, err := shieldd.Dial(l.Addr().String(), testSecret, shieldd.SessionOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPing(b, srv, c)
+}
+
+func BenchmarkPingUDP(b *testing.B) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		b.Skipf("no UDP loopback available: %v", err)
+	}
+	defer pc.Close()
+	srv, err := shieldd.NewServer(shieldd.ServerConfig{Secret: testSecret})
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.ServePacket(pc)
+	c, err := shieldd.DialUDP(pc.LocalAddr().String(), testSecret, shieldd.SessionOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPing(b, srv, c)
+}
+
+// benchPing commits c's session with one ping, times b.N more, and
+// fails if either end re-sent a frame: a retransmit would time the
+// retry schedule, not the round trip.
+func benchPing(b *testing.B, srv *shieldd.Server, c *shieldd.Client) {
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Ping(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := c.TransportStats().Retransmits; n != 0 {
+		b.Fatalf("%d client retransmits on loopback", n)
+	}
+	if n := srv.Metrics().TotalRetransmits; n != 0 {
+		b.Fatalf("%d server retransmits on loopback", n)
 	}
 }

@@ -60,6 +60,12 @@ const MaxBatch = 256
 // carry; Decode rejects larger counts before allocating.
 const MaxCounters = 256
 
+// MaxExperimentTrials bounds the per-point trial count one EXPERIMENT
+// frame may ask for. It is a serving limit, not an encoding one: Decode
+// accepts any count, and a server answers a larger one with
+// CodeBadRequest before the experiment takes any work budget.
+const MaxExperimentTrials = 4096
+
 // MaxFrame bounds the outer transport frame length; a peer announcing
 // more is treated as malformed (ErrFrameTooBig) before any allocation.
 const MaxFrame = 1 << 22
@@ -73,17 +79,19 @@ var (
 	ErrInvalid     = errors.New("wire: invalid field encoding")
 )
 
-// WriteFrame writes one length-prefixed transport frame.
+// WriteFrame writes one length-prefixed transport frame in a single
+// Write. Go's TCP connections set TCP_NODELAY, so a length prefix
+// written on its own leaves as a segment of its own and the peer pays a
+// second receive for every frame. Copying the payload behind the prefix
+// is cheap next to that: a sealed request or reply is 50–300 bytes.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooBig
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	_, err := w.Write(frame)
 	return err
 }
 

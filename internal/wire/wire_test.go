@@ -241,9 +241,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// countingWriter counts Write calls and keeps what they wrote.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A frame leaves in one Write, so a TCP connection with TCP_NODELAY
+// sends it as one segment rather than its length prefix on its own.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 300, MaxFrame} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		var w countingWriter
+		if err := WriteFrame(&w, payload); err != nil {
+			t.Fatalf("%d-byte frame: %v", n, err)
+		}
+		if w.writes != 1 {
+			t.Fatalf("%d-byte frame took %d writes, want 1", n, w.writes)
+		}
+		got, err := ReadFrame(&w)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte frame read back as %d bytes, err %v", n, len(got), err)
+		}
+		if w.Len() != 0 {
+			t.Fatalf("%d-byte frame left %d trailing bytes", n, w.Len())
+		}
+	}
+}
+
 func TestFrameLengthLimit(t *testing.T) {
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); err != ErrFrameTooBig {
-		t.Fatalf("oversize write error = %v", err)
+	var w countingWriter
+	if err := WriteFrame(&w, make([]byte, MaxFrame+1)); err != ErrFrameTooBig || w.writes != 0 {
+		t.Fatalf("oversize write error = %v after %d writes, want ErrFrameTooBig after none", err, w.writes)
 	}
 	// A header announcing more than MaxFrame must be rejected before any
 	// allocation of the announced size.

@@ -342,8 +342,13 @@ type ExperimentProgress struct {
 // and returns the rendered table/figure. onProgress runs on the
 // session's read loop: it must return quickly and must not call
 // back into this session synchronously. The rendered result is
-// byte-identical to RunExperiment with the same configuration.
+// byte-identical to RunExperiment with the same configuration. Trials
+// must lie in 0..4096, the most a server runs per point; a negative
+// Workers means serial.
 func (r *RemoteSimulation) RunExperimentStream(name string, cfg ExperimentConfig, onProgress func(ExperimentProgress)) (string, error) {
+	if cfg.Trials < 0 || cfg.Trials > wire.MaxExperimentTrials {
+		return "", fmt.Errorf("heartshield: ExperimentConfig.Trials %d out of range 0..%d", cfg.Trials, wire.MaxExperimentTrials)
+	}
 	var cb func(*wire.ExperimentProgress)
 	if onProgress != nil {
 		cb = func(p *wire.ExperimentProgress) {
@@ -355,7 +360,7 @@ func (r *RemoteSimulation) RunExperimentStream(name string, cfg ExperimentConfig
 		Seed:    cfg.Seed,
 		Trials:  int32(cfg.Trials),
 		Quick:   cfg.Quick,
-		Workers: uint8(min(cfg.Workers, 255)),
+		Workers: uint8(min(max(cfg.Workers, 0), 255)),
 	}, cb)
 }
 

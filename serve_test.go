@@ -3,9 +3,11 @@ package heartshield_test
 import (
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"heartshield"
+	"heartshield/internal/wire"
 )
 
 // The public service API: Serve on a TCP listener, Dial from a client,
@@ -111,6 +113,35 @@ func TestServerPipeExperiment(t *testing.T) {
 	}
 	if got != want.Render() {
 		t.Errorf("remote experiment diverges from local:\n--- remote ---\n%s\n--- local ---\n%s", got, want.Render())
+	}
+}
+
+// A remote experiment's trial count reaches the server as asked or not
+// at all: a count outside 0..wire.MaxExperimentTrials is refused before
+// it is sent, naming the field, rather than cut to the wire's int32
+// (1<<32 + 12 trials would run 12).
+func TestRemoteExperimentConfigRange(t *testing.T) {
+	srv, err := heartshield.NewServer(heartshield.ServeOptions{Secret: []byte("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := srv.Pipe(heartshield.DialOptions{SimOptions: heartshield.SimOptions{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for _, trials := range []int{1<<32 + 12, -1, wire.MaxExperimentTrials + 1} {
+		_, err := remote.RunExperiment("battery", heartshield.ExperimentConfig{Seed: 1, Quick: true, Trials: trials})
+		if err == nil || !strings.Contains(err.Error(), "ExperimentConfig.Trials") {
+			t.Errorf("Trials %d: err %v, want a refusal naming ExperimentConfig.Trials", trials, err)
+		}
+	}
+	st, err := remote.SessionMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Get("experiments"); n != 0 {
+		t.Errorf("%d refused experiments reached the server", n)
 	}
 }
 
