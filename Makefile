@@ -40,14 +40,16 @@
 #   make trial-check  - CI trial-determinism gate: every experiment must render
 #                       byte-identically at Workers=1 and Workers=8
 #   make fuzz-nightly - the nightly deep-fuzz leg: the wire + dgram + securelink
-#                       decoders for NIGHTLY_FUZZTIME each, growing the corpus
+#                       decoders and the session machine's schedule fuzzer
+#                       for NIGHTLY_FUZZTIME each, growing the corpus
 #   make seccheck     - adversarial handshake wall: forward-secrecy,
 #                       key-compromise, replay, and version-rewrite attacks
 #                       against a live server (internal/securelink/sectest)
-#   make loc          - code-size report for the serving stack and the
-#                       scenario packages: non-blank, non-comment,
-#                       non-test Go lines per package + total (a report,
-#                       not a gate)
+#   make loc          - code-size report of every non-test package:
+#                       non-blank, non-comment Go lines per package,
+#                       grouped as serving, physics, experiments and
+#                       commands, with group subtotals and a total (a
+#                       report, not a gate)
 #   make chaos-soak   - loop the overload/partition chaos walls for
 #                       SOAK_DURATION seconds, appending to SOAK_latest.txt;
 #                       fails on any iteration failure or if fewer than
@@ -125,15 +127,19 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzWireDecode \
 	./internal/wire/dgram:FuzzDgramDecode \
 	./internal/securelink:FuzzSecurelinkOpen \
-	./internal/securelink:FuzzTicketRedeem
+	./internal/securelink:FuzzTicketRedeem \
+	./internal/shieldd:FuzzSessionSchedule
 
-# The attack-surface decoders the nightly workflow fuzzes for 10 minutes
-# each (everything that parses bytes off the network).
+# What the nightly workflow fuzzes for 10 minutes each: the attack-surface
+# decoders (everything that parses bytes off the network) and the server
+# session machine under fuzzed schedules of loss, duplication,
+# reordering, work completion and virtual time.
 NIGHTLY_FUZZ_TARGETS = \
 	./internal/wire:FuzzWireDecode \
 	./internal/wire/dgram:FuzzDgramDecode \
 	./internal/securelink:FuzzSecurelinkOpen \
-	./internal/securelink:FuzzTicketRedeem
+	./internal/securelink:FuzzTicketRedeem \
+	./internal/shieldd:FuzzSessionSchedule
 
 # The protocol-stack packages the coverage gate watches: everything that
 # parses or seals bytes off the network. The profile is driven by their
@@ -176,11 +182,14 @@ staticcheck-install:
 
 # The request tables get a repeated leg of their own: the client's
 # pending calls (and their retry state) are shared under one mutex by
-# submitters, the read loop and the retransmit loop, and a session's
-# ledger by its reader, writer and executor. So does a session's world,
-# which its executor builds on the first physics request and its
-# teardown returns to the pool.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld
+# submitters, the read loop and the retransmit loop, and a server
+# session's machine (its ledger among it) under the session mutex by its
+# reader, its executor, its experiments and its idle timer (the
+# goroutine-hygiene test ends sessions by BYE, reap, transport loss and
+# takeover with work in flight). So does a session's world, which its
+# executor builds on the first physics request and its teardown returns
+# to the pool once no op runs.
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene
 race:
 	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
@@ -210,16 +219,39 @@ seccheck:
 	$(GO) test -count=1 -timeout 5m ./internal/securelink/sectest
 
 # Code-size report: Go lines that are neither blank, nor // comments,
-# nor in _test.go files, per serving-stack and scenario package plus a
-# total. Changes that claim to shrink the code quote it for the parent
-# and the change.
+# nor in _test.go files, for every package, in four groups with a
+# subtotal each, plus a total. The serving group is the set this report
+# counted before it covered everything (the serving stack plus the
+# scenario packages and the root API), so its subtotal continues that
+# trajectory. A package in no group is reported as "other". Changes that
+# claim to shrink the code quote it for the parent and the change.
 LOC_PKGS = internal/shieldd internal/wire internal/wire/dgram internal/securelink internal/securelink/sectest internal/metrics internal/loadgen internal/testbed internal/experiments heartshield.go registry.go serve.go
+LOC_PHYSICS = internal/adversary internal/airlog internal/channel internal/dsp internal/imd internal/mics internal/mimo internal/modem internal/ofdm internal/phy internal/programmer internal/radio internal/shieldcore internal/stats
+LOC_EXPERIMENTS = internal/faultnet $(sort $(dir $(wildcard examples/*/*.go)))
+LOC_COMMANDS = $(sort $(dir $(wildcard cmd/*/*.go)))
 loc:
-	@total=0; for p in $(LOC_PKGS); do \
-		if [ -d $$p ]; then files=$$(ls $$p/*.go | grep -v '_test\.go$$'); else files=$$p; fi; \
-		n=$$(cat $$files | grep -c -v -E '^[[:space:]]*(//.*)?$$'); \
-		total=$$((total + n)); printf '%-28s %6d\n' $$p $$n; \
-	done; printf '%-28s %6d\n' total $$total
+	@grouped=" $(LOC_PKGS) $(patsubst %/,%,$(LOC_PHYSICS) $(LOC_EXPERIMENTS) $(LOC_COMMANDS)) "; other=""; \
+	for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		p=$${d#$(CURDIR)}; p=$${p#/}; [ -n "$$p" ] || continue; \
+		case "$$grouped" in *" $$p "*) ;; *) other="$$other $$p";; esac; \
+	done; \
+	total=0; \
+	for g in serving physics experiments commands other; do \
+		case $$g in \
+			serving) pkgs="$(LOC_PKGS)";; physics) pkgs="$(LOC_PHYSICS)";; \
+			experiments) pkgs="$(LOC_EXPERIMENTS)";; commands) pkgs="$(LOC_COMMANDS)";; \
+			other) pkgs="$$other";; \
+		esac; \
+		[ -n "$$pkgs" ] || continue; \
+		sub=0; echo "$$g"; \
+		for p in $$pkgs; do \
+			p=$${p%/}; \
+			if [ -d $$p ]; then files=$$(ls $$p/*.go | grep -v '_test\.go$$'); else files=$$p; fi; \
+			n=$$(cat $$files | grep -c -v -E '^[[:space:]]*(//.*)?$$'); \
+			sub=$$((sub + n)); printf '  %-28s %6d\n' $$p $$n; \
+		done; \
+		total=$$((total + sub)); printf '  %-28s %6d\n' "$$g subtotal" $$sub; \
+	done; printf '%-30s %6d\n' total $$total
 
 ci: fmt vet staticcheck build test race fuzz
 

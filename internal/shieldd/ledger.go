@@ -1,10 +1,6 @@
 package shieldd
 
-import (
-	"sync"
-
-	"heartshield/internal/wire"
-)
+import "heartshield/internal/wire"
 
 // ledger is a session's one record of its request IDs. It makes
 // execution exactly-once and in request-ID order over a transport that
@@ -23,21 +19,24 @@ import (
 // once there is one, dropped while it still runs. Below the cursor an ID
 // is never executed again; one without an entry there is dropped.
 //
-// The reader gives a fresh ID its entry before anything can answer it.
-// An ordered request keeps its message in the entry while it waits above
-// a gap; every other request is sequenced on arrival. Moving the cursor
-// releases the waiting requests it passes, in ID order, to the executor.
-// The writer records each final response in its ID's entry before
-// sending it, so a lost answer can be sent again, from above a gap as
-// well as below the cursor. An entry above the cursor lives until the
+// The session machine gives a fresh ID its entry before anything can
+// answer it. An ordered request keeps its message in the entry while it
+// waits above a gap; every other request is sequenced on arrival. Moving
+// the cursor releases the waiting requests it passes, in ID order. The
+// machine records each final response in its ID's entry as it sends it,
+// so a lost answer can be sent again, from above a gap as well as below
+// the cursor. An entry above the cursor lives until the
 // cursor passes it. Below the cursor the answered entries are the
 // response cache: at most dedupCacheCap of them, oldest evicted first,
 // and pruned by the client's cumulative-delivery report.
+//
+// The ledger belongs to one session machine and takes no lock.
 type ledger struct {
-	mu      sync.Mutex
 	next    uint64 // the cursor
 	entries map[uint64]*ledgerEntry
 	cached  []uint64 // answered IDs below the cursor, oldest first
+	// nwaiting counts the entries holding an ordered request above a gap.
+	nwaiting int
 }
 
 // ledgerEntry is one request ID's record.
@@ -45,7 +44,7 @@ type ledgerEntry struct {
 	// req is an ordered request waiting above a gap: nil once released,
 	// and for requests sequenced on arrival.
 	req wire.Message
-	// resp is the final response, once the writer has recorded it.
+	// resp is the final response, once the machine has sent it.
 	resp wire.Message
 }
 
@@ -55,7 +54,7 @@ func newLedger() *ledger {
 
 // orderedKind reports whether a request kind executes against the
 // scenario in ID order. Everything else (PING, STATUS-METRICS,
-// EXPERIMENT, and reader-answered errors/BUSY) is answered as it
+// EXPERIMENT, and errors/BUSY answered on arrival) is answered as it
 // arrives and only moves the cursor.
 func orderedKind(kind byte) bool {
 	switch kind {
@@ -69,8 +68,6 @@ func orderedKind(kind byte) bool {
 // submit or skip; a non-nil cached means send that response again;
 // neither means drop the duplicate.
 func (l *ledger) admit(id uint64) (fresh bool, cached wire.Message) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if e, ok := l.entries[id]; ok {
 		return false, e.resp
 	}
@@ -81,24 +78,21 @@ func (l *ledger) admit(id uint64) (fresh bool, cached wire.Message) {
 // released for execution, in ID order: none while it waits above a gap,
 // else it and the waiting run that directly follows it.
 func (l *ledger) submit(id uint64, req wire.Message) []envelope {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.entries[id] = &ledgerEntry{req: req}
+	l.nwaiting++
 	return l.advance()
 }
 
 // skip takes in a fresh request that is sequenced on arrival (answered
-// by the reader, or run off the executor) and returns the waiting run
-// its ID releases.
+// at once, or run as an experiment) and returns the waiting run its ID
+// releases.
 func (l *ledger) skip(id uint64) []envelope {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.entries[id] = &ledgerEntry{}
 	return l.advance()
 }
 
 // advance moves the cursor over every ID with an entry and returns the
-// waiting requests it passes. Callers hold l.mu.
+// waiting requests it passes.
 func (l *ledger) advance() []envelope {
 	var released []envelope
 	for {
@@ -109,6 +103,7 @@ func (l *ledger) advance() []envelope {
 		if e.req != nil {
 			released = append(released, envelope{id: l.next, msg: e.req})
 			e.req = nil
+			l.nwaiting--
 		}
 		if e.resp != nil {
 			l.cache(l.next)
@@ -117,15 +112,13 @@ func (l *ledger) advance() []envelope {
 	}
 }
 
-// complete records the final response the writer is sending for id. The
-// first response recorded for an ID is the one every duplicate gets.
+// complete records the final response the machine is sending for id.
+// The first response recorded for an ID is the one every duplicate gets.
 func (l *ledger) complete(id uint64, resp wire.Message) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	e, ok := l.entries[id]
 	if !ok {
-		// ID 0 (a malformed envelope), or an entry pruned while its
-		// cached answer was on its way to the writer.
+		// ID 0: a malformed envelope, answered outside the ledger's
+		// checks.
 		e = &ledgerEntry{}
 		l.entries[id] = e
 	}
@@ -139,7 +132,7 @@ func (l *ledger) complete(id uint64, resp wire.Message) {
 }
 
 // cache files an answered ID below the cursor into the response cache,
-// evicting the oldest beyond dedupCacheCap. Callers hold l.mu.
+// evicting the oldest beyond dedupCacheCap.
 func (l *ledger) cache(id uint64) {
 	l.cached = append(l.cached, id)
 	if len(l.cached) > dedupCacheCap {
@@ -154,8 +147,6 @@ func (l *ledger) cache(id uint64) {
 // answers a live pipeline can still retransmit into. Entries above the
 // cursor are not in the cache and outlive any report.
 func (l *ledger) prune(cum uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	keep := l.cached[:0]
 	for _, id := range l.cached {
 		if id <= cum {
@@ -170,33 +161,19 @@ func (l *ledger) prune(cum uint64) {
 // cum is the server's cumulative-progress report: every request ID at or
 // below it has been sequenced.
 func (l *ledger) cum() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.next - 1
 }
 
 // waiting is the number of ordered requests held above a gap. The idle
-// reaper does not count their window slots as live work: a client that
+// rule does not count their window slots as live work: a client that
 // died with a gap outstanding leaves them held forever, and the session
 // must still be reapable.
-func (l *ledger) waiting() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.entries {
-		if e.req != nil {
-			n++
-		}
-	}
-	return n
-}
+func (l *ledger) waiting() int { return l.nwaiting }
 
 // discard forgets every request waiting above a gap and returns them, so
-// teardown can release the window slots of requests that will never
-// execute.
+// the machine can free the window slots of requests that will never
+// execute (at the BYE, and when the session ends).
 func (l *ledger) discard() []envelope {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []envelope
 	for id, e := range l.entries {
 		if e.req != nil {
@@ -204,5 +181,6 @@ func (l *ledger) discard() []envelope {
 			delete(l.entries, id)
 		}
 	}
+	l.nwaiting = 0
 	return out
 }

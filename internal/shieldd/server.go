@@ -25,17 +25,18 @@
 // One protocol is served, wire.Version; a HELLO announcing any other
 // version is refused with a plaintext CodeVersion error. Both transports
 // share one handshake state machine (serveTransport) and one session
-// loop (serveSession): every sealed frame carries a request ID, the
-// client pipelines requests, and the server completes them out of order
-// under a bounded in-flight window. Scenario-mutating requests
-// (EXCHANGE, BATCH-EXCHANGE, ATTACK) are executed strictly in
-// request-ID order by a per-session executor — that is what keeps the
-// deterministic (seed, request sequence) → results contract intact under
-// pipelining and datagram loss — while PING, STATUS-METRICS, and
-// EXPERIMENT requests complete independently and may overtake them;
-// EXPERIMENT requests stream incremental EXPERIMENT-PROGRESS frames
-// while they run. See DESIGN.md "Selective repeat & streaming
-// experiments".
+// state machine (sessionMachine, machine.go), which does no I/O and is
+// run by a thin goroutine shell (session.serve): every sealed frame
+// carries a request ID, the client pipelines requests, and the server
+// completes them out of order under a bounded in-flight window.
+// Scenario-mutating requests (EXCHANGE, BATCH-EXCHANGE, ATTACK) are
+// executed strictly in request-ID order, one at a time — that is what
+// keeps the deterministic (seed, request sequence) → results contract
+// intact under pipelining and datagram loss — while PING,
+// STATUS-METRICS, and EXPERIMENT requests complete independently and may
+// overtake them; EXPERIMENT requests stream incremental
+// EXPERIMENT-PROGRESS frames while they run. See DESIGN.md "Request-ID
+// multiplexing" and "Selective repeat & streaming experiments".
 package shieldd
 
 import (
@@ -145,10 +146,10 @@ type Server struct {
 	cfg  ServerConfig
 	pool *scenarioPool
 	sem  chan struct{}
-	// gsem, when non-nil, bounds scenario/experiment work in flight
-	// across all sessions (MaxInFlightGlobal); acquisition is always
-	// non-blocking — over-budget work is shed with BUSY, never queued.
-	gsem chan struct{}
+	// work counts scenario/experiment work in flight across all
+	// sessions, which MaxInFlightGlobal bounds when set; acquisition never
+	// blocks — over-budget work is shed with BUSY, never queued.
+	work atomic.Int64
 	// cookies mints and verifies the stateless handshake cookies that
 	// gate datagram session state: no goroutine, key derivation, or peer
 	// registration happens for a source address that has not echoed a
@@ -210,9 +211,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		tickets: tickets,
 		reg:     metrics.NewRegistry(),
 	}
-	if cfg.MaxInFlightGlobal > 0 {
-		s.gsem = make(chan struct{}, cfg.MaxInFlightGlobal)
-	}
 	if cfg.HandshakeRate > 0 {
 		s.hsLimiter = newRateLimiter(cfg.HandshakeRate, cfg.HandshakeBurst)
 	}
@@ -228,31 +226,25 @@ func (s *Server) retryAfterMillis() uint32 {
 // block (zero), shed immediately (negative), or wait-then-shed
 // (positive). It reports whether a slot was taken.
 func (s *Server) admitSession() bool {
-	switch {
-	case s.cfg.AdmissionWait == 0:
-		s.sem <- struct{}{}
+	select {
+	case s.sem <- struct{}{}:
 		return true
-	case s.cfg.AdmissionWait < 0:
-		select {
-		case s.sem <- struct{}{}:
-			return true
-		default:
-			return false
-		}
 	default:
-		select {
-		case s.sem <- struct{}{}:
-			return true
-		default:
-		}
+	}
+	if s.cfg.AdmissionWait < 0 {
+		return false
+	}
+	var expired <-chan time.Time // nil: AdmissionWait 0 waits for good
+	if s.cfg.AdmissionWait > 0 {
 		t := time.NewTimer(s.cfg.AdmissionWait)
 		defer t.Stop()
-		select {
-		case s.sem <- struct{}{}:
-			return true
-		case <-t.C:
-			return false
-		}
+		expired = t.C
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-expired:
+		return false
 	}
 }
 
@@ -260,29 +252,14 @@ func (s *Server) admitSession() bool {
 // blocks — over-budget work is shed, not queued. Always true when
 // MaxInFlightGlobal is unset.
 func (s *Server) acquireWork() bool {
-	if s.gsem == nil {
-		return true
-	}
-	select {
-	case s.gsem <- struct{}{}:
-		return true
-	default:
+	if n := s.work.Add(1); s.cfg.MaxInFlightGlobal > 0 && n > int64(s.cfg.MaxInFlightGlobal) {
+		s.work.Add(-1)
 		return false
 	}
+	return true
 }
 
-func (s *Server) releaseWork() {
-	if s.gsem != nil {
-		<-s.gsem
-	}
-}
-
-// shedRequest counts one in-session request answered BUSY.
-func (s *Server) shedRequest(sess *session) *wire.Busy {
-	sess.met.Shed.Add(1)
-	s.met.ShedRequests.Add(1)
-	return &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-}
+func (s *Server) releaseWork() { s.work.Add(-1) }
 
 // Serve accepts connections until the listener is closed, running one
 // session per connection. It returns the listener's Accept error.
@@ -493,7 +470,7 @@ func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, paylo
 // closing tc on return:
 //
 //	HELLO → CHALLENGE2 + sealed HELLO-ACK → the first sealed frame that
-//	opens commits a session slot → serveSession.
+//	opens commits a session slot → session.serve.
 //
 // The session keeps the HELLO's scenario options, not a scenario: its
 // world is built by the executor on its first physics request, inside
@@ -519,7 +496,6 @@ func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, paylo
 func (s *Server) serveTransport(tc transportConn, addr string) {
 	defer tc.close()
 	_ = tc.setReadDeadline(time.Now().Add(handshakeTimeout))
-	lossy := tc.unreliable()
 	refuse := func(code uint8, msg string) {
 		_ = tc.writeHandshake((&wire.Error{Code: code, Msg: msg}).Encode())
 	}
@@ -533,7 +509,7 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 		if hs {
 			hello = decodeHello(payload)
 		}
-		if hello == nil && !lossy {
+		if hello == nil && !tc.unreliable() {
 			return
 		}
 	}
@@ -570,22 +546,9 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 		return
 	}
 
-	var plain []byte
-	for plain == nil {
-		payload, hsFrame, err := tc.readFrame()
-		if err != nil {
-			return
-		}
-		if hsFrame {
-			retransmit, newcomer := s.strayHello(tc, addr, hello.Nonce, payload)
-			if newcomer || retransmit && !sendChallenge() {
-				return
-			}
-			continue
-		}
-		if plain, err = link.Open(payload); err != nil && !lossy {
-			return
-		}
+	plain, ok := s.readSealed(tc, addr, hello.Nonce, link, sendChallenge)
+	if !ok {
+		return
 	}
 
 	// Authenticated: the ID handed out in the ack only becomes a counted
@@ -597,9 +560,9 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	// between gate and commit.)
 	if !s.admitSession() {
 		s.met.ShedHandshakes.Add(1)
-		if reqID, _, _, err := decodeReqEnvelope(plain); err == nil {
+		if reqID, flags, _, _, err := wire.DecodeEnvelopeV3(plain); err == nil && flags == 0 {
 			busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-			_ = tc.writeFrame(link.Seal(encodeRespEnvelope(envelope{id: reqID, msg: busy}, 0)))
+			_ = tc.writeFrame(link.Seal(wire.EncodeEnvelopeV3(reqID, 0, 0, busy)))
 		}
 		return
 	}
@@ -608,459 +571,170 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	s.met.ActiveSessions.Add(1)
 	defer s.met.ActiveSessions.Add(-1)
 
-	sess := &session{id: id, link: link, addr: addr, nonce: hello.Nonce, opt: opt}
+	sess := &session{s: s, tc: tc, id: id, link: link, addr: addr, nonce: hello.Nonce, opt: opt}
 	s.reg.Register(id, &sess.met)
 	defer s.reg.Unregister(id)
-	// serveSession returns only after the writer has drained the
-	// executor's last response, so the world the executor built (if any)
-	// is visible here.
-	defer func() {
-		if sess.world != nil {
-			s.pool.put(sess.world.Scenario)
-		}
-	}()
-	defer s.absorbLinkStats(link)
 	// Lift the handshake deadline: experiments may run for minutes.
 	_ = tc.setReadDeadline(time.Time{})
-	s.serveSession(tc, sess, plain)
+	sess.serve(plain)
 }
 
-// absorbLinkStats adds a finished session's link counters to the
-// server counters of the same name.
-func (s *Server) absorbLinkStats(link *securelink.Link) {
-	st := link.Stats()
-	metrics.Each(&st, "", s.met.Add)
-}
-
-// startReaper watches a session for idleness: when busy() is false and
-// no frame has arrived for idle, it closes the transport (waking the
-// blocked reader; the session defers return its scenario, if it took
-// one, to the pool) and counts the reap. A ticker-based watcher —
-// deliberately not a read deadline, which could fire mid-frame and
-// desynchronize the framing. The returned stop function must be called
-// at session end.
-func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy func() bool) (stop func()) {
-	if s.cfg.IdleTimeout <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		// A quarter of the timeout, floored so any positive timeout
-		// gives time.NewTicker a positive interval.
-		tick := time.NewTicker(max(s.cfg.IdleTimeout/4, time.Millisecond))
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				idleFor := time.Duration(time.Now().UnixNano() - lastActivity.Load())
-				if !busy() && idleFor >= s.cfg.IdleTimeout {
-					// Close before counting: whoever sees the reap counted
-					// also finds the transport closed, so a stream client's
-					// next frame does not race the close.
-					tc.close()
-					s.met.ReapedSessions.Add(1)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-// envelope pairs a request ID with the message that answers (or asks)
-// it, plus the frame roles: partial marks a streamed non-final response
-// (EnvPartial on the wire, never recorded in the ledger), and last
-// marks the final frame of the session (the BYE response) — after
-// flushing it the writer closes the transport to wake the reader into
-// teardown.
-type envelope struct {
-	id      uint64
-	msg     wire.Message
-	partial bool
-	last    bool
-}
-
-// decodeReqEnvelope parses a request envelope; cum is the client's
-// cumulative-progress report. A client-sent partial flag is malformed.
-func decodeReqEnvelope(plain []byte) (id, cum uint64, m wire.Message, err error) {
-	id, flags, cum, m, err := wire.DecodeEnvelopeV3(plain)
-	if err == nil && flags != 0 {
-		return id, cum, nil, wire.ErrInvalid
-	}
-	return id, cum, m, err
-}
-
-// encodeRespEnvelope serializes a response envelope; cum is the
-// server's cumulative-progress report.
-func encodeRespEnvelope(e envelope, cum uint64) []byte {
-	var flags uint8
-	if e.partial {
-		flags = wire.EnvPartial
-	}
-	return wire.EncodeEnvelopeV3(e.id, flags, cum, e.msg)
-}
-
-// serveSession is the multiplexed session loop. Three roles share the
-// transport:
-//
-//   - this goroutine (the reader) owns link.Open, classifies requests,
-//     and enforces the in-flight window;
-//   - a per-session executor goroutine runs scenario-mutating requests
-//     one at a time in request-ID order (the session ledger restores ID
-//     order under datagram loss and reordering, which is what makes
-//     pipelined submission deterministic);
-//   - a writer goroutine owns link.Seal and transport writes, so
-//     responses from the executor, experiment goroutines, and the
-//     reader's own fast-path replies interleave safely.
-//
-// A request's slot in the window is released only after its response
-// has been handed to the writer, so once the reader can claim every slot
-// the session is quiescent and the channels can be torn down safely.
-//
-// The session ledger (ledger.go) makes execution exactly-once and in
-// order over an at-least-once network, on every transport:
-//
-//   - request IDs pass the ledger before they take a window slot: a
-//     retransmitted (or reused) ID that is still executing is dropped,
-//     and one that already completed is answered again from its recorded
-//     response without touching the scenario — re-execution would fork
-//     the deterministic per-seed result stream — so no duplicate can
-//     ever wedge the reader;
-//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) reach the executor
-//     only as the ledger's cursor passes them, so an op that arrives
-//     above a lost datagram waits in its entry instead of executing
-//     early;
-//   - every response envelope carries the server's cumulative-progress
-//     report, and the client's report prunes the ledger's cache;
-//   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
-//     while they run; partials are never recorded, so the final answer
-//     still completes the request.
-//
-// A securelink Open failure is a dropped datagram on an unreliable
-// transport (loss, duplication, and reordering are normal there) and a
-// compromise that ends the session on a stream.
-//
-// BYE is sequenced like any ordered op: the executor answers it only
-// after every lower ID has executed, drains the rest of the window, and
-// marks the response `last` — the writer flushes it, then closes the
-// transport to steer the reader into teardown.
-func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte) {
-	link := sess.link
-	window := requestWindow
-	slots := make(chan struct{}, window) // filled = in flight
-	exec := make(chan envelope, window)  // scenario ops, execution order
-	out := make(chan envelope, window+1) // responses to the writer
-	writerDone := make(chan struct{})
-	l := newLedger()
-	// dying closes when no further frame can ever be sent (the final BYE
-	// response was flushed, or the transport broke): the reader stops
-	// waiting for window slots — which may be held hostage by requests
-	// waiting on a gap that can now never be filled — and falls through
-	// to its read error.
-	dying := make(chan struct{})
-	var dyingOnce sync.Once
-	die := func() { dyingOnce.Do(func() { close(dying) }) }
-	// stopExec tells the executor the session is tearing down: discard
-	// the requests waiting on a gap (releasing their window slots) and
-	// drain exec without executing.
-	stopExec := make(chan struct{})
-	// leave returns one finished request's window slot.
-	leave := func() {
-		sess.met.LeaveFlight()
-		<-slots
-	}
-
-	// Writer: sole owner of link.Seal and transport writes. On a write
-	// error it closes the transport (waking the reader) and keeps
-	// draining so no producer ever blocks forever. It records every
-	// final response in the ledger before sending, so a retransmitted
-	// request can be re-answered; partial frames are never recorded (a
-	// cached partial would block the final answer forever).
-	go func() {
-		defer close(writerDone)
-		broken := false
-		for e := range out {
-			if broken {
-				if e.last {
-					die()
-				}
-				continue
-			}
-			if !e.partial {
-				l.complete(e.id, e.msg)
-			}
-			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(e, l.cum()))); err != nil {
-				broken = true
-				tc.close()
-				die()
-				continue
-			}
-			if e.partial {
-				sess.met.ProgressFrames.Add(1)
-				s.met.TotalProgressFrames.Add(1)
-			}
-			if e.last {
-				// The BYE response is flushed: the session is over. Close
-				// the transport so the reader's blocking read returns.
-				tc.close()
-				die()
-			}
-		}
-	}()
-
-	// Executor: scenario-mutating requests one at a time, in the order
-	// the ledger released them onto exec. Every envelope on exec except the
-	// BYE holds one slot of the global work budget, released as soon as
-	// the scenario work is done.
-	go func() {
-		discard := false
-		stop := stopExec
-		dropBuffered := func() {
-			for range l.discard() {
-				leave()
-			}
-		}
-		for {
-			select {
-			case <-stop:
-				stop = nil
-				discard = true
-				dropBuffered()
-			case e, ok := <-exec:
-				if !ok {
-					return
-				}
-				if _, isBye := e.msg.(*wire.Bye); isBye {
-					// Ordered ops below the BYE have all executed (it was
-					// sequenced); anything buffered above it never will.
-					dropBuffered()
-					if discard {
-						leave()
-						continue
-					}
-					// Drain every other in-flight request (experiments,
-					// fast-path replies) so the BYE response is provably
-					// the last frame of the session, then hand the window
-					// back for the reader's teardown quiesce. The drain
-					// yields to stopExec: if the transport dies mid-drain
-					// the reader's quiesce competes for the same window,
-					// and the answer would go nowhere anyway.
-					held, stopped := 1, false
-					for held < window && !stopped {
-						select {
-						case slots <- struct{}{}:
-							held++
-						case <-stop:
-							stopped = true
-						}
-					}
-					if !stopped {
-						out <- envelope{id: e.id, msg: &wire.Bye{}, last: true}
-					}
-					sess.met.LeaveFlight()
-					for i := 0; i < held; i++ {
-						<-slots
-					}
-					if stopped {
-						stop = nil
-					}
-					discard = true
-					continue
-				}
-				if discard {
-					s.releaseWork()
-					leave()
-					continue
-				}
-				resp := s.dispatchScenario(sess, e.msg)
-				s.releaseWork()
-				out <- envelope{id: e.id, msg: resp}
-				leave()
-			}
-		}
-	}()
-
-	// takeSlot claims a window slot for a fresh request, giving up if the
-	// session is dying (slots may then never free again).
-	takeSlot := func() bool {
-		select {
-		case slots <- struct{}{}:
-			return true
-		case <-dying:
-			return false
-		}
-	}
-
-	// respond enqueues a response and releases the caller's window slot.
-	respond := func(id uint64, m wire.Message) {
-		if _, isErr := m.(*wire.Error); isErr {
-			sess.met.Errors.Add(1)
-		}
-		out <- envelope{id: id, msg: m}
-		leave()
-	}
-
-	// sequence hands released ordered requests to the executor. Global
-	// load shedding happens at release time — a request waiting on a gap
-	// must not sit on server-wide work budget while it waits. A
-	// well-behaved client gives BYE its highest ID; anything released
-	// after it came from a misbehaving peer and is dropped unanswered (its
-	// slot must not survive the executor's window drain).
-	byeSeen := false
-	sequence := func(rel []envelope) {
-		for _, e := range rel {
-			_, isBye := e.msg.(*wire.Bye)
-			switch {
-			case byeSeen:
-				leave()
-			case isBye:
-				exec <- e
-				byeSeen = true
-			case !s.acquireWork():
-				respond(e.id, s.shedRequest(sess))
-			default:
-				exec <- e // the executor releases the slot and work budget
-			}
-		}
-	}
-
-	// answer responds to a request the reader serves itself. Its ID
-	// enters the ledger before the response reaches the writer, which
-	// records the response in the ID's entry.
-	answer := func(id uint64, m wire.Message) {
-		rel := l.skip(id)
-		respond(id, m)
-		sequence(rel)
-	}
-
-	// claim admits a request ID through the ledger; false means a
-	// duplicate, dropped — or, if it already completed, re-answered from
-	// its recorded response — without taking a window slot.
-	claim := func(id uint64) bool {
-		fresh, cached := l.admit(id)
-		if cached != nil {
-			sess.met.Retransmits.Add(1)
-			s.met.TotalRetransmits.Add(1)
-			out <- envelope{id: id, msg: cached}
-		}
-		return fresh
-	}
-
-	// Idle reaper: "busy" means a request holds a window slot for live
-	// work — long experiments and deep pipelines are never reaped
-	// mid-work. Slots held by requests waiting on a gap do NOT count: a
-	// client that died with a gap outstanding leaves them held forever,
-	// and the session must still be reapable.
-	var lastActivity atomic.Int64
-	lastActivity.Store(time.Now().UnixNano())
-	defer s.startReaper(tc, &lastActivity, func() bool { return len(slots) > l.waiting() })()
-
-	// handle classifies one authenticated plaintext.
-	handle := func(plain []byte) {
-		id, cum, req, err := decodeReqEnvelope(plain)
-		if err != nil {
-			// Authentic but malformed: answer and keep the session. An
-			// envelope too short to carry an ID is answered as ID 0; a
-			// real ID must still be claimed and move the ledger's cursor,
-			// or every later ordered op would wait on it forever.
-			if id != 0 && !claim(id) || !takeSlot() {
-				return
-			}
-			sess.met.EnterFlight()
-			malformed := &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"}
-			if id == 0 {
-				respond(id, malformed)
-			} else {
-				answer(id, malformed)
-			}
-			return
-		}
-		l.prune(cum)
-		// Once the session's BYE is sequenced nothing fresh may enter the
-		// window while the executor drains it.
-		if !claim(id) || byeSeen || !takeSlot() {
-			return
-		}
-		sess.met.EnterFlight()
-		switch m := req.(type) {
-		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
-			sequence(l.submit(id, req))
-		case *wire.ExperimentReq:
-			if m.Trials > wire.MaxExperimentTrials {
-				answer(id, &wire.Error{Code: wire.CodeBadRequest,
-					Msg: fmt.Sprintf("experiment trials %d exceed the limit of %d", m.Trials, wire.MaxExperimentTrials)})
-				return
-			}
-			rel := l.skip(id)
-			if s.acquireWork() {
-				sess.met.Experiments.Add(1)
-				emit := func(p *wire.ExperimentProgress) {
-					out <- envelope{id: id, msg: p, partial: true}
-				}
-				go func() {
-					defer s.releaseWork()
-					respond(id, s.handleExperiment(m, emit))
-				}()
-			} else {
-				respond(id, s.shedRequest(sess))
-			}
-			sequence(rel)
-		case *wire.Ping:
-			sess.met.Pings.Add(1)
-			s.met.TotalPings.Add(1)
-			answer(id, &wire.Pong{Token: m.Token})
-		case *wire.MetricsReq:
-			answer(id, s.handleMetrics(sess))
-		default:
-			answer(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "unexpected request"})
-		}
-	}
-
-	// shutdown stops the executor (discarding waiting requests), waits
-	// until every in-flight request has enqueued its response — the
-	// reader then owns the whole window — and flushes the writer.
-	shutdown := func() {
-		close(stopExec)
-		for i := 0; i < window; i++ {
-			slots <- struct{}{}
-		}
-		close(exec)
-		close(out)
-		<-writerDone
-	}
-
-	handle(firstPlain)
+// readSealed returns the next sealed frame that opens on link, from the
+// client instance that sent nonce from addr. A handshake frame follows
+// strayHello's rule: the instance's own HELLO retransmit calls resend
+// (the handshake answers it again; an established session ignores it),
+// and a new instance that proves the address ends the read. A frame that
+// fails to open is a dropped datagram on an unreliable transport (loss,
+// duplication, and reordering are normal there) and a compromise on a
+// stream. ok is false once the read ends: the transport failed or
+// closed, a stream frame failed to open, a newcomer took the address, or
+// resend failed.
+func (s *Server) readSealed(tc transportConn, addr string, nonce [16]byte, link *securelink.Link, resend func() bool) (plain []byte, ok bool) {
 	for {
 		raw, hs, err := tc.readFrame()
 		if err != nil {
-			shutdown()
-			return
+			return nil, false
 		}
 		if hs {
-			// A handshake datagram straggling into an established session
-			// is usually a late HELLO retransmit of this session: ignore
-			// it, unless it proves a new client instance on this address.
-			if _, newcomer := s.strayHello(tc, sess.addr, sess.nonce, raw); newcomer {
-				shutdown()
-				return
+			retransmit, newcomer := s.strayHello(tc, addr, nonce, raw)
+			if newcomer || retransmit && resend != nil && !resend() {
+				return nil, false
 			}
 			continue
 		}
-		plain, err := link.Open(raw)
-		if err != nil {
-			if tc.unreliable() {
-				continue // normal datagram loss, visible in link.Stats()
-			}
-			shutdown()
-			return
+		if plain, err := link.Open(raw); err == nil {
+			return plain, true
 		}
-		// Only a frame that opens is activity: the client's address is
-		// spoofable, so anything else must not hold the session open.
-		lastActivity.Store(time.Now().UnixNano())
-		handle(plain)
-		lastActivity.Store(time.Now().UnixNano())
+		if !tc.unreliable() {
+			return nil, false
+		}
+	}
+}
+
+// idleTickEvery is the idle tick period: a quarter of the timeout,
+// floored so any positive timeout gives a positive period.
+func (s *Server) idleTickEvery() time.Duration {
+	return max(s.cfg.IdleTimeout/4, time.Millisecond)
+}
+
+// serve runs one committed session until it ends: a BYE, an idle reap,
+// the transport's end or a failed open on a stream (readSealed), or a
+// new client instance taking over a datagram address. Teardown waits
+// until no op or experiment of the session runs, then returns the world
+// the executor built (if any) to the pool and adds the link's counters
+// to the server's counters of the same name.
+func (sess *session) serve(firstPlain []byte) {
+	s := sess.s
+	sess.wake.L = &sess.mu
+	sess.m = &sessionMachine{l: newLedger(), cfg: machineConfig{
+		reliable:         !sess.tc.unreliable(),
+		idleTimeout:      s.cfg.IdleTimeout,
+		acquireWork:      s.acquireWork,
+		releaseWork:      s.releaseWork,
+		answerMetrics:    func() wire.Message { return s.handleMetrics(sess) },
+		retryAfterMillis: s.retryAfterMillis(),
+		met:              &sess.met,
+		srv:              &s.met,
+	}}
+	if s.cfg.IdleTimeout > 0 {
+		// Ticks rather than a read deadline, which could fire mid-frame
+		// and desynchronize the framing.
+		sess.mu.Lock()
+		sess.idle = time.AfterFunc(s.idleTickEvery(), sess.tick)
+		sess.mu.Unlock()
+	}
+	for plain, ok := firstPlain, true; ok; plain, ok = s.readSealed(sess.tc, sess.addr, sess.nonce, sess.link, nil) {
+		sess.mu.Lock()
+		if op, run := sess.run(sess.m.request(plain, time.Now())); run {
+			go sess.execute(op)
+		}
+		for sess.m.stalled() {
+			sess.wake.Wait()
+		}
+		sess.mu.Unlock()
+	}
+	sess.tc.close()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.m.end()
+	if sess.idle != nil {
+		sess.idle.Stop()
+	}
+	for sess.m.working() {
+		sess.wake.Wait()
+	}
+	if sess.world != nil {
+		s.pool.put(sess.world.Scenario)
+	}
+	st := sess.link.Stats()
+	metrics.Each(&st, "", s.met.Add)
+}
+
+// run carries out one event's actions in order; callers hold sess.mu.
+// It returns the ordered op the event released for execution, if any:
+// the executor runs it next, any other caller starts an executor for it.
+// A failed write ends the session: the transport is closed (waking the
+// reader) and the machine stops sending.
+func (sess *session) run(acts []action) (op envelope, execute bool) {
+	for _, a := range acts {
+		switch a.kind {
+		case actSend:
+			e := a.env
+			if sess.tc.writeFrame(sess.link.Seal(wire.EncodeEnvelopeV3(e.id, e.flags, a.cum, e.msg))) != nil {
+				sess.tc.close()
+				sess.m.end()
+			}
+		case actExecute:
+			op, execute = a.env, true
+		case actStart:
+			go sess.experiment(a.env.id, a.env.msg.(*wire.ExperimentReq))
+		case actClose:
+			sess.tc.close()
+		case actReap:
+			sess.tc.close()
+			sess.s.met.ReapedSessions.Add(1)
+		}
+	}
+	sess.wake.Signal()
+	return op, execute
+}
+
+// execute is the session's executor: it runs ordered ops one at a time,
+// in the order the machine hands them out, and exits when none is
+// queued. Only it touches the session's world while the session runs.
+func (sess *session) execute(op envelope) {
+	for more := true; more; {
+		resp := sess.s.dispatchScenario(sess, op.msg)
+		sess.mu.Lock()
+		op, more = sess.run(sess.m.done(op.id, resp))
+		sess.mu.Unlock()
+	}
+}
+
+// experiment runs one started experiment, streaming its progress; its
+// goroutine becomes the executor if its answer releases an ordered op.
+func (sess *session) experiment(id uint64, req *wire.ExperimentReq) {
+	resp := sess.s.handleExperiment(req, func(p *wire.ExperimentProgress) {
+		sess.mu.Lock()
+		sess.run(sess.m.progress(id, p))
+		sess.mu.Unlock()
+	})
+	sess.mu.Lock()
+	op, execute := sess.run(sess.m.done(id, resp))
+	sess.mu.Unlock()
+	if execute {
+		sess.execute(op)
+	}
+}
+
+// tick feeds one idle tick and re-arms the timer while the session
+// lives.
+func (sess *session) tick() {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.run(sess.m.tick(time.Now()))
+	if !sess.m.over {
+		sess.idle.Reset(sess.s.idleTickEvery())
 	}
 }
 
@@ -1093,11 +767,23 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 }
 
 // session is one active session: its link and counters, the normalized
-// scenario options its HELLO announced, and, once it runs physics, its
+// scenario options its HELLO announced, once it runs physics its
 // testbed.World (the calibrated scenario and adversaries its seed and
 // options determine — the world the public Simulation builds for the
-// same seed). met and link are safe for concurrent use.
+// same seed), and the goroutine shell around its machine (machine.go).
+//
+// One mutex serializes the machine. The reader feeds it each request
+// plaintext it opens, the executor each ordered op's result, an
+// experiment's goroutine its partial and final answers, and an idle
+// timer its ticks, and each carries out the actions its event returns on
+// its own goroutine: a reply is sealed and written by the goroutine whose
+// event produced it, so a PING's PONG leaves from the reader and an
+// ordered op's reply from the goroutine that executed it. The executor
+// runs only while ordered ops are queued, so a session that has run none
+// holds its reader, plus one goroutine per running experiment.
 type session struct {
+	s    *Server
+	tc   transportConn
 	id   uint64
 	link *securelink.Link
 	met  metrics.Session
@@ -1111,8 +797,16 @@ type session struct {
 	opt testbed.Options
 	// world stays nil until Server.world builds it. Only the session's
 	// executor reaches it while the session runs; teardown reads it after
-	// serveSession has drained the executor.
+	// serve has seen the last op finish.
 	world *testbed.World
+
+	mu sync.Mutex
+	m  *sessionMachine
+	// wake wakes the reader when an event unparks a request or lets
+	// teardown finish; the reader is its only waiter.
+	wake sync.Cond
+	// idle fires the idle ticks, when IdleTimeout is set.
+	idle *time.Timer
 }
 
 // implants is the number of implants the session's world holds (or will).
@@ -1135,21 +829,15 @@ func (s *Server) world(sess *session) *testbed.World {
 // session's executor. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it;
 // the first one that passes validation builds the session's world.
 func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message {
-	var resp wire.Message
 	switch m := req.(type) {
 	case *wire.ExchangeReq:
-		resp = s.handleExchange(sess, m)
+		return s.handleExchange(sess, m)
 	case *wire.BatchReq:
-		resp = s.handleBatch(sess, m)
+		return s.handleBatch(sess, m)
 	case *wire.AttackReq:
-		resp = s.handleAttack(sess, m)
-	default:
-		resp = &wire.Error{Code: wire.CodeInternal, Msg: "non-scenario request on executor"}
+		return s.handleAttack(sess, m)
 	}
-	if _, isErr := resp.(*wire.Error); isErr {
-		sess.met.Errors.Add(1)
-	}
-	return resp
+	return &wire.Error{Code: wire.CodeInternal, Msg: "non-scenario request on executor"}
 }
 
 // runExchange executes one protected exchange against IMD index idx on
@@ -1243,15 +931,11 @@ const progressChunk = 64
 // Incremental progress is streamed through emit at progressChunk-trial
 // granularity while the experiment runs.
 func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.ExperimentProgress)) wire.Message {
-	workers := int(m.Workers)
-	if workers > s.cfg.ExperimentWorkers {
-		workers = s.cfg.ExperimentWorkers
-	}
 	cfg := experiments.Config{
 		Seed:    m.Seed,
 		Trials:  int(m.Trials),
 		Quick:   m.Quick,
-		Workers: workers,
+		Workers: min(int(m.Workers), s.cfg.ExperimentWorkers),
 	}
 	cfg.Progress = func(done, total int) {
 		if done%progressChunk == 0 || done == total {

@@ -74,12 +74,12 @@ func TestBusyFirstExchangeBuildsNoWorld(t *testing.T) {
 	late := openSession(t, srv, SessionOptions{Seed: 51, Location: 2})
 
 	// The experiment's first progress frame shows it holds the budget.
-	// Its callback then stalls the holder's read loop, so the server's
-	// writer stalls on its next frame. The experiment sends
-	// requestWindow+3 progress frames: past the one the callback holds,
-	// the one in the writer's hand and the requestWindow+1 its queue
-	// takes, its final answer blocks, so it cannot finish and release the
-	// budget until the callback returns.
+	// Its callback then stalls the holder's read loop. The server buffers
+	// no outgoing frame: the experiment's goroutine writes each of its
+	// requestWindow+3 progress frames itself, and a net.Pipe write returns
+	// only once the client has read the frame, so the experiment blocks on
+	// its second frame and cannot finish and release the budget until the
+	// callback returns.
 	trials := (requestWindow + 3) * progressChunk
 	running, release := make(chan struct{}), make(chan struct{})
 	var first sync.Once
