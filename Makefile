@@ -8,7 +8,8 @@
 #   make race         - race detector over the concurrent packages (the
 #                       serving stack, including securelink's shared
 #                       cookie and ticket sources), plus ten repeated
-#                       runs of the request-table tests
+#                       runs of the request-table tests, both session
+#                       machines' rule tables and the goroutine pins
 #   make fuzz         - FUZZTIME smoke of every fuzz target
 #   make ci           - exactly what each .github/workflows/ci.yml test
 #                       job runs: fmt + vet + staticcheck + build + test
@@ -40,8 +41,9 @@
 #   make trial-check  - CI trial-determinism gate: every experiment must render
 #                       byte-identically at Workers=1 and Workers=8
 #   make fuzz-nightly - the nightly deep-fuzz leg: the wire + dgram + securelink
-#                       decoders and the session machine's schedule fuzzer
-#                       for NIGHTLY_FUZZTIME each, growing the corpus
+#                       decoders and the schedule fuzzer that drives the
+#                       client session machine against the server's, for
+#                       NIGHTLY_FUZZTIME each, growing the corpus
 #   make seccheck     - adversarial handshake wall: forward-secrecy,
 #                       key-compromise, replay, and version-rewrite attacks
 #                       against a live server (internal/securelink/sectest)
@@ -131,9 +133,10 @@ FUZZ_TARGETS = \
 	./internal/shieldd:FuzzSessionSchedule
 
 # What the nightly workflow fuzzes for 10 minutes each: the attack-surface
-# decoders (everything that parses bytes off the network) and the server
-# session machine under fuzzed schedules of loss, duplication,
-# reordering, work completion and virtual time.
+# decoders (everything that parses bytes off the network) and the client
+# and server session machines, driven against each other under fuzzed
+# schedules of calls, loss, duplication, reordering, work completion,
+# retry timers, transport ends, reconnects and virtual time.
 NIGHTLY_FUZZ_TARGETS = \
 	./internal/wire:FuzzWireDecode \
 	./internal/wire/dgram:FuzzDgramDecode \
@@ -180,16 +183,16 @@ staticcheck:
 staticcheck-install:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-# The request tables get a repeated leg of their own: the client's
-# pending calls (and their retry state) are shared under one mutex by
-# submitters, the read loop and the retransmit loop, and a server
-# session's machine (its ledger among it) under the session mutex by its
-# reader, its executor, its experiments and its idle timer (the
-# goroutine-hygiene test ends sessions by BYE, reap, transport loss and
-# takeover with work in flight). So does a session's world, which its
-# executor builds on the first physics request and its teardown returns
-# to the pool once no op runs.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene
+# The request tables get a repeated leg of their own: a client's machine
+# (its pending calls and their retry state among it) is shared under the
+# client's mutex by submitters, the read loop and the retry timer, and a
+# server session's machine (its ledger among it) under the session mutex
+# by its reader, its executor, its experiments and its idle timer (the
+# goroutine-hygiene tests end sessions by BYE, reap, transport loss and
+# takeover with work in flight, and pin what an open client costs). So
+# does a session's world, which its executor builds on the first physics
+# request and its teardown returns to the pool once no op runs.
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestClientMachineRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
 race:
 	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd

@@ -7,8 +7,8 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heartshield/internal/securelink"
@@ -18,8 +18,23 @@ import (
 	"heartshield/internal/wire/dgram"
 )
 
-// ErrClientClosed is returned for requests submitted after Close.
+// ErrClientClosed is returned for requests submitted after Close began;
+// the calls Close finds still pending when it finishes end with
+// ErrSessionLost wrapping it. Every error a call ends with matches
+// ErrClientClosed, ErrSessionLost, ErrRequestTimeout or ErrServerBusy
+// with errors.Is, or is the server's *wire.Error.
 var ErrClientClosed = errors.New("shieldd: client closed")
+
+// ErrSessionLost reports a call that ended with its session: the
+// transport failed, a reconnect failed, or another request ran out of
+// retransmissions. It wraps the cause, so a session ended by an expired
+// request also matches ErrRequestTimeout. Match with errors.Is.
+var ErrSessionLost = errors.New("shieldd: session lost")
+
+// ErrRequestTimeout reports a request on a datagram session that got no
+// answer after MaxRetries retransmissions; its session ends with it.
+// Match with errors.Is.
+var ErrRequestTimeout = errors.New("shieldd: request timed out")
 
 // ErrServerBusy reports that the server shed a handshake or request
 // under overload (a BUSY response) and the client exhausted its backoff
@@ -68,15 +83,16 @@ type SessionOptions struct {
 	ExtraIMDs int
 
 	// AutoReconnect makes a dialed client transparently re-dial and
-	// re-handshake when its connection has died (e.g. the server's idle
-	// reaper closed it) and no requests are in flight. On datagram
-	// sessions, exhausting a request's retransmissions also counts as a
-	// dead session (the server reaped it without a FIN-equivalent), so
-	// the next request re-handshakes. The new session derives fresh keys
-	// from fresh nonces; the deterministic result stream restarts at the
-	// session seed. Only effective for clients created with Dial or
-	// DialUDP, or given a redial function (a pipe/NewClient client has
-	// nothing to re-dial).
+	// re-handshake on its next request once its session has ended: the
+	// server's idle reaper closed it, the transport failed, or on a
+	// datagram session a request ran out of retransmissions (there is no
+	// FIN, so that is how a reaped datagram session shows). The calls in
+	// flight when it ended fail with ErrSessionLost; submits parked
+	// behind the window or the reconnect go to the new session. The new
+	// session derives fresh keys from fresh nonces; the deterministic
+	// result stream restarts at the session seed. Only effective for
+	// clients created with Dial or DialUDP, or given RedialPacket (a
+	// pipe/NewClient client has nothing to re-dial).
 	AutoReconnect bool
 
 	// RedialPacket supplies fresh packet transports for AutoReconnect on
@@ -91,8 +107,12 @@ type SessionOptions struct {
 	// transports, re-sending its HELLO only on datagrams.
 	RetryTimeout time.Duration
 	// MaxRetries bounds retransmissions per request on datagram sessions
-	// before the call fails with a timeout error, and the steps of the
-	// handshake's wait schedule on both transports (0 = 8).
+	// (0 = 8). A request that runs out of them fails with
+	// ErrRequestTimeout and ends its session, with or without
+	// AutoReconnect: the server can never fill the gap its ID leaves. The
+	// other calls in flight fail with ErrSessionLost. MaxRetries also
+	// bounds the steps of the handshake's wait schedule on both
+	// transports.
 	MaxRetries int
 }
 
@@ -223,29 +243,17 @@ type Call struct {
 	// synchronously.
 	OnProgress func(*wire.ExperimentProgress)
 
-	// release returns the call's send-window slot; installed at submit
-	// time, run exactly once at finish.
-	release     func()
-	releaseOnce sync.Once
-
-	// The call's request ID and, on a datagram session, its retransmit
-	// state: the plaintext envelope id||flags||cum||msg, the tries so
-	// far, when the next retransmit is due, and the ordered responses
-	// with higher IDs seen while it was pending. Guarded by the client's
-	// mu and written before the request's frame goes out.
+	// The call's record in its client's machine, guarded by the client's
+	// mu: where it waits, its request ID and plaintext envelope
+	// id||flags||cum||msg once sent, and on a datagram session its retry
+	// state: the tries so far, when the next retransmit is due, and the
+	// ordered answers with higher IDs seen while it was pending.
+	phase callPhase
 	id    uint64
 	env   []byte
 	tries int
 	due   time.Time
 	skips int
-}
-
-func (call *Call) finish(resp wire.Message, err error) {
-	if call.release != nil {
-		call.releaseOnce.Do(call.release)
-	}
-	call.Resp, call.Err = resp, err
-	call.Done <- call
 }
 
 // Wait blocks until the call completes and returns its outcome.
@@ -257,8 +265,20 @@ func (call *Call) Wait() (wire.Message, error) {
 // Client is one end of a shieldd session: a pipelining multiplexer. Go
 // submits a request without waiting, requests are matched to responses
 // by request ID, and any number of goroutines may issue requests
-// concurrently (the server bounds in-flight work per session; beyond
-// that, transport backpressure applies).
+// concurrently (the session's window bounds how many are in flight).
+//
+// The session's protocol is a clientMachine (clientmachine.go) and the
+// Client is its shell, serialized by mu. The read loop feeds the machine
+// each frame it opens; on a datagram session one time.AfterFunc timer
+// feeds it the retry timeouts; a submitter feeds it its call and waits
+// on cond while the machine parks it; Close feeds it the BYE. Whoever
+// feeds an event carries out its actions (run): it arms the timer under
+// mu, then releases mu to seal and write, finish calls, run OnProgress,
+// close the transport or reconnect. No goroutine holds mu across a
+// transport write or while it waits for writeMu: a net.Pipe write blocks
+// until the peer reads, the peer's reader may be blocked writing to this
+// client, and this client's read loop needs mu before it reads again.
+// For the same reason the read loop never writes on a stream.
 type Client struct {
 	opt    SessionOptions
 	secret []byte
@@ -267,26 +287,18 @@ type Client struct {
 	// old one may be poisoned or its server-side peer state reaped. Nil
 	// when the client has nothing to re-dial.
 	redial func() (transportConn, error)
-	retry  *retrier // nil unless on a datagram transport
 
+	mu sync.Mutex // guards everything below but writeMu
+	// cond wakes the submitters the machine parked; run broadcasts after
+	// every event.
+	cond sync.Cond
+	m    *clientMachine
+	// retry is the machine's retry timer, made on its first arm.
+	retry *time.Timer
 	// backoff is the deterministic jitter source for BUSY retry delays
 	// (busyDelay), keyed off the session seed so overload behaviour
 	// replays exactly.
-	backoffMu sync.Mutex
 	backoff   *stats.RNG
-
-	// window is the send-window semaphore, requestWindow slots: Go
-	// blocks acquiring a slot before allocating a request ID, and the
-	// slot is released when the call finishes. BYE bypasses it (Close
-	// must not deadlock behind a full window).
-	window chan struct{}
-
-	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received.
-	progressFrames atomic.Uint64
-
-	mu        sync.Mutex // guards tc/link swap, pending, nextID, err
-	writeMu   sync.Mutex // serializes Seal+WriteFrame pairs
-	reconnMu  sync.Mutex // serializes reconnect attempts (never held with mu)
 	tc        transportConn
 	link      *securelink.Link
 	sessionID uint64
@@ -298,21 +310,9 @@ type Client struct {
 	rms     []byte
 	resumed bool   // the latest handshake resumed from a ticket
 	resumes uint64 // total resumed handshakes over the client's life
-	nextID  uint64
-	// pending holds every call awaiting its response, and with it, on a
-	// datagram session, the retry schedule: deleting a call from pending
-	// takes it off the schedule.
-	pending map[uint64]*Call
-	// ackCum is the highest request ID through which every response has
-	// been delivered; ackAbove holds delivered response IDs above a gap.
-	// Sent in every request envelope so the server can prune its
-	// ledger's response cache.
-	ackCum   uint64
-	ackAbove map[uint64]struct{}
-	err      error // sticky transport error
-	closed   bool
-	closing  bool // Close in progress: the BYE must get the highest ID
-	reconns  uint64
+	reconns uint64
+
+	writeMu sync.Mutex // serializes Seal+WriteFrame pairs: frames leave in seal order
 }
 
 // Dial opens a TCP session with a shieldd server.
@@ -385,34 +385,38 @@ func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt Sessio
 }
 
 // newClient runs the handshake over tc, then starts the session's read
-// loop and, on an unreliable transport, its retransmit loop.
+// loop.
 func newClient(tc transportConn, secret []byte, opt SessionOptions, redial func() (transportConn, error)) (*Client, error) {
 	hs, err := handshake(tc, secret, opt, nil)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
-		opt:       opt,
-		secret:    secret,
-		redial:    redial,
-		tc:        tc,
-		link:      hs.link,
-		sessionID: hs.sessionID,
-		ticket:    hs.ticket,
-		rms:       hs.rms,
-		resumed:   hs.resumed,
-		nextID:    1,
-		pending:   make(map[uint64]*Call),
-		ackAbove:  make(map[uint64]struct{}),
-		window:    make(chan struct{}, requestWindow),
-		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
+		opt:    opt,
+		secret: secret,
+		redial: redial,
+		m: &clientMachine{cfg: clientConfig{
+			lossy:     tc.unreliable(),
+			rto:       opt.retryTimeout(),
+			maxTries:  opt.maxRetries(),
+			reconnect: opt.AutoReconnect && redial != nil,
+		}},
+		backoff: stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
-	if tc.unreliable() {
-		c.retry = &retrier{rto: opt.retryTimeout(), maxTries: opt.maxRetries(), wake: make(chan struct{}, 1)}
-		go c.retransmitLoop()
-	}
+	c.cond.L = &c.mu
+	c.install(tc, hs)
 	go c.readLoop(tc, hs.link)
 	return c, nil
+}
+
+// install makes tc and its handshake's outcome the client's session.
+// Callers hold c.mu, or own c.
+func (c *Client) install(tc transportConn, hs hsResult) {
+	c.tc, c.link, c.sessionID = tc, hs.link, hs.sessionID
+	c.ticket, c.rms, c.resumed = hs.ticket, hs.rms, hs.resumed
+	if hs.resumed {
+		c.resumes++
+	}
 }
 
 // handshake is the client's one handshake state machine, shared by both
@@ -592,240 +596,109 @@ func (c *Client) Resumes() uint64 {
 }
 
 // readLoop is the demultiplexer: the sole reader of the transport,
-// matching responses to pending calls by request ID. It exits when the
-// transport dies, failing every pending call. On an unreliable
-// transport, frames that fail to open or decode are dropped datagrams
-// (duplicated responses die on the securelink window, corruption dies
-// on the GCM tag) — only a transport-level read error is fatal.
-//
-// EnvPartial frames (streamed EXPERIMENT-PROGRESS) go to the call's
-// OnProgress callback without completing the call, refreshing its
-// retransmit schedule — the partial proves the server is alive and
-// working — and final ordered responses feed the fast-retransmit rule.
-// A frame read after reconnect has replaced tc is dropped, and the loop
-// ends: request IDs restart at 1 on the new session, so a stale response
-// could otherwise complete a new call.
+// feeding the machine each response and partial it opens, and the
+// transport's end. On an unreliable transport a frame that fails to
+// open or decode is a dropped datagram (a duplicate dies on the
+// securelink window, corruption on the GCM tag); on a stream it ends
+// the session. A frame read after a reconnect has replaced tc is
+// dropped and the loop ends: request IDs restart at 1 on the new
+// session, so a stale answer could otherwise finish a new call.
 func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 	for {
 		raw, hs, err := tc.readFrame()
-		if err != nil {
-			c.fail(tc, err)
-			return
+		if err == nil && hs {
+			continue // a late CHALLENGE2 retransmit after the session opened
 		}
-		if hs {
-			continue // late challenge retransmit after an established session
-		}
-		plain, err := link.Open(raw)
 		var (
 			id    uint64
 			flags uint8
 			msg   wire.Message
 		)
 		if err == nil {
-			id, flags, _, msg, err = wire.DecodeEnvelopeV3(plain)
-		}
-		if err != nil {
-			if tc.unreliable() {
+			var plain []byte
+			if plain, err = link.Open(raw); err == nil {
+				id, flags, _, msg, err = wire.DecodeEnvelopeV3(plain)
+			}
+			if err != nil && tc.unreliable() {
 				continue
 			}
-			c.fail(tc, err)
-			return
 		}
 		c.mu.Lock()
 		if c.tc != tc {
 			c.mu.Unlock()
 			return
 		}
-		call := c.pending[id]
-		if flags&wire.EnvPartial != 0 {
-			// Streamed progress: the request is still executing. Do not
-			// complete the call or advance the delivery cursor; the
-			// server holds the request, so its full retry timer and try
-			// budget start over.
-			if call != nil && c.retry != nil {
-				call.tries, call.due = 0, time.Now().Add(c.retry.rto)
-			}
-			c.mu.Unlock()
-			c.progressFrames.Add(1)
-			if call != nil && call.OnProgress != nil {
-				if p, ok := msg.(*wire.ExperimentProgress); ok {
-					call.OnProgress(p)
-				}
-			}
-			continue
-		}
-		delete(c.pending, id)
-		c.recordDelivered(id)
-		var resend [][]byte
-		if c.retry != nil && call != nil && orderedKind(call.Req.Kind()) {
-			resend = c.fastRetransmits(id)
-		}
-		c.mu.Unlock()
-		c.resend(tc, link, resend)
-		if call == nil {
-			continue // response to an abandoned or unknown id
-		}
-		switch m := msg.(type) {
-		case *wire.Error:
-			call.finish(nil, m)
-		case *wire.Busy:
-			// The server shed this request under overload; roundTrip
-			// retries it with a fresh ID after a jittered backoff.
-			call.finish(nil, &busyError{retryAfter: time.Duration(m.RetryAfterMillis) * time.Millisecond})
-		default:
-			call.finish(msg, nil)
-		}
-	}
-}
-
-// recordDelivered advances the cumulative-delivery cursor over a freshly
-// delivered response ID. Callers hold c.mu. The cursor rides in every
-// request envelope, letting the server prune its dedup ledger.
-func (c *Client) recordDelivered(id uint64) {
-	if id <= c.ackCum {
-		return
-	}
-	if id != c.ackCum+1 {
-		c.ackAbove[id] = struct{}{}
-		return
-	}
-	c.ackCum++
-	for {
-		if _, ok := c.ackAbove[c.ackCum+1]; !ok {
+		if err != nil {
+			c.run(c.m.transportFailed(err))
 			return
 		}
-		delete(c.ackAbove, c.ackCum+1)
-		c.ackCum++
+		c.run(c.m.response(id, flags, msg, time.Now()))
 	}
 }
 
-// fail poisons the client (until a reconnect) and fails every pending
-// call. Only the readLoop for the current transport may poison; a stale
-// loop's error is ignored.
-func (c *Client) fail(tc transportConn, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tc != tc {
-		return
+// run carries out one event's actions. Called with c.mu held, it points
+// the retry timer and wakes the parked submitters, then releases c.mu
+// and does the rest in order: it seals and writes each envelope under
+// writeMu and yields, finishes calls, runs OnProgress, closes the
+// transport, and reconnects. A failed stream write closes the
+// transport, so the read loop reads its end; a failed datagram write is
+// a dropped datagram, which the retry schedule owns. run returns the
+// error of a transport close.
+func (c *Client) run(acts []clientAction) (err error) {
+	var buf [4]clientAction
+	todo := append(buf[:0], acts...)
+	tc, link := c.tc, c.link
+	for _, a := range todo {
+		if a.kind == caArm {
+			c.arm(a.at)
+		}
 	}
-	if c.err == nil {
-		c.err = err
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	for _, a := range todo {
+		switch a.kind {
+		case caSend:
+			c.writeMu.Lock()
+			werr := tc.writeFrame(link.Seal(a.call.env))
+			c.writeMu.Unlock()
+			if werr != nil && !tc.unreliable() {
+				tc.close()
+			}
+			// Yield once the frame is out. Its answer comes from other
+			// goroutines (the server's reader, then the read loop), and
+			// Gosched wakes a thread on an idle processor, which then
+			// picks up their hand-offs while it spins. Without it, with
+			// both ends in one process, a hand-off often waits for a
+			// parked thread's futex or epoll wake-up, and the round
+			// trip's latency follows the host's scheduling noise.
+			runtime.Gosched()
+		case caFinish:
+			a.call.Resp, a.call.Err = a.msg, a.err
+			a.call.Done <- a.call
+		case caProgress:
+			a.call.OnProgress(a.msg.(*wire.ExperimentProgress))
+		case caClose:
+			err = tc.close()
+		case caReconnect:
+			c.reconnect(a.call)
+		}
 	}
-	for id, call := range c.pending {
-		delete(c.pending, id)
-		call.finish(nil, fmt.Errorf("shieldd: session lost: %w", err))
-	}
+	return err
 }
 
-// retransmitLoop is a datagram session's retry schedule: it sleeps until
-// the earliest due pending call (or a poke), re-sends every call that is
-// due on an exponential backoff, and fails every call out of tries. It
-// exits once the client is closed.
-//
-// With AutoReconnect, an exhausted call also poisons the session: the
-// full retry schedule spans many seconds of silence, which on a datagram
-// transport is the only observable signature of a server that reaped the
-// session (there is no FIN), so the next request re-handshakes instead
-// of feeding more retransmits to a dead peer table.
-func (c *Client) retransmitLoop() {
-	r := c.retry
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		var earliest time.Time
-		for _, call := range c.pending {
-			if earliest.IsZero() || call.due.Before(earliest) {
-				earliest = call.due
-			}
-		}
-		c.mu.Unlock()
-
-		if earliest.IsZero() {
-			// Nothing in flight: sleep until poked.
-			<-r.wake
-			continue
-		}
-		if d := time.Until(earliest); d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-r.wake:
-				timer.Stop()
-				continue
-			case <-timer.C:
-			}
-		}
-
-		now := time.Now()
-		var resend [][]byte
-		var expired []*Call
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		for id, call := range c.pending {
-			if call.due.After(now) {
-				continue
-			}
-			if call.tries++; call.tries > r.maxTries {
-				delete(c.pending, id)
-				expired = append(expired, call)
-				continue
-			}
-			call.due = now.Add(r.backoff(call.tries))
-			resend = append(resend, call.env)
-		}
-		tc, link := c.tc, c.link
-		c.mu.Unlock()
-
-		c.resend(tc, link, resend)
-		for _, call := range expired {
-			r.timeouts.Add(1)
-			err := fmt.Errorf("shieldd: request %d timed out after %d retransmits", call.id, r.maxTries)
-			call.finish(nil, err)
-			if c.opt.AutoReconnect {
-				c.fail(tc, err)
-			}
-		}
-	}
-}
-
-// fastRetransmits applies the selective-repeat rule to a final ordered
-// response and returns the envelopes it makes due. Ordered responses
-// leave the server in ID order, so every ordered request still pending
-// below respID has had its response sent, and that datagram is in flight
-// or lost. After fastRetransmitSkips such signals the request is re-sent
-// at once, at round-trip rather than retry-timer latency. Callers hold
-// c.mu.
-func (c *Client) fastRetransmits(respID uint64) (resend [][]byte) {
-	now := time.Now()
-	for id, call := range c.pending {
-		if id >= respID || !orderedKind(call.Req.Kind()) {
-			continue
-		}
-		if call.skips++; call.skips >= fastRetransmitSkips {
-			call.skips = 0
-			call.due = now.Add(c.retry.backoff(call.tries))
-			resend = append(resend, call.env)
-		}
-	}
-	return resend
-}
-
-// resend re-seals and writes request envelopes on tc. Each
-// retransmission takes a fresh securelink sequence number: a
-// byte-identical resend would be replay-dropped by the server before
-// its request ID could be matched against the ledger. Send errors are
-// ignored; the retry schedule, and eventual expiry, owns failure.
-func (c *Client) resend(tc transportConn, link *securelink.Link, envs [][]byte) {
-	for _, env := range envs {
-		c.retry.retransmits.Add(1)
-		c.writeMu.Lock()
-		_ = tc.writeFrame(link.Seal(env))
-		c.writeMu.Unlock()
+// arm points the retry timer at at, or stops it for a zero at. Callers
+// hold c.mu. The machine's first arm has a time.
+func (c *Client) arm(at time.Time) {
+	switch {
+	case c.retry == nil:
+		c.retry = time.AfterFunc(time.Until(at), func() {
+			c.mu.Lock()
+			c.run(c.m.timeout(time.Now()))
+		})
+	case at.IsZero():
+		c.retry.Stop()
+	default:
+		c.retry.Reset(time.Until(at))
 	}
 }
 
@@ -835,204 +708,76 @@ func (c *Client) resend(tc transportConn, link *securelink.Link, envs [][]byte) 
 // progress frames arrived. This is where the "silent" retries of Ping,
 // Metrics, and every other call become observable.
 func (c *Client) TransportStats() TransportStats {
-	ts := TransportStats{ProgressFrames: c.progressFrames.Load()}
-	if c.retry != nil {
-		ts.Retransmits = c.retry.retransmits.Load()
-		ts.Timeouts = c.retry.timeouts.Load()
-	}
-	return ts
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.stats
 }
 
-// reconnect re-dials and re-handshakes after a transport failure.
-// Requires: no pending calls (their responses died with the old
-// session), a redial function, and AutoReconnect. The dial and
-// handshake run WITHOUT holding c.mu — a slow or dead network must not
-// freeze getters or other callers — and reconnMu serializes concurrent
-// attempts so only one handshake ever runs at a time.
-func (c *Client) reconnect() error {
-	c.reconnMu.Lock()
-	defer c.reconnMu.Unlock()
-
+// reconnect carries out the machine's caReconnect: it re-dials and
+// re-handshakes without c.mu held — a slow or dead network must not
+// freeze getters or other callers — and feeds the outcome back. It
+// offers the dead session's resumption ticket, so after an idle reap
+// the new handshake completes in one round trip on resumed
+// forward-secret keys instead of a fresh DH; a refused or expired ticket
+// silently falls back to the full AKE. The machine runs one reconnect at
+// a time.
+func (c *Client) reconnect(call *Call) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClientClosed
-	}
-	if c.err == nil {
-		c.mu.Unlock()
-		return nil // a concurrent attempt already restored the session
-	}
-	if !c.opt.AutoReconnect || c.redial == nil || len(c.pending) > 0 {
-		err := c.err
-		c.mu.Unlock()
-		return err
-	}
-	// Offer the dead session's resumption ticket: after an idle reap the
-	// new handshake completes in one round trip on resumed forward-secret
-	// keys instead of a fresh DH. A refused or expired ticket silently
-	// falls back to the full AKE.
 	var resume *resumeState
 	if len(c.ticket) > 0 && len(c.rms) > 0 {
 		resume = &resumeState{ticket: c.ticket, rms: c.rms}
 	}
 	c.mu.Unlock()
-
-	// While c.err != nil every new request routes here and queues on
-	// reconnMu, so no one mutates tc/link/pending behind our back.
 	tc, err := c.redial()
-	if err != nil {
-		return fmt.Errorf("shieldd: reconnect: %w", err)
+	var hs hsResult
+	if err == nil {
+		if hs, err = handshake(tc, c.secret, c.opt, resume); err != nil {
+			tc.close()
+		}
 	}
-	hs, err := handshake(tc, c.secret, c.opt, resume)
-	if err != nil {
-		tc.close()
-		return fmt.Errorf("shieldd: reconnect: %w", err)
-	}
-
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		tc.close()
-		return ErrClientClosed
+	if err != nil {
+		c.run(c.m.reconnectFailed(call, fmt.Errorf("shieldd: reconnect: %w", err)))
+		return
 	}
-	old := c.tc
-	c.tc, c.link, c.sessionID = tc, hs.link, hs.sessionID
-	c.ticket, c.rms = hs.ticket, hs.rms
-	c.resumed = hs.resumed
-	if hs.resumed {
-		c.resumes++
+	c.install(tc, hs)
+	acts := c.m.reconnected()
+	if c.m.state == clientLive {
+		c.reconns++
+		go c.readLoop(tc, hs.link)
 	}
-	// The new session is a fresh request-ID space: the server's ledger
-	// starts empty with its cursor at 1, so ID allocation and the
-	// delivery cursor restart with it.
-	c.nextID = 1
-	c.ackCum = 0
-	c.ackAbove = make(map[uint64]struct{})
-	c.err = nil
-	c.reconns++
-	c.mu.Unlock()
-	old.close()
-	go c.readLoop(tc, hs.link)
-	return nil
+	c.run(acts)
 }
 
 // Go submits a request and returns immediately with the in-flight Call.
 // Requests pipeline: many calls may be outstanding and the server may
 // complete non-scenario requests (PING, STATUS-METRICS, EXPERIMENT) out
 // of order; scenario requests complete in submission order. Go blocks
-// while the session's request window (16 requests) is full.
+// while the session's request window is full — while the request's ID
+// would be requestWindow (16) or more above the lowest ID still
+// unanswered — and while a reconnect runs.
 func (c *Client) Go(req wire.Message) *Call {
-	call := &Call{Req: req, Done: make(chan *Call, 1)}
-	c.submit(call)
-	return call
+	return c.submit(&Call{Req: req, Done: make(chan *Call, 1)})
 }
 
 // submit runs Go's body for a prepared Call (Req and any OnProgress
 // set). Split out so roundTrip can attach a progress callback before the
-// request is on the wire.
+// request is on the wire. While the machine parks the call, submit waits
+// on c.cond and tries again after every event.
 func (c *Client) submit(call *Call) *Call {
-	req := call.Req
-
-	// Claim a send-window slot before allocating an ID, so request IDs
-	// hit the wire densely and in order — the server's in-flight slots
-	// are the same window, and a sparser ID stream would let the client
-	// overrun it. BYE bypasses the window: Close must be able to end a
-	// session whose window is full of stuck calls.
-	if _, isBye := req.(*wire.Bye); !isBye {
-		c.window <- struct{}{}
-		call.release = func() { <-c.window }
-	}
-
 	c.mu.Lock()
-	if c.closed || (c.closing && call.release != nil) {
-		c.mu.Unlock()
-		call.finish(nil, ErrClientClosed)
-		return call
-	}
-	if c.err != nil {
-		c.mu.Unlock()
-		if err := c.reconnect(); err != nil {
-			call.finish(nil, fmt.Errorf("shieldd: session lost: %w", err))
-			return call
-		}
-		c.mu.Lock()
-		if c.closed || c.err != nil {
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClientClosed
-			}
-			call.finish(nil, fmt.Errorf("shieldd: session lost: %w", err))
-			return call
-		}
-	}
-	c.mu.Unlock()
-
-	// Submit, with one transparent retry through reconnect: if the
-	// write itself hits a connection the server already closed (the
-	// idle reaper racing this request), the frame never reached the
-	// server, so re-dialing and re-sending is safe and is exactly what
-	// AutoReconnect promises. Without AutoReconnect the reconnect
-	// attempt fails immediately and the call fails as before.
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		if c.closed || c.err != nil {
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClientClosed
-			}
-			call.finish(nil, fmt.Errorf("shieldd: session lost: %w", err))
-			return call
-		}
-		tc, link := c.tc, c.link
-		id := c.nextID
-		c.nextID++
-		// The cumulative-delivery cursor rides in every request so the
-		// server can prune its ledger. Retransmits reuse the envelope
-		// verbatim — a stale cursor only delays pruning.
-		env := wire.EncodeEnvelopeV3(id, 0, c.ackCum, req)
-		call.id = id
-		if c.retry != nil {
-			// Datagram transport: the call joins the retry schedule
-			// before its frame goes out, so a response that overtakes the
-			// write still takes it off.
-			call.env, call.due = env, time.Now().Add(c.retry.rto)
-		}
-		c.pending[id] = call
-		c.mu.Unlock()
-
-		// Seal+write as one unit so frames hit the transport in seq order.
-		c.writeMu.Lock()
-		err := tc.writeFrame(link.Seal(env))
-		c.writeMu.Unlock()
-		if c.retry != nil {
-			// A send error on an unreliable transport is just a dropped
-			// datagram (real UDP sockets return transient ENOBUFS-style
-			// errors under bursts) — the retry schedule re-sends it, and
-			// if the socket is truly dead the retries exhaust into a
-			// timeout. Only a closed socket poisons the session, via the
-			// readLoop.
-			c.retry.poke()
-			return call
-		}
-		if err == nil {
-			return call
-		}
-		c.mu.Lock()
-		_, still := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if !still {
-			return call // readLoop already failed it
-		}
-		c.fail(tc, err)
-		// fail() skipped this call (already deregistered); retry once.
-		if attempt == 0 && c.reconnect() == nil {
+	for {
+		acts := c.m.submit(call, time.Now())
+		parked := call.phase == callParked
+		if parked && len(acts) == 0 {
+			c.cond.Wait()
 			continue
 		}
-		call.finish(nil, err)
-		return call
+		c.run(acts)
+		if !parked {
+			return call
+		}
+		c.mu.Lock()
 	}
 }
 
@@ -1074,8 +819,8 @@ func (c *Client) busyBackoff(err error, attempt int) time.Duration {
 	if errors.As(err, &be) {
 		hint = be.retryAfter
 	}
-	c.backoffMu.Lock()
-	defer c.backoffMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return busyDelay(hint, c.opt.retryTimeout(), attempt, c.backoff)
 }
 
@@ -1149,7 +894,7 @@ func (c *Client) ExperimentStream(req wire.ExperimentReq, onProgress func(*wire.
 // long requests run.
 func (c *Client) Ping() error {
 	c.mu.Lock()
-	token := c.nextID ^ 0x70696E67 // any value; uniqueness is not required
+	token := c.m.lastID ^ 0x70696E67 // any value; uniqueness is not required
 	c.mu.Unlock()
 	pong, err := request[*wire.Pong](c, &wire.Ping{Token: token}, nil)
 	if err != nil {
@@ -1179,44 +924,29 @@ func (c *Client) Metrics() (*wire.MetricsResp, error) {
 
 // Close ends the session with a BYE and closes the transport. The server
 // drains every in-flight request before answering the BYE, so pending
-// calls complete rather than die. The BYE is sequenced after every
-// earlier request, so Close refuses new submissions from the moment it
-// runs — the BYE must hold the session's highest request ID, or the
-// server would discard requests above it.
+// calls complete rather than die. From the moment Close runs a submit
+// takes no ID and fails with ErrClientClosed: the BYE must hold the
+// session's highest request ID, or the server would discard requests
+// above it. On a datagram session the BYE is best-effort: Close waits
+// four retry timeouts for its answer, then closes regardless (the
+// server's idle reaper collects a session whose BYE died); calls still
+// pending then end with ErrSessionLost wrapping ErrClientClosed.
 func (c *Client) Close() error {
+	bye := &Call{Req: &wire.Bye{}, Done: make(chan *Call, 1)}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closing = true
-	alive := c.err == nil
-	c.mu.Unlock()
-	if alive {
-		if c.retry != nil {
-			// Datagram transport: the BYE is best-effort. Give it a couple
-			// of retransmit windows, then close regardless — a lost BYE
-			// must not hold Close hostage to the full retry schedule (the
-			// server's idle reaper collects sessions whose BYE died).
-			call := c.Go(&wire.Bye{})
-			timer := time.NewTimer(4 * c.retry.rto)
-			select {
-			case <-call.Done:
-			case <-timer.C:
-			}
-			timer.Stop()
-		} else {
-			_, _ = c.roundTrip(&wire.Bye{}, nil)
+	c.run(c.m.bye(bye, time.Now()))
+	if c.m.cfg.lossy {
+		timer := time.NewTimer(4 * c.m.cfg.rto)
+		select {
+		case <-bye.Done:
+		case <-timer.C:
 		}
+		timer.Stop()
+	} else {
+		<-bye.Done
 	}
 	c.mu.Lock()
-	c.closed = true
-	tc := c.tc
-	c.mu.Unlock()
-	if c.retry != nil {
-		c.retry.poke() // the retransmit loop exits once the client is closed
-	}
-	return tc.close()
+	return c.run(c.m.close())
 }
 
 // Pipe starts an in-process session against the server over a net.Pipe

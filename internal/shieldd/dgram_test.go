@@ -1,6 +1,7 @@
 package shieldd_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -145,6 +146,44 @@ func TestPacketRequestTimesOutWithoutServer(t *testing.T) {
 	}
 	if ts := c.TransportStats(); ts.Retransmits == 0 && ts.Timeouts == 0 {
 		t.Logf("note: transport failed before any retransmit (%+v)", ts)
+	}
+}
+
+// TestExhaustedRequestEndsSession: a datagram request that runs out of
+// retransmissions ends its session, even without AutoReconnect. The
+// server can never fill the gap its ID leaves, so a later ordered
+// request would wait behind it through its whole retry schedule, and
+// every request answered above it would stay in the server's ledger
+// until the session died. The next call fails at once, and nothing is
+// sent.
+func TestExhaustedRequestEndsSession(t *testing.T) {
+	nw := faultnet.New(81, faultnet.Impairment{})
+	defer nw.Close()
+	startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+	c := dialPacket(t, nw, "exhaust-client", "server", shieldd.SessionOptions{
+		Seed: 1, RetryTimeout: 5 * time.Millisecond, MaxRetries: 3,
+	})
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	nw.SetPartitions(faultnet.Partition{Src: "exhaust-client", Dst: "server", Dur: time.Hour})
+	if err := c.Ping(); !errors.Is(err, shieldd.ErrRequestTimeout) || errors.Is(err, shieldd.ErrSessionLost) {
+		t.Fatalf("ping under a partition = %v, want ErrRequestTimeout", err)
+	}
+	nw.SetPartitions()
+
+	retransmits, sent := c.TransportStats().Retransmits, nw.Stats().Sent
+	_, err := c.Exchange(0, wire.CmdInterrogate)
+	if !errors.Is(err, shieldd.ErrSessionLost) || !errors.Is(err, shieldd.ErrRequestTimeout) {
+		t.Fatalf("exchange after the expiry = %v, want ErrSessionLost wrapping ErrRequestTimeout", err)
+	}
+	if got := c.TransportStats().Retransmits; got != retransmits {
+		t.Errorf("retransmits went %d -> %d on an ended session", retransmits, got)
+	}
+	if got := nw.Stats().Sent; got != sent {
+		t.Errorf("%d datagrams sent on an ended session", got-sent)
 	}
 }
 

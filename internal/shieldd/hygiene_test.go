@@ -3,6 +3,7 @@ package shieldd_test
 import (
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -182,5 +183,53 @@ func TestServerGoroutineHygiene(t *testing.T) {
 		}
 		p.dc.Close()
 		settle(t, "a datagram newcomer", baseline, servers...)
+	}
+}
+
+// clientGoroutines counts the goroutines running a Client method.
+func clientGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "shieldd.(*Client).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestClientSessionGoroutines pins what an open client costs once it
+// has pinged: one goroutine, its read loop, on either transport. A
+// datagram client's retry timer is a time.AfterFunc, which holds no
+// goroutine while it waits.
+func TestClientSessionGoroutines(t *testing.T) {
+	srv := newServer(t, shieldd.ServerConfig{})
+	nw := faultnet.New(74, faultnet.Impairment{})
+	defer nw.Close()
+	startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+
+	sc, err := srv.Pipe(shieldd.SessionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for i, name := range []string{"a stream client", "and a datagram client"} {
+		c := sc
+		if i == 1 {
+			c = dialPacket(t, nw, "pin-client", "server", shieldd.SessionOptions{Seed: 1})
+			defer c.Close()
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for n := clientGoroutines(); n != i+1; n = clientGoroutines() {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s that pinged: %d client goroutines, want %d:\n%s",
+					name, n, i+1, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

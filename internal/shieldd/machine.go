@@ -19,7 +19,8 @@ import (
 // no lock, starts no goroutine, reads no clock and touches no transport,
 // link or scenario; the session's goroutine shell (session.serve) runs
 // it under one session mutex and carries out the actions, and
-// FuzzSessionSchedule runs it against a model client.
+// FuzzSessionSchedule runs it against the client's machine
+// (clientMachine).
 //
 // The rules it keeps:
 //

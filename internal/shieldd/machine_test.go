@@ -1,9 +1,7 @@
 package shieldd
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +46,7 @@ func newMachineRig(budget int, reliable bool) *machineRig {
 	return r
 }
 
-// Request kinds the rig and the fuzzer's model client send.
+// Request kinds the rig sends and the fuzzer's client submits.
 const (
 	reqPing = iota
 	reqExchange
@@ -390,463 +388,4 @@ func (c *countingClose) close() error {
 	c.closes++
 	c.reapedAtClose = c.met.ReapedSessions.Load()
 	return nil
-}
-
-// The fuzzer's schedule ops: one byte each, the op in the high nibble
-// and its argument in the low one. Its first byte configures the
-// session: bits 0-1 are the work budget (0 unlimited), bit 2 a stream
-// transport, bit 3 a client that keeps sending after its BYE.
-const (
-	opSendPing = iota
-	opSendExchange
-	opSendBatch
-	opSendAttack
-	opSendExperiment // arg bit 3: over the trials bound
-	opSendOther      // arg%4: metrics, malformed (bit 2: flagged), unexpected, short
-	opSendBye
-	opDeliver   // uplink[arg]
-	opDrop      // uplink[arg]
-	opDuplicate // uplink[arg]
-	opRetransmit
-	opExecuted   // the running ordered op finishes
-	opExperiment // running experiment arg: bit 3 finishes it, else a partial
-	opReceive    // downlink[arg]; bit 3 drops it instead
-	opTick       // advance (arg+1)×100 ms, then tick
-	opTransportEnd
-)
-
-// schedule is FuzzSessionSchedule's world: one session machine, the
-// model client that talks to it over an uplink and a downlink that the
-// fuzz bytes may drop, duplicate and reorder, the work the machine asked
-// for, virtual time, and the record every check reads.
-type schedule struct {
-	t        *testing.T
-	r        *machineRig
-	reliable bool
-
-	// The model client. Its send window is selective repeat's: a fresh
-	// ID is sent only below its lowest unanswered ID plus requestWindow.
-	// The BYE bypasses the window, as the real client's does, and is its
-	// last fresh request unless the client is rude.
-	rude    bool
-	nextID  uint64
-	sent    map[uint64][]byte // each request's plaintext; retransmits resend it
-	got     map[uint64]bool   // final answers the client received
-	cum     uint64            // every ID at or below it was received
-	bye     uint64
-	byeIn   bool // the BYE reached the machine: it holds a slot
-	uplink  [][]byte
-	down    []envelope
-	lastCum uint64
-
-	// The server's record, as the harness sees every action.
-	delivered  map[uint64]bool
-	undeliv    uint64                  // lowest ID never delivered
-	answers    map[uint64]wire.Message // each ID's first final answer
-	started    map[uint64]bool         // executed or started, ever
-	lastOp     uint64                  // the last ordered op executed
-	executing  *envelope
-	running    []uint64 // experiments running, in start order
-	over       bool
-	byeReplied bool
-
-	pings, retransmits, shed, errors uint64
-}
-
-func newSchedule(t *testing.T, cfg byte) *schedule {
-	return &schedule{
-		t:         t,
-		r:         newMachineRig(int(cfg&3), cfg&4 != 0),
-		reliable:  cfg&4 != 0,
-		rude:      cfg&8 != 0,
-		nextID:    1,
-		sent:      map[uint64][]byte{},
-		got:       map[uint64]bool{},
-		delivered: map[uint64]bool{},
-		undeliv:   1,
-		answers:   map[uint64]wire.Message{},
-		started:   map[uint64]bool{},
-	}
-}
-
-// unanswered lists the client's requests without a received answer, in
-// ID order.
-func (s *schedule) unanswered() []uint64 {
-	var ids []uint64
-	for id := range s.sent {
-		if !s.got[id] {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// send has the client send a fresh request of kind, if its window and
-// the BYE allow it.
-func (s *schedule) send(kind int) {
-	if s.bye != 0 && (!s.rude || kind == reqBye) {
-		return
-	}
-	low := s.nextID
-	if ids := s.unanswered(); len(ids) > 0 {
-		low = ids[0]
-	}
-	if kind != reqBye && s.nextID >= low+requestWindow {
-		return
-	}
-	id := s.nextID
-	s.nextID++
-	s.sent[id] = requestPlain(kind, id, s.cum)
-	s.uplink = append(s.uplink, s.sent[id])
-	if kind == reqBye {
-		s.bye = id
-	}
-}
-
-// pick removes and returns uplink[i]; a stream delivers in order.
-func (s *schedule) pick(arg int) []byte {
-	i := arg % len(s.uplink)
-	if s.reliable {
-		i = 0
-	}
-	p := s.uplink[i]
-	s.uplink = slices.Delete(s.uplink, i, i+1)
-	return p
-}
-
-// deliver hands uplink[arg] to the machine, unless a parked request has
-// stopped the shell reading.
-func (s *schedule) deliver(arg int) {
-	if len(s.uplink) == 0 || s.r.m.stalled() {
-		return
-	}
-	p := s.pick(arg)
-	if id, _, _, _, err := wire.DecodeEnvelopeV3(p); len(p) >= 17 && (err == nil || id != 0) {
-		s.delivered[id] = true
-		for s.delivered[s.undeliv] {
-			s.undeliv++
-		}
-		s.byeIn = s.byeIn || id == s.bye && !s.over
-	}
-	s.apply(s.r.m.request(p, s.r.now))
-}
-
-// apply checks and records one event's actions.
-func (s *schedule) apply(acts []action) {
-	t := s.t
-	t.Helper()
-	for i, a := range acts {
-		if s.over {
-			t.Fatalf("action %s after the session ended", render(acts[i:i+1]))
-		}
-		switch a.kind {
-		case actSend:
-			s.recordSend(a)
-			if a.env.id == s.bye && s.bye != 0 && a.env.flags == 0 {
-				if i+1 >= len(acts) || acts[i+1].kind != actClose {
-					t.Fatalf("BYE reply not followed by close: %s", render(acts))
-				}
-			}
-		case actExecute:
-			id := a.env.id
-			if s.started[id] {
-				t.Fatalf("request %d executed twice", id)
-			}
-			if !orderedKind(a.env.msg.Kind()) {
-				t.Fatalf("request %d of kind %d sent to the executor", id, a.env.msg.Kind())
-			}
-			if id <= s.lastOp {
-				t.Fatalf("ordered op %d executed after %d", id, s.lastOp)
-			}
-			if id >= s.undeliv {
-				t.Fatalf("ordered op %d released above the gap at %d", id, s.undeliv)
-			}
-			if s.executing != nil {
-				t.Fatalf("op %d executed while %d runs", id, s.executing.id)
-			}
-			s.started[id], s.lastOp = true, id
-			e := a.env
-			s.executing = &e
-		case actStart:
-			if s.started[a.env.id] {
-				t.Fatalf("experiment %d started twice", a.env.id)
-			}
-			s.started[a.env.id] = true
-			s.running = append(s.running, a.env.id)
-		case actClose:
-			if !s.byeReplied {
-				t.Fatalf("close without a BYE reply")
-			}
-			s.over = true
-		case actReap:
-			if s.executing != nil || len(s.running) > 0 {
-				t.Fatalf("reaped with live work: op %v, experiments %v", s.executing, s.running)
-			}
-			s.over = true
-		}
-	}
-	// The BYE's slot is outside the window.
-	limit := int64(requestWindow)
-	if s.byeIn && !s.over {
-		limit++
-	}
-	if n := s.r.met.InFlight(); n < 0 || n > limit {
-		t.Fatalf("in-flight count %d outside 0..%d", n, limit)
-	}
-	if n := len(s.r.m.l.entries); n > requestWindow+dedupCacheCap {
-		t.Fatalf("ledger holds %d entries, more than %d", n, requestWindow+dedupCacheCap)
-	}
-	if s.r.budget > 0 && s.r.used > s.r.budget || s.r.used < 0 {
-		t.Fatalf("work budget %d in use of %d", s.r.used, s.r.budget)
-	}
-}
-
-// recordSend checks one sent envelope against everything sent before.
-func (s *schedule) recordSend(a action) {
-	t := s.t
-	t.Helper()
-	e := a.env
-	if a.cum < s.lastCum {
-		t.Fatalf("cumulative report went back from %d to %d", s.lastCum, a.cum)
-	}
-	s.lastCum = a.cum
-	s.down = append(s.down, e)
-	if e.flags != 0 {
-		if !slices.Contains(s.running, e.id) {
-			t.Fatalf("partial answer for %d, which runs no experiment", e.id)
-		}
-		return
-	}
-	if first, ok := s.answers[e.id]; ok && e.id != 0 {
-		if !bytes.Equal(first.Encode(), e.msg.Encode()) {
-			t.Fatalf("request %d answered %s, then %s", e.id, msgName(first), msgName(e.msg))
-		}
-		s.retransmits++
-		return
-	}
-	s.answers[e.id] = e.msg
-	switch e.msg.(type) {
-	case *wire.Pong:
-		s.pings++
-	case *wire.Busy:
-		s.shed++
-	case *wire.Error:
-		s.errors++
-	case *wire.Bye:
-		if e.id != s.bye {
-			t.Fatalf("BYE reply for %d, the BYE is %d", e.id, s.bye)
-		}
-		if s.executing != nil || len(s.running) > 0 {
-			t.Fatalf("BYE reply with work in flight: op %v, experiments %v", s.executing, s.running)
-		}
-		for id := uint64(1); id < e.id; id++ {
-			if _, ok := s.answers[id]; !ok {
-				t.Fatalf("BYE %d replied before request %d was answered", e.id, id)
-			}
-		}
-		s.byeReplied = true
-	}
-	if s.executing != nil && s.executing.id == e.id {
-		t.Fatalf("request %d answered while it executes", e.id)
-	}
-}
-
-// receive has the client take (or lose) downlink[arg].
-func (s *schedule) receive(arg int) {
-	if len(s.down) == 0 {
-		return
-	}
-	i := arg % len(s.down)
-	if s.reliable {
-		i = 0
-	}
-	e := s.down[i]
-	s.down = slices.Delete(s.down, i, i+1)
-	if arg&8 != 0 && !s.reliable || e.flags != 0 {
-		return
-	}
-	s.got[e.id] = true
-	for s.got[s.cum+1] {
-		s.cum++
-	}
-}
-
-// finishOp completes the ordered op the machine is executing.
-func (s *schedule) finishOp() {
-	if s.executing == nil {
-		return
-	}
-	id := s.executing.id
-	s.executing = nil
-	s.apply(s.r.m.done(id, opResult(id)))
-}
-
-// experimentEvent sends running experiment arg a partial or its end.
-func (s *schedule) experimentEvent(arg int, done bool) {
-	if len(s.running) == 0 {
-		return
-	}
-	i := arg % len(s.running)
-	id := s.running[i]
-	if !done {
-		s.apply(s.r.m.progress(id, &wire.ExperimentProgress{Done: uint32(arg)}))
-		return
-	}
-	s.running = slices.Delete(s.running, i, i+1)
-	s.apply(s.r.m.done(id, experimentResult(id)))
-}
-
-// step runs one schedule op.
-func (s *schedule) step(b byte) {
-	op, arg := int(b>>4), int(b&15)
-	switch op {
-	case opSendPing:
-		s.send(reqPing)
-	case opSendExchange:
-		s.send(reqExchange)
-	case opSendBatch:
-		s.send(reqBatch)
-	case opSendAttack:
-		s.send(reqAttack)
-	case opSendExperiment:
-		if arg&8 != 0 {
-			s.send(reqOverBound)
-		} else {
-			s.send(reqExperiment)
-		}
-	case opSendOther:
-		switch arg % 4 {
-		case 0:
-			s.send(reqMetrics)
-		case 1:
-			if arg&4 != 0 {
-				s.send(reqFlagged)
-			} else {
-				s.send(reqMalformed)
-			}
-		case 2:
-			s.send(reqUnexpected)
-		default:
-			s.uplink = append(s.uplink, shortPlain)
-		}
-	case opSendBye:
-		s.send(reqBye)
-	case opDeliver:
-		s.deliver(arg)
-	case opDrop:
-		if len(s.uplink) > 0 && !s.reliable {
-			s.pick(arg)
-		}
-	case opDuplicate:
-		if len(s.uplink) > 0 && !s.reliable {
-			s.uplink = append(s.uplink, s.uplink[arg%len(s.uplink)])
-		}
-	case opRetransmit:
-		if ids := s.unanswered(); len(ids) > 0 && !s.reliable {
-			s.uplink = append(s.uplink, s.sent[ids[arg%len(ids)]])
-		}
-	case opExecuted:
-		s.finishOp()
-	case opExperiment:
-		s.experimentEvent(arg, arg&8 != 0)
-	case opReceive:
-		s.receive(arg)
-	case opTick:
-		s.r.now = s.r.now.Add(time.Duration(arg+1) * 100 * time.Millisecond)
-		s.apply(s.r.m.tick(s.r.now))
-	case opTransportEnd:
-		s.r.m.end()
-		s.over = true
-	}
-}
-
-// drain runs the session out over a lossless link: the client receives
-// everything, retransmits what it has no answer for, and sends its BYE
-// once every answer is in; all work completes.
-func (s *schedule) drain() {
-	for round := 0; ; round++ {
-		if round > 4*(int(s.nextID)+requestWindow) {
-			s.t.Fatalf("the drain did not converge: unanswered %v, in flight %d, parked %v",
-				s.unanswered(), s.r.met.InFlight(), s.r.m.stalled())
-		}
-		for len(s.down) > 0 {
-			s.receive(0)
-		}
-		if s.over && s.executing == nil && len(s.running) == 0 {
-			return
-		}
-		if ids := s.unanswered(); len(ids) > 0 && !s.reliable {
-			for _, id := range ids {
-				s.uplink = append(s.uplink, s.sent[id])
-			}
-		} else if len(ids) == 0 && s.bye == 0 {
-			s.send(reqBye)
-		}
-		for len(s.uplink) > 0 && !s.r.m.stalled() {
-			s.deliver(0)
-		}
-		s.finishOp()
-		for len(s.running) > 0 {
-			s.experimentEvent(0, true)
-		}
-	}
-}
-
-// check compares the end state with the model's record.
-func (s *schedule) check() {
-	t := s.t
-	if s.byeReplied {
-		for id := uint64(1); id < s.bye; id++ {
-			if _, ok := s.answers[id]; !ok {
-				t.Fatalf("request %d below the BYE has no answer", id)
-			}
-		}
-	}
-	for _, c := range []struct {
-		name      string
-		got, want uint64
-	}{
-		{"pings", s.r.met.Pings.Load(), s.pings},
-		{"server pings", s.r.srv.TotalPings.Load(), s.pings},
-		{"retransmits", s.r.met.Retransmits.Load(), s.retransmits},
-		{"server retransmits", s.r.srv.TotalRetransmits.Load(), s.retransmits},
-		{"shed", s.r.met.Shed.Load(), s.shed},
-		{"server shed", s.r.srv.ShedRequests.Load(), s.shed},
-		{"errors", s.r.met.Errors.Load(), s.errors},
-	} {
-		if c.got != c.want {
-			t.Fatalf("machine counts %d %s, the model %d", c.got, c.name, c.want)
-		}
-	}
-	if n := s.r.met.InFlight(); n != 0 {
-		t.Fatalf("%d requests in flight after the drain", n)
-	}
-	if hwm := s.r.met.InFlightHWM(); hwm > requestWindow+1 {
-		t.Fatalf("in-flight high-water mark %d above the window and the BYE", hwm)
-	}
-	if s.r.used != 0 {
-		t.Fatalf("%d slots of work budget still held", s.r.used)
-	}
-}
-
-// FuzzSessionSchedule drives one session machine with no goroutine,
-// socket or clock against a model client. The fuzz bytes send, drop,
-// duplicate, reorder and retransmit requests, lose responses, complete
-// work, advance virtual time and end the transport; every step checks
-// the machine's rules (schedule.apply and recordSend), and a lossless
-// drain then runs the session out and checks its answers and counters
-// against the model's record.
-func FuzzSessionSchedule(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		s := newSchedule(t, data[0])
-		for _, b := range data[1:] {
-			s.step(b)
-		}
-		s.drain()
-		s.check()
-	})
 }

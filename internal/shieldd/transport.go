@@ -2,7 +2,6 @@ package shieldd
 
 import (
 	"net"
-	"sync/atomic"
 	"time"
 
 	"heartshield/internal/securelink"
@@ -95,7 +94,7 @@ const (
 	// defaultRetryTimeout is the client's initial retransmit timeout.
 	defaultRetryTimeout = 250 * time.Millisecond
 	// defaultMaxRetries bounds retransmissions per request before the
-	// call fails with a timeout error.
+	// call fails with ErrRequestTimeout and its session ends.
 	defaultMaxRetries = 8
 	// maxRetryBackoff caps the exponential retransmit backoff.
 	maxRetryBackoff = 4 * time.Second
@@ -105,12 +104,16 @@ const (
 	// the client could plausibly retransmit.
 	dedupCacheCap = 256
 	// requestWindow is the per-session request window, one constant for
-	// both ends: how many requests a client may have awaiting responses
-	// before Go blocks, and how many in-flight slots the server gives a
-	// session before it stops reading. Only equal windows are safe. With
-	// a larger client window, requests that arrive above a lost datagram
-	// can take every server slot, so the reader never reads the
-	// retransmit that would fill the gap.
+	// both ends: how far above its delivery report a client may give a
+	// fresh request its ID (selective repeat's ID distance: ID n only
+	// when n < report+1+requestWindow) before Go blocks, and how many
+	// in-flight slots the server gives a session before it stops
+	// reading. Only equal windows are safe. With a larger client window,
+	// requests that arrive above a lost datagram can take every server
+	// slot, so the reader never reads the retransmit that would fill the
+	// gap; and a window that counted unanswered calls instead of ID
+	// distance would let answered requests pile up in the server's
+	// ledger above a gap that never fills.
 	requestWindow = 16
 	// fastRetransmitSkips is the selective-repeat dup-ack threshold: when
 	// this many ordered responses with higher IDs have arrived while an
@@ -138,36 +141,4 @@ type TransportStats struct {
 	// frames received. Unlike the other counters it is also populated on
 	// stream transports.
 	ProgressFrames uint64 `metric:"progressFrames"`
-}
-
-// retrier is the client-side reliability layer for datagram sessions:
-// the retry schedule's parameters, the retransmit loop's wakeup, and its
-// counters. The schedule itself lives on the pending calls (Call.env,
-// tries, due, skips), written under the client's mu before a request's
-// frame goes out, so leaving c.pending is leaving the schedule and the
-// retrier keeps no table of its own.
-type retrier struct {
-	rto      time.Duration
-	maxTries int
-	wake     chan struct{}
-
-	retransmits atomic.Uint64
-	timeouts    atomic.Uint64
-}
-
-// poke wakes the retransmit loop to look at the pending calls again.
-func (r *retrier) poke() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
-}
-
-// backoff returns the delay before try n's successor.
-func (r *retrier) backoff(tries int) time.Duration {
-	d := r.rto << uint(tries)
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
-	return d
 }

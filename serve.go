@@ -95,9 +95,11 @@ type DialOptions struct {
 	// them by index (0 = primary).
 	ExtraIMDs int
 	// AutoReconnect makes a dialed session transparently re-dial and
-	// re-handshake after the server's idle reaper (or a network fault)
-	// closes the connection and no requests are in flight. The fresh
-	// session restarts the deterministic result stream at the seed.
+	// re-handshake on its next request once its session has ended: the
+	// server's idle reaper or a network fault closed the connection, or
+	// on a datagram session a request ran out of retransmissions. Calls
+	// in flight when it ended fail; the fresh session restarts the
+	// deterministic result stream at the seed.
 	AutoReconnect bool
 	// RetryTimeout is the initial per-request retransmission timeout on
 	// datagram sessions (0 = 250ms), doubling per retransmit. The
@@ -105,8 +107,10 @@ type DialOptions struct {
 	// failing.
 	RetryTimeout time.Duration
 	// MaxRetries bounds per-request retransmissions on datagram sessions
-	// before the call fails, and the handshake's wait schedule on both
-	// transports (0 = 8).
+	// (0 = 8). A request that runs out of them fails and ends its
+	// session, with or without AutoReconnect: the server could never fill
+	// the gap its ID leaves. It also bounds the handshake's wait schedule
+	// on both transports.
 	MaxRetries int
 }
 
@@ -227,7 +231,9 @@ func (p *PendingExchange) Wait() (ExchangeReport, error) {
 // can keep a full send window of exchanges in flight (on datagram
 // sessions, a lost request then delays only itself — the selective
 // repeat layer retransmits just the missing ID). It blocks only while
-// the session's window of 16 in-flight requests is full. Results are
+// the session's window is full — while the request's ID would be 16 or
+// more above the oldest request still unanswered — or a reconnect
+// runs. Results are
 // deterministic in submission order, identical to the same sequence of
 // blocking ProtectedExchangeWith calls. Unlike the blocking calls, a
 // BUSY shed under server overload surfaces as an error (matching
