@@ -64,7 +64,8 @@
 #                       written to FLEET_barrier.json / FLEET_soak.json
 #   make docs-check   - documentation gate: every relative markdown link in
 #                       the top-level docs must resolve, and the README
-#                       quickstart commands must actually run
+#                       quickstart commands and the four examples must
+#                       actually run
 #   make cover        - coverage profile over the protocol stack (securelink +
 #                       wire + dgram), printing the combined total
 #   make covercheck   - CI coverage gate: fail if the combined securelink+wire
@@ -347,6 +348,11 @@ docs-check:
 	$(GO) run ./cmd/shieldsim -impair "drop=0.1,dup=0.05,reorder=0.05" -exchanges 16 >/dev/null 2>&1
 	$(GO) run ./cmd/shieldsim -impair "drop=0.1,dup=0.05,reorder=0.05" -exchanges 16 -pipeline >/dev/null 2>&1
 	$(GO) run ./cmd/shieldtest -daemons 2 -sessions 16 -workers 8 -o /dev/null >/dev/null
+	@echo "--- docs-check: examples run ---"
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/eavesdropper >/dev/null
+	$(GO) run ./examples/activeattack >/dev/null
+	$(GO) run ./examples/coexistence >/dev/null
 	@echo "docs-check ok"
 
 golden:

@@ -158,7 +158,7 @@ func TestShieldFollowsSessionRetune(t *testing.T) {
 		t.Fatal("exchange failed on the original channel")
 	}
 
-	// The session moves to channel 5 (as mics.Session would after
+	// The session moves to channel 5 (as a MICS session would after
 	// persistent interference); both ends retune.
 	sc.IMD.Channel = 5
 	sc.Shield.Retune(5)

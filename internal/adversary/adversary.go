@@ -2,8 +2,8 @@
 // eavesdroppers that record the IMD's transmissions with an optimal
 // noncoherent FSK receiver, and active adversaries that replay recorded
 // programmer commands — at FCC power with commercial hardware, or at 100×
-// power with custom hardware — including frequency-hopping, multi-channel,
-// and capture-effect (overwrite-the-shield) variants.
+// power with custom hardware — including the capture-effect
+// (overwrite-the-shield) variant.
 package adversary
 
 import (
@@ -132,22 +132,6 @@ func (a *Active) Replay(ch int, start int64, f *phy.Frame) *channel.Burst {
 	b := &channel.Burst{Channel: ch, Start: start, IQ: iq, From: a.Antenna}
 	a.Medium.AddBurst(b)
 	return b
-}
-
-// ReplayHopping splits the attack across several MICS channels: one copy
-// of the command on each listed channel, staggered by gap samples — the
-// frequency-hopping/multi-channel confusion attack the whole-band monitor
-// must counter (§7(c)).
-func (a *Active) ReplayHopping(channels []int, start int64, gap int64, f *phy.Frame) []*channel.Burst {
-	bursts := make([]*channel.Burst, 0, len(channels))
-	at := start
-	for _, ch := range channels {
-		if b := a.Replay(ch, at, f); b != nil {
-			bursts = append(bursts, b)
-		}
-		at += gap
-	}
-	return bursts
 }
 
 // OverlayOnShield attempts the capture-effect attack of §7: transmit a

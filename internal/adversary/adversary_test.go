@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"heartshield/internal/adversary"
-	"heartshield/internal/mics"
 	"heartshield/internal/phy"
 	"heartshield/internal/shieldcore"
 	"heartshield/internal/stats"
@@ -120,43 +119,6 @@ func TestReplayNilWithoutRecording(t *testing.T) {
 	adv := newActive(sc)
 	if b := adv.Replay(0, 0, nil); b != nil {
 		t.Fatal("replay without a recording should be nil")
-	}
-}
-
-func TestHoppingAdversaryCaughtByBandMonitor(t *testing.T) {
-	// §7(c): the adversary spreads copies across MICS channels; the
-	// whole-band monitor catches and jams each one.
-	sc := testbed.NewScenario(testbed.Options{Seed: 25, Location: 2})
-	sc.CalibrateShieldRSSI()
-	sc.NewTrial()
-	sc.PrepareShield()
-	adv := newActive(sc)
-	channels := []int{1, 4, 7}
-	bursts := adv.ReplayHopping(channels, 500, 2000, sc.InterrogateFrame())
-	if len(bursts) != len(channels) {
-		t.Fatalf("placed %d bursts", len(bursts))
-	}
-	reports := sc.Shield.DefendBand(0, int(bursts[len(bursts)-1].End())+2000)
-	if len(reports) != len(channels) {
-		t.Fatalf("band monitor saw %d channels, want %d", len(reports), len(channels))
-	}
-	for _, rep := range reports {
-		if !rep.Matched || !rep.Jammed {
-			t.Fatalf("channel %d not jammed: %+v", rep.Channel, rep)
-		}
-	}
-	// The IMD, locked to its session channel, must see nothing usable on
-	// any channel it might listen to.
-	for _, ch := range channels {
-		dev := sc.IMD
-		dev.Channel = ch
-		re := dev.ProcessWindow(0, int(bursts[len(bursts)-1].End())+2000)
-		if re.Responded {
-			t.Fatalf("hopping adversary reached the IMD on channel %d", ch)
-		}
-	}
-	if mics.NumChannels != 10 {
-		t.Fatal("band constant drifted")
 	}
 }
 

@@ -2,7 +2,7 @@
 // placed on the medium, annotated with its source, channel, timing, and —
 // where a modem can decode it — frame contents. It gives experiments,
 // tools, and users a pcap-like view of what happened on the MICS band
-// during a scenario (cmd/attacksim -trace uses it).
+// during a scenario (Simulation.AttackTrace renders one).
 package airlog
 
 import (

@@ -1,7 +1,7 @@
 // Package dsp provides the baseband digital signal processing primitives
 // used throughout the shield simulator: complex vector math, FFT, window
-// functions, FIR filtering, tone detection, correlation, and power spectral
-// density estimation.
+// functions, FIR filtering, tone detection, and power spectral density
+// estimation.
 //
 // All signals are complex baseband IQ sample slices ([]complex128) at an
 // explicit sample rate. The package is allocation-conscious: functions that
@@ -166,12 +166,3 @@ func DBm(milliwatt float64) float64 { return DB(milliwatt) }
 
 // FromDBm converts dBm to milliwatts.
 func FromDBm(dbm float64) float64 { return FromDB(dbm) }
-
-// AmplitudeForPower returns the per-sample amplitude a such that a constant-
-// envelope signal a*e^{jθ} has mean power p (linear).
-func AmplitudeForPower(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return math.Sqrt(p)
-}

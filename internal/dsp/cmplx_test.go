@@ -117,22 +117,6 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestAmplitudeForPower(t *testing.T) {
-	a := AmplitudeForPower(4)
-	if !almostEqual(a, 2, 1e-12) {
-		t.Fatalf("AmplitudeForPower(4) = %g, want 2", a)
-	}
-	if AmplitudeForPower(-1) != 0 {
-		t.Fatal("negative power should map to 0 amplitude")
-	}
-	// A constant-envelope tone scaled by a has power a².
-	x := Tone(100, 10, 1000, 0)
-	Scale(x, a)
-	if p := Power(x); !almostEqual(p, 4, 1e-9) {
-		t.Fatalf("scaled tone power = %g, want 4", p)
-	}
-}
-
 // The phasor-recurrence Mix must agree with the per-sample Sincos
 // reference to the rounding floor across block lengths that straddle the
 // renorm anchors, including long blocks where naive recurrence error

@@ -133,10 +133,8 @@ func newFFTPlan(n int) *FFTPlan {
 	return p
 }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
-// Forward computes the in-place unnormalized FFT of x (len(x) == Size()).
+// Forward computes the in-place unnormalized FFT of x, whose length must
+// be the plan's.
 func (p *FFTPlan) Forward(x []complex128) { p.transform(x, false) }
 
 // Inverse computes the in-place inverse FFT of x with 1/N normalization.
@@ -269,20 +267,8 @@ func stageR4Inv(dst, src []complex128, st *fftStage) {
 	}
 }
 
-// FFTShift reorders FFT output so the zero-frequency bin is centered.
-// It operates on even-length slices in place.
-func FFTShift(x []complex128) {
-	n := len(x)
-	if n%2 != 0 {
-		panic("dsp: FFTShift requires even length")
-	}
-	h := n / 2
-	for i := 0; i < h; i++ {
-		x[i], x[i+h] = x[i+h], x[i]
-	}
-}
-
-// FFTShiftFloat is FFTShift for real-valued bin arrays (e.g. PSDs).
+// FFTShiftFloat reorders real-valued FFT bins (e.g. a PSD) in place so the
+// zero-frequency bin is centered. It requires an even length.
 func FFTShiftFloat(x []float64) {
 	n := len(x)
 	if n%2 != 0 {

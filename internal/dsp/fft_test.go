@@ -123,17 +123,6 @@ func TestFFTPanicsOnNonPowerOfTwo(t *testing.T) {
 	FFT(make([]complex128, 6))
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("FFTShift[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
 func TestBinFrequencies(t *testing.T) {
 	f := BinFrequencies(4, 1000)
 	want := []float64{0, 250, -500, -250}

@@ -42,12 +42,6 @@ func NewFIRReal(taps []float64) *FIR {
 	return f
 }
 
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.taps) }
-
-// Taps returns the filter taps (shared, not a copy).
-func (f *FIR) Taps() []complex128 { return f.taps }
-
 // firPlanMinTaps is the tap count above which Filter switches from the
 // direct O(N·m) loop to the overlap-save plan: below it the FFTs cost
 // more than they save at the block sizes NewFIRPlan picks.
@@ -274,17 +268,4 @@ func BandPassFIR(centerHz, halfBandHz, fs float64, taps int, w Window) *FIR {
 		c[i] = lp.taps[i] * complex(cos, s)
 	}
 	return NewFIR(c)
-}
-
-// Decimate returns every factor-th sample of x starting at offset 0.
-// The caller is responsible for prior anti-alias filtering.
-func Decimate(x []complex128, factor int) []complex128 {
-	if factor <= 0 {
-		panic("dsp: decimation factor must be positive")
-	}
-	y := make([]complex128, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		y = append(y, x[i])
-	}
-	return y
 }

@@ -77,20 +77,6 @@ func TestFIRLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestDecimate(t *testing.T) {
-	x := []complex128{0, 1, 2, 3, 4, 5, 6}
-	y := Decimate(x, 3)
-	want := []complex128{0, 3, 6}
-	if len(y) != len(want) {
-		t.Fatalf("Decimate length = %d, want %d", len(y), len(want))
-	}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("Decimate[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
 func TestFIRPanicsOnBadCutoff(t *testing.T) {
 	defer func() {
 		if recover() == nil {

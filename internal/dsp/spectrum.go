@@ -1,5 +1,7 @@
 package dsp
 
+import "math"
+
 // PSD estimates the power spectral density of x with Welch's method:
 // the signal is split into segments of length nfft (a power of two) with 50%
 // overlap, windowed, transformed, and the squared magnitudes averaged. The
@@ -61,4 +63,18 @@ func BandPower(psd []float64, fs, loHz, hiHz float64) float64 {
 		}
 	}
 	return p
+}
+
+// PeakIndex returns the index of the maximum value in v, or -1 if v is
+// empty.
+func PeakIndex(v []float64) int {
+	best := -1
+	bestV := math.Inf(-1)
+	for i, x := range v {
+		if x > bestV {
+			bestV = x
+			best = i
+		}
+	}
+	return best
 }

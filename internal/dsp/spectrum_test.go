@@ -68,47 +68,3 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 		t.Fatalf("Goertzel = %v, FFT bin = %v", g, y[10])
 	}
 }
-
-func TestCrossCorrelatePeaksAtOffset(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ref := make([]complex128, 64)
-	for i := range ref {
-		ref[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	x := make([]complex128, 512)
-	offset := 200
-	copy(x[offset:], ref)
-	c := NormalizedCorrelation(x, ref)
-	if got := PeakIndex(c); got != offset {
-		t.Fatalf("correlation peak at %d, want %d", got, offset)
-	}
-	if c[offset] < 0.99 {
-		t.Fatalf("peak correlation = %g, want ~1", c[offset])
-	}
-}
-
-func TestNormalizedCorrelationScaleInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ref := make([]complex128, 32)
-	for i := range ref {
-		ref[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	x := make([]complex128, 128)
-	copy(x[40:], ref)
-	base := NormalizedCorrelation(Clone(x), ref)[40]
-	Scale(x, 7.5)
-	scaled := NormalizedCorrelation(x, ref)[40]
-	if !almostEqual(base, scaled, 1e-9) {
-		t.Fatalf("correlation changed with scale: %g vs %g", base, scaled)
-	}
-}
-
-func TestPeakAbove(t *testing.T) {
-	v := []float64{0.1, 0.2, 0.9, 0.3}
-	if got := PeakAbove(v, 0.5); got != 2 {
-		t.Fatalf("PeakAbove = %d, want 2", got)
-	}
-	if got := PeakAbove(v, 2.0); got != -1 {
-		t.Fatalf("PeakAbove above max = %d, want -1", got)
-	}
-}

@@ -59,16 +59,6 @@ func (w Window) Coefficients(n int) []float64 {
 	return c
 }
 
-// Apply multiplies x by the window coefficients in place and returns x.
-// len(x) determines the window length.
-func (w Window) Apply(x []complex128) []complex128 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= complex(c[i], 0)
-	}
-	return x
-}
-
 // CoherentGain returns the mean of the window coefficients (amplitude
 // normalization factor for spectral estimates).
 func (w Window) CoherentGain(n int) float64 {

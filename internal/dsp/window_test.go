@@ -69,20 +69,6 @@ func TestWindowGains(t *testing.T) {
 	}
 }
 
-func TestWindowApply(t *testing.T) {
-	x := make([]complex128, 8)
-	for i := range x {
-		x[i] = 1
-	}
-	Hann.Apply(x)
-	c := Hann.Coefficients(8)
-	for i := range x {
-		if math.Abs(real(x[i])-c[i]) > 1e-12 {
-			t.Fatalf("Apply mismatch at %d", i)
-		}
-	}
-}
-
 func TestWindowLengthOne(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
 		c := w.Coefficients(1)

@@ -1,46 +1,20 @@
 // Package mics models the Medical Implant Communication Services band:
-// the 402–405 MHz band plan (ten 300 kHz channels), the FCC
-// listen-before-talk rule, and channel-occupancy bookkeeping for sessions.
+// the 402–405 MHz band plan (ten 300 kHz channels) and the FCC
+// listen-before-talk rule.
 package mics
 
 import (
-	"fmt"
-
 	"heartshield/internal/channel"
-	"heartshield/internal/dsp"
 	"heartshield/internal/radio"
 )
 
 // Band constants per FCC 47 CFR 95 subpart E/I.
 const (
-	// BandLowHz and BandHighHz bound the MICS allocation.
-	BandLowHz  = 402e6
-	BandHighHz = 405e6
-	// ChannelBandwidthHz is the width of one MICS channel.
-	ChannelBandwidthHz = 300e3
 	// NumChannels is the number of 300 kHz channels in the band.
 	NumChannels = 10
 	// CCADuration is the FCC-required listen-before-talk interval.
 	CCADuration = 10e-3 // seconds
 )
-
-// ChannelCenterHz returns the RF center frequency of MICS channel i
-// (0-based).
-func ChannelCenterHz(i int) float64 {
-	if i < 0 || i >= NumChannels {
-		panic(fmt.Sprintf("mics: channel %d out of range [0,%d)", i, NumChannels))
-	}
-	return BandLowHz + ChannelBandwidthHz/2 + float64(i)*ChannelBandwidthHz
-}
-
-// ChannelOf returns the MICS channel index containing the RF frequency f,
-// or -1 if f is outside the band.
-func ChannelOf(fHz float64) int {
-	if fHz < BandLowHz || fHz >= BandHighHz {
-		return -1
-	}
-	return int((fHz - BandLowHz) / ChannelBandwidthHz)
-}
 
 // CCASamples returns the number of samples in the 10 ms listen-before-talk
 // window at sample rate fs.
@@ -59,27 +33,3 @@ func ClearChannel(m *channel.Medium, rx channel.AntennaID, chain *radio.RXChain,
 // comfortably above the thermal floor but below any plausible nearby
 // transmission.
 const DefaultCCAThresholdDBm = -95
-
-// PickClearChannel scans all MICS channels in order starting from
-// preferred and returns the first clear one, or -1 when every channel is
-// busy. This implements the "find an unoccupied channel" step of §2.
-func PickClearChannel(m *channel.Medium, rx channel.AntennaID, chain *radio.RXChain, start int64, preferred int, thresholdDBm float64) int {
-	for k := 0; k < NumChannels; k++ {
-		ch := (preferred + k) % NumChannels
-		if ClearChannel(m, rx, chain, ch, start, thresholdDBm) {
-			return ch
-		}
-	}
-	return -1
-}
-
-// BandPowerDBm sums the observed power across every MICS channel at rx
-// over a window — the whole-band monitor's aggregate view (§7c).
-func BandPowerDBm(m *channel.Medium, rx channel.AntennaID, chain *radio.RXChain, start int64, n int) float64 {
-	var total float64
-	for ch := 0; ch < NumChannels; ch++ {
-		obs := chain.Process(m.Observe(rx, ch, start, n))
-		total += dsp.FromDBm(radio.RSSIdBm(obs))
-	}
-	return dsp.DBm(total)
-}

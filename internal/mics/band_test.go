@@ -9,41 +9,6 @@ import (
 	"heartshield/internal/stats"
 )
 
-func TestChannelCenters(t *testing.T) {
-	if got := ChannelCenterHz(0); math.Abs(got-402.15e6) > 1 {
-		t.Fatalf("channel 0 center = %g, want 402.15 MHz", got)
-	}
-	if got := ChannelCenterHz(9); math.Abs(got-404.85e6) > 1 {
-		t.Fatalf("channel 9 center = %g, want 404.85 MHz", got)
-	}
-	// Channels tile the band.
-	for i := 0; i < NumChannels-1; i++ {
-		if d := ChannelCenterHz(i+1) - ChannelCenterHz(i); math.Abs(d-ChannelBandwidthHz) > 1 {
-			t.Fatalf("channel spacing %d→%d = %g", i, i+1, d)
-		}
-	}
-}
-
-func TestChannelOf(t *testing.T) {
-	for i := 0; i < NumChannels; i++ {
-		if got := ChannelOf(ChannelCenterHz(i)); got != i {
-			t.Fatalf("ChannelOf(center %d) = %d", i, got)
-		}
-	}
-	if ChannelOf(401e6) != -1 || ChannelOf(406e6) != -1 {
-		t.Fatal("out-of-band frequency should map to -1")
-	}
-}
-
-func TestChannelCenterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range channel should panic")
-		}
-	}()
-	ChannelCenterHz(10)
-}
-
 func TestCCASamples(t *testing.T) {
 	if got := CCASamples(600e3); got != 6000 {
 		t.Fatalf("CCASamples = %d, want 6000 (10 ms at 600 kHz)", got)
@@ -93,35 +58,3 @@ func TestClearChannelIdleAndBusy(t *testing.T) {
 }
 
 func dBToLin(db float64) float64 { return math.Pow(10, db/10) }
-
-func TestPickClearChannelSkipsBusy(t *testing.T) {
-	m, rx := lbtRig(2)
-	m.SetLink(antListener, antOther, channel.Link{LossDB: 30})
-	m.NewEpoch()
-	iq := make([]complex128, CCASamples(600e3)+100)
-	for i := range iq {
-		iq[i] = complex(math.Sqrt(dBToLin(-16)), 0)
-	}
-	m.AddBurst(&channel.Burst{Channel: 4, Start: 0, IQ: iq, From: antOther})
-	got := PickClearChannel(m, antListener, rx, 0, 4, DefaultCCAThresholdDBm)
-	if got != 5 {
-		t.Fatalf("PickClearChannel = %d, want 5 (next after busy 4)", got)
-	}
-}
-
-func TestBandPowerAggregates(t *testing.T) {
-	m, rx := lbtRig(3)
-	m.SetLink(antListener, antOther, channel.Link{LossDB: 20})
-	m.NewEpoch()
-	iq := make([]complex128, 2000)
-	for i := range iq {
-		iq[i] = complex(math.Sqrt(dBToLin(-30)), 0)
-	}
-	m.AddBurst(&channel.Burst{Channel: 2, Start: 0, IQ: iq, From: antOther})
-	m.AddBurst(&channel.Burst{Channel: 7, Start: 0, IQ: iq, From: antOther})
-	got := BandPowerDBm(m, antListener, rx, 0, 1000)
-	// Two -50 dBm received bursts sum to about -47 dBm.
-	if got < -49 || got > -45 {
-		t.Fatalf("band power = %g dBm, want ≈ -47", got)
-	}
-}

@@ -23,7 +23,6 @@ var DefaultGMSK = GMSKConfig{
 
 // GMSK is a Gaussian minimum-shift-keying modem.
 type GMSK struct {
-	cfg   GMSKConfig
 	sps   int
 	pulse []float64 // Gaussian frequency pulse, normalized to sum π/2 per symbol
 }
@@ -34,7 +33,7 @@ func NewGMSK(cfg GMSKConfig) *GMSK {
 	if sps < 2 {
 		panic("modem: GMSK needs at least 2 samples per symbol")
 	}
-	g := &GMSK{cfg: cfg, sps: sps}
+	g := &GMSK{sps: sps}
 	g.pulse = gaussianPulse(cfg.BT, sps, 3)
 	return g
 }
@@ -58,12 +57,6 @@ func gaussianPulse(bt float64, sps, span int) []float64 {
 	}
 	return h
 }
-
-// Config returns the modem configuration.
-func (g *GMSK) Config() GMSKConfig { return g.cfg }
-
-// SamplesPerSymbol returns the oversampling factor.
-func (g *GMSK) SamplesPerSymbol() int { return g.sps }
 
 // Modulate produces unit-power GMSK baseband IQ for bits (one byte per
 // bit). The modulation index is 0.5 (MSK).

@@ -42,9 +42,6 @@ func NewModem(cfg Config) *Modem {
 	return &Modem{cfg: cfg}
 }
 
-// Config returns the modem configuration.
-func (m *Modem) Config() Config { return m.cfg }
-
 // SymbolLen is the time-domain length of one OFDM symbol including CP.
 func (m *Modem) SymbolLen() int { return m.cfg.NumSubcarriers + m.cfg.CyclicPrefix }
 

@@ -157,11 +157,6 @@ func ParseFrame(raw []byte) (*Frame, error) {
 	return &f, nil
 }
 
-// ParseFrameBits is ParseFrame over an MSB-first bit slice.
-func ParseFrameBits(bits []byte) (*Frame, error) {
-	return ParseFrame(BitsToBytes(bits))
-}
-
 // Sid returns the identifying sequence (as bits) for a device serial:
 // preamble + sync + serial. The shield matches the first SidBits decoded
 // bits of any transmission against this sequence.

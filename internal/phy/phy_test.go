@@ -83,17 +83,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameBitsRoundTrip(t *testing.T) {
-	f := testFrame()
-	got, err := ParseFrameBits(f.MarshalBits())
-	if err != nil {
-		t.Fatalf("ParseFrameBits: %v", err)
-	}
-	if got.Command != f.Command {
-		t.Fatalf("command = %v, want %v", got.Command, f.Command)
-	}
-}
-
 func TestFrameRejectsAnyBodyBitFlipProperty(t *testing.T) {
 	f := testFrame()
 	raw := f.Marshal()

@@ -3,7 +3,6 @@ package shieldcore
 import (
 	"heartshield/internal/channel"
 	"heartshield/internal/dsp"
-	"heartshield/internal/mics"
 	"heartshield/internal/phy"
 	"heartshield/internal/radio"
 )
@@ -197,21 +196,6 @@ func (s *Shield) inJamSenseFloorDBm(jamPowerDBm float64) float64 {
 		floor = residual
 	}
 	return floor
-}
-
-// DefendBand runs the active defense across every MICS channel — the
-// whole-band monitor of §7(c) that counters frequency-hopping and
-// multi-channel adversaries. It returns one report per channel that had a
-// detected transmission.
-func (s *Shield) DefendBand(start int64, n int) []DefenseReport {
-	var out []DefenseReport
-	for ch := 0; ch < mics.NumChannels; ch++ {
-		rep := s.DefendChannelWindow(ch, start, n)
-		if rep.BurstDetected {
-			out = append(out, rep)
-		}
-	}
-	return out
 }
 
 // externallyBusy listens through the shield's own (antidote-cancelled)

@@ -132,15 +132,6 @@ func TestAlarmThresholdBoundary(t *testing.T) {
 	}
 }
 
-func TestDefendBandQuiet(t *testing.T) {
-	sc, _ := protectedScenario(t, 37, 1, testbed.FCCLimitDBm)
-	sc.NewTrial()
-	sc.PrepareShield()
-	if reports := sc.Shield.DefendBand(0, 8000); len(reports) != 0 {
-		t.Fatalf("band monitor reacted to a quiet band: %+v", reports)
-	}
-}
-
 func TestPlaceJamRequiresEstimate(t *testing.T) {
 	sc := testbed.NewScenario(testbed.Options{Seed: 38})
 	defer func() {

@@ -191,9 +191,6 @@ func NewShield(cfg Config) *Shield {
 	return s
 }
 
-// Sid returns the identifying sequence the shield matches (bits).
-func (s *Shield) Sid() []byte { return s.sid }
-
 // SetProtected retargets the shield to a different IMD profile: its
 // serial defines the identifying sequence Sid to match and its T1/T2/
 // MaxPacket the passive jamming window. A shield worn by a patient with
@@ -232,8 +229,7 @@ func (s *Shield) SetJamShape(shape JamShape) {
 
 // Retune moves the shield's session focus to a different MICS channel —
 // it follows its IMD when persistent interference forces the session to
-// re-acquire a channel (§2). The whole-band monitor (DefendBand) keeps
-// watching every channel regardless.
+// re-acquire a channel (§2).
 func (s *Shield) Retune(ch int) {
 	if ch < 0 || ch >= mics.NumChannels {
 		panic(fmt.Sprintf("shieldcore: channel %d out of range", ch))
@@ -364,8 +360,8 @@ func (s *Shield) PlaceJam(start int64, n int) *JamPlacement {
 }
 
 // placeJamAt emits jamming on an explicit MICS channel at an explicit
-// transmit power: the whole-band active defense jams whichever channel
-// the adversary chose, at the full FCC power.
+// transmit power: the active defense jams whichever channel the
+// adversary chose, at the full FCC power.
 func (s *Shield) placeJamAt(ch int, start int64, n int, powerDBm float64) *JamPlacement {
 	if !s.est.Valid {
 		panic("shieldcore: PlaceJam without channel estimate")

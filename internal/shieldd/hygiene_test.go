@@ -1,7 +1,10 @@
 package shieldd_test
 
 import (
+	"flag"
 	"net"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,13 +83,47 @@ func rawStream(t *testing.T, srv *shieldd.Server) (net.Conn, func(id uint64, m w
 	return cEnd, send
 }
 
+// hygieneChildEnv marks a child process of the test binary that runs one
+// goroutine-counting test alone.
+const hygieneChildEnv = "SHIELDD_HYGIENE_CHILD"
+
+// runAlone runs the named test by itself in a child process of the test
+// binary and fails t with the child's output if it fails. A test that
+// compares whole-process goroutine counts runs there, so that no
+// goroutine another test left behind can end during it and move its
+// count. A coverage run's counters go to the same directory as the
+// parent's.
+func runAlone(t *testing.T, name string) {
+	t.Helper()
+	args := []string{"-test.run=^" + name + "$"}
+	if testing.Verbose() {
+		args = append(args, "-test.v")
+	}
+	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
+		args = append(args, "-test.gocoverdir="+f.Value.String())
+	}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), hygieneChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s alone in a child process: %v\n%s", name, err, out)
+	}
+	if testing.Verbose() {
+		t.Logf("%s", out)
+	}
+}
+
 // TestServerGoroutineHygiene ends sessions in each of four ways with
 // work in flight — a BYE while an experiment streams, an idle reap, a
 // stream closed mid-EXCHANGE, and a datagram newcomer taking over the
 // address — and requires each to leave no goroutine behind. It also pins
 // what an open session costs: one server goroutine, its reader, once it
-// has only pinged.
+// has only pinged. It runs alone in a child process (runAlone).
 func TestServerGoroutineHygiene(t *testing.T) {
+	if os.Getenv(hygieneChildEnv) == "" {
+		runAlone(t, "TestServerGoroutineHygiene")
+		return
+	}
 	srv := newServer(t, shieldd.ServerConfig{})
 	idle := newServer(t, shieldd.ServerConfig{IdleTimeout: 100 * time.Millisecond})
 	nw := faultnet.New(71, faultnet.Impairment{})

@@ -56,9 +56,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 { return Mean(c.samples) }
 
-// Std returns the sample standard deviation.
-func (c *CDF) Std() float64 { return Std(c.samples) }
-
 // Min returns the smallest sample.
 func (c *CDF) Min() float64 { return Min(c.samples) }
 

@@ -60,41 +60,6 @@ func Max(v []float64) float64 {
 	return m
 }
 
-// Welford is a streaming mean/variance accumulator (Welford's algorithm),
-// usable as a zero value.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples accumulated.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (NaN if empty).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Std returns the running sample standard deviation.
-func (w *Welford) Std() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of v using linear
 // interpolation between order statistics. It returns NaN for empty input.
 func Percentile(v []float64, p float64) float64 {

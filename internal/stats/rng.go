@@ -1,7 +1,7 @@
 // Package stats provides the randomness and descriptive-statistics
 // machinery used by the simulator and its experiment harness: seeded RNG
-// plumbing, Gaussian/complex-Gaussian/log-normal sampling, streaming
-// moments, empirical CDFs, and histograms.
+// plumbing, Gaussian/complex-Gaussian/log-normal sampling, sample
+// moments and percentiles, and empirical CDFs.
 package stats
 
 import "math"
@@ -192,14 +192,6 @@ func (g *RNG) UnitPhasor() complex128 {
 
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Bytes fills b with random bytes and returns it.
-func (g *RNG) Bytes(b []byte) []byte {
-	for i := range b {
-		b[i] = byte(g.r.Intn(256))
-	}
-	return b
-}
 
 // Bits returns n random bits as a byte-per-bit slice of 0s and 1s.
 func (g *RNG) Bits(n int) []byte {

@@ -56,25 +56,6 @@ func TestUnitPhasorMagnitude(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	g := NewRNG(4)
-	var w Welford
-	v := make([]float64, 1000)
-	for i := range v {
-		v[i] = g.Normal(5, 2)
-		w.Add(v[i])
-	}
-	if math.Abs(w.Mean()-Mean(v)) > 1e-9 {
-		t.Fatalf("Welford mean %g vs batch %g", w.Mean(), Mean(v))
-	}
-	if math.Abs(w.Std()-Std(v)) > 1e-9 {
-		t.Fatalf("Welford std %g vs batch %g", w.Std(), Std(v))
-	}
-	if w.N() != len(v) {
-		t.Fatalf("Welford N = %d, want %d", w.N(), len(v))
-	}
-}
-
 func TestPercentileEdges(t *testing.T) {
 	v := []float64{3, 1, 2}
 	if p := Percentile(v, 0); p != 1 {

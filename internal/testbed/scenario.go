@@ -443,13 +443,3 @@ func (sc *Scenario) NewAntennaAt(distM, obstructionDB, shadowSigma float64) chan
 	sc.Medium.SetLink(id, AntObserver, channel.Link{LossDB: air + channel.BodyLossDB, ShadowSigmaDB: shadowSigma})
 	return id
 }
-
-// ObserverSeesResponse checks (at the in-phantom observer, like the
-// paper's sandwiched USRP) whether the IMD transmitted a response burst
-// in the window following a command that ended at cmdEnd.
-func (sc *Scenario) ObserverSeesResponse(cmdEnd int64) bool {
-	w1, w2 := sc.Shield.ResponseWindow(cmdEnd)
-	obs := sc.ObserverRX.Process(sc.Medium.Observe(AntObserver, sc.Channel(), w1, int(w2-w1)))
-	_, ok := sc.FSK.Sync(obs, 0.5)
-	return ok
-}

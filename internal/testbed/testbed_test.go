@@ -136,20 +136,3 @@ func TestCalibratedRSSIMatchesLinkBudget(t *testing.T) {
 		t.Fatalf("measured IMD RSSI %.1f dBm vs link budget %.1f", rssi, want)
 	}
 }
-
-func TestObserverSeesResponse(t *testing.T) {
-	sc := NewScenario(Options{Seed: 11})
-	sc.NewTrial()
-	b := sc.Prog.Transmit(sc.Channel(), 0, sc.InterrogateFrame())
-	re := sc.IMD.ProcessWindow(0, int(b.End())+2000)
-	if !re.Responded {
-		t.Fatal("no response")
-	}
-	if !sc.ObserverSeesResponse(b.End()) {
-		t.Fatal("observer missed the response")
-	}
-	sc.NewTrial() // clears bursts
-	if sc.ObserverSeesResponse(b.End()) {
-		t.Fatal("observer saw a response on an empty medium")
-	}
-}

@@ -166,7 +166,6 @@ const (
 	CodeBadRequest        uint8 = 1
 	CodeUnknownExperiment uint8 = 2
 	CodeExchangeFailed    uint8 = 3
-	CodeBusy              uint8 = 4
 	CodeInternal          uint8 = 5
 	CodeVersion           uint8 = 6 // the HELLO's version byte is not Version
 )
