@@ -7,9 +7,11 @@
 #                       binary is not installed; CI installs it)
 #   make race         - race detector over the concurrent packages (the
 #                       serving stack, including securelink's shared
-#                       cookie and ticket sources), plus ten repeated
-#                       runs of the request-table tests, both session
-#                       machines' rule tables and the goroutine pins
+#                       cookie and ticket sources, and the physics
+#                       packages that share the process-wide sample
+#                       arena and modem), plus ten repeated runs of the
+#                       request-table tests, both session machines' rule
+#                       tables and the goroutine pins
 #   make fuzz         - FUZZTIME smoke of every fuzz target
 #   make ci           - exactly what each .github/workflows/ci.yml test
 #                       job runs: fmt + vet + staticcheck + build + test
@@ -195,7 +197,7 @@ staticcheck-install:
 # request and its teardown returns to the pool once no op runs.
 RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestClientMachineRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
 race:
-	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram
+	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram ./internal/channel ./internal/testbed ./internal/shieldcore
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
 	$(GO) test -race -run TestExperimentWorkerDeterminism -count=1 .
 	$(GO) test -race -run 'Plan|RandSource|Stream|Receive|Demod|Sync' ./internal/dsp ./internal/stats ./internal/modem

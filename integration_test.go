@@ -170,7 +170,8 @@ func TestShieldFollowsSessionRetune(t *testing.T) {
 	// jammed.
 	sc.NewTrial()
 	sc.PrepareShield()
-	iq := sc.AdvTX.Transmit(sc.FSK.ModulateFrame(sc.InterrogateFrame()))
+	frame := sc.FSK.ModulateFrame(sc.InterrogateFrame())
+	iq := sc.AdvTX.Transmit(sc.Medium.Samples(len(frame)), frame)
 	b := &channel.Burst{Channel: 5, Start: 800, IQ: iq, From: testbed.AntAdversary}
 	sc.Medium.AddBurst(b)
 	rep := sc.Shield.DefendWindow(0, int(b.End())+2000)

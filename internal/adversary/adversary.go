@@ -28,10 +28,6 @@ type Eavesdropper struct {
 	// the strongest-adversary assumption the confidentiality experiments
 	// use. When nil, the CFO is estimated from the (jammed) signal.
 	CFOHint *float64
-
-	// obsScratch backs the intercept observations (buffer-reuse contract
-	// with Medium.ObserveInto); an eavesdropper is single-goroutine.
-	obsScratch []complex128
 }
 
 // cfoFor resolves the carrier offset the decoder should compensate.
@@ -47,8 +43,7 @@ func (e *Eavesdropper) cfoFor(obs []complex128) float64 {
 // returning the decoded bits.
 func (e *Eavesdropper) InterceptBits(ch int, start int64, nbits int) []byte {
 	n := e.Modem.Config().SamplesForBits(nbits)
-	e.obsScratch = e.Medium.ObserveInto(e.obsScratch, e.Antenna, ch, start, n)
-	obs := e.RX.ProcessInPlace(e.obsScratch)
+	obs := e.RX.Process(e.Medium.Observe(e.Antenna, ch, start, n))
 	return e.Modem.DemodBits(obs, nbits, e.cfoFor(obs))
 }
 
@@ -128,7 +123,8 @@ func (a *Active) Replay(ch int, start int64, f *phy.Frame) *channel.Burst {
 	if f == nil {
 		return nil
 	}
-	iq := a.TX.Transmit(a.Modem.ModulateFrame(f))
+	frame := a.Modem.ModulateFrame(f)
+	iq := a.TX.Transmit(a.Medium.Samples(len(frame)), frame)
 	b := &channel.Burst{Channel: ch, Start: start, IQ: iq, From: a.Antenna}
 	a.Medium.AddBurst(b)
 	return b

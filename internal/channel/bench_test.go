@@ -102,6 +102,7 @@ func BenchmarkMediumObserve(b *testing.B) {
 		// A window deep into the burst chain: the binary search skips the
 		// ~240 earlier bursts a linear scan would visit.
 		m.Observe(1, 0, 70000, 1200)
+		m.release()
 	}
 }
 

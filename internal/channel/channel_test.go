@@ -1,8 +1,11 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -258,10 +261,11 @@ func TestSelfLoopLink(t *testing.T) {
 	}
 }
 
-// The buffer-reuse contract: once a scratch buffer has grown to the
-// window size, ObserveInto must not allocate — the per-exchange GC load
-// of the receive hot path rides on this.
-func TestObserveIntoDoesNotAllocate(t *testing.T) {
+// The sample-ownership rule: a trial's observation window comes from the
+// arena and ClearBursts hands it back, so once the arena is warm a trial
+// observes the medium without allocating — the per-exchange GC load of
+// the receive hot path rides on this.
+func TestObserveDoesNotAllocate(t *testing.T) {
 	m := NewMedium(600e3, stats.NewRNG(1))
 	m.SetLink(1, 2, Link{LossDB: 40})
 	m.NewEpoch()
@@ -269,20 +273,22 @@ func TestObserveIntoDoesNotAllocate(t *testing.T) {
 	for i := range iq {
 		iq[i] = 1
 	}
-	m.AddBurst(&Burst{Channel: 0, Start: 100, IQ: iq, From: 1})
+	b := &Burst{Channel: 0, Start: 100, IQ: iq, From: 1}
 
-	scratch := make([]complex128, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch = m.ObserveInto(scratch, 2, 0, 0, 4096)
+		m.ClearBursts()
+		m.AddBurst(b)
+		m.Observe(2, 0, 0, 4096)
 	})
 	if allocs != 0 {
-		t.Fatalf("ObserveInto with adequate scratch allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("a warm trial's Observe allocates %.1f times per call, want 0", allocs)
 	}
 }
 
-// ObserveInto must agree with Observe sample for sample, including the
-// zeroing of a dirty reused buffer.
-func TestObserveIntoMatchesObserve(t *testing.T) {
+// A recycled arena buffer is not zero: an observation into one must agree
+// sample for sample with one into a fresh buffer, including the zeroing
+// of what no burst covers.
+func TestObserveClearsRecycledBuffer(t *testing.T) {
 	m := NewMedium(600e3, stats.NewRNG(2))
 	m.SetLink(1, 2, Link{LossDB: 30})
 	m.NewEpoch()
@@ -290,17 +296,65 @@ func TestObserveIntoMatchesObserve(t *testing.T) {
 	for i := range iq {
 		iq[i] = complex(float64(i), 1)
 	}
-	m.AddBurst(&Burst{Channel: 0, Start: 10, IQ: iq, From: 1})
+	b := &Burst{Channel: 0, Start: 10, IQ: iq, From: 1}
+	m.AddBurst(b)
 
-	want := m.Observe(2, 0, 0, 300)
-	dirty := make([]complex128, 300)
+	want := slices.Clone(m.Observe(2, 0, 0, 300))
+	dirty := m.Samples(300)
 	for i := range dirty {
 		dirty[i] = complex(99, 99)
 	}
-	got := m.ObserveInto(dirty, 2, 0, 0, 300)
+	m.ClearBursts()
+	m.AddBurst(b)
+	got := m.Observe(2, 0, 0, 300)
+	if &got[0] != &dirty[0] {
+		t.Fatal("the observation did not reuse the dirty buffer")
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sample %d: ObserveInto %v != Observe %v", i, got[i], want[i])
+			t.Fatalf("sample %d: recycled %v != fresh %v", i, got[i], want[i])
 		}
+	}
+}
+
+// The arena is shared by every medium of the process: media driven from
+// concurrent goroutines (experiment workers, shieldd sessions) must never
+// be handed the same buffer while both hold it.
+func TestArenaSharedAcrossMedia(t *testing.T) {
+	const media, trials = 4, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, media)
+	for g := 0; g < media; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := NewMedium(600e3, stats.NewRNG(int64(g)))
+			m.SetLink(1, 2, Link{LossDB: 0})
+			m.NewEpoch()
+			gain := m.Gain(1, 2)
+			for trial := 0; trial < trials; trial++ {
+				m.ClearBursts()
+				n := 64 + 97*(trial%5)
+				iq := m.Samples(n)
+				v := complex(float64(g), float64(trial))
+				for i := range iq {
+					iq[i] = v
+				}
+				m.AddBurst(&Burst{Channel: 0, Start: 0, IQ: iq, From: 1})
+				obs := m.Observe(2, 0, 0, n)
+				for i := range obs {
+					if obs[i] != gain*v || iq[i] != v {
+						errs <- fmt.Errorf("medium %d trial %d sample %d: burst %v, window %v; want %v, %v",
+							g, trial, i, iq[i], obs[i], v, gain*v)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -48,7 +48,9 @@ type linkState struct {
 
 // Burst is one transmission on the medium: baseband IQ (already scaled by
 // the TX chain to sqrt-milliwatt amplitude) starting at an absolute sample
-// index on a given MICS channel.
+// index on a given MICS channel. A transmitter's IQ comes from
+// Medium.Samples, so it aliases arena memory and is valid only until the
+// trial ends (see Medium.ClearBursts).
 type Burst struct {
 	Channel int
 	Start   int64
@@ -113,6 +115,9 @@ type Medium struct {
 	// replay the install-time gain draws of a fresh build exactly.
 	installed []pair
 	burst     map[int]*burstSet
+	// held lists the arena buffers handed out this trial (burst samples
+	// and observation windows); ClearBursts returns them.
+	held [][]complex128
 }
 
 // NewMedium creates an empty medium at the given baseband sample rate.
@@ -244,38 +249,48 @@ func (m *Medium) Bursts(ch int) []*Burst {
 	return s.list
 }
 
-// ClearBursts removes all transmissions (start of a new trial).
+// Samples returns an n-sample buffer from the process-wide sample arena.
+// The medium owns it until the trial ends at the next ClearBursts, which
+// hands it back. Its contents are arbitrary: the caller writes every
+// sample before it reads any. Transmitters build their bursts in such
+// buffers and receivers their observation windows, so a warm trial
+// allocates no samples.
+func (m *Medium) Samples(n int) []complex128 {
+	b := arena.get(n)
+	m.held = append(m.held, b)
+	return b
+}
+
+// ClearBursts removes all transmissions and ends the trial: every buffer
+// Samples and Observe handed out since the last ClearBursts goes back to
+// the arena, so no burst IQ or observation window of the trial may be
+// read after it.
 func (m *Medium) ClearBursts() {
-	clear(m.burst)
+	for _, s := range m.burst {
+		clear(s.list)
+		s.list, s.maxEnd = s.list[:0], s.maxEnd[:0]
+	}
+	m.release()
+}
+
+// release hands the trial's buffers back to the arena.
+func (m *Medium) release() {
+	arena.put(m.held)
+	clear(m.held)
+	m.held = m.held[:0]
 }
 
 // Observe returns the noiseless superposition seen by antenna rx on MICS
 // channel ch over the window [start, start+n): every overlapping burst is
 // added with the current complex gain of its source link. Bursts whose
-// source has no link to rx contribute nothing. The caller passes the
-// result through an RXChain for noise and front-end effects.
+// source has no link to rx contribute nothing. The window is a Samples
+// buffer, valid until the trial ends; the caller passes it through an
+// RXChain, which adds noise and front-end effects in place.
 func (m *Medium) Observe(rx AntennaID, ch int, start int64, n int) []complex128 {
-	return m.ObserveInto(nil, rx, ch, start, n)
-}
-
-// ObserveInto is Observe with a caller-owned destination: dst is grown if
-// its capacity is short, zeroed, filled, and returned at length n. Hot
-// paths (the shield's defense scans, the IMD's receive windows) pass a
-// per-device scratch buffer so a full exchange observes the medium without
-// allocating. The returned slice aliases dst's backing array and is valid
-// until the caller's next ObserveInto with the same scratch.
-func (m *Medium) ObserveInto(dst []complex128, rx AntennaID, ch int, start int64, n int) []complex128 {
 	if n < 0 {
 		panic(fmt.Sprintf("channel: negative observation length %d", n))
 	}
-	var out []complex128
-	fresh := false // out is already all-zero (newly allocated)
-	if cap(dst) >= n {
-		out = dst[:n]
-	} else {
-		out = make([]complex128, n)
-		fresh = true
-	}
+	out := m.Samples(n)
 	// First-touch regions take direct writes instead of zero-then-add
 	// (0+x == x in IEEE up to the sign of zero, which the noise added
 	// downstream erases), so the window is swept once, not twice. [clo,
@@ -326,13 +341,12 @@ func (m *Medium) ObserveInto(dst []complex128, rx AntennaID, ch int, start int64
 			}
 		}
 	}
-	if !fresh {
-		if !covered {
-			clear(out)
-		} else {
-			clear(out[:clo])
-			clear(out[chi:])
-		}
+	// A recycled buffer is not zero: clear what no burst wrote.
+	if !covered {
+		clear(out)
+	} else {
+		clear(out[:clo])
+		clear(out[chi:])
 	}
 	return out
 }

@@ -73,7 +73,8 @@ func Table2(cfg Config) Table2Result {
 			// Cross-traffic packet. (The same power class as the
 			// adversary's chain; reuse its parameters.)
 			sc.PrepareShield()
-			sondeIQ := sc.AdvTX.TransmitAt(p.gmsk.Modulate(sc.RNG.Bits(240)), testbed.FCCLimitDBm)
+			sonde := p.gmsk.Modulate(sc.RNG.Bits(240))
+			sondeIQ := sc.AdvTX.TransmitAt(sc.Medium.Samples(len(sonde)), sonde, testbed.FCCLimitDBm)
 			sb := &channel.Burst{Channel: sc.Channel(), Start: 800, IQ: sondeIQ, From: p.sondeAnt}
 			sc.Medium.AddBurst(sb)
 			rep := sc.Shield.DefendWindow(0, int(sb.End())+2000)

@@ -96,9 +96,6 @@ type Device struct {
 
 	therapy TherapyParams
 	rng     *stats.RNG
-	// obsScratch backs ProcessWindow's observation (the buffer-reuse
-	// contract with Medium.ObserveInto); the device is single-goroutine.
-	obsScratch []complex128
 
 	// Counters for battery/energy accounting and experiment bookkeeping.
 	txSamples  int64
@@ -160,7 +157,8 @@ type Reaction struct {
 	Responded bool
 	// Response is the transmitted reply frame.
 	Response *phy.Frame
-	// ResponseBurst is the burst placed on the medium.
+	// ResponseBurst is the burst placed on the medium; its samples live
+	// in the sample arena until the trial ends.
 	ResponseBurst *channel.Burst
 	// TherapyChanged reports that a set-therapy command took effect.
 	TherapyChanged bool
@@ -174,8 +172,7 @@ type Reaction struct {
 // response burst is added to the medium and returned in the Reaction.
 func (d *Device) ProcessWindow(start int64, n int) Reaction {
 	var re Reaction
-	d.obsScratch = d.Medium.ObserveInto(d.obsScratch, d.Antenna, d.Channel, start, n)
-	obs := d.RX.ProcessInPlace(d.obsScratch)
+	obs := d.RX.Process(d.Medium.Observe(d.Antenna, d.Channel, start, n))
 	rx, ok := d.Modem.ReceiveFrame(obs, SyncThreshold)
 	if !ok {
 		return re
@@ -202,7 +199,7 @@ func (d *Device) ProcessWindow(start int64, n int) Reaction {
 	delaySec := d.Profile.T1 + d.rng.Float64()*(d.Profile.T2-d.Profile.T1)
 	respStart := frameEnd + int64(d.Modem.Config().SamplesForDuration(delaySec))
 
-	iq := d.TX.Transmit(d.Modem.ModulateFrame(resp))
+	iq := d.transmit(resp)
 	burst := &channel.Burst{Channel: d.Channel, Start: respStart, IQ: iq, From: d.Antenna}
 	d.Medium.AddBurst(burst)
 	d.txSamples += int64(len(iq))
@@ -302,11 +299,18 @@ func (d *Device) EmergencyTransmit(start int64) *channel.Burst {
 		Command: phy.CmdDataResponse,
 		Payload: append([]byte("EMERGENCY:VF-DETECTED;"), d.patientData()[:40]...),
 	}
-	iq := d.TX.Transmit(d.Modem.ModulateFrame(f))
+	iq := d.transmit(f)
 	burst := &channel.Burst{Channel: d.Channel, Start: start, IQ: iq, From: d.Antenna}
 	d.Medium.AddBurst(burst)
 	d.txSamples += int64(len(iq))
 	return burst
+}
+
+// transmit modulates f and passes it through the TX chain into a burst
+// buffer of the medium.
+func (d *Device) transmit(f *phy.Frame) []complex128 {
+	frame := d.Modem.ModulateFrame(f)
+	return d.TX.Transmit(d.Medium.Samples(len(frame)), frame)
 }
 
 // TxEnergyMilliJoule returns the cumulative transmit energy spent, in mJ,

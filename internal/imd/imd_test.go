@@ -57,7 +57,8 @@ func newRig(seed int64) *rig {
 // send places a frame on the medium from the programmer antenna at sample
 // start and returns the burst.
 func (r *rig) send(f *phy.Frame, start int64) *channel.Burst {
-	iq := r.progTX.Transmit(r.fsk.ModulateFrame(f))
+	frame := r.fsk.ModulateFrame(f)
+	iq := r.progTX.Transmit(r.medium.Samples(len(frame)), frame)
 	b := &channel.Burst{Channel: 0, Start: start, IQ: iq, From: antProg}
 	r.medium.AddBurst(b)
 	return b
@@ -141,7 +142,8 @@ func TestIMDDiscardsCorruptedFrames(t *testing.T) {
 	// Jam the tail of the command: the CRC fails and the IMD stays silent.
 	r := newRig(4)
 	f := interrogate(VirtuosoICD.Serial)
-	iq := r.progTX.Transmit(r.fsk.ModulateFrame(f))
+	frame := r.fsk.ModulateFrame(f)
+	iq := r.progTX.Transmit(r.medium.Samples(len(frame)), frame)
 	// Overwrite the second half with strong noise (the jammed portion).
 	jam := r.rng.ComplexNormalVec(make([]complex128, len(iq)/2), 100*1e-3)
 	copy(iq[len(iq)/2:], jam)

@@ -43,7 +43,8 @@ func TestClearChannelIdleAndBusy(t *testing.T) {
 
 	// A -16 dBm transmission 40 dB away lands at -56 dBm: busy.
 	tx := &radio.TXChain{PowerDBm: -16, SampleRate: 600e3}
-	iq := tx.Transmit(make([]complex128, CCASamples(600e3)+100))
+	iq := make([]complex128, CCASamples(600e3)+100)
+	tx.Transmit(iq, iq)
 	for i := range iq {
 		iq[i] = complex(math.Sqrt(dBToLin(-16)), 0)
 	}

@@ -97,7 +97,7 @@ type Result struct {
 // eavesdropper is a genie: it knows all channel vectors exactly and the
 // transmitted jam timing; only physics limits it.
 func Evaluate(cfg Config, rng *stats.RNG) Result {
-	fsk := modem.NewFSK(modem.DefaultFSK)
+	fsk := modem.Default()
 	jamGen := stats.NewRNG(rng.Int63())
 
 	// The jammer is displaced TRANSVERSALLY to the eavesdropper's line of

@@ -34,6 +34,15 @@ var DefaultFSK = FSKConfig{
 	Deviation:  50e3,
 }
 
+// defaultFSK is the process-wide modem for DefaultFSK; see Default.
+var defaultFSK = sync.OnceValue(func() *FSK { return NewFSK(DefaultFSK) })
+
+// Default returns the one modem for DefaultFSK that every scenario and
+// mimo.Evaluate share. An FSK is safe for concurrent use, so sharing it
+// keeps its sync scratch and its frame cache warm across scenarios
+// instead of rebuilding both for each one.
+func Default() *FSK { return defaultFSK() }
+
 // SamplesPerSymbol returns the integer oversampling factor. The
 // configuration must divide evenly.
 func (c FSKConfig) SamplesPerSymbol() int {
@@ -58,7 +67,7 @@ func (c FSKConfig) Duration(samples int) float64 { return float64(samples) / c.S
 
 // FSK is a binary FSK modem. It is safe for concurrent use by multiple
 // goroutines after construction: the precomputed tables are read-only and
-// per-call scratch comes from an internal pool.
+// per-call scratch comes from an internal free list.
 type FSK struct {
 	cfg     FSKConfig
 	sps     int
@@ -85,7 +94,11 @@ type FSK struct {
 	// conjugate and the CFO de-rotation is applied by complex recurrence.
 	tone []complex128
 
-	syncPool sync.Pool // *syncScratch
+	// syncFree holds idle sync scratch (see getScratch); nt and nq size
+	// a new one.
+	syncMu   sync.Mutex
+	syncFree []*syncScratch
+	nt, nq   int
 
 	// frameCache memoizes ModulateFrame outputs keyed by the marshaled
 	// bit string: modulation is a pure function of the bits, so command
@@ -220,21 +233,48 @@ func (m *FSK) buildSyncShapes(bits []byte, h int) {
 	}
 
 	span := m.nSeg * m.segLen
-	nt := syncChunkLags + span - m.blk // partial sums reach sps-blk past the last symbol position
-	nq := syncChunkLags + span - m.segLen
-	m.syncPool.New = func() any {
-		sc := &syncScratch{
-			tp:  make([]complex128, nt),
-			tm:  make([]complex128, nt),
-			e:   make([]float64, nt),
-			h:   make([][]float64, len(m.shapes)),
-			buf: make([]float64, nq),
-		}
-		for u := range sc.h {
-			sc.h[u] = make([]float64, nq)
-		}
+	m.nt = syncChunkLags + span - m.blk // partial sums reach sps-blk past the last symbol position
+	m.nq = syncChunkLags + span - m.segLen
+}
+
+// syncFreeMax bounds the idle sync scratch a modem keeps; Syncs that ran
+// at once beyond it leave theirs to the GC.
+const syncFreeMax = 8
+
+// getScratch takes an idle sync scratch or builds one. It is a plain free
+// list, not a sync.Pool: a pool misses when its one idle scratch sits in
+// another P's private slot and after every GC, and each miss builds a
+// ~130 KB scratch anew.
+func (m *FSK) getScratch() *syncScratch {
+	m.syncMu.Lock()
+	if n := len(m.syncFree); n > 0 {
+		sc := m.syncFree[n-1]
+		m.syncFree[n-1] = nil
+		m.syncFree = m.syncFree[:n-1]
+		m.syncMu.Unlock()
 		return sc
 	}
+	m.syncMu.Unlock()
+	sc := &syncScratch{
+		tp:  make([]complex128, m.nt),
+		tm:  make([]complex128, m.nt),
+		e:   make([]float64, m.nt),
+		h:   make([][]float64, len(m.shapes)),
+		buf: make([]float64, m.nq),
+	}
+	for u := range sc.h {
+		sc.h[u] = make([]float64, m.nq)
+	}
+	return sc
+}
+
+// putScratch returns a scratch that getScratch handed out.
+func (m *FSK) putScratch(sc *syncScratch) {
+	m.syncMu.Lock()
+	if len(m.syncFree) < syncFreeMax {
+		m.syncFree = append(m.syncFree, sc)
+	}
+	m.syncMu.Unlock()
 }
 
 func gcd(a, b int) int {
@@ -293,7 +333,7 @@ func (m *FSK) Modulate(bits []byte) []complex128 {
 // ModulateFrame modulates a PHY frame to unit-power IQ. The returned
 // slice may be shared with other callers (repeated frames are served
 // from a cache) and must be treated as read-only; every transmit path
-// copies it through TXChain.Transmit.
+// copies it into its burst through TXChain.Transmit.
 func (m *FSK) ModulateFrame(f *phy.Frame) []complex128 {
 	bits := f.MarshalBits()
 	key := string(bits)
@@ -444,8 +484,8 @@ func (m *FSK) scanSync(x []complex128, visit func(lo int, metric []float64) bool
 	if nLags <= 0 {
 		return
 	}
-	sc := m.syncPool.Get().(*syncScratch)
-	defer m.syncPool.Put(sc)
+	sc := m.getScratch()
+	defer m.putScratch(sc)
 	sc.nt, sc.nq = 0, 0
 	for lo := 0; lo < nLags; lo += syncChunkLags {
 		hi := min(lo+syncChunkLags, nLags)

@@ -3,6 +3,5 @@
 package modem
 
 // raceEnabled reports that this binary was built with -race, under which
-// testing.AllocsPerRun is unreliable (sync.Pool instrumentation
-// allocates).
+// testing.AllocsPerRun is unreliable (the race runtime allocates).
 const raceEnabled = true

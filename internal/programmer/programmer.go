@@ -50,7 +50,8 @@ func (p *Programmer) ListenBeforeTalk(ch int, start int64) bool {
 // Transmit modulates and places a frame on channel ch at sample start,
 // returning the burst.
 func (p *Programmer) Transmit(ch int, start int64, f *phy.Frame) *channel.Burst {
-	iq := p.TX.Transmit(p.Modem.ModulateFrame(f))
+	frame := p.Modem.ModulateFrame(f)
+	iq := p.TX.Transmit(p.Medium.Samples(len(frame)), frame)
 	b := &channel.Burst{Channel: ch, Start: start, IQ: iq, From: p.Antenna}
 	p.Medium.AddBurst(b)
 	return b

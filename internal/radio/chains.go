@@ -28,14 +28,16 @@ type TXChain struct {
 	SampleRate float64
 }
 
-// Transmit returns a new slice: iq scaled to PowerDBm (assuming unit-power
-// input), quantized, and rotated by the chain's CFO. The input is not
-// modified.
-func (t *TXChain) Transmit(iq []complex128) []complex128 {
+// Transmit writes iq scaled to PowerDBm (assuming unit-power input),
+// quantized, and rotated by the chain's CFO into dst, which must hold
+// len(iq) samples, and returns dst. Every sample of dst is written before
+// any is read, so dst may be a recycled buffer or iq itself. Transmitters
+// pass a Medium.Samples buffer, so their bursts live in the sample arena.
+func (t *TXChain) Transmit(dst, iq []complex128) []complex128 {
 	amp := math.Sqrt(dsp.FromDBm(t.PowerDBm))
-	// Clone and scale in one pass — this runs once per burst over
+	// Copy and scale in one pass — this runs once per burst over
 	// window-length buffers, so the saved sweep is measurable.
-	out := make([]complex128, len(iq))
+	out := dst[:len(iq)]
 	camp := complex(amp, 0)
 	for i, v := range iq {
 		out[i] = v * camp
@@ -52,11 +54,11 @@ func (t *TXChain) Transmit(iq []complex128) []complex128 {
 // TransmitAt is Transmit with an explicit power override in dBm, used when
 // a device changes power per burst (e.g. the shield's calibrated jamming
 // level or an adversary's power sweep).
-func (t *TXChain) TransmitAt(iq []complex128, powerDBm float64) []complex128 {
+func (t *TXChain) TransmitAt(dst, iq []complex128, powerDBm float64) []complex128 {
 	saved := t.PowerDBm
 	t.PowerDBm = powerDBm
 	defer func() { t.PowerDBm = saved }()
-	return t.Transmit(iq)
+	return t.Transmit(dst, iq)
 }
 
 // quantize rounds I and Q to a bits-wide uniform quantizer with full scale
@@ -113,19 +115,11 @@ type RXChain struct {
 // DefaultOverloadMarginDB is used when OverloadMarginDB is zero.
 const DefaultOverloadMarginDB = 12
 
-// Process returns a new slice containing iq as seen after the front end:
-// CFO-rotated, with thermal noise, overload distortion, and ADC
-// quantization applied. The input is not modified.
+// Process applies the front end to iq in place and returns it:
+// CFO rotation, thermal noise, overload distortion, and ADC quantization.
+// Receivers pass the window Medium.Observe handed them, which belongs to
+// the trial, so nothing is copied.
 func (r *RXChain) Process(iq []complex128) []complex128 {
-	return r.ProcessInPlace(dsp.Clone(iq))
-}
-
-// ProcessInPlace applies the front end directly to iq and returns it —
-// the buffer-reuse half of the receive contract: callers that own their
-// observation buffer (everything that observes the medium through
-// ObserveInto) chain it through the front end without a copy. The noise,
-// distortion, and quantization draws are identical to Process's.
-func (r *RXChain) ProcessInPlace(iq []complex128) []complex128 {
 	out := iq
 	if r.CFOHz != 0 {
 		dsp.Mix(out, -r.CFOHz, r.SampleRate, 0)

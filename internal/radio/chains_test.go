@@ -12,9 +12,14 @@ func unitTone(n int) []complex128 {
 	return dsp.Tone(n, 10e3, 600e3, 0)
 }
 
+// send transmits iq into a fresh buffer.
+func send(tx *TXChain, iq []complex128) []complex128 {
+	return tx.Transmit(make([]complex128, len(iq)), iq)
+}
+
 func TestTXChainPowerScaling(t *testing.T) {
 	tx := &TXChain{PowerDBm: -16, SampleRate: 600e3}
-	out := tx.Transmit(unitTone(1000))
+	out := send(tx, unitTone(1000))
 	if got := RSSIdBm(out); math.Abs(got-(-16)) > 0.1 {
 		t.Fatalf("TX power = %g dBm, want -16", got)
 	}
@@ -24,7 +29,7 @@ func TestTXChainDoesNotModifyInput(t *testing.T) {
 	tx := &TXChain{PowerDBm: 0, SampleRate: 600e3}
 	in := unitTone(100)
 	orig := dsp.Clone(in)
-	tx.Transmit(in)
+	send(tx, in)
 	for i := range in {
 		if in[i] != orig[i] {
 			t.Fatal("Transmit modified its input")
@@ -34,7 +39,8 @@ func TestTXChainDoesNotModifyInput(t *testing.T) {
 
 func TestTXChainTransmitAtRestoresPower(t *testing.T) {
 	tx := &TXChain{PowerDBm: -16, SampleRate: 600e3}
-	out := tx.TransmitAt(unitTone(500), 4)
+	in := unitTone(500)
+	out := tx.TransmitAt(make([]complex128, len(in)), in, 4)
 	if got := RSSIdBm(out); math.Abs(got-4) > 0.1 {
 		t.Fatalf("override power = %g dBm, want 4", got)
 	}
@@ -45,7 +51,7 @@ func TestTXChainTransmitAtRestoresPower(t *testing.T) {
 
 func TestTXChainCFORotates(t *testing.T) {
 	tx := &TXChain{PowerDBm: 0, CFOHz: 5e3, SampleRate: 600e3}
-	out := tx.Transmit(unitTone(4096))
+	out := send(tx, unitTone(4096))
 	// The 10 kHz tone should now appear at 15 kHz.
 	p := dsp.TonePower(out, 15e3, 600e3)
 	if p < 0.8 {
@@ -57,8 +63,8 @@ func TestTXChainQuantizationIsSmall(t *testing.T) {
 	tx14 := &TXChain{PowerDBm: 0, DACBits: 14, SampleRate: 600e3}
 	in := unitTone(2000)
 	ideal := &TXChain{PowerDBm: 0, SampleRate: 600e3}
-	a := tx14.Transmit(in)
-	b := ideal.Transmit(in)
+	a := send(tx14, in)
+	b := send(ideal, in)
 	var errP float64
 	for i := range a {
 		d := a[i] - b[i]
@@ -96,7 +102,7 @@ func TestRXChainPreservesStrongSignal(t *testing.T) {
 		RNG:           stats.NewRNG(2),
 	}
 	tx := &TXChain{PowerDBm: -60, SampleRate: 600e3}
-	in := tx.Transmit(unitTone(10000))
+	in := send(tx, unitTone(10000))
 	out := rx.Process(in)
 	if got := RSSIdBm(out); math.Abs(got-(-60)) > 0.5 {
 		t.Fatalf("through-chain power = %g dBm, want ~-60", got)
@@ -115,8 +121,8 @@ func TestRXChainOverloadDegradesSNDR(t *testing.T) {
 	}
 	sndr := func(powerDBm float64) float64 {
 		tx := &TXChain{PowerDBm: powerDBm, SampleRate: 600e3}
-		in := tx.Transmit(unitTone(20000))
-		out := mkRx().Process(in)
+		in := send(tx, unitTone(20000))
+		out := mkRx().Process(dsp.Clone(in))
 		// Distortion = out - in; measure signal-to-distortion.
 		var d float64
 		for i := range out {
@@ -148,8 +154,8 @@ func TestRXChainOverloadDisabledWhenZero(t *testing.T) {
 		RNG:           stats.NewRNG(4),
 	}
 	tx := &TXChain{PowerDBm: 10, SampleRate: 600e3}
-	in := tx.Transmit(unitTone(5000))
-	out := rx.Process(in)
+	in := send(tx, unitTone(5000))
+	out := rx.Process(dsp.Clone(in))
 	var d float64
 	for i := range out {
 		e := out[i] - in[i]
@@ -187,15 +193,15 @@ func TestNoiseFloorDBm(t *testing.T) {
 
 func TestRSSIdBm(t *testing.T) {
 	tx := &TXChain{PowerDBm: -40, SampleRate: 600e3}
-	out := tx.Transmit(unitTone(1000))
+	out := send(tx, unitTone(1000))
 	if got := RSSIdBm(out); math.Abs(got-(-40)) > 0.1 {
 		t.Fatalf("RSSI = %g, want -40", got)
 	}
 }
 
-// ProcessInPlace must draw the same noise stream as Process and must not
-// allocate — the receive-path buffer-reuse contract.
-func TestProcessInPlaceMatchesProcess(t *testing.T) {
+// Process works in place — the receive-path buffer-reuse contract: it
+// returns its input buffer, and draws the same noise stream as on a copy.
+func TestProcessIsInPlace(t *testing.T) {
 	mk := func(seed int64) *RXChain {
 		return &RXChain{
 			NoiseFloorDBm: -100, ChannelBW: 300e3, SampleRate: 600e3,
@@ -203,29 +209,29 @@ func TestProcessInPlaceMatchesProcess(t *testing.T) {
 		}
 	}
 	iq := unitTone(2048)
-	a := mk(7).Process(iq)
+	a := mk(7).Process(dsp.Clone(iq))
 	inPlace := dsp.Clone(iq)
-	b := mk(7).ProcessInPlace(inPlace)
+	b := mk(7).Process(inPlace)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("sample %d: ProcessInPlace %v != Process %v", i, b[i], a[i])
+			t.Fatalf("sample %d: in place %v != on a copy %v", i, b[i], a[i])
 		}
 	}
 	if &b[0] != &inPlace[0] {
-		t.Fatal("ProcessInPlace must return its input buffer")
+		t.Fatal("Process must return its input buffer")
 	}
 }
 
-func TestProcessInPlaceDoesNotAllocate(t *testing.T) {
+func TestProcessDoesNotAllocate(t *testing.T) {
 	rx := &RXChain{
 		NoiseFloorDBm: -100, ChannelBW: 300e3, SampleRate: 600e3,
 		RNG: stats.NewRNG(9),
 	}
 	buf := unitTone(2048)
 	allocs := testing.AllocsPerRun(50, func() {
-		rx.ProcessInPlace(buf)
+		rx.Process(buf)
 	})
 	if allocs != 0 {
-		t.Fatalf("ProcessInPlace allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("Process allocates %.1f times per call, want 0", allocs)
 	}
 }

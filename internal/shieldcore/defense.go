@@ -31,7 +31,8 @@ type DefenseReport struct {
 	Jammed bool
 	// JamStart and JamEnd bound the emitted jamming (absolute samples).
 	JamStart, JamEnd int64
-	// Placements are the jam+antidote bursts emitted.
+	// Placements are the jam+antidote bursts emitted; like every
+	// JamPlacement they are valid only until the trial ends.
 	Placements []*JamPlacement
 	// Alarmed reports that the Pthresh alarm fired (§7(d)).
 	Alarmed bool
@@ -61,8 +62,7 @@ func (s *Shield) DefendChannelWindow(ch int, start int64, n int) DefenseReport {
 	cfg := s.Modem.Config()
 	chunk := cfg.SamplesForDuration(senseChunkSec)
 
-	s.obsScratch = s.Medium.ObserveInto(s.obsScratch, s.RxAntenna, ch, start, n)
-	obs := s.RX.ProcessInPlace(s.obsScratch)
+	obs := s.RX.Process(s.Medium.Observe(s.RxAntenna, ch, start, n))
 
 	// Energy scan for the burst start.
 	detRel := -1
@@ -208,10 +208,7 @@ func (s *Shield) externallyBusy(ch int, at int64, chunk int, jamPowerDBm float64
 	if at < 0 {
 		return false
 	}
-	// senseScratch, not obsScratch: the caller's defense window is still
-	// live in obsScratch while these in-jam carrier checks run.
-	s.senseScratch = s.Medium.ObserveInto(s.senseScratch, s.RxAntenna, ch, at, chunk)
-	obs := s.RX.ProcessInPlace(s.senseScratch)
+	obs := s.RX.Process(s.Medium.Observe(s.RxAntenna, ch, at, chunk))
 	return radio.RSSIdBm(obs) > s.inJamSenseFloorDBm(jamPowerDBm)
 }
 
@@ -233,7 +230,8 @@ type TxMonitorResult struct {
 // from overwriting the shield's message to the IMD with a capture-effect
 // attack.
 func (s *Shield) TransmitAndMonitor(f *phy.Frame, start int64) (*channel.Burst, TxMonitorResult) {
-	iq := s.TXRx.Transmit(s.Modem.ModulateFrame(f))
+	frame := s.Modem.ModulateFrame(f)
+	iq := s.TXRx.Transmit(s.Medium.Samples(len(frame)), frame)
 	burst := &channel.Burst{Channel: s.Channel, Start: start, IQ: iq, From: s.RxAntenna}
 	s.Medium.AddBurst(burst)
 	return burst, s.MonitorOwnTransmission(burst, iq)
@@ -251,8 +249,7 @@ const selfCancelMarginDB = 24
 func (s *Shield) MonitorOwnTransmission(burst *channel.Burst, sentIQ []complex128) TxMonitorResult {
 	var res TxMonitorResult
 	n := len(sentIQ)
-	s.obsScratch = s.Medium.ObserveInto(s.obsScratch, s.RxAntenna, s.Channel, burst.Start, n)
-	obs := s.obsScratch
+	obs := s.Medium.Observe(s.RxAntenna, s.Channel, burst.Start, n)
 	// Subtract own contribution through the estimated self-loop.
 	hs := s.est.HSelf
 	var ownP float64
@@ -262,7 +259,7 @@ func (s *Shield) MonitorOwnTransmission(burst *channel.Burst, sentIQ []complex12
 		obs[i] -= own
 	}
 	ownP /= float64(n)
-	obs = s.RX.ProcessInPlace(obs)
+	obs = s.RX.Process(obs)
 
 	// Threshold: above the thermal floor and above the self-cancellation
 	// residual left by channel drift.
@@ -306,26 +303,23 @@ func (s *Shield) CancellationDB(n int) float64 {
 		panic("shieldcore: CancellationDB without channel estimate")
 	}
 	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(unit, s.jamTxPowerDBm())
+	jamTx := s.TXJam.TransmitAt(s.Medium.Samples(n), unit, s.jamTxPowerDBm())
 
 	hTrue := s.Medium.Gain(s.JamAntenna, s.RxAntenna)
 	hSelf := s.Medium.Gain(s.RxAntenna, s.RxAntenna)
 
-	// One reused buffer serves both measurements sequentially; the noise
-	// draw order (without first, then with) matches the two-buffer form.
-	if cap(s.cancelScratch) < n {
-		s.cancelScratch = make([]complex128, n)
-	}
-	buf := s.cancelScratch[:n]
+	// One buffer serves both measurements sequentially; the noise draw
+	// order (without first, then with) matches the two-buffer form.
+	buf := s.Medium.Samples(n)
 	for i := range buf {
 		buf[i] = hTrue * jamTx[i]
 	}
-	pwDBm := radio.RSSIdBm(s.RX.ProcessInPlace(buf))
+	pwDBm := radio.RSSIdBm(s.RX.Process(buf))
 	ratio := -s.est.HJamToRx / s.est.HSelf
 	for i := range buf {
 		buf[i] = hTrue*jamTx[i] + hSelf*ratio*jamTx[i]
 	}
-	pcDBm := radio.RSSIdBm(s.RX.ProcessInPlace(buf))
+	pcDBm := radio.RSSIdBm(s.RX.Process(buf))
 	return pwDBm - pcDBm
 }
 

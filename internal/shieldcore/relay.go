@@ -13,7 +13,8 @@ import (
 // RelayResult reports one proxied command/response exchange (§4: the
 // shield is the gateway between authorized programmers and the IMD).
 type RelayResult struct {
-	// CommandBurst is the command as transmitted to the IMD.
+	// CommandBurst is the command as transmitted to the IMD. Its samples,
+	// like Jam's, live in the sample arena until the trial ends.
 	CommandBurst *channel.Burst
 	// Monitor is the concurrent-transmission check during the command.
 	Monitor TxMonitorResult

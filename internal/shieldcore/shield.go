@@ -98,18 +98,6 @@ type Shield struct {
 	haveRSSI   bool
 
 	alarms []Alarm
-
-	// Reusable observation buffers (the buffer-reuse contract with
-	// Medium.ObserveInto/RXChain.ProcessInPlace): obsScratch backs the
-	// main defense/decode windows, senseScratch the short in-jam carrier
-	// checks that run while obsScratch is live, probeScratch the channel-
-	// estimation probes, and cancelScratch the cancellation measurements.
-	// The shield is single-goroutine (like the Medium), so plain fields
-	// suffice.
-	obsScratch    []complex128
-	senseScratch  []complex128
-	probeScratch  []complex128
-	cancelScratch []complex128
 }
 
 // ChannelEstimate holds the probe-derived channel knowledge.
@@ -249,10 +237,7 @@ func (s *Shield) ResetAlarms() { s.alarms = nil }
 // correlated against it. In deployment this runs before every jam and
 // every 200 ms when idle.
 func (s *Shield) EstimateChannels() ChannelEstimate {
-	if cap(s.probeScratch) < s.ProbeLen {
-		s.probeScratch = make([]complex128, s.ProbeLen)
-	}
-	probe := s.probeScratch[:s.ProbeLen]
+	probe := s.Medium.Samples(s.ProbeLen)
 	s.rng.FillComplexNormal(probe, 1)
 	s.est = ChannelEstimate{
 		HJamToRx: s.estimateOneChannel(probe, s.TXJam, s.JamAntenna),
@@ -268,16 +253,13 @@ func (s *Shield) EstimateChannels() ChannelEstimate {
 // the medium's link gains plus honest receiver noise instead of being
 // placed on the medium as a burst.
 func (s *Shield) estimateOneChannel(probe []complex128, tx *radio.TXChain, fromAnt channel.AntennaID) complex128 {
-	sent := tx.TransmitAt(probe, s.ProbePowerDBm)
+	sent := tx.TransmitAt(s.Medium.Samples(len(probe)), probe, s.ProbePowerDBm)
 	h := s.Medium.Gain(fromAnt, s.RxAntenna)
-	if cap(s.cancelScratch) < len(sent) {
-		s.cancelScratch = make([]complex128, len(sent))
-	}
-	rxObs := s.cancelScratch[:len(sent)]
+	rxObs := s.Medium.Samples(len(sent))
 	for i := range sent {
 		rxObs[i] = h * sent[i]
 	}
-	rxObs = s.RX.ProcessInPlace(rxObs)
+	rxObs = s.RX.Process(rxObs)
 	// Least-squares: Ĥ = <y, x> / <x, x>.
 	num := dsp.Dot(rxObs, sent)
 	den := dsp.Energy(sent)
@@ -291,8 +273,7 @@ func (s *Shield) estimateOneChannel(probe []complex128, tx *radio.TXChain, fromA
 // [start, start+n) at the receive antenna; the shield uses it to set its
 // jamming power JamPowerRelDB above the IMD's received power.
 func (s *Shield) MeasureIMDRSSI(start int64, n int) float64 {
-	s.obsScratch = s.Medium.ObserveInto(s.obsScratch, s.RxAntenna, s.Channel, start, n)
-	obs := s.RX.ProcessInPlace(s.obsScratch)
+	obs := s.RX.Process(s.Medium.Observe(s.RxAntenna, s.Channel, start, n))
 	s.imdRSSIDBm = radio.RSSIdBm(obs)
 	s.haveRSSI = true
 	return s.imdRSSIDBm
@@ -339,14 +320,19 @@ func (s *Shield) jamTxPowerDBm() float64 {
 
 func magSq(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
 
-// JamPlacement describes one jam+antidote emission.
+// JamPlacement describes one jam+antidote emission. Its bursts' samples
+// live in the sample arena, so a placement is valid only until the trial
+// ends (Medium.ClearBursts).
 type JamPlacement struct {
 	Start, End int64
 	Channel    int
-	Jam        *channel.Burst // from the jamming antenna
-	Antidote   *channel.Burst // from the receive antenna
-	jamTx      []complex128   // the transmitted jam samples (known plaintext)
-	antidoteTx []complex128
+	// Jam is from the jamming antenna; its IQ is the transmitted jam, the
+	// shield's known plaintext.
+	Jam *channel.Burst
+	// Antidote is from the receive antenna (nil with the antidote off).
+	Antidote *channel.Burst
+	// bursts backs Jam and Antidote, so a placement is one allocation.
+	bursts [2]channel.Burst
 }
 
 // PlaceJam emits n samples of random jamming starting at sample start on
@@ -367,22 +353,20 @@ func (s *Shield) placeJamAt(ch int, start int64, n int, powerDBm float64) *JamPl
 		panic("shieldcore: PlaceJam without channel estimate")
 	}
 	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(unit, powerDBm)
+	jamTx := s.TXJam.TransmitAt(s.Medium.Samples(n), unit, powerDBm)
 
-	jp := &JamPlacement{
-		Start:   start,
-		End:     start + int64(n),
-		Channel: ch,
-		Jam:     &channel.Burst{Channel: ch, Start: start, IQ: jamTx, From: s.JamAntenna},
-		jamTx:   jamTx,
-	}
+	jp := &JamPlacement{Start: start, End: start + int64(n), Channel: ch}
+	jp.bursts[0] = channel.Burst{Channel: ch, Start: start, IQ: jamTx, From: s.JamAntenna}
+	jp.Jam = &jp.bursts[0]
 	s.Medium.AddBurst(jp.Jam)
 	if s.AntidoteEnabled {
 		ratio := -s.est.HJamToRx / s.est.HSelf
-		antidoteTx := dsp.Clone(jamTx)
-		dsp.ScaleC(antidoteTx, ratio)
-		jp.Antidote = &channel.Burst{Channel: ch, Start: start, IQ: antidoteTx, From: s.RxAntenna}
-		jp.antidoteTx = antidoteTx
+		antidoteTx := s.Medium.Samples(n)
+		for i, v := range jamTx {
+			antidoteTx[i] = v * ratio
+		}
+		jp.bursts[1] = channel.Burst{Channel: ch, Start: start, IQ: antidoteTx, From: s.RxAntenna}
+		jp.Antidote = &jp.bursts[1]
 		s.Medium.AddBurst(jp.Antidote)
 	}
 	return jp
@@ -413,8 +397,7 @@ func (s *Shield) JamResponseWindow(cmdEnd int64) *JamPlacement {
 // demodulation.
 func (s *Shield) DecodeWhileJamming(jp *JamPlacement) (modem.RxFrame, bool) {
 	n := int(jp.End - jp.Start)
-	s.obsScratch = s.Medium.ObserveInto(s.obsScratch, s.RxAntenna, jp.Channel, jp.Start, n)
-	obs := s.obsScratch
+	obs := s.Medium.Observe(s.RxAntenna, jp.Channel, jp.Start, n)
 	if s.DigitalCancel {
 		// Adaptive digital cancellation (§5's analog/digital canceler
 		// note): the probe estimates built the antidote, so subtracting
@@ -423,15 +406,16 @@ func (s *Shield) DecodeWhileJamming(jp *JamPlacement) (modem.RxFrame, bool) {
 		// the received window (the IMD's signal is uncorrelated with the
 		// random jam, so the least-squares estimate converges on the
 		// residual channel) and subtracts it.
-		den := dsp.Energy(jp.jamTx[:n])
+		jamTx := jp.Jam.IQ[:n]
+		den := dsp.Energy(jamTx)
 		if den > 0 {
-			hRes := dsp.Dot(obs, jp.jamTx[:n]) / complex(den, 0)
+			hRes := dsp.Dot(obs, jamTx) / complex(den, 0)
 			for i := 0; i < n; i++ {
-				obs[i] -= hRes * jp.jamTx[i]
+				obs[i] -= hRes * jamTx[i]
 			}
 		}
 	}
-	obs = s.RX.ProcessInPlace(obs)
+	obs = s.RX.Process(obs)
 	return s.Modem.ReceiveFrame(obs, imd.SyncThreshold)
 }
 

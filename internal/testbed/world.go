@@ -72,15 +72,20 @@ func (sc *Scenario) Adversary() *adversary.Active {
 
 // Exchange runs one protected exchange (RunProtectedExchange) with
 // implant idx: an interrogation, or a therapy change when therapy is
-// set. The shield is first retargeted to that implant.
+// set. The shield is first retargeted to that implant. The outcome
+// refers to no sample, so the trial ends when Exchange returns and its
+// buffers go back to the sample arena for whichever world runs next.
 func (w *World) Exchange(idx int, therapy bool) (ExchangeOutcome, error) {
 	w.retarget(idx)
+	defer w.Medium.ClearBursts()
 	return w.RunProtectedExchange(w.Eaves, idx, w.command(idx, therapy))
 }
 
 // Attack runs one replay-attack trial (RunAttackTrial) of the standard
 // adversary against the primary implant: an interrogation, or a therapy
-// change when therapy is set, with the shield on or off.
+// change when therapy is set, with the shield on or off. The trial's
+// bursts stay on the medium until the next trial starts, so a caller
+// may still read them (Simulation.AttackTrace does).
 func (w *World) Attack(therapy, shieldOn bool) AttackOutcome {
 	w.retarget(0)
 	return w.RunAttackTrial(w.Adv, w.command(0, therapy), shieldOn)
