@@ -11,7 +11,8 @@
 #                       packages that share the process-wide sample
 #                       arena and modem), plus ten repeated runs of the
 #                       request-table tests, both session machines' rule
-#                       tables and the goroutine pins
+#                       tables and the goroutine pins (failing first if a
+#                       name in that list matches no test)
 #   make fuzz         - FUZZTIME smoke of every fuzz target
 #   make ci           - exactly what each .github/workflows/ci.yml test
 #                       job runs: fmt + vet + staticcheck + build + test
@@ -56,7 +57,8 @@
 #                       report, not a gate)
 #   make chaos-soak   - loop the overload/partition chaos walls for
 #                       SOAK_DURATION seconds, appending to SOAK_latest.txt;
-#                       fails on any iteration failure or if fewer than
+#                       fails if a SOAK_TESTS name matches no test, on any
+#                       iteration failure, or if fewer than
 #                       SOAK_SESSION_FLOOR sessions survived in total
 #   make loadcheck    - fleet load gate: cmd/shieldtest drives LOAD_SESSIONS
 #                       concurrent sessions (open barrier, zero failures
@@ -194,9 +196,16 @@ staticcheck-install:
 # goroutine-hygiene tests end sessions by BYE, reap, transport loss and
 # takeover with work in flight, and pin what an open client costs). So
 # does a session's world, which its executor builds on the first physics
-# request and its teardown returns to the pool once no op runs.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestClientMachineRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionPoolsNothing|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
+# request. A -run alternative that names no test runs nothing and passes,
+# so race (and chaos-soak, for SOAK_TESTS) first fails on any alternative
+# that matches no test of ./internal/shieldd.
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestClientMachineRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionBuildsNoWorld|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
 race:
+	@names=$$($(GO) test -list . ./internal/shieldd) || { echo "$$names"; exit 1; }; \
+	list='$(RACE_REPEAT_TESTS)'; set -f; IFS='|'; for alt in $$list; do \
+		echo "$$names" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -- "$$alt" || \
+			{ echo "RACE_REPEAT_TESTS: $$alt matches no test in ./internal/shieldd"; exit 1; }; \
+	done
 	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram ./internal/channel ./internal/testbed ./internal/shieldcore
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
 	$(GO) test -race -run TestExperimentWorkerDeterminism -count=1 .
@@ -262,6 +271,11 @@ loc:
 ci: fmt vet staticcheck build test race fuzz
 
 chaos-soak:
+	@names=$$($(GO) test -list . ./internal/shieldd) || { echo "$$names"; exit 1; }; \
+	list='$(SOAK_TESTS)'; set -f; IFS='|'; for alt in $$list; do \
+		echo "$$names" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -- "$$alt" || \
+			{ echo "SOAK_TESTS: $$alt matches no test in ./internal/shieldd"; exit 1; }; \
+	done
 	@end=$$(( $$(date +%s) + $(SOAK_DURATION) )); iter=0; sessions=0; \
 	echo "chaos soak: $(SOAK_DURATION)s budget, floor $(SOAK_SESSION_FLOOR) sessions" > SOAK_latest.txt; \
 	while [ $$(date +%s) -lt $$end ]; do \

@@ -1,7 +1,8 @@
 // Command shieldd runs the concurrent shield session server: a long-lived
 // daemon serving protected exchanges (pipelined and batched), attack
-// trials, and experiment runs over the securelink-sealed wire protocol,
-// one recycled testbed scenario per active session.
+// trials, and experiment runs over the securelink-sealed wire protocol.
+// A session builds its own testbed world on its first physics request;
+// a session that only pings or runs experiments builds none.
 //
 // Usage:
 //

@@ -338,9 +338,8 @@ func (d *Device) ResetCounters() {
 }
 
 // ReseedRNG restarts the device's random source in place on seed's
-// stream. Scenario recycling uses it to re-seed a pooled testbed so a
-// recycled device draws the same response jitter stream as a freshly
-// built one.
+// stream. A scenario reseed (Reset, NewTrialAt) uses it so a reseeded
+// device draws the same response jitter stream as a freshly built one.
 func (d *Device) ReseedRNG(seed int64) { d.rng.Reseed(seed) }
 
 // String identifies the device for logs.

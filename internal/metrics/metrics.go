@@ -169,6 +169,7 @@ type Server struct {
 	ShedHandshakes      atomic.Uint64
 	ShedRequests        atomic.Uint64
 	RateLimited         atomic.Uint64
+	TotalWorlds         atomic.Uint64
 }
 
 // ServerSnapshot is a point-in-time copy of a Server's counters, and
@@ -216,13 +217,17 @@ type ServerSnapshot struct {
 	ShedRequests   uint64 `metric:"shedRequests"`
 	RateLimited    uint64 `metric:"rateLimited"`
 
-	// Scrape-time gauges, with no Server field: PooledScenarios is the
-	// idle scenario-pool depth; LiveSessions, LiveInFlight, and
-	// LiveInFlightHWM aggregate the registered live sessions' gauges
-	// (current total pipelining depth and the deepest per-session
-	// high-water mark). Filled by the server's Metrics() from its pool
-	// and session registry — Snapshot() alone leaves them zero.
-	PooledScenarios int   `metric:"pooled"`
+	// TotalWorlds counts the testbed worlds sessions built, one per
+	// session on its first physics request that passes validation and
+	// the work budget: a session that never runs physics, or whose
+	// physics requests were all refused or shed, builds none.
+	TotalWorlds uint64 `metric:"worlds"`
+
+	// Scrape-time gauges, with no Server field: LiveSessions,
+	// LiveInFlight, and LiveInFlightHWM aggregate the registered live
+	// sessions' gauges (current total pipelining depth and the deepest
+	// per-session high-water mark). Filled by the server's Metrics() from
+	// its session registry — Snapshot() alone leaves them zero.
 	LiveSessions    int   `metric:"live"`
 	LiveInFlight    int64 `metric:"inflight"`
 	LiveInFlightHWM int64 `metric:"inflightHWM"`

@@ -48,12 +48,11 @@ func TestServerSnapshotString(t *testing.T) {
 	m.TotalExchanges.Add(42)
 	m.ReapedSessions.Add(2)
 	snap := m.Snapshot()
-	snap.PooledScenarios = 5
 	snap.LiveSessions = 4
 	snap.LiveInFlight = 9
 	line := snap.String()
 	for _, want := range []string{"sessions=3", "active=1", "reaped=2", "exchanges=42",
-		"pooled=5", "live=4", "inflight=9"} {
+		"live=4", "inflight=9"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("snapshot line %q missing %q", line, want)
 		}
@@ -118,7 +117,7 @@ func TestCounterDeclarations(t *testing.T) {
 			t.Errorf("Server.%s has no ServerSnapshot field", srv.Field(i).Name)
 		}
 	}
-	gauges := map[string]bool{"PooledScenarios": true, "LiveSessions": true, "LiveInFlight": true, "LiveInFlightHWM": true}
+	gauges := map[string]bool{"LiveSessions": true, "LiveInFlight": true, "LiveInFlightHWM": true}
 	for i := 0; i < snap.NumField(); i++ {
 		f := snap.Field(i)
 		if _, ok := srv.FieldByName(f.Name); !ok && !gauges[f.Name] {
@@ -180,8 +179,8 @@ func TestSnapshotAndAddFollowDeclarations(t *testing.T) {
 	}
 	var kept ServerSnapshot
 	kept.Set("sessions", 7)
-	kept.Set("pooled", 3)
-	if kept.TotalSessions != 7 || kept.PooledScenarios != 3 || kept.Get("pooled") != 3 {
+	kept.Set("live", 3)
+	if kept.TotalSessions != 7 || kept.LiveSessions != 3 || kept.Get("live") != 3 {
 		t.Errorf("Set by name: %+v", kept)
 	}
 }

@@ -79,8 +79,7 @@ func TestChaosUDPSessions(t *testing.T) {
 	srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{MaxSessions: nSessions})
 
 	// Loss-free expectation per seed, via the in-process pipe path on
-	// the same server (also exercises pool recycling between the two
-	// runs of each seed).
+	// the same server.
 	want := make([]chaosReport, nSessions)
 	for i := range want {
 		c, err := srv.Pipe(shieldd.SessionOptions{Seed: int64(i + 1)})

@@ -253,8 +253,8 @@ func (m *sessionMachine) end() {
 func (m *sessionMachine) stalled() bool { return m.parked != nil }
 
 // working reports whether an ordered op or an experiment is running.
-// Teardown waits for both, so the session's world is returned to the
-// pool only once nothing can touch it.
+// Teardown waits for both, so it adds the link's counters and frees the
+// slot only once nothing can seal another frame.
 func (m *sessionMachine) working() bool { return m.executing != 0 || m.experiments > 0 }
 
 // admit takes a fresh request into the window.

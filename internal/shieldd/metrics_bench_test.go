@@ -8,10 +8,10 @@ import (
 
 // BenchmarkMetricsSnapshot measures the continuous-scrape path with 1024
 // registered live sessions: Server.Metrics() must stay allocation-bounded
-// (the counter snapshot is atomic loads, the pool depth one atomic load,
-// and the live-session sweep a read-locked loop of atomic loads), so a
-// fleet-scale metrics poller never perturbs session traffic. Gated in
-// BENCH_baseline.json alongside the exchange benchmarks.
+// (the counter snapshot is atomic loads and the live-session sweep a
+// read-locked loop of atomic loads), so a fleet-scale metrics poller never
+// perturbs session traffic. Gated in BENCH_baseline.json alongside the
+// exchange benchmarks.
 func BenchmarkMetricsSnapshot(b *testing.B) {
 	s, err := NewServer(ServerConfig{Secret: []byte("bench")})
 	if err != nil {

@@ -10,10 +10,11 @@ import (
 )
 
 // TestConcurrentSessionsAndExperiments is the -race target: 32 concurrent
-// shieldd sessions (sharing one server, one scenario pool, and the slot
-// semaphore) while an 8-worker experiment fan-out runs in the same
-// process. Any scenario/channel state leaking across sessions or workers
-// shows up here as a data race or as a per-seed result divergence.
+// shieldd sessions (sharing one server, the slot semaphore, and the
+// process-wide sample arena and modem) while an 8-worker experiment
+// fan-out runs in the same process. Any scenario/channel state leaking
+// across sessions or workers shows up here as a data race or as a
+// per-seed result divergence.
 //
 // It runs (fast) under plain `go test` too; `make ci` runs it under
 // -race explicitly.

@@ -1,7 +1,6 @@
 // Package shieldd is the concurrent shield session server: a long-lived
-// daemon that owns a pool of recycled testbed scenarios (one per active
-// session that runs physics) and serves the securelink-sealed wire
-// protocol of internal/wire over two transport families — streams (TCP
+// daemon that serves the securelink-sealed wire protocol of
+// internal/wire over two transport families — streams (TCP
 // from cmd/shieldd, or an in-process net.Pipe for tests and embedded
 // use) and datagrams (UDP via ServePacket, or any net.PacketConn such as
 // the internal/faultnet impairment network), where loss, duplication,
@@ -12,15 +11,13 @@
 // devices, random streams, calibrated shield and standard adversaries,
 // all derived from the session seed and options the client announces in
 // HELLO — the same World the in-process Simulation builds for them. The
-// world is built on the session's first physics request, so a session
-// that only pings, scrapes metrics or runs experiments never builds
-// one. The scenario pool makes worlds cheap (recycling is an RNG
-// re-derivation, not a rebuild) without making sessions observable to
-// each other: a session's EavesdropperBER/CancellationDB stream depends
-// only on its seed and request sequence, never on which pooled scenario
-// served it, when its world was built, which goroutine ran it, or what
-// the server did before — the same determinism contract as the parallel
-// experiment runner, extended to a network service.
+// world is built fresh on the session's first physics request, so a
+// session that only pings, scrapes metrics or runs experiments never
+// builds one. Sessions stay unobservable to each other: a session's
+// EavesdropperBER/CancellationDB stream depends only on its seed and
+// request sequence, never on when its world was built, which goroutine
+// ran it, or what the server did before — the same determinism contract
+// as the parallel experiment runner, extended to a network service.
 //
 // One protocol is served, wire.Version; a HELLO announcing any other
 // version is refused with a plaintext CodeVersion error. Both transports
@@ -89,9 +86,6 @@ const (
 	// capability. The ticket sealing key rotates on the same period, so
 	// any unexpired ticket is at most one rotation old and still opens.
 	ticketLifetime = 5 * time.Minute
-	// poolPerShape bounds the idle scenarios the pool retains per
-	// scenario shape (and, times four, in total).
-	poolPerShape = 16
 )
 
 // ServerConfig configures a session server.
@@ -111,9 +105,9 @@ type ServerConfig struct {
 	MaxExtraIMDs int
 	// IdleTimeout, when positive, reaps sessions with no traffic and no
 	// in-flight work for this long: the connection is closed and the
-	// session's scenario, if it ran physics, returns to the pool. Clients
-	// can hold a session open with PING keepalives and reconnect with a
-	// fresh handshake after a reap. Zero disables reaping.
+	// session's slot freed. Clients can hold a session open with PING
+	// keepalives and reconnect with a fresh handshake after a reap. Zero
+	// disables reaping.
 	IdleTimeout time.Duration
 
 	// AdmissionWait selects what happens to a handshake when every
@@ -143,9 +137,8 @@ type ServerConfig struct {
 
 // Server is a concurrent shield session server.
 type Server struct {
-	cfg  ServerConfig
-	pool *scenarioPool
-	sem  chan struct{}
+	cfg ServerConfig
+	sem chan struct{}
 	// work counts scenario/experiment work in flight across all
 	// sessions, which MaxInFlightGlobal bounds when set; acquisition never
 	// blocks — over-budget work is shed with BUSY, never queued.
@@ -205,7 +198,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    newScenarioPool(poolPerShape),
 		sem:     make(chan struct{}, cfg.MaxSessions),
 		cookies: cookies,
 		tickets: tickets,
@@ -474,8 +466,7 @@ func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, paylo
 //
 // The session keeps the HELLO's scenario options, not a scenario: its
 // world is built by the executor on its first physics request, inside
-// the work budget that request holds (Server.world), and teardown
-// returns the scenario to the pool only if the session took one.
+// the work budget that request holds (Server.world).
 //
 // The transport decides two things. Framing: readFrame marks plaintext
 // handshake frames — a stream by position (its first frame), a datagram
@@ -620,9 +611,8 @@ func (s *Server) idleTickEvery() time.Duration {
 // serve runs one committed session until it ends: a BYE, an idle reap,
 // the transport's end or a failed open on a stream (readSealed), or a
 // new client instance taking over a datagram address. Teardown waits
-// until no op or experiment of the session runs, then returns the world
-// the executor built (if any) to the pool and adds the link's counters
-// to the server's counters of the same name.
+// until no op or experiment of the session runs, then adds the link's
+// counters to the server's counters of the same name.
 func (sess *session) serve(firstPlain []byte) {
 	s := sess.s
 	sess.wake.L = &sess.mu
@@ -662,9 +652,6 @@ func (sess *session) serve(firstPlain []byte) {
 	}
 	for sess.m.working() {
 		sess.wake.Wait()
-	}
-	if sess.world != nil {
-		s.pool.put(sess.world.Scenario)
 	}
 	st := sess.link.Stats()
 	metrics.Each(&st, "", s.met.Add)
@@ -738,8 +725,7 @@ func (sess *session) tick() {
 	}
 }
 
-// scenarioOptions validates a HELLO and maps it onto normalized testbed
-// options.
+// scenarioOptions validates a HELLO and maps it onto testbed options.
 func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 	var opt testbed.Options
 	if int(h.ExtraIMDs) > s.cfg.MaxExtraIMDs {
@@ -763,11 +749,11 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 	if h.Flags&wire.FlagConcerto != 0 {
 		opt.Profile = imd.ConcertoCRT
 	}
-	return opt.Normalized(), nil
+	return opt, nil
 }
 
-// session is one active session: its link and counters, the normalized
-// scenario options its HELLO announced, once it runs physics its
+// session is one active session: its link and counters, the scenario
+// options its HELLO announced, once it runs physics its
 // testbed.World (the calibrated scenario and adversaries its seed and
 // options determine — the world the public Simulation builds for the
 // same seed), and the goroutine shell around its machine (machine.go).
@@ -796,8 +782,7 @@ type session struct {
 	// indices are checked against before anything is built.
 	opt testbed.Options
 	// world stays nil until Server.world builds it. Only the session's
-	// executor reaches it while the session runs; teardown reads it after
-	// serve has seen the last op finish.
+	// executor reaches it.
 	world *testbed.World
 
 	mu sync.Mutex
@@ -812,15 +797,16 @@ type session struct {
 // implants is the number of implants the session's world holds (or will).
 func (sess *session) implants() int { return 1 + sess.opt.ExtraIMDs }
 
-// world returns the session's world, building it on first use from a
-// pooled scenario reset to the session's seed (or a fresh build).
-// Only the executor calls it, for a request that passed validation and
-// holds the work budget, so refused and shed requests build nothing. A
-// world is a pure function of (seed, options) and nothing draws from it
-// before its first scenario request, so when it is built moves no result.
+// world returns the session's world, building it on first use and
+// counting the build. Only the executor calls it, for a request that
+// passed validation and holds the work budget, so refused and shed
+// requests build nothing. A world is a pure function of (seed, options)
+// and nothing draws from it before its first scenario request, so when
+// it is built moves no result.
 func (s *Server) world(sess *session) *testbed.World {
 	if sess.world == nil {
-		sess.world = testbed.NewWorld(s.pool.get(sess.opt))
+		sess.world = testbed.NewWorld(testbed.NewScenario(sess.opt))
+		s.met.TotalWorlds.Add(1)
 	}
 	return sess.world
 }
@@ -970,12 +956,11 @@ func (s *Server) handleMetrics(sess *session) wire.Message {
 
 // Metrics snapshots the server-wide metrics (the cmd/shieldd -metrics
 // periodic dump). Cheap enough to scrape continuously under thousands
-// of live sessions: the counter snapshot is pure atomic loads, the pool
-// depth one counter read under the pool's lock, and the live-session
-// sweep atomic loads under a read lock — no allocation anywhere.
+// of live sessions: the counter snapshot is pure atomic loads and the
+// live-session sweep atomic loads under a read lock — no allocation
+// anywhere.
 func (s *Server) Metrics() metrics.ServerSnapshot {
 	snap := s.met.Snapshot()
-	snap.PooledScenarios = s.pool.idle()
 	live := s.reg.Live()
 	snap.LiveSessions = live.Sessions
 	snap.LiveInFlight = live.InFlight

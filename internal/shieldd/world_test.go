@@ -19,26 +19,11 @@ func openSession(t *testing.T, srv *Server, opt SessionOptions) *Client {
 	return c
 }
 
-// pooledAfterTeardown opens a session of a shape nothing else used, so
-// it builds no world and takes nothing from the pool, and waits for its
-// first reply. On a server whose every session slot but one is held,
-// that reply means the session that freed the slot has finished its
-// teardown, which returns a scenario to the pool before it frees the
-// slot. It reports the pool depth at that point.
-func pooledAfterTeardown(t *testing.T, srv *Server, location int) int {
-	t.Helper()
-	probe := openSession(t, srv, SessionOptions{Seed: 99, Location: location})
-	if err := probe.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	return srv.Metrics().PooledScenarios
-}
-
 // A session that never runs physics never builds a world: pings, a
-// metrics scrape and an experiment take no scenario, so the session's
-// teardown returns none to the pool.
-func TestWorldlessSessionPoolsNothing(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Secret: []byte("world-test"), MaxSessions: 1})
+// metrics scrape and an experiment build none. Its first exchange builds
+// the one world its later physics requests share.
+func TestWorldlessSessionBuildsNoWorld(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Secret: []byte("world-test")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +37,19 @@ func TestWorldlessSessionPoolsNothing(t *testing.T) {
 	if _, err := c.Experiment(wire.ExperimentReq{Name: "battery", Seed: 1, Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if n := srv.Metrics().TotalWorlds; n != 0 {
+		t.Fatalf("%d worlds built by a session that ran no physics, want 0", n)
+	}
+	for _, cmd := range []uint8{wire.CmdInterrogate, wire.CmdSetTherapy} {
+		if _, err := c.Exchange(0, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Attack(wire.CmdSetTherapy, true); err != nil {
 		t.Fatal(err)
 	}
-	if n := pooledAfterTeardown(t, srv, 2); n != 0 {
-		t.Fatalf("%d scenarios pooled after a session that ran no physics, want 0", n)
+	if n := srv.Metrics().TotalWorlds; n != 1 {
+		t.Fatalf("%d worlds built by a session that ran two exchanges and an attack, want 1", n)
 	}
 }
 
@@ -65,7 +58,7 @@ func TestWorldlessSessionPoolsNothing(t *testing.T) {
 // session's first EXCHANGE is answered BUSY and builds nothing.
 func TestBusyFirstExchangeBuildsNoWorld(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
-		Secret: []byte("world-test"), MaxSessions: 2, MaxInFlightGlobal: 1, ExperimentWorkers: 2,
+		Secret: []byte("world-test"), MaxInFlightGlobal: 1, ExperimentWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +101,15 @@ func TestBusyFirstExchangeBuildsNoWorld(t *testing.T) {
 	if err := <-expDone; err != nil {
 		t.Fatalf("held experiment: %v", err)
 	}
-	// The holder keeps its slot, so the probe is admitted only once the
-	// shed session's teardown has run.
-	if err := late.Close(); err != nil {
-		t.Fatal(err)
+	if n := srv.Metrics().TotalWorlds; n != 0 {
+		t.Fatalf("%d worlds built after the only exchange was shed, want 0", n)
 	}
-	if n := pooledAfterTeardown(t, srv, 3); n != 0 {
-		t.Fatalf("%d scenarios pooled after a session whose only exchange was shed, want 0", n)
+	// The experiment has released the budget, so the next exchange runs
+	// and builds the session's world.
+	if _, err := late.Exchange(0, wire.CmdInterrogate); err != nil {
+		t.Fatalf("exchange after the budget freed: %v", err)
+	}
+	if n := srv.Metrics().TotalWorlds; n != 1 {
+		t.Fatalf("%d worlds built after the exchange that followed the shed one, want 1", n)
 	}
 }

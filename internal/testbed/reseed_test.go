@@ -7,10 +7,10 @@ import (
 	"heartshield/internal/imd"
 )
 
-// A scenario reseed — the per-trial NewTrialAt of every experiment sweep
-// and the Reset behind every recycled shieldd session — reseeds the RNGs
-// it owns in place and keeps every buffer, so it allocates nothing; nor
-// does jam synthesis on the reseeded shield once its buffer is warm.
+// A scenario reseed — the per-trial NewTrialAt of every experiment sweep,
+// and Reset — reseeds the RNGs it owns in place and keeps every buffer,
+// so it allocates nothing; nor does jam synthesis on the reseeded shield
+// once its buffer is warm.
 func TestReseedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")

@@ -54,11 +54,10 @@ func fingerprint(t *testing.T, sc *Scenario, imdIdx int) exchangeFingerprint {
 	return fp
 }
 
-// A recycled scenario (Reset to seed s) must be indistinguishable — RNG
-// stream for RNG stream — from a freshly built scenario with seed s. This
-// is the determinism contract the shieldd scenario pool rests on: results
-// depend only on the session seed, never on which pooled testbed served
-// the session or what it computed before.
+// A reseeded scenario (Reset to seed s) must be indistinguishable — RNG
+// stream for RNG stream — from a freshly built scenario with seed s:
+// results depend only on the seed, never on what the scenario computed
+// before. NewTrialAt's keyed reseeds rest on the same re-derivation.
 func TestResetMatchesFreshBuild(t *testing.T) {
 	opts := []Options{
 		{Seed: 3},

@@ -87,7 +87,7 @@ type Scenario struct {
 // Normalized returns the options with every defaulted field resolved to
 // the value NewScenario would use. Two option values describe the same
 // scenario shape exactly when their Normalized forms (seeds aside) are
-// equal — the property scenario pooling keys on.
+// equal.
 func (opt Options) Normalized() Options {
 	if opt.Location == 0 {
 		opt.Location = 1
@@ -276,9 +276,8 @@ func ExtraIMDProfile(base imd.Profile, i int) imd.Profile {
 // stream is re-derived in construction order (the medium's install-order
 // gain draws included), the medium is cleared, therapy and counters are
 // restored, and the shield returns to its un-calibrated, un-estimated
-// state targeting the primary IMD. Recycling pooled scenarios through
-// Reset is what makes shieldd sessions deterministic per session seed
-// regardless of which server handled them or in what order.
+// state targeting the primary IMD. NewTrialAt's keyed reseeds run the
+// same re-derivation, and its tests take Reset as their reference.
 //
 // The reseed replays install-order gain draws for whatever link set the
 // scenario currently has, in cached sorted-pair order — links added after

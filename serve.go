@@ -26,10 +26,10 @@ var ErrProtocolVersion = shieldd.ErrVersion
 // the defaults.
 type ServeOptions = shieldd.ServerConfig
 
-// Server is a running shield session service: it owns a pool of recycled
-// testbed scenarios and serves the securelink-sealed wire protocol over
-// any net.Conn transport. Results are deterministic per session seed
-// regardless of concurrency, pooling, or transport.
+// Server is a running shield session service: it serves the
+// securelink-sealed wire protocol over any net.Conn transport, and each
+// session that runs physics builds its own testbed world. Results are
+// deterministic per session seed regardless of concurrency or transport.
 type Server struct {
 	s *shieldd.Server
 }
