@@ -139,9 +139,10 @@ FUZZ_TARGETS = \
 
 # What the nightly workflow fuzzes for 10 minutes each: the attack-surface
 # decoders (everything that parses bytes off the network) and the client
-# and server session machines, driven against each other under fuzzed
-# schedules of calls, loss, duplication, reordering, work completion,
-# retry timers, transport ends, reconnects and virtual time.
+# and server handshake and session machines, driven against each other
+# under fuzzed schedules of calls, loss, duplication, reordering, replayed
+# HELLOs, a full session table, work completion, timers, transport ends,
+# reconnects and virtual time.
 NIGHTLY_FUZZ_TARGETS = \
 	./internal/wire:FuzzWireDecode \
 	./internal/wire/dgram:FuzzDgramDecode \
@@ -188,18 +189,21 @@ staticcheck:
 staticcheck-install:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-# The request tables get a repeated leg of their own: a client's machine
+# The request tables get a repeated leg of their own, with both session
+# machines' rule tables and both handshake machines': a client's machine
 # (its pending calls and their retry state among it) is shared under the
-# client's mutex by submitters, the read loop and the retry timer, and a
-# server session's machine (its ledger among it) under the session mutex
-# by its reader, its executor, its experiments and its idle timer (the
-# goroutine-hygiene tests end sessions by BYE, reap, transport loss and
-# takeover with work in flight, and pin what an open client costs). So
-# does a session's world, which its executor builds on the first physics
-# request. A -run alternative that names no test runs nothing and passes,
-# so race (and chaos-soak, for SOAK_TESTS) first fails on any alternative
-# that matches no test of ./internal/shieldd.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestClientMachineRules|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionBuildsNoWorld|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
+# client's mutex by submitters, the read loop and the timer, which also
+# drives its handshake; a server session's machine (its ledger among it)
+# under the session mutex by its reader, its executor, its experiments
+# and its idle timer, and its handshake machine by the reader and the
+# pre-authentication limit timer (the goroutine-hygiene tests end
+# sessions by BYE, reap, transport loss and takeover with work in
+# flight, and pin what an open client costs). So does a session's world,
+# which its executor builds on the first physics request. A -run
+# alternative that names no test runs nothing and passes, so race (and
+# chaos-soak, for SOAK_TESTS) first fails on any alternative that
+# matches no test of ./internal/shieldd.
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestMachineRules|TestClientMachineRules|TestHelloMachineRules|TestPreAuthLimit|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionBuildsNoWorld|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
 race:
 	@names=$$($(GO) test -list . ./internal/shieldd) || { echo "$$names"; exit 1; }; \
 	list='$(RACE_REPEAT_TESTS)'; set -f; IFS='|'; for alt in $$list; do \

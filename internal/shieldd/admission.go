@@ -24,7 +24,6 @@ type rateLimiter struct {
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
 	order   []string // insertion order, for eviction
-	now     func() time.Time
 }
 
 type tokenBucket struct {
@@ -40,20 +39,18 @@ func newRateLimiter(rate float64, burst int) *rateLimiter {
 		rate:    rate,
 		burst:   float64(burst),
 		buckets: make(map[string]*tokenBucket),
-		now:     time.Now,
 	}
 }
 
-// allow reports whether one handshake attempt from addr is within
-// budget, consuming a token if so.
-func (r *rateLimiter) allow(addr string) bool {
+// allow reports whether one handshake attempt from addr at now is
+// within budget, consuming a token if so.
+func (r *rateLimiter) allow(addr string, now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.now()
 	b := r.buckets[addr]
 	if b == nil {
 		if len(r.buckets) >= rateLimiterMaxPeers {
-			r.evictLocked()
+			r.evictLocked(now)
 		}
 		b = &tokenBucket{tokens: r.burst, last: now}
 		r.buckets[addr] = b
@@ -71,10 +68,10 @@ func (r *rateLimiter) allow(addr string) bool {
 	return true
 }
 
-// evictLocked drops one entry to make room: the first fully-refilled
-// (idle) bucket in insertion order, or failing that the oldest entry.
-func (r *rateLimiter) evictLocked() {
-	now := r.now()
+// evictLocked drops one entry to make room at now: the first
+// fully-refilled (idle) bucket in insertion order, or failing that the
+// oldest entry.
+func (r *rateLimiter) evictLocked(now time.Time) {
 	for i, addr := range r.order {
 		b := r.buckets[addr]
 		if b == nil {

@@ -1,12 +1,10 @@
 package shieldd
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math"
 	"net"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -103,8 +101,9 @@ type SessionOptions struct {
 
 	// RetryTimeout is the initial retransmission timeout (0 = 250ms);
 	// each further retransmit of a request on a datagram session doubles
-	// it up to a cap. The handshake waits out the same schedule on both
-	// transports, re-sending its HELLO only on datagrams.
+	// it up to a cap. The handshake's timer waits out step k of its
+	// schedule for RetryTimeout<<min(k,3) on both transports, re-sending
+	// its HELLO only on datagrams.
 	RetryTimeout time.Duration
 	// MaxRetries bounds retransmissions per request on datagram sessions
 	// (0 = 8). A request that runs out of them fails with
@@ -164,70 +163,6 @@ func (o SessionOptions) maxRetries() int {
 	return defaultMaxRetries
 }
 
-// hsResult is one completed handshake: the session link and session ID,
-// and the resumption state carried into the next reconnect.
-type hsResult struct {
-	link      *securelink.Link
-	sessionID uint64
-	ticket    []byte // fresh single-use ticket from the sealed ack
-	rms       []byte // resumption secret the ticket will resume with
-	resumed   bool   // this handshake resumed from a prior ticket
-}
-
-// resumeState carries the previous session's ticket and resumption
-// secret into the next handshake.
-type resumeState struct {
-	ticket []byte
-	rms    []byte
-}
-
-// clientAKE is the client half of a handshake in flight: the ephemeral
-// key pair, the HELLO transcript, and the cached resumption secret when
-// the HELLO offered a ticket.
-type clientAKE struct {
-	eph        *securelink.Ephemeral
-	transcript []byte
-	rms        []byte
-}
-
-// newClientAKE equips hello for the AKE (key share plus optional
-// resumption ticket) and returns the state needed to complete it.
-func newClientAKE(hello *wire.Hello, resume *resumeState) (*clientAKE, error) {
-	eph, err := securelink.NewEphemeral()
-	if err != nil {
-		return nil, fmt.Errorf("shieldd: ephemeral key: %w", err)
-	}
-	a := &clientAKE{eph: eph}
-	hello.KeyShare = eph.Public()
-	if resume != nil && len(resume.ticket) > 0 && len(resume.rms) > 0 {
-		hello.Ticket = resume.ticket
-		a.rms = resume.rms
-	}
-	a.transcript = hello.TranscriptBytes()
-	return a, nil
-}
-
-// complete mirrors the server's key schedule against its CHALLENGE2
-// and returns the session link, the next resumption secret, and whether
-// the server resumed from the offered ticket. Any tampering with the
-// handshake messages desynchronizes the transcript here, so the sealed
-// HELLO-ACK that follows fails to open.
-func (a *clientAKE) complete(psk []byte, ch *wire.Challenge2) (link *securelink.Link, rms []byte, resumed bool, err error) {
-	secret := a.rms
-	if ch.Resumed {
-		if a.rms == nil {
-			return nil, nil, false, fmt.Errorf("shieldd: server resumed a session this client did not offer")
-		}
-	} else if secret, err = a.eph.Shared(ch.KeyShare); err != nil {
-		return nil, nil, false, fmt.Errorf("shieldd: server key share: %w", err)
-	}
-	session, rms := securelink.KeySchedule(psk, a.transcript, ch.Encode(), secret)
-	if _, link, err = securelink.Pair(session); err != nil {
-		return nil, nil, false, err
-	}
-	return link, rms, ch.Resumed, nil
-}
-
 // Call is one in-flight request on a pipelined session. Wait on Done (or
 // call Wait); then exactly one of Resp/Err is set.
 type Call struct {
@@ -267,18 +202,22 @@ func (call *Call) Wait() (wire.Message, error) {
 // by request ID, and any number of goroutines may issue requests
 // concurrently (the session's window bounds how many are in flight).
 //
-// The session's protocol is a clientMachine (clientmachine.go) and the
-// Client is its shell, serialized by mu. The read loop feeds the machine
-// each frame it opens; on a datagram session one time.AfterFunc timer
-// feeds it the retry timeouts; a submitter feeds it its call and waits
-// on cond while the machine parks it; Close feeds it the BYE. Whoever
-// feeds an event carries out its actions (run): it arms the timer under
-// mu, then releases mu to seal and write, finish calls, run OnProgress,
-// close the transport or reconnect. No goroutine holds mu across a
-// transport write or while it waits for writeMu: a net.Pipe write blocks
-// until the peer reads, the peer's reader may be blocked writing to this
-// client, and this client's read loop needs mu before it reads again.
-// For the same reason the read loop never writes on a stream.
+// The session's protocol is a clientMachine (clientmachine.go), each
+// handshake's a clientHandshake (handshake.go), and the Client is their
+// shell, serialized by mu. The read loop feeds the handshake machine
+// each frame until it commits, then the session machine each frame it
+// opens; one time.AfterFunc timer feeds the handshake its steps and a
+// datagram session its retry timeouts; a submitter feeds the session
+// machine its call and waits on cond while the machine parks it; Close
+// feeds it the BYE. Whoever feeds an event carries out its actions (run,
+// runHandshake): it arms the timer under mu, then releases mu to seal
+// and write, finish calls, run OnProgress, close the transport or
+// reconnect. No goroutine holds mu across a transport write or while it
+// waits for writeMu: a net.Pipe write blocks until the peer reads, the
+// peer's reader may be blocked writing to this client, and this
+// client's read loop needs mu before it reads again. For the same reason
+// the read loop writes nothing but a handshake's cookie echo, which no
+// stream server asks for.
 type Client struct {
 	opt    SessionOptions
 	secret []byte
@@ -293,19 +232,16 @@ type Client struct {
 	// every event.
 	cond sync.Cond
 	m    *clientMachine
-	// retry is the machine's retry timer, made on its first arm.
-	retry *time.Timer
-	// backoff is the deterministic jitter source for BUSY retry delays
-	// (busyDelay), keyed off the session seed so overload behaviour
-	// replays exactly.
-	backoff   *stats.RNG
+	// hs is the handshake in flight on tc, nil once it commits or fails.
+	hs *clientHandshake
+	// retry is the handshake's and the session machine's timer, made on
+	// its first arm.
+	retry     *time.Timer
 	tc        transportConn
 	link      *securelink.Link
 	sessionID uint64
 	// ticket and rms hold the resumption state from the latest
-	// handshake; reconnect offers them so a reap-then-reconnect
-	// completes in one round trip with forward-secret keys and no new
-	// DH.
+	// handshake, which the next one offers.
 	ticket  []byte
 	rms     []byte
 	resumed bool   // the latest handshake resumed from a ticket
@@ -315,7 +251,8 @@ type Client struct {
 	writeMu sync.Mutex // serializes Seal+WriteFrame pairs: frames leave in seal order
 }
 
-// Dial opens a TCP session with a shieldd server.
+// Dial opens a TCP session with a shieldd server. A failed handshake
+// closes the connection.
 func Dial(addr string, secret []byte, opt SessionOptions) (*Client, error) {
 	return dial(func() (transportConn, error) {
 		conn, err := net.Dial("tcp", addr)
@@ -328,7 +265,8 @@ func Dial(addr string, secret []byte, opt SessionOptions) (*Client, error) {
 
 // DialUDP opens a datagram session with a shieldd server's UDP
 // listener: a dedicated local UDP socket, the datagram handshake
-// (with retransmits), and the client-side reliability layer.
+// (with retransmits), and the client-side reliability layer. A failed
+// handshake closes the socket.
 func DialUDP(addr string, secret []byte, opt SessionOptions) (*Client, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -350,16 +288,11 @@ func dial(redial func() (transportConn, error), secret []byte, opt SessionOption
 	if err != nil {
 		return nil, err
 	}
-	c, err := newClient(tc, secret, opt, redial)
-	if err != nil {
-		tc.close()
-		return nil, err
-	}
-	return c, nil
+	return newClient(tc, secret, opt, redial)
 }
 
 // NewClient runs the session handshake over an established stream
-// transport.
+// transport. A failed handshake closes conn.
 func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error) {
 	return newClient(&streamConn{c: conn}, secret, opt, nil)
 }
@@ -369,7 +302,7 @@ func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error
 // peer. The client becomes the socket's sole reader, and every request
 // is tracked by the retransmit layer: loss is retried transparently and
 // surfaced in TransportStats rather than as errors, until MaxRetries is
-// exhausted.
+// exhausted. A failed handshake closes pc.
 func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions) (*Client, error) {
 	var redial func() (transportConn, error)
 	if opt.RedialPacket != nil {
@@ -384,13 +317,9 @@ func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt Sessio
 	return newClient(&packetTC{fc: dgram.NewConn(pc, peer)}, secret, opt, redial)
 }
 
-// newClient runs the handshake over tc, then starts the session's read
-// loop.
+// newClient runs the handshake over tc; its read loop then serves the
+// session.
 func newClient(tc transportConn, secret []byte, opt SessionOptions, redial func() (transportConn, error)) (*Client, error) {
-	hs, err := handshake(tc, secret, opt, nil)
-	if err != nil {
-		return nil, err
-	}
 	c := &Client{
 		opt:    opt,
 		secret: secret,
@@ -400,167 +329,40 @@ func newClient(tc transportConn, secret []byte, opt SessionOptions, redial func(
 			rto:       opt.retryTimeout(),
 			maxTries:  opt.maxRetries(),
 			reconnect: opt.AutoReconnect && redial != nil,
+			backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 		}},
-		backoff: stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
 	c.cond.L = &c.mu
-	c.install(tc, hs)
-	go c.readLoop(tc, hs.link)
+	if err := c.handshake(tc); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// install makes tc and its handshake's outcome the client's session.
-// Callers hold c.mu, or own c.
-func (c *Client) install(tc transportConn, hs hsResult) {
-	c.tc, c.link, c.sessionID = tc, hs.link, hs.sessionID
-	c.ticket, c.rms, c.resumed = hs.ticket, hs.rms, hs.resumed
-	if hs.resumed {
-		c.resumes++
-	}
-}
-
-// handshake is the client's one handshake state machine, shared by both
-// transports: HELLO → CHALLENGE2 → sealed HELLO-ACK, offering resume's
-// ticket when given. On datagrams the first HELLO carries no cookie, so
-// the server's stateless admission gate answers it with one; echoing it
-// back proves this client receives at its claimed source address, and
-// only then does the server commit any handshake state. BUSY refusals
-// are honored with deterministic seeded jittered exponential backoff.
-//
-// One wait schedule runs on both transports: step k waits
-// RetryTimeout<<k (capped at 8×) for MaxRetries+1 steps, and a handshake
-// that outlives it fails with ErrHandshakeTimeout. An unreliable
-// transport re-sends the HELLO at every step and drops whatever fails to
-// decode or open (a duplicate CHALLENGE2 is byte-identical, so it just
-// re-derives the same keys); a reliable one sends it once and fails on
-// the first bad frame.
-func handshake(tc transportConn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
-	var zero hsResult
-	var nonce [16]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return zero, fmt.Errorf("shieldd: nonce: %w", err)
-	}
-	hello, err := opt.hello(nonce)
+// handshake runs a handshake on tc, offering the last session's ticket
+// so that after an idle reap the new one completes in one round trip on
+// resumed forward-secret keys (a refused or expired ticket falls back
+// to the full AKE). It sends the HELLO and runs tc's read loop on the
+// calling goroutine until the handshake commits, making tc the session's
+// transport and leaving the loop to a goroutine of its own, or fails,
+// closing tc. Callers do not hold c.mu.
+func (c *Client) handshake(tc transportConn) error {
+	c.mu.Lock()
+	h, err := newClientHandshake(c.secret, c.opt, c.m.cfg, c.ticket, c.rms)
 	if err != nil {
-		return zero, err
+		c.mu.Unlock()
+		tc.close()
+		return err
 	}
-	ake, err := newClientAKE(hello, resume)
-	if err != nil {
-		return zero, err
+	c.tc, c.hs = tc, h
+	c.run(h.start(time.Now()))
+	if link := c.readLoop(tc, nil); link != nil {
+		go c.readLoop(tc, link)
+		return nil
 	}
-	lossy := tc.unreliable()
-	rto, tries := opt.retryTimeout(), opt.maxRetries()
-	// Escalate the wait per step, capped at 8× the base timeout:
-	// handshake datagrams are tiny and a pending server handshake
-	// answers every retransmit immediately, so aggressive escalation only
-	// turns an unlucky loss stretch into seconds of stall.
-	wait := func(step int) time.Duration { return rto << uint(min(step, 3)) }
-	backoff := stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-handshake-backoff"))
-	busies := 0
-
-	var link *securelink.Link
-	var rms []byte
-	var resumed bool
-	for step := 0; step <= tries; step++ {
-		if step == 0 || lossy {
-			if err := tc.writeHandshake(hello.Encode()); err != nil {
-				return zero, err
-			}
-		}
-		deadline := time.Now().Add(wait(step))
-		if !lossy {
-			// Nothing is re-sent, so the rest of the schedule is one
-			// deadline: re-arming it could fire mid-frame and
-			// desynchronize the stream.
-			for step++; step <= tries; step++ {
-				deadline = deadline.Add(wait(step))
-			}
-		}
-		_ = tc.setReadDeadline(deadline)
-		for {
-			payload, hs, err := tc.readFrame()
-			if err != nil {
-				if isTimeout(err) {
-					break
-				}
-				return zero, fmt.Errorf("shieldd: handshake read: %w", err)
-			}
-			if hs {
-				msg, derr := wire.Decode(payload)
-				switch m := msg.(type) {
-				case *wire.Error:
-					if m.Code == wire.CodeVersion {
-						return zero, fmt.Errorf("%w: %s", ErrVersion, m.Msg)
-					}
-					return zero, m
-				case *wire.Cookie:
-					// The stateless admission gate's round trip: echo the
-					// cookie and resend immediately, at no step's cost —
-					// the gate answers every cookie-less HELLO, so the
-					// reply races only loss. The cookie is outside the
-					// transcript (Hello.TranscriptBytes), so attaching it
-					// does not desynchronize the AKE already offered.
-					hello.Cookie = m.Cookie
-					if err := tc.writeHandshake(hello.Encode()); err != nil {
-						return zero, err
-					}
-				case *wire.Busy:
-					// Overloaded server: honor its retry-after hint with
-					// seeded jittered exponential backoff, then resend.
-					// Refusals are bounded like retransmits, surfacing
-					// ErrServerBusy when the schedule is exhausted.
-					if busies++; busies > tries {
-						return zero, fmt.Errorf("%w: handshake refused %d times", ErrServerBusy, busies)
-					}
-					time.Sleep(busyDelay(time.Duration(m.RetryAfterMillis)*time.Millisecond, rto, busies-1, backoff))
-					if err := tc.writeHandshake(hello.Encode()); err != nil {
-						return zero, err
-					}
-					_ = tc.setReadDeadline(time.Now().Add(wait(step)))
-				case *wire.Challenge2:
-					if link, rms, resumed, err = ake.complete(secret, m); err != nil {
-						return zero, err
-					}
-					armLink(link)
-				default:
-					// Undecodable or out of place: noise on a lossy
-					// transport, a broken handshake on a reliable one.
-					if !lossy {
-						return zero, fmt.Errorf("shieldd: unexpected handshake reply %T (%v)", msg, derr)
-					}
-				}
-				continue
-			}
-			// A sealed frame must be the HELLO-ACK under the derived keys;
-			// anything else is stale or corrupt (dropped when lossy).
-			var ack *wire.HelloAck
-			if link != nil {
-				if plain, err := link.Open(payload); err == nil {
-					m, _ := wire.Decode(plain)
-					ack, _ = m.(*wire.HelloAck)
-				}
-			}
-			if ack == nil {
-				if lossy {
-					continue
-				}
-				return zero, errors.New("shieldd: handshake: no valid sealed HELLO-ACK")
-			}
-			if ack.Version != wire.Version {
-				return zero, fmt.Errorf("%w: server acked v%d", ErrVersion, ack.Version)
-			}
-			_ = tc.setReadDeadline(time.Time{})
-			return hsResult{link: link, sessionID: ack.SessionID,
-				ticket: ack.Ticket, rms: rms, resumed: resumed}, nil
-		}
-	}
-	return zero, fmt.Errorf("%w after %d attempts", ErrHandshakeTimeout, tries+1)
-}
-
-// isTimeout reports a deadline-style error.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return h.err
 }
 
 // SessionID returns the server-assigned session identifier (of the most
@@ -595,19 +397,35 @@ func (c *Client) Resumes() uint64 {
 	return c.resumes
 }
 
-// readLoop is the demultiplexer: the sole reader of the transport,
-// feeding the machine each response and partial it opens, and the
-// transport's end. On an unreliable transport a frame that fails to
-// open or decode is a dropped datagram (a duplicate dies on the
-// securelink window, corruption on the GCM tag); on a stream it ends
-// the session. A frame read after a reconnect has replaced tc is
-// dropped and the loop ends: request IDs restart at 1 on the new
-// session, so a stale answer could otherwise finish a new call.
-func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
+// readLoop is tc's sole reader. Without a session link it feeds tc's
+// handshake machine every frame and the transport's end, and returns
+// the link once the handshake commits, or nil once it has failed. With
+// the link it is the session's demultiplexer, feeding the session
+// machine each response and partial it opens, and the transport's end.
+// On an unreliable transport a frame that fails to open or decode is a
+// dropped datagram (a duplicate dies on the securelink window,
+// corruption on the GCM tag, a late CHALLENGE2 or ack copy is out of
+// place); on a stream it ends the session. A frame read after a
+// reconnect has replaced tc is dropped and the loop ends: request IDs
+// restart at 1 on the new session, so a stale answer could otherwise
+// finish a new call.
+func (c *Client) readLoop(tc transportConn, link *securelink.Link) *securelink.Link {
 	for {
 		raw, hs, err := tc.readFrame()
+		if link == nil {
+			c.mu.Lock()
+			h := c.hs
+			if h.over() {
+				c.mu.Unlock()
+				return nil
+			}
+			if c.run(h.frame(raw, hs, err, time.Now())); h.ack != nil {
+				return h.link
+			}
+			continue
+		}
 		if err == nil && hs {
-			continue // a late CHALLENGE2 retransmit after the session opened
+			continue
 		}
 		var (
 			id    uint64
@@ -626,11 +444,11 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 		c.mu.Lock()
 		if c.tc != tc {
 			c.mu.Unlock()
-			return
+			return nil
 		}
 		if err != nil {
 			c.run(c.m.transportFailed(err))
-			return
+			return nil
 		}
 		c.run(c.m.response(id, flags, msg, time.Now()))
 	}
@@ -649,8 +467,15 @@ func (c *Client) run(acts []clientAction) (err error) {
 	todo := append(buf[:0], acts...)
 	tc, link := c.tc, c.link
 	for _, a := range todo {
-		if a.kind == caArm {
+		switch h := c.hs; a.kind {
+		case caArm:
 			c.arm(a.at)
+		case caCommit:
+			c.hs, c.link, c.sessionID = nil, h.link, h.ack.SessionID
+			c.ticket, c.rms, c.resumed = h.ack.Ticket, h.rms, h.resumed
+			if h.resumed {
+				c.resumes++
+			}
 		}
 	}
 	c.cond.Broadcast()
@@ -681,6 +506,10 @@ func (c *Client) run(acts []clientAction) (err error) {
 			err = tc.close()
 		case caReconnect:
 			c.reconnect(a.call)
+		case caHello:
+			if tc.writeHandshake(a.frame) != nil {
+				tc.close()
+			}
 		}
 	}
 	return err
@@ -693,7 +522,11 @@ func (c *Client) arm(at time.Time) {
 	case c.retry == nil:
 		c.retry = time.AfterFunc(time.Until(at), func() {
 			c.mu.Lock()
-			c.run(c.m.timeout(time.Now()))
+			if h := c.hs; h != nil {
+				c.run(h.timeout(time.Now()))
+			} else {
+				c.run(c.m.timeout(time.Now()))
+			}
 		})
 	case at.IsZero():
 		c.retry.Stop()
@@ -714,37 +547,22 @@ func (c *Client) TransportStats() TransportStats {
 }
 
 // reconnect carries out the machine's caReconnect: it re-dials and
-// re-handshakes without c.mu held — a slow or dead network must not
-// freeze getters or other callers — and feeds the outcome back. It
-// offers the dead session's resumption ticket, so after an idle reap
-// the new handshake completes in one round trip on resumed
-// forward-secret keys instead of a fresh DH; a refused or expired ticket
-// silently falls back to the full AKE. The machine runs one reconnect at
-// a time.
+// handshakes without c.mu held — a slow or dead network must not freeze
+// getters or other callers — and feeds the outcome back. The machine
+// runs one reconnect at a time.
 func (c *Client) reconnect(call *Call) {
-	c.mu.Lock()
-	var resume *resumeState
-	if len(c.ticket) > 0 && len(c.rms) > 0 {
-		resume = &resumeState{ticket: c.ticket, rms: c.rms}
-	}
-	c.mu.Unlock()
 	tc, err := c.redial()
-	var hs hsResult
 	if err == nil {
-		if hs, err = handshake(tc, c.secret, c.opt, resume); err != nil {
-			tc.close()
-		}
+		err = c.handshake(tc)
 	}
 	c.mu.Lock()
 	if err != nil {
 		c.run(c.m.reconnectFailed(call, fmt.Errorf("shieldd: reconnect: %w", err)))
 		return
 	}
-	c.install(tc, hs)
 	acts := c.m.reconnected()
 	if c.m.state == clientLive {
 		c.reconns++
-		go c.readLoop(tc, hs.link)
 	}
 	c.run(acts)
 }
@@ -821,7 +639,7 @@ func (c *Client) busyBackoff(err error, attempt int) time.Duration {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return busyDelay(hint, c.opt.retryTimeout(), attempt, c.backoff)
+	return busyDelay(hint, c.opt.retryTimeout(), attempt, c.m.cfg.backoff)
 }
 
 // busyDelay is the wait after the n-th consecutive BUSY refusal (from

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"heartshield/internal/stats"
 	"heartshield/internal/wire"
 )
 
@@ -75,6 +76,10 @@ type clientConfig struct {
 	maxTries int
 	// reconnect is set when AutoReconnect has something to re-dial.
 	reconnect bool
+	// backoff is the seed-keyed jitter source of every BUSY backoff
+	// (busyDelay): the handshake's and roundTrip's alike, so overload
+	// behaviour replays exactly. The machine itself draws nothing.
+	backoff *stats.RNG
 }
 
 // clientState is where the session is.
@@ -115,15 +120,21 @@ const (
 	caReconnect
 	// caClose closes the transport.
 	caClose
+	// caHello writes frame, the HELLO, as a plaintext handshake frame.
+	caHello
+	// caCommit opens the session of the handshake in flight: its link,
+	// ID and resumption state become the client's.
+	caCommit
 )
 
 // clientAction is one step the shell carries out for the machine.
 type clientAction struct {
-	kind clientActionKind
-	call *Call
-	msg  wire.Message
-	err  error
-	at   time.Time
+	kind  clientActionKind
+	call  *Call
+	msg   wire.Message
+	err   error
+	at    time.Time
+	frame []byte
 }
 
 // submit takes a call its submitter hands in, new or parked; a call

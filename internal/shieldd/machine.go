@@ -113,18 +113,31 @@ const (
 	// actStart starts the experiment env; its answers are the progress
 	// and done events.
 	actStart
-	// actClose closes the transport after the BYE reply.
+	// actClose closes the transport after the BYE reply, or when the
+	// handshake machine ends it.
 	actClose
 	// actReap closes the transport of an idle session, then counts the
 	// reap: whoever sees the count finds the transport closed.
 	actReap
+	// actHandshake writes frame as a plaintext handshake frame.
+	actHandshake
+	// actSealed writes frame, sealed already, as a session frame.
+	actSealed
+	// actArm points the handshake's limit timer at at; a zero at stops it.
+	actArm
+	// actOpen hands the session frame, the plaintext of a sealed frame
+	// that opened: its next request.
+	actOpen
 )
 
-// action is one step the shell carries out for the machine.
+// action is one step the shell carries out for the session or handshake
+// machine.
 type action struct {
-	kind actionKind
-	env  envelope
-	cum  uint64
+	kind  actionKind
+	env   envelope
+	cum   uint64
+	frame []byte
+	at    time.Time
 }
 
 // envelope pairs a request ID with the message that answers (or asks)

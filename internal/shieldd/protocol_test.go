@@ -1,6 +1,8 @@
 package shieldd_test
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -395,4 +397,37 @@ func BenchmarkSequentialExchanges(b *testing.B) {
 	}
 	b.StopTimer()
 	reportPerExchange(b, before, c.LinkStats(), 16*b.N)
+}
+
+// TestStreamHelloBudget: a stream peer has proven nothing before its
+// first sealed frame opens, so its plaintext first frame gets a budget
+// of 512 bytes (maxHelloFrame). A peer whose first frame announces more
+// gets no reply: the server closes the conn without reading the body,
+// and no session is counted.
+func TestStreamHelloBudget(t *testing.T) {
+	srv := newServer(t, shieldd.ServerConfig{})
+	cEnd, sEnd := net.Pipe()
+	defer cEnd.Close()
+	served := make(chan struct{})
+	go func() {
+		srv.ServeConn(sEnd)
+		close(served)
+	}()
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], 513)
+	if _, err := cEnd.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = cEnd.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := cEnd.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("peer read %d bytes (err %v); want no reply and io.EOF", n, err)
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn still runs after an over-budget first frame")
+	}
+	if m := srv.Metrics(); m.TotalSessions != 0 || m.ActiveSessions != 0 {
+		t.Fatalf("over-budget first frame counted sessions: total %d, active %d", m.TotalSessions, m.ActiveSessions)
+	}
 }

@@ -3,11 +3,14 @@ package shieldd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"testing"
 	"time"
 
+	"heartshield/internal/securelink"
+	"heartshield/internal/stats"
 	"heartshield/internal/wire"
 )
 
@@ -21,15 +24,16 @@ const (
 	opClose               // Close begins (the BYE), then finishes
 	opDeliver             // uplink[arg] reaches the server
 	opDrop                // uplink[arg] is lost
-	opDuplicate           // uplink[arg] is duplicated
+	opDuplicate           // uplink[arg] is duplicated (a request re-sealed, as a resend is)
 	opReceive             // downlink[arg] reaches the client; bit 3 loses it instead
 	opExecuted            // the server's running ordered op finishes
 	opExperiment          // running experiment arg: bit 3 finishes it, else a partial
-	opTick                // advance (arg+1)×100 ms, then the server's idle tick
-	opTimer               // the client's retry timer fires; bit 3 fires it early
+	opTick                // advance (arg+1)×100 ms, then the server's idle tick and limit timer
+	opTimer               // the client's timer fires; bit 3 fires it early
 	opTransportEnd        // arg bit 0: the server's end of the transport ends, else the client's
-	opReconnect           // the reconnect in flight finishes; bit 3 fails it
+	opReconnect           // the reconnect's handshake runs out; bit 3 fails it
 	opRaw                 // a frame the client machine never sends (schedule.raw)
+	opHello               // a handshake frame or table change the client never makes (schedule.hello)
 	opCount
 )
 
@@ -43,11 +47,29 @@ const (
 	schedTries = 3
 )
 
-// schedule is FuzzSessionSchedule's world: a client machine and the
-// server's session machine, the links between them, which the fuzz
-// bytes may drop, duplicate and reorder, the server's work, virtual
-// time, and the record every check reads. A reconnect starts a new
-// server session.
+// The addresses of a datagram schedule: the client's, which every
+// reconnect reuses, and another that only ever replays its frames.
+const (
+	clientAddr = "client"
+	otherAddr  = "other"
+)
+
+// upFrame is one frame in flight to the server: from an address, a
+// plaintext handshake frame or a sealed one, and a sealed request's
+// plaintext.
+type upFrame struct {
+	from     string
+	hs       bool
+	b, plain []byte
+}
+
+// schedule is FuzzSessionSchedule's world: a client machine and its
+// handshakes, the server's gate and the server sides it admits (each a
+// handshake machine, then a session machine), the links between them,
+// which the fuzz bytes may drop, duplicate and reorder, the server's
+// work, virtual time, and the record every check reads. Every session
+// opens through both handshake machines: the first runs out losslessly,
+// and a reconnect's runs under the fuzz bytes.
 type schedule struct {
 	t        *testing.T
 	reliable bool
@@ -55,7 +77,7 @@ type schedule struct {
 	now      time.Time
 
 	c     *clientMachine
-	armed time.Time // the client's retry timer
+	armed time.Time // the client's timer
 	calls []*callRecord
 	rec   map[*Call]*callRecord
 	// waiters are the calls whose submitters wait because the machine
@@ -64,8 +86,9 @@ type schedule struct {
 	// bye is Close's BYE once Close began, closed set once it finished.
 	bye    *Call
 	closed bool
-	// open is set while the client's transport is open; reconnector is
-	// the call whose submitter runs a reconnect, while one runs.
+	// open is set while the client's session transport is open;
+	// reconnector is the call whose submitter runs a reconnect, while
+	// one runs.
 	open        bool
 	reconnector *Call
 	// This client session's record: its calls awaiting an answer, the
@@ -79,9 +102,36 @@ type schedule struct {
 	// resends and expiries count the client's resend and expiry actions.
 	resends, expiries uint64
 
+	// The handshake: srvd is the server whose gate, cookies, tickets and
+	// session table (one slot) every handshake meets; hs is the client's
+	// handshake in flight, link its session link, ticket and rms the
+	// resumption state the next one offers, and hsDown the frames in
+	// flight to it.
+	srvd        *Server
+	hs          *clientHandshake
+	link        *securelink.Link
+	ticket, rms []byte
+	hsDown      []hsFrame
+	// held is set while another client holds the table's slot.
+	held bool
+	// The record of the handshakes: the cookie the server sent each
+	// address for each nonce, the address each ticket was issued to, the
+	// tickets a handshake resumed from, and the handshake bytes received
+	// from and sent to each address before it was proven.
+	cookies  map[string][]byte
+	issued   map[string]string
+	redeemed map[string]bool
+	proven   map[string]bool
+	in, out  map[string]int
+
+	// srv is the server side of the client's latest session (on a
+	// stream, of its latest transport), sessions every server side, and
+	// peers the listener's table (datagrams only): another client
+	// instance may take the client's address over.
 	srv      *serverSide
 	sessions []*serverSide
-	uplink   [][]byte
+	peers    map[string]*serverSide
+	uplink   []upFrame
 }
 
 // callRecord is what the schedule saw of one call.
@@ -93,25 +143,43 @@ type callRecord struct {
 }
 
 func newSchedule(t *testing.T, cfg byte) *schedule {
+	srvd, err := NewServer(ServerConfig{Secret: []byte("schedule secret"), MaxSessions: 1, AdmissionWait: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := &schedule{
 		t:        t,
 		reliable: cfg&4 != 0,
 		budget:   int(cfg & 3),
 		now:      time.Unix(1000, 0),
 		c: &clientMachine{cfg: clientConfig{
-			lossy: cfg&4 == 0, rto: schedRTO, maxTries: schedTries, reconnect: cfg&8 != 0,
+			lossy: cfg&4 == 0, rto: schedRTO, maxTries: schedTries, reconnect: cfg&8 != 0, backoff: stats.NewRNG(1),
 		}},
-		rec: map[*Call]*callRecord{},
+		rec:      map[*Call]*callRecord{},
+		srvd:     srvd,
+		cookies:  map[string][]byte{},
+		issued:   map[string]string{},
+		redeemed: map[string]bool{},
+		proven:   map[string]bool{},
+		in:       map[string]int{},
+		out:      map[string]int{},
+		peers:    map[string]*serverSide{},
 	}
-	s.newSession()
+	s.dial()
+	s.handshake()
+	if !s.open {
+		t.Fatal("the first handshake did not open a session")
+	}
 	return s
 }
 
-// newSession connects the client to a new server session.
-func (s *schedule) newSession() {
-	s.srv = &serverSide{
+// newServerSide makes the server side of a new transport at addr, its
+// pre-authentication limit armed now.
+func (s *schedule) newServerSide(addr string) *serverSide {
+	v := &serverSide{
 		t:         s.t,
 		r:         newMachineRig(s.budget, s.reliable),
+		h:         &serverHandshake{s: s.srvd, addr: addr, reliable: s.reliable},
 		reliable:  s.reliable,
 		rude:      map[uint64]bool{},
 		sent:      map[uint64]*callRecord{},
@@ -120,8 +188,46 @@ func (s *schedule) newSession() {
 		answers:   map[uint64]wire.Message{},
 		started:   map[uint64]bool{},
 	}
-	s.sessions = append(s.sessions, s.srv)
-	s.open, s.uplink = true, nil
+	s.sessions = append(s.sessions, v)
+	s.serverHS(v, v.h.start(s.now), nil)
+	return v
+}
+
+// dial starts a handshake, as the client does for its first session and
+// for every reconnect, offering the last session's ticket. A stream
+// dials a new connection: the old one's frames die with it, and its
+// server side reads its end.
+func (s *schedule) dial() {
+	h, err := newClientHandshake(s.srvd.cfg.Secret, SessionOptions{Seed: 1}, s.c.cfg, s.ticket, s.rms)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	s.hs, s.hsDown = h, nil
+	if s.reliable {
+		if s.srv != nil {
+			s.srv.retire(s)
+		}
+		s.uplink, s.srv = nil, s.newServerSide(clientAddr)
+	}
+	s.client(h.start(s.now))
+}
+
+// handshake runs the client's handshake in flight out over lossless
+// links, finishing the server's work as it goes.
+func (s *schedule) handshake() {
+	for round := 0; s.hs != nil; round++ {
+		if round > 64 {
+			s.t.Fatalf("the handshake did not converge: busies %d, step %d", s.hs.busies, s.hs.step)
+		}
+		if !s.flush() {
+			s.fire(false)
+		}
+	}
+}
+
+// opened starts the record of a client session that just opened.
+func (s *schedule) opened() {
+	s.open = true
 	s.pending, s.answered = map[uint64]*callRecord{}, map[uint64]bool{}
 	s.cum, s.sentMax, s.byeID = 0, 0, 0
 }
@@ -132,7 +238,8 @@ func (s *schedule) track(call *Call) {
 	s.rec[call] = r
 }
 
-// client checks and carries out the client machine's actions.
+// client checks and carries out the client machine's and its
+// handshake's actions.
 func (s *schedule) client(acts []clientAction) {
 	t := s.t
 	t.Helper()
@@ -147,7 +254,7 @@ func (s *schedule) client(acts []clientAction) {
 				t.Fatalf("request %d re-sent (transport open %v, stream %v)", a.call.id, s.open, s.reliable)
 			}
 			s.resends++
-			s.uplink = append(s.uplink, a.call.env)
+			s.seal(a.call.env)
 		case caArm:
 			s.armed = a.at
 		case caFinish:
@@ -161,10 +268,76 @@ func (s *schedule) client(acts []clientAction) {
 				t.Fatalf("reconnect while one runs (%v) or the transport is open (%v)", s.reconnector != nil, s.open)
 			}
 			s.reconnector = a.call
+			s.dial()
+		case caHello:
+			if s.hs == nil {
+				t.Fatal("a HELLO sent with no handshake in flight")
+			}
+			s.uplink = append(s.uplink, upFrame{from: clientAddr, hs: true, b: a.frame})
+		case caCommit:
+			s.commit()
 		case caClose:
-			s.open = false
+			if h := s.hs; h != nil && h.err != nil {
+				s.handshakeFailed(h.err)
+			} else {
+				s.open = false
+			}
 		}
 	}
+}
+
+// seal seals a request plaintext with the client's session link and
+// sends it.
+func (s *schedule) seal(plain []byte) {
+	s.uplink = append(s.uplink, upFrame{from: clientAddr, b: s.link.Seal(plain), plain: plain})
+}
+
+// commit takes the client's committed handshake: both ends must hold the
+// same keys, and the server side that holds them serves a reconnect's
+// session.
+func (s *schedule) commit() {
+	h := s.hs
+	s.hs, s.hsDown, s.link, s.ticket, s.rms = nil, nil, h.link, h.ack.Ticket, h.rms
+	probe := h.link.Seal([]byte("probe"))
+	i := slices.IndexFunc(s.sessions, func(v *serverSide) bool {
+		if v.h.hello == nil || v.h.hello.Nonce != h.hello.Nonce {
+			return false
+		}
+		_, err := v.h.link.Open(probe)
+		return err == nil
+	})
+	if i < 0 {
+		s.t.Fatal("the client committed on keys no server handshake of its HELLO holds")
+	}
+	s.srv = s.sessions[i]
+	call := s.reconnector
+	if s.reconnector = nil; call == nil {
+		s.opened()
+		return
+	}
+	if len(s.pending) > 0 {
+		s.t.Fatalf("reconnect with %d calls pending", len(s.pending))
+	}
+	acts := s.c.reconnected()
+	if s.c.state == clientLive {
+		s.opened()
+	}
+	s.client(acts)
+}
+
+// handshakeFailed takes a failed handshake, which must fail with a typed
+// error: the reconnect that ran it fails.
+func (s *schedule) handshakeFailed(err error) {
+	var werr *wire.Error
+	if !errors.Is(err, ErrHandshakeTimeout) && !errors.Is(err, ErrServerBusy) && !errors.As(err, &werr) &&
+		!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		s.t.Fatalf("the handshake failed with an untyped error: %v", err)
+	}
+	call := s.reconnector
+	if s.hs, s.reconnector = nil, nil; call == nil {
+		s.t.Fatalf("the first handshake failed: %v", err)
+	}
+	s.client(s.c.reconnectFailed(call, fmt.Errorf("shieldd: reconnect: %w", err)))
 }
 
 // fresh checks a fresh request against everything the client sent in
@@ -195,7 +368,7 @@ func (s *schedule) fresh(call *Call) {
 	s.srv.sent[id] = r
 	s.sentMax = id
 	s.pending[id] = r
-	s.uplink = append(s.uplink, call.env)
+	s.seal(call.env)
 }
 
 // finished checks how a call ended: with the server's first answer for
@@ -271,73 +444,246 @@ func (s *schedule) closeStep() {
 	}
 }
 
-// fire fires the client's retry timer: when it is armed, at its time; an
-// early firing comes now, as a timer re-armed or stopped while it fired
-// does. A stream client has no timer.
+// fire fires the client's timer, which its handshake in flight or else
+// its session machine owns: when it is armed, at its time; an early
+// firing comes now, as a timer re-armed or stopped while it fired does.
+// A handshake's timer re-armed that way still fires at its time. A
+// stream session arms no timer.
 func (s *schedule) fire(early bool) {
-	if s.reliable || s.armed.IsZero() && !early {
+	if s.armed.IsZero() && !early || s.reliable && s.hs == nil {
 		return
 	}
 	if !early && s.armed.After(s.now) {
 		s.now = s.armed
 	}
+	if s.hs != nil {
+		if !early {
+			s.armed = time.Time{}
+		}
+		s.client(s.hs.timeout(s.now))
+		return
+	}
 	s.armed = time.Time{}
 	s.client(s.c.timeout(s.now))
 }
 
-// reconnect finishes the reconnect in flight.
+// reconnect runs the reconnect's handshake in flight out, or fails it
+// as a redial that fails does.
 func (s *schedule) reconnect(ok bool) {
-	call := s.reconnector
-	if call == nil {
-		return
+	switch {
+	case s.hs == nil:
+	case ok:
+		s.handshake()
+	default:
+		s.client(s.hs.frame(nil, false, io.ErrUnexpectedEOF, s.now))
 	}
-	s.reconnector = nil
-	if !ok {
-		s.client(s.c.reconnectFailed(call, io.ErrUnexpectedEOF))
-		return
+}
+
+// peer returns the server side a frame from addr reaches without the
+// gate: a stream's, or the peer registered at addr.
+func (s *schedule) peer(addr string) *serverSide {
+	if s.reliable {
+		return s.srv
 	}
-	if len(s.pending) > 0 {
-		s.t.Fatalf("reconnect with %d calls pending", len(s.pending))
-	}
-	s.srv.retire()
-	acts := s.c.reconnected()
-	if s.c.state == clientLive {
-		s.newSession()
-	}
-	s.client(acts)
+	return s.peers[addr]
 }
 
 // pick removes and returns uplink[arg]; a stream delivers in order.
-func (s *schedule) pick(arg int) []byte {
+func (s *schedule) pick(arg int) upFrame {
 	i := arg % len(s.uplink)
 	if s.reliable {
 		i = 0
 	}
-	p := s.uplink[i]
+	f := s.uplink[i]
 	s.uplink = slices.Delete(s.uplink, i, i+1)
-	return p
+	return f
 }
 
-// deliver hands uplink[arg] to the server, unless a parked request has
-// stopped its shell reading. After the last frame of a stream the client
-// closed, the server reads the end of the transport.
+// deliverable reports whether deliver(0) would do anything.
+func (s *schedule) deliverable() bool {
+	if len(s.uplink) == 0 {
+		return s.reliable && !s.open && s.hs == nil && !s.srv.over
+	}
+	v := s.peer(s.uplink[0].from)
+	return v == nil || !v.r.m.stalled()
+}
+
+// deliver hands uplink[arg] to the server: to the server side of its
+// address, or through the gate, unless a parked request has stopped
+// that server side's shell reading. A frame reaches a session that has
+// ended only as its reader's last read, once committed. After the last
+// frame of a stream the client closed, the server reads the end of the
+// transport.
 func (s *schedule) deliver(arg int) {
-	v := s.srv
+	if len(s.uplink) == 0 {
+		if s.deliverable() {
+			s.srv.end()
+		}
+		return
+	}
+	i := arg % len(s.uplink)
+	if s.reliable {
+		i = 0
+	}
+	f := s.uplink[i]
+	v := s.peer(f.from)
+	if v != nil && v.r.m.stalled() {
+		return
+	}
+	s.uplink = slices.Delete(s.uplink, i, i+1)
+	if !s.reliable && !s.proven[f.from] {
+		s.in[f.from] += len(f.b)
+	}
+	hello := decodeHello(f.b)
+	if !f.hs {
+		hello = nil
+	}
 	switch {
-	case v.r.m.stalled():
-	case len(s.uplink) > 0:
-		v.deliver(s.pick(arg), s.now)
-	case s.reliable && !s.open:
-		v.end()
+	case v != nil && v.over && !v.committed:
+		return // its transport ended before the commit: nothing reads it
+	case v == nil && (!f.hs || hello == nil):
+		return // the listener drops it: a session begins with a HELLO
+	}
+	if v == nil {
+		accept, reply := s.srvd.gate(f.from, hello, s.now)
+		if !accept {
+			if reply != nil {
+				s.reply(f.from, true, reply, hello)
+			}
+			return
+		}
+		v = s.admit(f.from, hello)
+	}
+	s.serverHS(v, v.h.frame(f.b, f.hs), hello)
+}
+
+// admit registers a new peer at addr for a HELLO the gate admitted,
+// which must prove the address: a cookie the server sent addr for its
+// nonce, or a ticket issued to addr.
+func (s *schedule) admit(addr string, hello *wire.Hello) *serverSide {
+	cookie := s.cookies[addr+string(hello.Nonce[:])]
+	if (len(cookie) == 0 || !bytes.Equal(hello.Cookie, cookie)) && (len(hello.Ticket) == 0 || s.issued[string(hello.Ticket)] != addr) {
+		s.t.Fatalf("the gate admitted an unproven HELLO from %s", addr)
+	}
+	if len(s.srvd.sem) == cap(s.srvd.sem) {
+		s.t.Fatal("the gate admitted a HELLO while the session table is full")
+	}
+	s.proven[addr] = true
+	v := s.newServerSide(addr)
+	s.peers[addr] = v
+	return v
+}
+
+// serverHS checks and carries out a server side's handshake actions;
+// hello is the HELLO the event delivered, if any.
+func (s *schedule) serverHS(v *serverSide, acts []action, hello *wire.Hello) {
+	t := s.t
+	t.Helper()
+	for _, a := range acts {
+		switch a.kind {
+		case actHandshake:
+			switch m, _ := wire.Decode(a.frame); m := m.(type) {
+			case *wire.Challenge2:
+				if v.challenge == nil {
+					v.challenge = a.frame
+					ack, _ := wire.Decode(v.h.ack)
+					s.issued[string(ack.(*wire.HelloAck).Ticket)] = v.h.addr
+					if m.Resumed {
+						if s.redeemed[string(v.h.hello.Ticket)] {
+							t.Fatal("a ticket redeemed twice")
+						}
+						s.redeemed[string(v.h.hello.Ticket)] = true
+					}
+				} else if !bytes.Equal(a.frame, v.challenge) {
+					t.Fatal("a retransmitted HELLO derived a fresh CHALLENGE2")
+				}
+			}
+			s.reply(v.h.addr, true, a.frame, hello)
+		case actSealed:
+			s.reply(v.h.addr, false, a.frame, hello)
+		case actArm:
+			v.limit = a.at
+		case actOpen:
+			s.open1(v, a.frame)
+		case actClose:
+			v.end()
+		}
 	}
 }
 
-// receive has the client take (or lose) downlink[arg]. After the last
-// frame of a stream the server closed, the client reads the end of the
-// transport.
+// open1 hands the session of server side v a request that opened. The
+// first commits it: it takes the table's slot, or is shed, as the
+// shell does, with a BUSY for the request and the end of the transport.
+func (s *schedule) open1(v *serverSide, plain []byte) {
+	if !v.committed {
+		if v.h.hello == nil {
+			s.t.Fatal("a session committed before its HELLO")
+		}
+		v.committed = true
+		if v.slot = s.srvd.admitSession(); !v.slot {
+			if id, flags, _, _, err := wire.DecodeEnvelopeV3(plain); err == nil && flags == 0 {
+				busy := &wire.Busy{RetryAfterMillis: s.srvd.retryAfterMillis()}
+				v.answers[id] = busy
+				v.down = append(v.down, envelope{id: id, msg: busy})
+			}
+			v.end()
+			return
+		}
+	}
+	v.deliver(plain, s.now)
+}
+
+// reply sends a server frame to addr, answering hello: a cookie is
+// recorded, and an address never proven receives at most three times
+// the handshake bytes it sent. The client takes it only while it
+// handshakes: its read loop drops handshake frames after the commit.
+func (s *schedule) reply(addr string, hs bool, b []byte, hello *wire.Hello) {
+	if m, _ := wire.Decode(b); hs && hello != nil {
+		if ck, ok := m.(*wire.Cookie); ok {
+			s.cookies[addr+string(hello.Nonce[:])] = ck.Cookie
+		}
+	}
+	if !s.reliable && !s.proven[addr] {
+		if s.out[addr] += len(b); s.out[addr] > 3*s.in[addr] {
+			s.t.Fatalf("%d bytes sent to the unproven %s, which sent %d", s.out[addr], addr, s.in[addr])
+		}
+	}
+	if addr == clientAddr && s.hs != nil {
+		s.hsDown = append(s.hsDown, hsFrame{hs: hs, b: b})
+	}
+}
+
+// receivable reports whether receive(0) would do anything.
+func (s *schedule) receivable() bool {
+	if s.hs != nil {
+		return len(s.hsDown) > 0 || s.reliable && s.srv.over
+	}
+	return len(s.srv.down) > 0 || s.reliable && s.srv.over && s.open
+}
+
+// receive has the client take (or lose) downlink[arg]: the handshake's
+// while one is in flight. After the last frame of a stream the server
+// closed, the client reads the end of the transport.
 func (s *schedule) receive(arg int) {
 	t := s.t
 	v := s.srv
+	if h := s.hs; h != nil {
+		switch {
+		case len(s.hsDown) > 0:
+			i := arg % len(s.hsDown)
+			if s.reliable {
+				i = 0
+			}
+			f := s.hsDown[i]
+			s.hsDown = slices.Delete(s.hsDown, i, i+1)
+			if arg&8 == 0 || s.reliable {
+				s.client(h.frame(f.b, f.hs, nil, s.now))
+			}
+		case s.reliable && v.over:
+			s.client(h.frame(nil, false, io.EOF, s.now))
+		}
+		return
+	}
 	if len(v.down) == 0 {
 		if s.reliable && v.over && s.open {
 			s.client(s.c.transportFailed(io.EOF))
@@ -375,7 +721,7 @@ func (s *schedule) receive(arg int) {
 func (s *schedule) raw(arg int) {
 	switch arg % 4 {
 	case 0:
-		s.uplink = append(s.uplink, shortPlain)
+		s.seal(shortPlain)
 	case 1, 2:
 		// An authentic envelope that breaks the codec (an unknown
 		// message kind, or a request flag), under the ID of a frame in
@@ -385,7 +731,7 @@ func (s *schedule) raw(arg int) {
 		if len(s.uplink) == 0 {
 			return
 		}
-		p := bytes.Clone(s.uplink[(arg>>2)%len(s.uplink)])
+		p := bytes.Clone(s.uplink[(arg>>2)%len(s.uplink)].plain)
 		if len(p) < 18 || p[17] == wire.KindBye {
 			return
 		}
@@ -394,7 +740,7 @@ func (s *schedule) raw(arg int) {
 		} else {
 			p[8] = wire.EnvPartial
 		}
-		s.uplink = append(s.uplink, p)
+		s.seal(p)
 	case 3:
 		// A request above the BYE, as a client that breaks the rules
 		// sends: the server may answer it, or drop it, but never run it
@@ -405,7 +751,47 @@ func (s *schedule) raw(arg int) {
 		n := arg >> 2
 		id := s.byeID + 1 + uint64(n)
 		s.srv.rude[id] = true
-		s.uplink = append(s.uplink, requestPlain([4]int{reqExchange, reqPing, reqBye, reqExchange}[n], id, s.cum))
+		s.seal(requestPlain([4]int{reqExchange, reqPing, reqBye, reqExchange}[n], id, s.cum))
+	}
+}
+
+// hello makes a handshake event the client machine never makes: its
+// latest HELLO replayed from another address (arg%4 0), a HELLO from
+// another client instance at the client's address with a fresh nonce
+// and, with bit 3, the client's last ticket (1), another client taking
+// or freeing the session table's slot (2), and the server's limit timer
+// firing early (3).
+func (s *schedule) hello(arg int) {
+	var last *wire.Hello
+	for _, f := range s.uplink {
+		if h := decodeHello(f.b); f.hs && h != nil {
+			last = h
+		}
+	}
+	switch arg % 4 {
+	case 0:
+		if last != nil && !s.reliable {
+			s.uplink = append(s.uplink, upFrame{from: otherAddr, hs: true, b: last.Encode()})
+		}
+	case 1:
+		if s.reliable {
+			return
+		}
+		h := &wire.Hello{Version: wire.Version, Seed: int64(arg), KeyShare: bytes.Repeat([]byte{9}, securelink.KeyShareLen)}
+		h.Nonce[0], h.Nonce[1] = 0xA5, byte(len(s.uplink))
+		if arg&8 != 0 {
+			h.Ticket = s.ticket
+		}
+		s.uplink = append(s.uplink, upFrame{from: clientAddr, hs: true, b: h.Encode()})
+	case 2:
+		if s.held {
+			<-s.srvd.sem
+			s.held = false
+		} else {
+			s.held = s.srvd.admitSession()
+		}
+	case 3:
+		s.serverHS(s.srv, s.srv.h.timeout(s.now), nil)
 	}
 }
 
@@ -427,7 +813,11 @@ func (s *schedule) step(b byte) {
 		}
 	case opDuplicate:
 		if len(s.uplink) > 0 && !s.reliable {
-			s.uplink = append(s.uplink, s.uplink[arg%len(s.uplink)])
+			f := s.uplink[arg%len(s.uplink)]
+			if f.plain != nil {
+				f.b = s.link.Seal(f.plain)
+			}
+			s.uplink = append(s.uplink, f)
 		}
 	case opReceive:
 		s.receive(arg)
@@ -437,21 +827,50 @@ func (s *schedule) step(b byte) {
 		s.srv.experimentEvent(arg, arg&8 != 0)
 	case opTick:
 		s.now = s.now.Add(time.Duration(arg+1) * 100 * time.Millisecond)
-		s.srv.apply(s.srv.r.m.tick(s.now))
+		if v := s.srv; v.committed && !v.over {
+			v.apply(v.r.m.tick(s.now))
+		}
+		for _, v := range s.sessions {
+			if !v.over && !s.now.Before(v.limit) {
+				s.serverHS(v, v.h.timeout(s.now), nil)
+			}
+		}
 	case opTimer:
 		s.fire(arg&8 != 0)
 	case opTransportEnd:
-		if arg&1 != 0 {
+		switch {
+		case arg&1 != 0:
 			s.srv.end()
-		} else {
+		case s.hs != nil:
+			s.client(s.hs.frame(nil, false, io.ErrClosedPipe, s.now))
+		default:
 			s.client(s.c.transportFailed(io.ErrClosedPipe))
 		}
 	case opReconnect:
 		s.reconnect(arg&8 == 0)
 	case opRaw:
 		s.raw(arg)
+	case opHello:
+		s.hello(arg)
 	}
+	s.settle()
 	s.check()
+}
+
+// settle applies the listener's and the shell's rules after a step: a
+// server side whose session ended leaves the listener's table, and once
+// its work is done it is retired, freeing its slot of the table.
+func (s *schedule) settle() {
+	for addr, v := range s.peers {
+		if v.over {
+			delete(s.peers, addr)
+		}
+	}
+	for _, v := range s.sessions {
+		if v.over && v.executing == nil && len(v.running) == 0 {
+			v.retire(s)
+		}
+	}
 }
 
 // check compares the client machine with the schedule's record.
@@ -459,7 +878,8 @@ func (s *schedule) check() {
 	t := s.t
 	t.Helper()
 	m := s.c
-	if s.open != (m.state == clientLive) {
+	// The machine is live while the first handshake runs.
+	if first := s.hs != nil && s.reconnector == nil; !first && s.open != (m.state == clientLive) {
 		t.Fatalf("transport open %v in client state %d", s.open, m.state)
 	}
 	if s.open && m.report() != s.cum {
@@ -472,6 +892,9 @@ func (s *schedule) check() {
 		if call.phase != callPending || s.pending[call.id] == nil {
 			t.Fatalf("pending call %d in phase %d, recorded %v", call.id, call.phase, s.pending[call.id] != nil)
 		}
+	}
+	if s.peers[otherAddr] != nil {
+		t.Fatalf("the server holds a peer for %s, which never proved its address", otherAddr)
 	}
 }
 
@@ -494,46 +917,50 @@ func (s *schedule) flush() bool {
 	for {
 		v := s.srv
 		switch {
-		case len(v.down) > 0 || s.reliable && v.over && s.open:
+		case s.receivable():
 			s.receive(0)
-		case !v.r.m.stalled() && (len(s.uplink) > 0 || s.reliable && !s.open && !v.over):
+		case s.deliverable():
 			s.deliver(0)
-		case v.executing != nil:
+		case v != nil && v.executing != nil:
 			v.finishOp()
-		case len(v.running) > 0:
+		case v != nil && len(v.running) > 0:
 			v.experimentEvent(0, true)
 		default:
 			return did
 		}
+		s.settle()
 		s.check()
 		did = true
 	}
 }
 
 // drain runs the schedule out over lossless links: everything in flight
-// arrives, work completes, reconnects succeed, parked submits try again,
-// retry timers fire, and the client closes. A server stalled behind
-// requests it will never run (sent above the BYE) is reaped.
+// arrives, work completes, the table's slot is freed, reconnects
+// succeed, parked submits try again, timers fire, and the client closes.
+// A server stalled behind requests it will never run (sent above the
+// BYE) is reaped.
 func (s *schedule) drain() {
+	if s.held {
+		s.hello(2)
+	}
 	for round := 0; ; round++ {
 		if round > 100+8*len(s.calls) {
 			s.t.Fatalf("the drain did not converge: %d pending, %d parked, server in flight %d, stalled %v",
 				len(s.c.pending), len(s.parked()), s.srv.r.met.InFlight(), s.srv.r.m.stalled())
 		}
 		did := s.flush()
-		if s.reconnector != nil {
-			s.reconnect(true)
-			continue
-		}
 		for _, call := range s.parked() {
+			if call == s.reconnector {
+				continue
+			}
 			acts := s.c.submit(call, s.now)
 			did = did || len(acts) > 0
 			s.client(acts)
 		}
 		s.check()
 		switch v := s.srv; {
-		case did || s.reconnector != nil:
-		case len(s.c.pending) > 0 && !s.armed.IsZero():
+		case did:
+		case s.hs != nil || len(s.c.pending) > 0 && !s.armed.IsZero():
 			s.fire(false)
 		case v.r.m.stalled():
 			s.now = s.now.Add(rigIdle)
@@ -543,9 +970,10 @@ func (s *schedule) drain() {
 		case !s.closed:
 			s.closeStep()
 		default:
-			s.srv.retire()
+			s.srv.retire(s)
 			return
 		}
+		s.settle()
 	}
 }
 
@@ -574,17 +1002,28 @@ func (s *schedule) final() {
 			}
 		}
 	}
+	if n := len(s.srvd.sem); n != 0 {
+		t.Fatalf("%d slots of the session table still held", n)
+	}
 }
 
-// FuzzSessionSchedule drives a client machine against the server's
-// session machine with no goroutine, socket or clock. The fuzz bytes
-// submit calls, wake parked submitters, close the client, drop,
-// duplicate and reorder frames both ways, inject frames the client
-// never sends, complete the server's work, advance virtual time, fire
-// the client's retry timer, end either end of the transport and finish
-// reconnects. Every step checks both machines' rules (schedule.client,
-// fresh, finished and check; serverSide.apply and recordSend), and a
-// lossless drain then runs the schedule out and checks the end state.
+// FuzzSessionSchedule drives a client machine and its handshakes
+// against the server's gate, handshake machines and session machines
+// with no goroutine, socket or clock. The fuzz bytes submit calls, wake
+// parked submitters, close the client, drop, duplicate and reorder
+// frames both ways, inject frames the client never sends (requests,
+// HELLOs from another address or another client instance), fill the
+// session table, complete the server's work, advance virtual time, fire
+// the client's timer and the server's limit timer, end either end of
+// the transport and run or fail reconnects. Every step checks every
+// machine's rules (schedule.client, fresh, finished, commit,
+// handshakeFailed, admit, serverHS, reply and check; serverSide.apply
+// and recordSend): the gate admits only a proven HELLO, a retransmitted
+// HELLO gets its first CHALLENGE2, a ticket resumes once, both ends of a
+// committed handshake hold the same keys, a failed one fails with a
+// typed error, and an address never proven receives at most three times
+// the bytes it sent. A lossless drain then runs the schedule out and
+// checks the end state.
 func FuzzSessionSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -599,12 +1038,21 @@ func FuzzSessionSchedule(f *testing.F) {
 	})
 }
 
-// serverSide is one server session of a schedule: its machine, the
-// downlink it writes to, and the record of every action it took.
+// serverSide is the server side of one transport of a schedule: its
+// handshake machine and session machine, the downlink it writes to, and
+// the record of every action it took.
 type serverSide struct {
 	t        *testing.T
 	r        *machineRig
+	h        *serverHandshake
 	reliable bool
+	// challenge is its first CHALLENGE2 and limit its limit timer;
+	// committed is set once its first request opened, and slot while
+	// the session holds the table's slot.
+	challenge []byte
+	limit     time.Time
+	committed bool
+	slot      bool
 	// bye is the client's BYE in this session once sent; byeIn is set
 	// once it reached the machine, where it holds a slot.
 	bye   uint64
@@ -804,9 +1252,9 @@ func (v *serverSide) experimentEvent(arg int, done bool) {
 	v.apply(v.r.m.done(id, experimentResult(id)))
 }
 
-// retire ends the session and its work, then checks its counters against
-// the record.
-func (v *serverSide) retire() {
+// retire ends the session and its work, frees its slot of the table,
+// then checks its counters against the record.
+func (v *serverSide) retire(s *schedule) {
 	if v.retired {
 		return
 	}
@@ -815,6 +1263,10 @@ func (v *serverSide) retire() {
 	v.finishOp()
 	for len(v.running) > 0 {
 		v.experimentEvent(0, true)
+	}
+	if v.slot {
+		<-s.srvd.sem
+		v.slot = false
 	}
 	t := v.t
 	if v.byeReplied {

@@ -21,11 +21,14 @@
 //
 // One protocol is served, wire.Version; a HELLO announcing any other
 // version is refused with a plaintext CodeVersion error. Both transports
-// share one handshake state machine (serveTransport) and one session
-// state machine (sessionMachine, machine.go), which does no I/O and is
-// run by a thin goroutine shell (session.serve): every sealed frame
-// carries a request ID, the client pipelines requests, and the server
-// completes them out of order under a bounded in-flight window.
+// share one handshake machine (serverHandshake, handshake.go) and one
+// session state machine (sessionMachine, machine.go), neither of which
+// does I/O; a thin goroutine shell runs them, one read loop per
+// transport (session.read) feeding the handshake machine every frame and
+// the session machine (session.serve) every request that opens: every
+// sealed frame carries a request ID, the client pipelines requests, and
+// the server completes them out of order under a bounded in-flight
+// window.
 // Scenario-mutating requests (EXCHANGE, BATCH-EXCHANGE, ATTACK) are
 // executed strictly in request-ID order, one at a time — that is what
 // keeps the deterministic (seed, request sequence) → results contract
@@ -37,7 +40,6 @@
 package shieldd
 
 import (
-	"crypto/rand"
 	"fmt"
 	"net"
 	"sync"
@@ -70,8 +72,9 @@ const (
 	// ~100-byte resumption ticket); an unauthenticated peer cannot make
 	// the server allocate a larger buffer.
 	maxHelloFrame = 512
-	// handshakeTimeout bounds how long an unauthenticated connection may
-	// hold a goroutine before sending its HELLO.
+	// handshakeTimeout is the pre-authentication limit: how long a
+	// transport may go without committing a session before its limit
+	// timer closes it, retransmits or not.
 	handshakeTimeout = 10 * time.Second
 	// cookieRotateEvery is the handshake-cookie secret rotation interval:
 	// a minted cookie stays valid for one to two intervals (current +
@@ -265,66 +268,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// srvHandshake is the server side of one handshake: the encoded
-// CHALLENGE2 to send the client, the derived session link, and the fresh
-// resumption ticket to embed in the sealed ack.
-type srvHandshake struct {
-	challenge []byte
-	link      *securelink.Link
-	ticket    []byte
-}
-
-// deriveSessionLink runs the key agreement for one HELLO: a
-// transcript-bound HKDF schedule over the HELLO and CHALLENGE2 bytes,
-// mixing the master PSK with either the X25519 ephemeral-ephemeral
-// shared secret or, when the HELLO carries a redeemable ticket, the
-// previous session's resumption secret (skipping the DH for a
-// one-round-trip reconnect). A fresh single-use ticket bound to addr is
-// minted for every handshake.
-//
-// A nil link with a non-empty refuse means the HELLO is malformed and
-// should be refused in plaintext; a nil link with an empty refuse is an
-// internal failure (exhausted entropy) and the connection just drops.
-func (s *Server) deriveSessionLink(hello *wire.Hello, addr string) (hs srvHandshake, refuse string) {
-	var challenge wire.Challenge2
-	if _, err := rand.Read(challenge.ServerNonce[:]); err != nil {
-		return srvHandshake{}, ""
-	}
-	// A presented ticket is redeemed (consumed) even when the handshake
-	// later fails — single use means single attempt. An expired or
-	// replayed ticket silently falls back to the full AKE; the client
-	// learns which path ran from Challenge2.Resumed.
-	var rms []byte
-	if len(hello.Ticket) > 0 {
-		rms, _ = s.tickets.Redeem(hello.Ticket)
-	}
-	secret := rms
-	if rms != nil {
-		challenge.Resumed = true
-	} else {
-		if len(hello.KeyShare) != securelink.KeyShareLen {
-			return srvHandshake{}, "HELLO requires an X25519 key share"
-		}
-		eph, err := securelink.NewEphemeral()
-		if err != nil {
-			return srvHandshake{}, ""
-		}
-		challenge.KeyShare = eph.Public()
-		if secret, err = eph.Shared(hello.KeyShare); err != nil {
-			return srvHandshake{}, "invalid X25519 key share"
-		}
-	}
-	enc := challenge.Encode()
-	session, resumption := securelink.KeySchedule(s.cfg.Secret, hello.TranscriptBytes(), enc, secret)
-	link, _, err := securelink.Pair(session)
-	if err != nil {
-		return srvHandshake{}, ""
-	}
-	// A mint failure only costs the client its next resumption.
-	ticket, _ := s.tickets.Mint(resumption, addr)
-	return srvHandshake{challenge: enc, link: link, ticket: ticket}, ""
-}
-
 // ServeConn runs one session on an established stream transport (TCP
 // connection or one end of a net.Pipe) and blocks until the session
 // ends. The connection is always closed on return.
@@ -335,9 +278,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 // ServePacket serves datagram sessions from a packet socket (UDP, or an
 // in-process faultnet endpoint) until the socket is closed: one session
 // per remote address, each beginning with a plaintext HELLO datagram
-// that passed handshakeGate. It returns the socket's read error.
+// that passed the gate. It returns the socket's read error.
 func (s *Server) ServePacket(pc net.PacketConn) error {
-	l := dgram.Listen(pc, s.handshakeGate)
+	l := dgram.Listen(pc, func(addr net.Addr, payload []byte) (bool, []byte) {
+		if hello := decodeHello(payload); hello != nil {
+			return s.gate(addr.String(), hello, time.Now())
+		}
+		return false, nil
+	})
 	s.dl.Store(l)
 	defer l.Close()
 	for {
@@ -363,46 +311,39 @@ func (s *Server) DatagramPeers() int {
 
 // decodeHello returns payload as a HELLO, or nil if it is anything else.
 func decodeHello(payload []byte) *wire.Hello {
-	msg, err := wire.Decode(payload)
-	if err != nil {
-		return nil
-	}
+	msg, _ := wire.Decode(payload)
 	hello, _ := msg.(*wire.Hello)
 	return hello
 }
 
-// handshakeGate is the stateless admission gate consulted by the
-// datagram listener for every handshake datagram from an unknown source
-// address, BEFORE any per-peer state exists. The full ladder:
+// gate is the stateless admission gate the datagram listener consults,
+// at now, for every HELLO from an unknown source address, BEFORE any
+// per-peer state exists (anything but a HELLO is dropped there
+// silently: no reflection surface for garbage). The full ladder:
 //
-//  1. the datagram must decode as a HELLO (anything else is dropped
-//     silently — no reflection surface for garbage);
-//  2. the HELLO must prove its address (proveAddress); an unproven one
+//  1. the HELLO must prove its address (proveAddress); an unproven one
 //     is answered with a freshly minted cookie and NOT admitted — the
 //     stateless round trip that proves the peer can receive at its
 //     claimed source address;
-//  3. a proven HELLO passes the per-peer rate limiter (only proven
+//  2. a proven HELLO passes the per-peer rate limiter (only proven
 //     addresses allocate limiter entries) — over-rate peers are dropped
 //     silently, they already hold the proof to retry with;
-//  4. finally, under a shedding admission policy, a HELLO that would
+//  3. finally, under a shedding admission policy, a HELLO that would
 //     only queue behind a full session table is refused with a
 //     plaintext BUSY carrying the retry-after hint.
 //
 // The gate does not look at the version byte: a verified HELLO of any
-// other version is refused by serveTransport, so the refusal, like every
-// other reply beyond a cookie, only ever goes to a verified address.
-// Every reply is at most a few dozen bytes to a HELLO-shaped datagram
-// (and for BUSY, a proven source), so the gate amplifies nothing and
-// commits no state: the cost of a spoofed flood is one HMAC per packet.
-func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, reply []byte) {
-	hello := decodeHello(payload)
-	if hello == nil {
-		return false, nil
-	}
-	if proven, cookie := s.proveAddress(addr.String(), hello); !proven {
+// other version is refused by the handshake machine, so the refusal,
+// like every other reply beyond a cookie, only ever goes to a verified
+// address. Every reply is at most a few dozen bytes to a HELLO-shaped
+// datagram (and for BUSY, a proven source), so the gate amplifies
+// nothing and commits no state: the cost of a spoofed flood is one HMAC
+// per packet.
+func (s *Server) gate(addr string, hello *wire.Hello, now time.Time) (accept bool, reply []byte) {
+	if proven, cookie := s.proveAddress(addr, hello); !proven {
 		return false, cookie
 	}
-	if s.hsLimiter != nil && !s.hsLimiter.allow(addr.String()) {
+	if s.hsLimiter != nil && !s.hsLimiter.allow(addr, now) {
 		s.met.RateLimited.Add(1)
 		return false, nil
 	}
@@ -415,14 +356,14 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 
 // proveAddress is the one proof of address a datagram HELLO must give
 // before it may commit state at its source address, or end the handshake
-// or session registered there (handshakeGate, strayHello). A HELLO that
-// echoes a cookie is proven when the cookie verifies for (addr, nonce);
-// a cookie-less one by a resumption ticket issued to exactly addr —
-// proof of a prior completed handshake from the address, so resumption
-// stays one round trip (Peek consumes nothing; the handshake redeems).
-// Anything else is counted and gets the encoded COOKIE to answer with:
-// a legitimate client recovers in one round trip, an off-path spoofer
-// never sees it.
+// or session registered there (gate, serverHandshake.stray). A HELLO
+// that echoes a cookie is proven when the cookie verifies for (addr,
+// nonce); a cookie-less one by a resumption ticket issued to exactly
+// addr — proof of a prior completed handshake from the address, so
+// resumption stays one round trip (Peek consumes nothing; the handshake
+// redeems). Anything else is counted and gets the encoded COOKIE to
+// answer with: a legitimate client recovers in one round trip, an
+// off-path spoofer never sees it.
 func (s *Server) proveAddress(addr string, h *wire.Hello) (proven bool, cookie []byte) {
 	switch {
 	case len(h.Cookie) > 0:
@@ -437,111 +378,36 @@ func (s *Server) proveAddress(addr string, h *wire.Hello) (proven bool, cookie [
 	return false, (&wire.Cookie{Cookie: s.cookies.Mint(addr, h.Nonce[:])}).Encode()
 }
 
-// strayHello applies the one rule for a handshake frame that reaches
-// the registered peer of addr — a pending handshake or an established
-// session — whose client instance sent nonce. A HELLO with that nonce is
-// the instance's own retransmit. A foreign nonce is a new client
-// instance on the address (the old one died with its handshake in
-// flight, or its BYE lost): it ends the handshake or session only when
-// proveAddress accepts it, and an unproven one is answered with a
-// cookie. The newcomer's next retransmit then reaches handshakeGate.
-func (s *Server) strayHello(tc transportConn, addr string, nonce [16]byte, payload []byte) (retransmit, newcomer bool) {
-	h := decodeHello(payload)
-	if h == nil || h.Nonce == nonce {
-		return h != nil, false
-	}
-	proven, cookie := s.proveAddress(addr, h)
-	if !proven {
-		_ = tc.writeHandshake(cookie)
-	}
-	return false, proven
-}
-
-// serveTransport is the server's one handshake state machine, shared by
-// both transports. It runs one session on tc and blocks until it ends,
-// closing tc on return:
+// serveTransport runs one transport until it ends, closing tc on
+// return. Its one read loop (session.read) feeds every frame to the
+// transport's handshake machine, which admits a client instance and
+// then judges every frame that reaches its session. The first request
+// that opens commits the session:
 //
 //	HELLO → CHALLENGE2 + sealed HELLO-ACK → the first sealed frame that
-//	opens commits a session slot → session.serve.
+//	opens takes a session slot → session.serve.
 //
 // The session keeps the HELLO's scenario options, not a scenario: its
 // world is built by the executor on its first physics request, inside
 // the work budget that request holds (Server.world).
 //
-// The transport decides two things. Framing: readFrame marks plaintext
-// handshake frames — a stream by position (its first frame), a datagram
-// by kind byte. Retry: on an unreliable transport a frame that fails to
-// decode or open is dropped instead of ending the handshake, and a later
-// HELLO follows strayHello's rule, the same one an established session
-// follows: a retransmit (same client nonce) is answered with the
-// byte-identical CHALLENGE2 — it entered the transcript — plus a
-// re-sealed ack, and the pending handshake steps aside for a foreign
-// nonce only when it proves its address, so the newcomer's next
-// retransmit starts fresh instead of stalling until the deadline.
-//
 // Pre-authentication hardening: the peer has proven nothing until its
-// first sealed frame opens, so it gets a deadline (and on a stream a
-// tiny plaintext frame budget) and can commit neither a session slot nor
-// a scenario. A datagram peer only gets here after its HELLO passed
-// handshakeGate, so a spoofed-source flood never starts a handshake.
+// first sealed frame opens, so the machine's limit timer closes the
+// transport at handshakeTimeout, a stream's plaintext frame gets a tiny
+// budget (streamConn), and the peer can commit neither a session slot
+// nor a scenario. A datagram peer only gets here after its HELLO passed
+// the gate, so a spoofed-source flood never starts a handshake.
 func (s *Server) serveTransport(tc transportConn, addr string) {
 	defer tc.close()
-	_ = tc.setReadDeadline(time.Now().Add(handshakeTimeout))
-	refuse := func(code uint8, msg string) {
-		_ = tc.writeHandshake((&wire.Error{Code: code, Msg: msg}).Encode())
-	}
-
-	var hello *wire.Hello
-	for hello == nil {
-		payload, hs, err := tc.readFrame()
-		if err != nil {
-			return
-		}
-		if hs {
-			hello = decodeHello(payload)
-		}
-		if hello == nil && !tc.unreliable() {
-			return
-		}
-	}
-	// One protocol: there is nothing to negotiate down to.
-	if hello.Version != wire.Version {
-		refuse(wire.CodeVersion, fmt.Sprintf("wire protocol v%d not supported (server speaks v%d)", hello.Version, wire.Version))
-		return
-	}
-	opt, err := s.scenarioOptions(hello)
-	if err != nil {
-		refuse(wire.CodeBadRequest, err.Error())
-		return
-	}
-	// The session keys bind a fresh server nonce and ephemeral DH
-	// alongside the client's, so a recorded session's sealed frames can
-	// never open in a new one: per-message replay protection extends to
-	// whole-session replay.
-	hs, why := s.deriveSessionLink(hello, addr)
-	if hs.link == nil {
-		if why != "" {
-			refuse(wire.CodeBadRequest, why)
-		}
-		return
-	}
-	link := armLink(hs.link)
-	id := s.nextSession.Add(1)
-	ack := &wire.HelloAck{Version: wire.Version, SessionID: id, Ticket: hs.ticket}
-	// Every (re)send re-seals the ack: the client's receive window
-	// accepts whichever copy lands first and replay-drops the rest.
-	sendChallenge := func() bool {
-		return tc.writeHandshake(hs.challenge) == nil && tc.writeFrame(link.Seal(ack.Encode())) == nil
-	}
-	if !sendChallenge() {
-		return
-	}
-
-	plain, ok := s.readSealed(tc, addr, hello.Nonce, link, sendChallenge)
+	sess := &session{s: s, tc: tc, h: &serverHandshake{s: s, addr: addr, reliable: !tc.unreliable()}}
+	sess.wake.L = &sess.mu
+	sess.mu.Lock()
+	sess.run(sess.h.start(time.Now()))
+	sess.mu.Unlock()
+	plain, ok := sess.read()
 	if !ok {
 		return
 	}
-
 	// Authenticated: the ID handed out in the ack only becomes a counted
 	// session here. Under the default AdmissionWait=0 policy admission
 	// blocks until a session slot frees; shedding policies answer the
@@ -553,7 +419,7 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 		s.met.ShedHandshakes.Add(1)
 		if reqID, flags, _, _, err := wire.DecodeEnvelopeV3(plain); err == nil && flags == 0 {
 			busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-			_ = tc.writeFrame(link.Seal(wire.EncodeEnvelopeV3(reqID, 0, 0, busy)))
+			_ = tc.writeFrame(sess.h.link.Seal(wire.EncodeEnvelopeV3(reqID, 0, 0, busy)))
 		}
 		return
 	}
@@ -561,45 +427,37 @@ func (s *Server) serveTransport(tc transportConn, addr string) {
 	defer func() { <-s.sem }()
 	s.met.ActiveSessions.Add(1)
 	defer s.met.ActiveSessions.Add(-1)
-
-	sess := &session{s: s, tc: tc, id: id, link: link, addr: addr, nonce: hello.Nonce, opt: opt}
-	s.reg.Register(id, &sess.met)
-	defer s.reg.Unregister(id)
-	// Lift the handshake deadline: experiments may run for minutes.
-	_ = tc.setReadDeadline(time.Time{})
+	s.reg.Register(sess.h.id, &sess.met)
+	defer s.reg.Unregister(sess.h.id)
 	sess.serve(plain)
 }
 
-// readSealed returns the next sealed frame that opens on link, from the
-// client instance that sent nonce from addr. A handshake frame follows
-// strayHello's rule: the instance's own HELLO retransmit calls resend
-// (the handshake answers it again; an established session ignores it),
-// and a new instance that proves the address ends the read. A frame that
-// fails to open is a dropped datagram on an unreliable transport (loss,
-// duplication, and reordering are normal there) and a compromise on a
-// stream. ok is false once the read ends: the transport failed or
-// closed, a stream frame failed to open, a newcomer took the address, or
-// resend failed.
-func (s *Server) readSealed(tc transportConn, addr string, nonce [16]byte, link *securelink.Link, resend func() bool) (plain []byte, ok bool) {
+// read is the transport's one read loop: it feeds every frame to the
+// handshake machine and returns the plaintext of the next request that
+// opens. ok is false once the transport has ended: it failed or closed,
+// or the machine closed it. Its end stops the timer, so a transport
+// that fails before its limit holds nothing until then.
+func (sess *session) read() (plain []byte, ok bool) {
 	for {
-		raw, hs, err := tc.readFrame()
+		raw, hs, err := sess.tc.readFrame()
 		if err != nil {
+			sess.timer.Stop()
 			return nil, false
 		}
-		if hs {
-			retransmit, newcomer := s.strayHello(tc, addr, nonce, raw)
-			if newcomer || retransmit && resend != nil && !resend() {
-				return nil, false
-			}
-			continue
-		}
-		if plain, err := link.Open(raw); err == nil {
-			return plain, true
-		}
-		if !tc.unreliable() {
-			return nil, false
+		sess.mu.Lock()
+		a, opened := sess.run(sess.h.frame(raw, hs))
+		sess.mu.Unlock()
+		if opened {
+			return a.frame, true
 		}
 	}
+}
+
+// expire feeds the handshake's limit timer.
+func (sess *session) expire() {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.run(sess.h.timeout(time.Now()))
 }
 
 // idleTickEvery is the idle tick period: a quarter of the timeout,
@@ -615,7 +473,6 @@ func (s *Server) idleTickEvery() time.Duration {
 // counters to the server's counters of the same name.
 func (sess *session) serve(firstPlain []byte) {
 	s := sess.s
-	sess.wake.L = &sess.mu
 	sess.m = &sessionMachine{l: newLedger(), cfg: machineConfig{
 		reliable:         !sess.tc.unreliable(),
 		idleTimeout:      s.cfg.IdleTimeout,
@@ -627,16 +484,14 @@ func (sess *session) serve(firstPlain []byte) {
 		srv:              &s.met,
 	}}
 	if s.cfg.IdleTimeout > 0 {
-		// Ticks rather than a read deadline, which could fire mid-frame
-		// and desynchronize the framing.
 		sess.mu.Lock()
-		sess.idle = time.AfterFunc(s.idleTickEvery(), sess.tick)
+		sess.timer = time.AfterFunc(s.idleTickEvery(), sess.tick)
 		sess.mu.Unlock()
 	}
-	for plain, ok := firstPlain, true; ok; plain, ok = s.readSealed(sess.tc, sess.addr, sess.nonce, sess.link, nil) {
+	for plain, ok := firstPlain, true; ok; plain, ok = sess.read() {
 		sess.mu.Lock()
-		if op, run := sess.run(sess.m.request(plain, time.Now())); run {
-			go sess.execute(op)
+		if a, ok := sess.run(sess.m.request(plain, time.Now())); ok {
+			go sess.execute(a.env)
 		}
 		for sess.m.stalled() {
 			sess.wake.Wait()
@@ -647,32 +502,33 @@ func (sess *session) serve(firstPlain []byte) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.m.end()
-	if sess.idle != nil {
-		sess.idle.Stop()
-	}
+	sess.timer.Stop()
 	for sess.m.working() {
 		sess.wake.Wait()
 	}
-	st := sess.link.Stats()
+	st := sess.h.link.Stats()
 	metrics.Each(&st, "", s.met.Add)
 }
 
-// run carries out one event's actions in order; callers hold sess.mu.
-// It returns the ordered op the event released for execution, if any:
-// the executor runs it next, any other caller starts an executor for it.
-// A failed write ends the session: the transport is closed (waking the
-// reader) and the machine stops sending.
-func (sess *session) run(acts []action) (op envelope, execute bool) {
+// run carries out one event's actions in order, the session machine's
+// or the handshake machine's; callers hold sess.mu. It returns the
+// action its caller goes on with, if any: the ordered op the event
+// released for execution (the executor runs it next, any other caller
+// starts an executor for it), or the request that opened. A failed
+// session write ends the session: the transport is closed (waking the
+// reader) and the machine stops sending. A failed handshake write
+// closes the transport.
+func (sess *session) run(acts []action) (next action, ok bool) {
 	for _, a := range acts {
 		switch a.kind {
 		case actSend:
 			e := a.env
-			if sess.tc.writeFrame(sess.link.Seal(wire.EncodeEnvelopeV3(e.id, e.flags, a.cum, e.msg))) != nil {
+			if sess.tc.writeFrame(sess.h.link.Seal(wire.EncodeEnvelopeV3(e.id, e.flags, a.cum, e.msg))) != nil {
 				sess.tc.close()
 				sess.m.end()
 			}
-		case actExecute:
-			op, execute = a.env, true
+		case actExecute, actOpen:
+			next, ok = a, true
 		case actStart:
 			go sess.experiment(a.env.id, a.env.msg.(*wire.ExperimentReq))
 		case actClose:
@@ -680,10 +536,24 @@ func (sess *session) run(acts []action) (op envelope, execute bool) {
 		case actReap:
 			sess.tc.close()
 			sess.s.met.ReapedSessions.Add(1)
+		case actHandshake, actSealed:
+			write := sess.tc.writeFrame
+			if a.kind == actHandshake {
+				write = sess.tc.writeHandshake
+			}
+			if write(a.frame) != nil {
+				sess.tc.close()
+			}
+		case actArm:
+			if a.at.IsZero() {
+				sess.timer.Stop()
+			} else {
+				sess.timer = time.AfterFunc(time.Until(a.at), sess.expire)
+			}
 		}
 	}
 	sess.wake.Signal()
-	return op, execute
+	return next, ok
 }
 
 // execute is the session's executor: it runs ordered ops one at a time,
@@ -693,8 +563,9 @@ func (sess *session) execute(op envelope) {
 	for more := true; more; {
 		resp := sess.s.dispatchScenario(sess, op.msg)
 		sess.mu.Lock()
-		op, more = sess.run(sess.m.done(op.id, resp))
+		next, ok := sess.run(sess.m.done(op.id, resp))
 		sess.mu.Unlock()
+		op, more = next.env, ok
 	}
 }
 
@@ -707,10 +578,10 @@ func (sess *session) experiment(id uint64, req *wire.ExperimentReq) {
 		sess.mu.Unlock()
 	})
 	sess.mu.Lock()
-	op, execute := sess.run(sess.m.done(id, resp))
+	next, ok := sess.run(sess.m.done(id, resp))
 	sess.mu.Unlock()
-	if execute {
-		sess.execute(op)
+	if ok {
+		sess.execute(next.env)
 	}
 }
 
@@ -721,7 +592,7 @@ func (sess *session) tick() {
 	defer sess.mu.Unlock()
 	sess.run(sess.m.tick(time.Now()))
 	if !sess.m.over {
-		sess.idle.Reset(sess.s.idleTickEvery())
+		sess.timer.Reset(sess.s.idleTickEvery())
 	}
 }
 
@@ -768,19 +639,13 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 // runs only while ordered ops are queued, so a session that has run none
 // holds its reader, plus one goroutine per running experiment.
 type session struct {
-	s    *Server
-	tc   transportConn
-	id   uint64
-	link *securelink.Link
-	met  metrics.Session
-	// addr and nonce identify the client instance that opened the
-	// session: a handshake frame straggling into it is judged against
-	// them (strayHello).
-	addr  string
-	nonce [16]byte
-	// opt is the world's shape and seed, and what requests' implant
-	// indices are checked against before anything is built.
-	opt testbed.Options
+	s   *Server
+	tc  transportConn
+	met metrics.Session
+	// h is the transport's handshake machine. Its ID, link and options,
+	// the world's shape and seed that requests' implant indices are
+	// checked against before anything is built, are the session's.
+	h *serverHandshake
 	// world stays nil until Server.world builds it. Only the session's
 	// executor reaches it.
 	world *testbed.World
@@ -790,12 +655,13 @@ type session struct {
 	// wake wakes the reader when an event unparks a request or lets
 	// teardown finish; the reader is its only waiter.
 	wake sync.Cond
-	// idle fires the idle ticks, when IdleTimeout is set.
-	idle *time.Timer
+	// timer is the handshake's limit timer until the commit, then the
+	// idle ticks' timer, when IdleTimeout is set.
+	timer *time.Timer
 }
 
 // implants is the number of implants the session's world holds (or will).
-func (sess *session) implants() int { return 1 + sess.opt.ExtraIMDs }
+func (sess *session) implants() int { return 1 + sess.h.opt.ExtraIMDs }
 
 // world returns the session's world, building it on first use and
 // counting the build. Only the executor calls it, for a request that
@@ -805,7 +671,7 @@ func (sess *session) implants() int { return 1 + sess.opt.ExtraIMDs }
 // it is built moves no result.
 func (s *Server) world(sess *session) *testbed.World {
 	if sess.world == nil {
-		sess.world = testbed.NewWorld(testbed.NewScenario(sess.opt))
+		sess.world = testbed.NewWorld(testbed.NewScenario(sess.h.opt))
 		s.met.TotalWorlds.Add(1)
 	}
 	return sess.world
@@ -943,11 +809,11 @@ func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.Experim
 // handleMetrics builds the session's STATUS-METRICS frame: the session's
 // counters and its link's, then the server's under metrics.ServerScope.
 func (s *Server) handleMetrics(sess *session) wire.Message {
-	resp := &wire.MetricsResp{SessionID: sess.id}
+	resp := &wire.MetricsResp{SessionID: sess.h.id}
 	add := func(name string, v uint64) {
 		resp.Counters = append(resp.Counters, wire.Counter{Name: name, Value: v})
 	}
-	link, srv := sess.link.Stats(), s.Metrics()
+	link, srv := sess.h.link.Stats(), s.Metrics()
 	metrics.Each(&sess.met, "", add)
 	metrics.Each(&link, "", add)
 	metrics.Each(&srv, metrics.ServerScope, add)

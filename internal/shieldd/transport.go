@@ -9,8 +9,8 @@ import (
 	"heartshield/internal/wire/dgram"
 )
 
-// transportConn is the frame transport the handshake and session loops
-// of both ends are written against. The transport decides two things
+// transportConn is the frame transport the read loops of both ends are
+// written against. The transport decides two things
 // and nothing else:
 //
 //   - framing: how a plaintext handshake frame is marked — by position
@@ -28,7 +28,6 @@ type transportConn interface {
 	// writeFrame sends one sealed session frame.
 	writeFrame(payload []byte) error
 	close() error
-	setReadDeadline(t time.Time) error
 	unreliable() bool
 }
 
@@ -53,11 +52,10 @@ func (s *streamConn) readFrame() ([]byte, bool, error) {
 	return p, true, err
 }
 
-func (s *streamConn) writeHandshake(p []byte) error     { return wire.WriteFrame(s.c, p) }
-func (s *streamConn) writeFrame(p []byte) error         { return wire.WriteFrame(s.c, p) }
-func (s *streamConn) close() error                      { return s.c.Close() }
-func (s *streamConn) setReadDeadline(t time.Time) error { return s.c.SetReadDeadline(t) }
-func (s *streamConn) unreliable() bool                  { return false }
+func (s *streamConn) writeHandshake(p []byte) error { return wire.WriteFrame(s.c, p) }
+func (s *streamConn) writeFrame(p []byte) error     { return wire.WriteFrame(s.c, p) }
+func (s *streamConn) close() error                  { return s.c.Close() }
+func (s *streamConn) unreliable() bool              { return false }
 
 // packetTC adapts a dgram frame connection (client Conn or server
 // PeerConn): one datagram per frame, kind byte distinguishing plaintext
@@ -74,11 +72,10 @@ func (p *packetTC) readFrame() ([]byte, bool, error) {
 	return payload, kind == dgram.KindHandshake, nil
 }
 
-func (p *packetTC) writeHandshake(b []byte) error     { return p.fc.WriteFrame(dgram.KindHandshake, b) }
-func (p *packetTC) writeFrame(b []byte) error         { return p.fc.WriteFrame(dgram.KindSealed, b) }
-func (p *packetTC) close() error                      { return p.fc.Close() }
-func (p *packetTC) setReadDeadline(t time.Time) error { return p.fc.SetReadDeadline(t) }
-func (p *packetTC) unreliable() bool                  { return true }
+func (p *packetTC) writeHandshake(b []byte) error { return p.fc.WriteFrame(dgram.KindHandshake, b) }
+func (p *packetTC) writeFrame(b []byte) error     { return p.fc.WriteFrame(dgram.KindSealed, b) }
+func (p *packetTC) close() error                  { return p.fc.Close() }
+func (p *packetTC) unreliable() bool              { return true }
 
 // armLink applies the session-link hardening both ends agree on to a
 // freshly derived link: the receive window and the rekey ratchet.

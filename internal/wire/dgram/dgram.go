@@ -34,7 +34,6 @@ package dgram
 import (
 	"errors"
 	"net"
-	"os"
 	"sync"
 	"time"
 )
@@ -122,8 +121,6 @@ type FrameConn interface {
 	WriteFrame(kind byte, payload []byte) error
 	// Close releases the connection; blocked reads unblock.
 	Close() error
-	// SetReadDeadline bounds blocked and future ReadFrame calls.
-	SetReadDeadline(t time.Time) error
 }
 
 // Conn is the client side of a datagram session: a dedicated packet
@@ -294,7 +291,6 @@ func (l *Listener) readLoop() {
 				key:    key,
 				inbox:  make(chan frame, peerInboxCap),
 				closed: make(chan struct{}),
-				dlCh:   make(chan struct{}),
 			}
 			l.mu.Lock()
 			if l.closed {
@@ -320,16 +316,21 @@ func (l *Listener) readLoop() {
 	}
 }
 
-// fail poisons the listener and wakes Accept.
-func (l *Listener) fail(err error) {
+// fail closes the listener for err: it wakes Accept and closes every
+// peer. It reports whether the listener was still open.
+func (l *Listener) fail(err error) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return
+		return false
 	}
-	l.closed = true
-	l.err = err
+	l.closed, l.err = true, err
 	close(l.done)
+	for _, p := range l.peers {
+		p.closeLocal()
+	}
+	clear(l.peers)
+	return true
 }
 
 // Accept blocks for the next new peer handshake.
@@ -350,21 +351,8 @@ func (l *Listener) Accept() (*PeerConn, error) {
 
 // Close shuts the listener and every peer connection down.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.fail(nil) {
 		return nil
-	}
-	l.closed = true
-	close(l.done)
-	peers := make([]*PeerConn, 0, len(l.peers))
-	for _, p := range l.peers {
-		peers = append(peers, p)
-	}
-	l.peers = map[string]*PeerConn{}
-	l.mu.Unlock()
-	for _, p := range peers {
-		p.closeLocal()
 	}
 	return l.pc.Close()
 }
@@ -391,59 +379,25 @@ type PeerConn struct {
 	key   string
 	inbox chan frame
 
-	mu       sync.Mutex
-	deadline time.Time
-	dlCh     chan struct{}
-	closed   chan struct{}
-	isClosed bool
+	once   sync.Once
+	closed chan struct{}
 }
 
 var _ FrameConn = (*PeerConn)(nil)
 
-// ReadFrame returns the next frame this peer sent, honoring the read
-// deadline (deadline expiry returns os.ErrDeadlineExceeded via the
-// timeout error the net package uses).
+// ReadFrame returns the next frame this peer sent, or net.ErrClosed
+// once the peer is closed, even with frames still queued.
 func (p *PeerConn) ReadFrame() (byte, []byte, error) {
-	for {
-		select {
-		case <-p.closed:
-			return 0, nil, net.ErrClosed
-		default:
-		}
-		p.mu.Lock()
-		deadline, dlCh := p.deadline, p.dlCh
-		p.mu.Unlock()
-
-		var timer *time.Timer
-		var timeout <-chan time.Time
-		if !deadline.IsZero() {
-			d := time.Until(deadline)
-			if d <= 0 {
-				return 0, nil, errDeadline
-			}
-			timer = time.NewTimer(d)
-			timeout = timer.C
-		}
-
+	select {
+	case <-p.closed:
+	default:
 		select {
 		case f := <-p.inbox:
-			if timer != nil {
-				timer.Stop()
-			}
 			return f.kind, f.payload, nil
 		case <-p.closed:
-			if timer != nil {
-				timer.Stop()
-			}
-			return 0, nil, net.ErrClosed
-		case <-timeout:
-			return 0, nil, errDeadline
-		case <-dlCh:
-			if timer != nil {
-				timer.Stop()
-			}
 		}
 	}
+	return 0, nil, net.ErrClosed
 }
 
 // WriteFrame sends one frame back to the peer through the listener's
@@ -471,41 +425,8 @@ func (p *PeerConn) Close() error {
 }
 
 // closeLocal closes without touching the listener map (used by
-// Listener.Close, which holds its own lock).
-func (p *PeerConn) closeLocal() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.isClosed {
-		return
-	}
-	p.isClosed = true
-	close(p.closed)
-}
-
-// SetReadDeadline bounds blocked and future ReadFrame calls.
-func (p *PeerConn) SetReadDeadline(t time.Time) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.deadline = t
-	close(p.dlCh)
-	p.dlCh = make(chan struct{})
-	return nil
-}
+// Listener.fail, which holds the listener's lock).
+func (p *PeerConn) closeLocal() { p.once.Do(func() { close(p.closed) }) }
 
 // RemoteAddr returns the peer's address.
 func (p *PeerConn) RemoteAddr() net.Addr { return p.addr }
-
-// errDeadline mirrors the net package's deadline error so callers can
-// use errors.Is(err, os.ErrDeadlineExceeded).
-var errDeadline = deadlineError{}
-
-type deadlineError struct{}
-
-func (deadlineError) Error() string   { return "dgram: read deadline exceeded" }
-func (deadlineError) Timeout() bool   { return true }
-func (deadlineError) Temporary() bool { return true }
-
-// Is makes errors.Is(err, os.ErrDeadlineExceeded) true.
-func (deadlineError) Is(target error) bool {
-	return target == os.ErrDeadlineExceeded
-}

@@ -160,7 +160,7 @@ func DialUDP(addr string, secret []byte, opt DialOptions) (*RemoteSimulation, er
 // DialPacket opens a datagram session over an established packet socket
 // against the server at peer — the transport-agnostic form of DialUDP,
 // used to run sessions through in-process fault-injection networks. The
-// client becomes the socket's sole reader.
+// client becomes the socket's sole reader; a failed handshake closes pc.
 func DialPacket(pc net.PacketConn, peer net.Addr, secret []byte, opt DialOptions) (*RemoteSimulation, error) {
 	c, err := shieldd.NewPacketClient(pc, peer, secret, opt.session())
 	if err != nil {
