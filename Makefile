@@ -203,7 +203,7 @@ staticcheck-install:
 # alternative that names no test runs nothing and passes, so race (and
 # chaos-soak, for SOAK_TESTS) first fails on any alternative that
 # matches no test of ./internal/shieldd.
-RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestMachineRules|TestClientMachineRules|TestHelloMachineRules|TestPreAuthLimit|TestLateRetransmitFillsGap|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionBuildsNoWorld|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
+RACE_REPEAT_TESTS = TestPipelined|TestLedgerRules|TestMachineRules|TestClientMachineRules|TestHelloMachineRules|TestPreAuthLimit|TestLateRetransmitFillsGap|TestByeBehindFullWindow|TestRequestBeyondWindowDropped|TestCompletedCallLeavesRetrySchedule|TestSessionMatchesInProcessSimulation|TestWorldlessSessionBuildsNoWorld|TestBusyFirstExchangeBuildsNoWorld|TestServerGoroutineHygiene|TestClientSessionGoroutines
 race:
 	@names=$$($(GO) test -list . ./internal/shieldd) || { echo "$$names"; exit 1; }; \
 	list='$(RACE_REPEAT_TESTS)'; set -f; IFS='|'; for alt in $$list; do \

@@ -2,6 +2,7 @@ package shieldd_test
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 // address to "server".
 type rawPeer struct {
 	t  *testing.T
+	ep net.PacketConn
 	dc *dgram.Conn
 	// skipped collects the handshake messages request read past while
 	// it waited for its response.
@@ -35,12 +37,12 @@ func newRawPeer(t *testing.T, nw *faultnet.Network, addr string) *rawPeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ep.Close() })
-	return &rawPeer{t: t, dc: dgram.NewConn(ep, faultnet.Addr("server"))}
+	return &rawPeer{t: t, ep: ep, dc: dgram.NewConn(ep, faultnet.Addr("server"))}
 }
 
 // read returns the next frame, or ok=false when none arrives within d.
 func (p *rawPeer) read(d time.Duration) (kind byte, payload []byte, ok bool) {
-	_ = p.dc.SetReadDeadline(time.Now().Add(d))
+	_ = p.ep.SetReadDeadline(time.Now().Add(d))
 	kind, payload, err := p.dc.ReadFrame()
 	return kind, payload, err == nil
 }

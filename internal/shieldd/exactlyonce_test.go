@@ -13,16 +13,13 @@ import (
 	"heartshield/internal/wire/dgram"
 )
 
-// ask sends msg with request ID id and cumulative report cum from a raw
-// datagram peer, and returns the response to id, or nil when none comes
-// back within five seconds.
-func ask(p *rawPeer, link *securelink.Link, id, cum uint64, msg wire.Message) wire.Message {
-	p.t.Helper()
-	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(id, 0, cum, msg)))
+// answer returns the ID and message of the next answer a raw datagram
+// peer reads, or ok=false when none comes back within five seconds.
+func answer(p *rawPeer, link *securelink.Link) (id uint64, m wire.Message, ok bool) {
 	for {
 		kind, payload, ok := p.read(5 * time.Second)
 		if !ok {
-			return nil
+			return 0, nil, false
 		}
 		if kind != dgram.KindSealed {
 			continue
@@ -31,22 +28,39 @@ func ask(p *rawPeer, link *securelink.Link, id, cum uint64, msg wire.Message) wi
 		if err != nil {
 			continue
 		}
-		if rid, _, _, m, err := wire.DecodeEnvelopeV3(plain); err == nil && rid == id {
+		if id, _, _, m, err := wire.DecodeEnvelopeV3(plain); err == nil {
+			return id, m, true
+		}
+	}
+}
+
+// ask sends msg with request ID id and cumulative report cum from a raw
+// datagram peer, and returns the response to id, or nil when none comes
+// back within five seconds.
+func ask(p *rawPeer, link *securelink.Link, id, cum uint64, msg wire.Message) wire.Message {
+	p.t.Helper()
+	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(id, 0, cum, msg)))
+	for {
+		rid, m, ok := answer(p, link)
+		if !ok {
+			return nil
+		}
+		if rid == id {
 			return m
 		}
 	}
 }
 
 // TestLateRetransmitFillsGap: an ordered request lost on its first send
-// must execute when its retransmit lands after far more than
-// dedupCacheCap (256) later requests were answered above it. The
-// session ledger judges an ID by its cursor, the lowest ID not yet
-// sequenced: an ID at the cursor with no record is fresh however far
-// ahead the other IDs ran. A horizon measured from the highest ID seen
-// dropped every retransmit of the gap instead, and every later ordered
-// request waited behind it forever.
+// must execute when its retransmit lands after the rest of its window
+// was answered above it, the widest gap a client that keeps the window
+// can leave. The session ledger judges an ID by its cursor, the lowest
+// ID not yet sequenced: an ID at the cursor with no record is fresh
+// however many IDs above it were answered. A horizon measured from the
+// highest ID seen dropped every retransmit of the gap instead, and
+// every later ordered request waited behind it forever.
 func TestLateRetransmitFillsGap(t *testing.T) {
-	const pings = 400
+	const window = 16
 	nw := faultnet.New(71, faultnet.Impairment{})
 	defer nw.Close()
 	srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
@@ -54,23 +68,63 @@ func TestLateRetransmitFillsGap(t *testing.T) {
 	link, _, _ := establish(t, p, 7) // request ID 1 is the committing PING
 
 	// Request 2, an EXCHANGE, is lost on the way. The peer runs PINGs
-	// 3..402 one at a time; its honest cumulative report stays at 1.
+	// 3..17, the rest of its window, one at a time; its honest
+	// cumulative report stays at 1.
 	exchange := &wire.ExchangeReq{IMD: 0, Cmd: wire.CmdInterrogate}
-	for id := uint64(3); id < 3+pings; id++ {
+	for id := uint64(3); id < 2+window; id++ {
 		if pong, ok := ask(p, link, id, 1, &wire.Ping{Token: id}).(*wire.Pong); !ok || pong.Token != id {
 			t.Fatalf("PING %d above the gap unanswered", id)
 		}
 	}
 	if _, ok := ask(p, link, 2, 1, exchange).(*wire.ExchangeResp); !ok {
-		t.Fatalf("retransmit of request 2 behind %d answered requests was not executed", pings)
+		t.Fatalf("retransmit of request 2 behind %d answered requests was not executed", window-1)
 	}
 	// The gap is filled: the cursor runs past every answered PING, so the
 	// next ordered request executes at once.
-	if _, ok := ask(p, link, 3+pings, 2+pings, exchange).(*wire.ExchangeResp); !ok {
+	if _, ok := ask(p, link, 2+window, 1+window, exchange).(*wire.ExchangeResp); !ok {
 		t.Fatal("ordered request after the filled gap was not executed")
 	}
 	if got := srv.Metrics().TotalExchanges; got != 2 {
 		t.Errorf("server executed %d exchanges, want 2", got)
+	}
+}
+
+// TestRequestBeyondWindowDropped: a fresh request above the server's
+// window, cursor+16, is dropped unanswered and unrecorded, and its
+// retransmit is answered once the cursor has come within a window of
+// it. A server that took in any fresh ID above its cursor answered such
+// a PING at once and kept a record of it, however far ahead it was, so
+// a peer that never filled its gap could make one session hold an
+// unbounded ledger.
+func TestRequestBeyondWindowDropped(t *testing.T) {
+	const window = 16
+	nw := faultnet.New(74, faultnet.Impairment{})
+	defer nw.Close()
+	srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+	p := newRawPeer(t, nw, "beyond-client")
+	link, _, _ := establish(t, p, 9) // request ID 1 is the committing PING
+
+	// Request 2, an EXCHANGE, is lost on the way, so the server's cursor
+	// stays at 2 and its window ends at 2+16. A PING one beyond it goes
+	// first, then the retransmit of 2.
+	beyond := uint64(3 + window)
+	ping := &wire.Ping{Token: beyond}
+	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(beyond, 0, 1, ping)))
+	p.send(dgram.KindSealed, link.Seal(wire.EncodeEnvelopeV3(2, 0, 1, &wire.ExchangeReq{IMD: 0, Cmd: wire.CmdInterrogate})))
+	id, m, ok := answer(p, link)
+	if !ok {
+		t.Fatal("no answer to the retransmit of request 2")
+	}
+	if _, isResult := m.(*wire.ExchangeResp); id != 2 || !isResult {
+		t.Fatalf("first answer is %T for request %d, want the exchange result for request 2", m, id)
+	}
+	// The cursor is at 3 now, so the PING's retransmit is inside the
+	// window.
+	if pong, ok := ask(p, link, beyond, 2, ping).(*wire.Pong); !ok || pong.Token != beyond {
+		t.Fatal("PING re-sent inside the window was not answered")
+	}
+	if got := srv.Metrics().TotalPings; got != 2 {
+		t.Errorf("server counted %d PINGs, want 2 (the committing PING and the one re-sent)", got)
 	}
 }
 

@@ -12,12 +12,17 @@ import "heartshield/internal/wire"
 // results, and the request sequence is the client's ID assignment, not
 // arrival order.
 //
-// The ledger is one map keyed by request ID and one cursor, the lowest
-// ID not yet sequenced (client IDs start at 1 on every session). An ID
-// is fresh exactly when it is at or above the cursor and has no entry.
-// Any other ID is a duplicate: re-answered from its entry's response
-// once there is one, dropped while it still runs. Below the cursor an ID
-// is never executed again; one without an entry there is dropped.
+// The ledger is one cursor, the lowest ID not yet sequenced (client IDs
+// start at 1 on every session), and a ring of ledgerSlots entries: ID
+// id lives in slot id%ledgerSlots, tagged with its ID. An ID is fresh
+// exactly when it lies in the request window, cursor ≤ id ≤
+// cursor+requestWindow, and its slot does not hold it; a fresh ID takes
+// its slot over from the older ID it held. Any other ID is not fresh.
+// One its slot holds is a duplicate: re-answered from the entry's
+// response once there is one, dropped while it still runs. Any other is
+// dropped: below the cursor an ID is never executed again, and above the
+// window it is dropped unrecorded, so its retransmit is fresh once the
+// cursor has come within a window of it. ID 0 never has an entry.
 //
 // The session machine gives a fresh ID its entry before anything can
 // answer it. An ordered request keeps its message in the entry while it
@@ -25,22 +30,33 @@ import "heartshield/internal/wire"
 // the cursor releases the waiting requests it passes, in ID order. The
 // machine records each final response in its ID's entry as it sends it,
 // so a lost answer can be sent again, from above a gap as well as below
-// the cursor. An entry above the cursor lives until the
-// cursor passes it. Below the cursor the answered entries are the
-// response cache: at most dedupCacheCap of them, oldest evicted first,
-// and pruned by the client's cumulative-delivery report.
+// the cursor, until a later ID takes the slot.
 //
 // The ledger belongs to one session machine and takes no lock.
 type ledger struct {
-	next    uint64 // the cursor
-	entries map[uint64]*ledgerEntry
-	cached  []uint64 // answered IDs below the cursor, oldest first
-	// nwaiting counts the entries holding an ordered request above a gap.
-	nwaiting int
+	next  uint64 // the cursor
+	slots [ledgerSlots]ledgerEntry
 }
+
+// ledgerSlots is the ring's size: one slot per ID of the client's
+// window, and one for its BYE. The server admits a fresh ID only in
+// cursor ≤ id ≤ cursor+requestWindow and drops a fresh request other
+// than the BYE that finds requestWindow requests in flight; a client
+// that keeps the window gives a request ID n only when n ≤
+// report+requestWindow, and its BYE at most one above that. Every ID at
+// or below the report has been sequenced, so the report is below the
+// cursor, and every ID such a client may still send, and every ID the
+// server still holds work for, lies in the client's current window
+// [report+1, report+requestWindow+1]. Those are requestWindow+1
+// consecutive IDs, so no two share a slot: an ID takes over a slot only
+// from one whose answer the client already holds, and no peer can evict
+// an entry waiting above a gap, since every ID the server's window
+// admits shares no slot with another ID at or above the cursor.
+const ledgerSlots = requestWindow + 1
 
 // ledgerEntry is one request ID's record.
 type ledgerEntry struct {
+	id uint64
 	// req is an ordered request waiting above a gap: nil once released,
 	// and for requests sequenced on arrival.
 	req wire.Message
@@ -49,7 +65,7 @@ type ledgerEntry struct {
 }
 
 func newLedger() *ledger {
-	return &ledger{next: 1, entries: make(map[uint64]*ledgerEntry)}
+	return &ledger{next: 1}
 }
 
 // orderedKind reports whether a request kind executes against the
@@ -64,22 +80,24 @@ func orderedKind(kind byte) bool {
 	return false
 }
 
+// slot returns the ring entry of id.
+func (l *ledger) slot(id uint64) *ledgerEntry { return &l.slots[id%ledgerSlots] }
+
 // admit classifies an arriving request ID: fresh means take it in with
 // submit or skip; a non-nil cached means send that response again;
-// neither means drop the duplicate.
+// neither means drop it.
 func (l *ledger) admit(id uint64) (fresh bool, cached wire.Message) {
-	if e, ok := l.entries[id]; ok {
+	if e := l.slot(id); e.id == id {
 		return false, e.resp
 	}
-	return id >= l.next, nil
+	return id >= l.next && id-l.next <= requestWindow, nil
 }
 
 // submit takes in a fresh ordered request and returns the requests now
 // released for execution, in ID order: none while it waits above a gap,
 // else it and the waiting run that directly follows it.
 func (l *ledger) submit(id uint64, req wire.Message) []envelope {
-	l.entries[id] = &ledgerEntry{req: req}
-	l.nwaiting++
+	*l.slot(id) = ledgerEntry{id: id, req: req}
 	return l.advance()
 }
 
@@ -87,7 +105,7 @@ func (l *ledger) submit(id uint64, req wire.Message) []envelope {
 // at once, or run as an experiment) and returns the waiting run its ID
 // releases.
 func (l *ledger) skip(id uint64) []envelope {
-	l.entries[id] = &ledgerEntry{}
+	*l.slot(id) = ledgerEntry{id: id}
 	return l.advance()
 }
 
@@ -95,67 +113,23 @@ func (l *ledger) skip(id uint64) []envelope {
 // waiting requests it passes.
 func (l *ledger) advance() []envelope {
 	var released []envelope
-	for {
-		e, ok := l.entries[l.next]
-		if !ok {
-			return released
-		}
+	for e := l.slot(l.next); e.id == l.next; e = l.slot(l.next) {
 		if e.req != nil {
 			released = append(released, envelope{id: l.next, msg: e.req})
 			e.req = nil
-			l.nwaiting--
-		}
-		if e.resp != nil {
-			l.cache(l.next)
 		}
 		l.next++
 	}
+	return released
 }
 
-// complete records the final response the machine is sending for id.
-// The first response recorded for an ID is the one every duplicate gets.
+// complete records the final response the machine is sending for id, if
+// its slot still holds it: a peer that breaks the window may have given
+// the slot to a later ID while the request ran.
 func (l *ledger) complete(id uint64, resp wire.Message) {
-	e, ok := l.entries[id]
-	if !ok {
-		// ID 0: a malformed envelope, answered outside the ledger's
-		// checks.
-		e = &ledgerEntry{}
-		l.entries[id] = e
+	if e := l.slot(id); e.id == id && id != 0 {
+		e.resp = resp
 	}
-	if e.resp != nil {
-		return
-	}
-	e.resp = resp
-	if id < l.next {
-		l.cache(id)
-	}
-}
-
-// cache files an answered ID below the cursor into the response cache,
-// evicting the oldest beyond dedupCacheCap.
-func (l *ledger) cache(id uint64) {
-	l.cached = append(l.cached, id)
-	if len(l.cached) > dedupCacheCap {
-		delete(l.entries, l.cached[0])
-		l.cached = l.cached[1:]
-	}
-}
-
-// prune forgets the cached responses at or below the client's
-// cumulative-delivery report: the client holds every one of them, so it
-// will never ask again. This keeps the cache to the window's worth of
-// answers a live pipeline can still retransmit into. Entries above the
-// cursor are not in the cache and outlive any report.
-func (l *ledger) prune(cum uint64) {
-	keep := l.cached[:0]
-	for _, id := range l.cached {
-		if id <= cum {
-			delete(l.entries, id)
-		} else {
-			keep = append(keep, id)
-		}
-	}
-	l.cached = keep
 }
 
 // cum is the server's cumulative-progress report: every request ID at or
@@ -168,19 +142,23 @@ func (l *ledger) cum() uint64 {
 // rule does not count their window slots as live work: a client that
 // died with a gap outstanding leaves them held forever, and the session
 // must still be reapable.
-func (l *ledger) waiting() int { return l.nwaiting }
-
-// discard forgets every request waiting above a gap and returns them, so
-// the machine can free the window slots of requests that will never
-// execute (at the BYE, and when the session ends).
-func (l *ledger) discard() []envelope {
-	var out []envelope
-	for id, e := range l.entries {
-		if e.req != nil {
-			out = append(out, envelope{id: id, msg: e.req})
-			delete(l.entries, id)
+func (l *ledger) waiting() int {
+	n := 0
+	for i := range l.slots {
+		if l.slots[i].req != nil {
+			n++
 		}
 	}
-	l.nwaiting = 0
-	return out
+	return n
+}
+
+// discard drops every request waiting above a gap and returns how many
+// there were, so the machine can free the window slots of requests that
+// will never execute (at the BYE, and when the session ends).
+func (l *ledger) discard() int {
+	n := l.waiting()
+	for i := range l.slots {
+		l.slots[i].req = nil
+	}
+	return n
 }

@@ -2,16 +2,15 @@ package shieldd
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"heartshield/internal/wire"
 )
 
 // ledgerOp is one call on a session ledger and the result it must give,
-// as text: admit gives "fresh", "cached" or "drop"; submit, skip and
-// discard give the released request IDs (discard's sorted); complete
-// and prune give "".
+// as text: admit gives "fresh", "cached" or "drop"; submit and skip give
+// the released request IDs; discard gives how many it dropped; complete
+// gives "".
 type ledgerOp struct {
 	call string
 	id   uint64
@@ -52,12 +51,8 @@ func runLedgerOp(l *ledger, op ledgerOp) string {
 		return fmt.Sprint(ids(l.skip(op.id)))
 	case "complete":
 		l.complete(op.id, &wire.Pong{Token: op.id})
-	case "prune":
-		l.prune(op.id)
 	case "discard":
-		out := ids(l.discard())
-		slices.Sort(out)
-		return fmt.Sprint(out)
+		return fmt.Sprint(l.discard())
 	default:
 		panic("unknown ledger call " + op.call)
 	}
@@ -66,7 +61,7 @@ func runLedgerOp(l *ledger, op ledgerOp) string {
 
 // TestLedgerRules drives the session ledger directly through its rules:
 // which IDs are fresh, what happens to duplicates, release order above
-// a gap, and what the response cache may forget.
+// a gap, and which records a later ID takes over.
 func TestLedgerRules(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -85,33 +80,35 @@ func TestLedgerRules(t *testing.T) {
 			{"submit", 1, "[1]"}, {"complete", 1, ""}, {"admit", 1, "cached"},
 			{"skip", 3, "[]"}, {"complete", 3, ""}, {"admit", 3, "cached"}, // above a gap
 		}},
-		{"an unseen ID below the cursor is dropped", []ledgerOp{
-			{"admit", 0, "drop"},
-			{"skip", 1, "[]"}, {"skip", 2, "[]"}, {"complete", 2, ""},
-			{"prune", 2, ""}, {"admit", 2, "drop"}, {"admit", 3, "fresh"},
-		}},
+		{"an unseen ID below the cursor is dropped", append(append([]ledgerOp{{"admit", 0, "drop"}},
+			answered(1, 1+ledgerSlots)...),
+			ledgerOp{"admit", 1, "drop"}, // below the cursor: 1+ledgerSlots took its slot
+			ledgerOp{"admit", 2, "cached"},
+			ledgerOp{"admit", 2 + ledgerSlots, "fresh"},
+			ledgerOp{"complete", 0, ""}, ledgerOp{"admit", 0, "drop"}, // ID 0 has no entry
+		)},
 		{"ordered IDs above a gap are released in ID order when it fills", []ledgerOp{
 			{"submit", 3, "[]"}, {"submit", 2, "[]"}, {"skip", 4, "[]"}, {"submit", 5, "[]"},
 			{"submit", 1, "[1 2 3 5]"}, {"submit", 7, "[]"}, {"skip", 6, "[7]"},
 		}},
-		{"a gap stays fresh behind more answered IDs than the cache holds", append(answered(2, 2+dedupCacheCap+100),
-			ledgerOp{"admit", 2, "cached"}, // above the cursor: never evicted
+		{"an ID above cursor+requestWindow is not fresh", append(answered(2, requestWindow),
+			ledgerOp{"submit", 1 + requestWindow, "[]"}, // the BYE's slot, at the window's top
+			ledgerOp{"admit", 2 + requestWindow, "drop"},
+			ledgerOp{"admit", 1_000_000, "drop"},
+			ledgerOp{"admit", 2, "cached"}, // above the cursor: its slot is its own
 			ledgerOp{"admit", 1, "fresh"},
-			ledgerOp{"submit", 1, "[1]"},
-			ledgerOp{"admit", 2, "drop"}, // below the cursor: the cap evicted it
-			ledgerOp{"admit", 2 + dedupCacheCap + 100, "cached"},
-			ledgerOp{"admit", 3 + dedupCacheCap + 100, "fresh"},
+			ledgerOp{"submit", 1, fmt.Sprintf("[1 %d]", 1+requestWindow)},
+			ledgerOp{"admit", 2 + requestWindow, "fresh"},
+			ledgerOp{"admit", 2 + 2*requestWindow, "fresh"},
+			ledgerOp{"admit", 3 + 2*requestWindow, "drop"},
 		)},
-		{"prune forgets only answered IDs below the cursor", []ledgerOp{
-			{"skip", 1, "[]"}, {"complete", 1, ""}, {"skip", 3, "[]"}, {"complete", 3, ""},
-			{"prune", 3, ""}, {"admit", 1, "drop"}, {"admit", 3, "cached"},
-			{"submit", 2, "[2]"}, {"complete", 2, ""},
-			{"prune", 2, ""}, {"admit", 2, "drop"}, {"admit", 3, "cached"},
-			{"prune", 3, ""}, {"admit", 3, "drop"},
+		{"a completion after a later ID took the slot is not recorded", []ledgerOp{
+			{"skip", 1, "[]"}, {"skip", 1 + ledgerSlots, "[]"},
+			{"complete", 1, ""}, {"admit", 1, "drop"}, {"admit", 1 + ledgerSlots, "drop"},
 		}},
 		{"discard returns every waiting request", []ledgerOp{
 			{"submit", 2, "[]"}, {"skip", 3, "[]"}, {"submit", 5, "[]"}, {"submit", 4, "[]"},
-			{"discard", 0, "[2 4 5]"}, {"discard", 0, "[]"}, {"admit", 3, "drop"},
+			{"discard", 0, "3"}, {"discard", 0, "0"}, {"admit", 3, "drop"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,15 +24,19 @@ import (
 //
 // The rules it keeps:
 //
+//   - The ledger admits request IDs: a fresh ID, one in the window
+//     cursor ≤ id ≤ cursor+requestWindow that it holds no entry for, is
+//     taken in, a duplicate of a running request is dropped, and a
+//     duplicate of an answered one is answered again from its record on
+//     an unreliable transport — on a stream nothing is lost or
+//     duplicated, so a duplicate there comes from a misbehaving client
+//     and is dropped. An ID above the window is dropped unrecorded.
 //   - Every fresh request takes one of requestWindow in-flight slots
-//     until it is answered (or dropped unanswered). A fresh request that
-//     arrives with the window full is parked until a slot frees, and the
-//     shell reads no further frame meanwhile: backpressure, not an error.
-//   - The ledger admits request IDs: a fresh ID is taken in, a duplicate
-//     of a running request is dropped, and a duplicate of an answered one
-//     is answered again from its record on an unreliable transport — on a
-//     stream nothing is lost or duplicated, so a duplicate there comes
-//     from a misbehaving client and is dropped.
+//     until it is answered (or dropped unanswered). A fresh request
+//     that finds every slot taken is dropped unrecorded, so its
+//     retransmit is fresh once a slot frees. A client that keeps the
+//     window never meets either drop: its requests in flight all lie in
+//     its window, whose top slot only its BYE takes.
 //   - Ordered ops (EXCHANGE, BATCH-EXCHANGE, ATTACK) are released as the
 //     ledger's cursor passes them, take a slot of the global work budget
 //     at release (or are answered BUSY), and execute one at a time in ID
@@ -45,8 +49,8 @@ import (
 //     and its reply is the session's last frame. The client sends its
 //     BYE outside its window, so the BYE's slot is outside the window
 //     here too: a BYE that follows a full window of requests waiting on
-//     a lost one must not leave the retransmit that fills the gap parked
-//     forever. A session takes one BYE.
+//     a lost one must not leave the retransmit that fills the gap no
+//     slot to take. A session takes one BYE.
 //   - An idle tick reaps a session that has had no request for the idle
 //     timeout and runs no live work. Requests waiting above a gap are not
 //     live: a client that died with a gap outstanding leaves them waiting
@@ -65,9 +69,6 @@ type sessionMachine struct {
 	executing uint64
 	// experiments counts the experiments running.
 	experiments int
-	// parked is the fresh request waiting for a window slot; a nil msg is
-	// a malformed envelope.
-	parked *envelope
 	// bye is the ID of the session's BYE once admitted, or 0;
 	// byeReleased is set once the ledger releases it.
 	bye         uint64
@@ -150,7 +151,6 @@ type envelope struct {
 }
 
 // request takes one authenticated request plaintext that arrived at now.
-// The shell must not call it while stalled reports true.
 func (m *sessionMachine) request(plain []byte, now time.Time) []action {
 	m.acts = m.acts[:0]
 	if m.over {
@@ -159,12 +159,9 @@ func (m *sessionMachine) request(plain []byte, now time.Time) []action {
 	// Only a frame that opens is activity: the client's address is
 	// spoofable, so anything else must not hold the session open.
 	m.lastActive = now
-	id, flags, cum, req, err := wire.DecodeEnvelopeV3(plain)
+	id, flags, _, req, err := wire.DecodeEnvelopeV3(plain)
 	if err == nil && flags != 0 {
 		req, err = nil, wire.ErrInvalid // requests carry no flags
-	}
-	if err == nil {
-		m.l.prune(cum)
 	}
 	// Authentic but malformed: answered, and the session lives on. An
 	// envelope too short to carry an ID is answered as ID 0, outside the
@@ -182,11 +179,7 @@ func (m *sessionMachine) request(plain []byte, now time.Time) []action {
 		}
 	}
 	_, isBye := req.(*wire.Bye)
-	if m.byeReleased || isBye && m.bye != 0 {
-		return m.acts
-	}
-	if !isBye && m.windowFull() {
-		m.parked = &envelope{id: id, msg: req}
+	if m.byeReleased || isBye && m.bye != 0 || !isBye && m.windowFull() {
 		return m.acts
 	}
 	m.admit(id, req)
@@ -239,15 +232,14 @@ func (m *sessionMachine) tick(now time.Time) []action {
 }
 
 // end takes the end of the transport (or of the session, when the
-// machine itself reaps it). The requests waiting above a gap, parked, or
-// queued for the executor are dropped unanswered, returning their slots
-// and budget; work still running finishes silently.
+// machine itself reaps it). The requests waiting above a gap or queued
+// for the executor are dropped unanswered, returning their slots and
+// budget; work still running finishes silently.
 func (m *sessionMachine) end() {
 	if m.over {
 		return
 	}
 	m.over = true
-	m.parked = nil
 	for range m.l.discard() {
 		m.cfg.met.LeaveFlight()
 	}
@@ -260,10 +252,6 @@ func (m *sessionMachine) end() {
 		m.cfg.met.LeaveFlight()
 	}
 }
-
-// stalled reports whether a request is parked: the shell reads no
-// further frame until an event frees a slot or ends the session.
-func (m *sessionMachine) stalled() bool { return m.parked != nil }
 
 // working reports whether an ordered op or an experiment is running.
 // Teardown waits for both, so it adds the link's counters and frees the
@@ -345,14 +333,9 @@ func (m *sessionMachine) sequence(rel []envelope) {
 }
 
 // settle runs after every event that can free a slot or queue an op:
-// it admits the parked request if a slot is free, hands the next queued
-// op to the executor if none is running, and answers a released BYE
-// once it is the only request in flight.
+// it hands the next queued op to the executor if none is running, and
+// answers a released BYE once it is the only request in flight.
 func (m *sessionMachine) settle() {
-	if p := m.parked; p != nil && !m.windowFull() {
-		m.parked = nil
-		m.admit(p.id, p.msg)
-	}
 	if m.executing == 0 && len(m.queue) > 0 {
 		e := m.queue[0]
 		m.queue = m.queue[:copy(m.queue, m.queue[1:])]

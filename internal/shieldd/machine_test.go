@@ -202,7 +202,7 @@ func transportEnds() func(*machineRig) []action {
 
 // rigState renders what the rule tables check besides actions.
 func rigState(r *machineRig) string {
-	return fmt.Sprintf("inflight=%d budget=%d parked=%v", r.met.InFlight(), r.used, r.m.stalled())
+	return fmt.Sprintf("inflight=%d budget=%d", r.met.InFlight(), r.used)
 }
 
 // TestMachineRules drives the session machine directly, in virtual
@@ -220,13 +220,13 @@ func TestMachineRules(t *testing.T) {
 			{ev: tickAfter(rigIdle - time.Millisecond), want: ""},
 			{ev: rq(2, reqPing), want: "send 2 pong"},
 			{ev: tickAfter(rigIdle - time.Millisecond), want: ""},
-			{ev: tickAfter(time.Millisecond), want: "reap", state: "inflight=0 budget=0 parked=false"},
+			{ev: tickAfter(time.Millisecond), want: "reap", state: "inflight=0 budget=0"},
 			{ev: rq(3, reqPing), want: ""},
 		}},
 		{name: "requests waiting above a gap are not live work", steps: []machineStep{
 			{ev: rq(2, reqExchange), want: ""},
-			{ev: rq(3, reqBye), want: "", state: "inflight=2 budget=0 parked=false"},
-			{ev: tickAfter(rigIdle), want: "reap", state: "inflight=0 budget=0 parked=false"},
+			{ev: rq(3, reqBye), want: "", state: "inflight=2 budget=0"},
+			{ev: tickAfter(rigIdle), want: "reap", state: "inflight=0 budget=0"},
 			{ev: rq(1, reqExchange), want: ""},
 		}},
 		{name: "a running experiment or op is live work", steps: []machineStep{
@@ -240,72 +240,78 @@ func TestMachineRules(t *testing.T) {
 			{ev: tickAfter(rigIdle), want: "reap"},
 		}},
 		{name: "an ordered op refused the work budget is answered BUSY and lets the cursor pass", budget: 1, steps: []machineStep{
-			{ev: rq(1, reqExperiment), want: "start 1", state: "inflight=1 budget=1 parked=false"},
+			{ev: rq(1, reqExperiment), want: "start 1", state: "inflight=1 budget=1"},
 			{ev: rq(3, reqExchange), want: ""},
-			{ev: rq(2, reqExchange), want: "send 2 busy; send 3 busy", state: "inflight=1 budget=1 parked=false"},
+			{ev: rq(2, reqExchange), want: "send 2 busy; send 3 busy", state: "inflight=1 budget=1"},
 			{ev: rq(4, reqBatch), want: "send 4 busy"},
-			{ev: finished(1), want: "send 1 experiment", state: "inflight=0 budget=0 parked=false"},
-			{ev: rq(5, reqExchange), want: "exec 5", state: "inflight=1 budget=1 parked=false"},
+			{ev: finished(1), want: "send 1 experiment", state: "inflight=0 budget=0"},
+			{ev: rq(5, reqExchange), want: "exec 5", state: "inflight=1 budget=1"},
 			{ev: rq(6, reqExperiment), want: "send 6 busy"},
-			{ev: executed(5), want: "send 5 result", state: "inflight=0 budget=0 parked=false"},
+			{ev: executed(5), want: "send 5 result", state: "inflight=0 budget=0"},
 		}},
 		{name: "ordered ops execute one at a time in ID order", steps: []machineStep{
 			{ev: rq(2, reqBatch), want: ""},
 			{ev: rq(4, reqAttack), want: ""},
 			{ev: rq(3, reqPing), want: "send 3 pong"},
-			{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=3 budget=3 parked=false"},
+			{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=3 budget=3"},
 			{ev: executed(1), want: "send 1 result; exec 2"},
 			{ev: executed(2), want: "send 2 result; exec 4"},
-			{ev: executed(4), want: "send 4 result", state: "inflight=0 budget=0 parked=false"},
+			{ev: executed(4), want: "send 4 result", state: "inflight=0 budget=0"},
 		}},
 		{name: "the BYE waits to be the only request in flight and its reply is last", steps: []machineStep{
 			{ev: rq(1, reqExperiment), want: "start 1"},
 			{ev: rq(2, reqExchange), want: "exec 2"},
 			{ev: rq(3, reqBye), want: ""},
-			{ev: rq(4, reqPing), want: "", state: "inflight=3 budget=2 parked=false"},
+			{ev: rq(4, reqPing), want: "", state: "inflight=3 budget=2"},
 			{ev: executed(2), want: "send 2 result"},
 			{ev: partial(1), want: "send 1 progress"},
-			{ev: finished(1), want: "send 1 experiment; send 3 bye; close", state: "inflight=0 budget=0 parked=false"},
+			{ev: finished(1), want: "send 1 experiment; send 3 bye; close", state: "inflight=0 budget=0"},
 			{ev: rq(1, reqExperiment), want: ""},
 			{ev: tickAfter(2 * rigIdle), want: ""},
 		}},
 		{name: "ordered ops released above the BYE are dropped unanswered", steps: []machineStep{
 			{ev: rq(2, reqBye), want: ""},
 			{ev: rq(3, reqExchange), want: ""},
-			{ev: rq(5, reqAttack), want: "", state: "inflight=3 budget=0 parked=false"},
-			{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=2 budget=1 parked=false"},
+			{ev: rq(5, reqAttack), want: "", state: "inflight=3 budget=0"},
+			{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=2 budget=1"},
 			{ev: rq(4, reqPing), want: ""},
-			{ev: executed(1), want: "send 1 result; send 2 bye; close", state: "inflight=0 budget=0 parked=false"},
+			{ev: executed(1), want: "send 1 result; send 2 bye; close", state: "inflight=0 budget=0"},
 		}},
-		{name: "a fresh request beyond the window is parked until a slot frees", steps: append(
+		{name: "a fresh request that meets a full window is dropped, and its retransmit after a slot frees is admitted", steps: append(
 			startExperiments(1, requestWindow),
-			machineStep{ev: rq(requestWindow+1, reqPing), want: "", state: "inflight=16 budget=16 parked=true"},
-			machineStep{ev: partial(3), want: "send 3 progress", state: "inflight=16 budget=16 parked=true"},
-			machineStep{ev: finished(3), want: "send 3 experiment; send 17 pong", state: "inflight=15 budget=15 parked=false"},
+			machineStep{ev: rq(requestWindow+1, reqPing), want: "", state: "inflight=16 budget=16"},
+			machineStep{ev: partial(3), want: "send 3 progress", state: "inflight=16 budget=16"},
+			machineStep{ev: finished(3), want: "send 3 experiment", state: "inflight=15 budget=15"},
+			machineStep{ev: rq(requestWindow+1, reqPing), want: "send 17 pong", state: "inflight=15 budget=15"},
 			machineStep{ev: rq(requestWindow+2, reqExchange), want: "exec 18"},
-			machineStep{ev: rq(requestWindow+3, reqAttack), want: "", state: "inflight=16 budget=16 parked=true"},
-			machineStep{ev: executed(requestWindow + 2), want: "send 18 result; exec 19", state: "inflight=16 budget=16 parked=false"},
+			machineStep{ev: rq(requestWindow+3, reqAttack), want: "", state: "inflight=16 budget=16"},
+			machineStep{ev: executed(requestWindow + 2), want: "send 18 result", state: "inflight=15 budget=15"},
+			machineStep{ev: rq(requestWindow+3, reqAttack), want: "exec 19", state: "inflight=16 budget=16"},
+		)},
+		{name: "a peer that never sends ID 1 has exactly a window of its PINGs answered", steps: append(
+			pingsAboveGap(2, 100_001, requestWindow+1),
+			machineStep{ev: rq(1, reqPing), want: "send 1 pong", state: "inflight=0 budget=0"},
+			machineStep{ev: rq(requestWindow+2, reqPing), want: "send 18 pong"},
 		)},
 		{name: "the BYE's slot is outside the window", steps: append(
 			waitingAboveGap(2, requestWindow),
-			machineStep{ev: rq(requestWindow+1, reqBye), want: "", state: "inflight=16 budget=0 parked=false"},
+			machineStep{ev: rq(requestWindow+1, reqBye), want: "", state: "inflight=16 budget=0"},
 			machineStep{ev: rq(requestWindow+2, reqBye), want: ""},
-			machineStep{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=17 budget=16 parked=false"},
+			machineStep{ev: rq(1, reqExchange), want: "exec 1", state: "inflight=17 budget=16"},
 		)},
-		{name: "the transport's end drops parked and waiting requests", steps: append(
+		{name: "the transport's end drops waiting requests", steps: append(
 			startExperiments(2, requestWindow),
-			machineStep{ev: rq(requestWindow+1, reqExchange), want: "", state: "inflight=16 budget=15 parked=false"},
-			machineStep{ev: rq(1, reqPing), want: "", state: "inflight=16 budget=15 parked=true"},
-			machineStep{ev: transportEnds(), want: "", state: "inflight=15 budget=15 parked=false"},
-			machineStep{ev: finished(2), want: "", state: "inflight=14 budget=14 parked=false"},
+			machineStep{ev: rq(requestWindow+1, reqExchange), want: "", state: "inflight=16 budget=15"},
+			machineStep{ev: transportEnds(), want: "", state: "inflight=15 budget=15"},
+			machineStep{ev: finished(2), want: "", state: "inflight=14 budget=14"},
 			machineStep{ev: rq(1, reqPing), want: ""},
 		)},
 		{name: "a malformed envelope is answered under its ID, or as ID 0", steps: []machineStep{
-			{ev: rqShort(), want: "send 0 bad", state: "inflight=0 budget=0 parked=false"},
+			{ev: rqShort(), want: "send 0 bad", state: "inflight=0 budget=0"},
 			{ev: rq(2, reqExchange), want: ""},
 			{ev: rq(1, reqMalformed), want: "send 1 bad; exec 2"},
 			{ev: rq(3, reqUnexpected), want: "send 3 bad"},
-			{ev: rq(4, reqOverBound), want: "send 4 bad", state: "inflight=1 budget=1 parked=false"},
+			{ev: rq(4, reqOverBound), want: "send 4 bad", state: "inflight=1 budget=1"},
 			{ev: rqShort(), want: "send 0 bad"},
 		}},
 		{name: "a duplicate is answered again from the ledger, or dropped while it runs", steps: []machineStep{
@@ -345,6 +351,20 @@ func startExperiments(from, to uint64) []machineStep {
 	var steps []machineStep
 	for id := from; id <= to; id++ {
 		steps = append(steps, machineStep{ev: rq(id, reqExperiment), want: fmt.Sprintf("start %d", id)})
+	}
+	return steps
+}
+
+// pingsAboveGap sends PINGs with IDs from..to above the gap below from;
+// those up to answeredTo are answered, the rest dropped above the window.
+func pingsAboveGap(from, to, answeredTo uint64) []machineStep {
+	steps := make([]machineStep, 0, to-from+1)
+	for id := from; id <= to; id++ {
+		want := ""
+		if id <= answeredTo {
+			want = fmt.Sprintf("send %d pong", id)
+		}
+		steps = append(steps, machineStep{ev: rq(id, reqPing), want: want})
 	}
 	return steps
 }

@@ -47,6 +47,11 @@ const (
 	schedTries = 3
 )
 
+// beyondWindow is the lowest ID of the requests the raw op injects
+// before the BYE: far above any ID a schedule reaches, so beyond the
+// server's window whenever it arrives.
+const beyondWindow = 1 << 32
+
 // The addresses of a datagram schedule: the client's, which every
 // reconnect reuses, and another that only ever replays its frames.
 const (
@@ -501,16 +506,11 @@ func (s *schedule) pick(arg int) upFrame {
 
 // deliverable reports whether deliver(0) would do anything.
 func (s *schedule) deliverable() bool {
-	if len(s.uplink) == 0 {
-		return s.reliable && !s.open && s.hs == nil && !s.srv.over
-	}
-	v := s.peer(s.uplink[0].from)
-	return v == nil || !v.r.m.stalled()
+	return len(s.uplink) > 0 || s.reliable && !s.open && s.hs == nil && !s.srv.over
 }
 
 // deliver hands uplink[arg] to the server: to the server side of its
-// address, or through the gate, unless a parked request has stopped
-// that server side's shell reading. A frame reaches a session that has
+// address, or through the gate. A frame reaches a session that has
 // ended only as its reader's last read, once committed. After the last
 // frame of a stream the client closed, the server reads the end of the
 // transport.
@@ -521,16 +521,8 @@ func (s *schedule) deliver(arg int) {
 		}
 		return
 	}
-	i := arg % len(s.uplink)
-	if s.reliable {
-		i = 0
-	}
-	f := s.uplink[i]
+	f := s.pick(arg)
 	v := s.peer(f.from)
-	if v != nil && v.r.m.stalled() {
-		return
-	}
-	s.uplink = slices.Delete(s.uplink, i, i+1)
 	if !s.reliable && !s.proven[f.from] {
 		s.in[f.from] += len(f.b)
 	}
@@ -742,14 +734,15 @@ func (s *schedule) raw(arg int) {
 		}
 		s.seal(p)
 	case 3:
-		// A request above the BYE, as a client that breaks the rules
-		// sends: the server may answer it, or drop it, but never run it
-		// after the BYE, and takes one BYE.
-		if s.byeID == 0 {
-			return
-		}
+		// A request a client that breaks the rules sends: above the BYE,
+		// which the server may answer or drop, but never run after the
+		// BYE, and it takes one BYE; before the BYE, far beyond any
+		// window, which the server drops unrecorded (serverSide.deliver).
 		n := arg >> 2
 		id := s.byeID + 1 + uint64(n)
+		if s.byeID == 0 {
+			id = beyondWindow + uint64(n)
+		}
 		s.srv.rude[id] = true
 		s.seal(requestPlain([4]int{reqExchange, reqPing, reqBye, reqExchange}[n], id, s.cum))
 	}
@@ -937,16 +930,14 @@ func (s *schedule) flush() bool {
 // drain runs the schedule out over lossless links: everything in flight
 // arrives, work completes, the table's slot is freed, reconnects
 // succeed, parked submits try again, timers fire, and the client closes.
-// A server stalled behind requests it will never run (sent above the
-// BYE) is reaped.
 func (s *schedule) drain() {
 	if s.held {
 		s.hello(2)
 	}
 	for round := 0; ; round++ {
 		if round > 100+8*len(s.calls) {
-			s.t.Fatalf("the drain did not converge: %d pending, %d parked, server in flight %d, stalled %v",
-				len(s.c.pending), len(s.parked()), s.srv.r.met.InFlight(), s.srv.r.m.stalled())
+			s.t.Fatalf("the drain did not converge: %d pending, %d parked, server in flight %d",
+				len(s.c.pending), len(s.parked()), s.srv.r.met.InFlight())
 		}
 		did := s.flush()
 		for _, call := range s.parked() {
@@ -958,13 +949,10 @@ func (s *schedule) drain() {
 			s.client(acts)
 		}
 		s.check()
-		switch v := s.srv; {
+		switch {
 		case did:
 		case s.hs != nil || len(s.c.pending) > 0 && !s.armed.IsZero():
 			s.fire(false)
-		case v.r.m.stalled():
-			s.now = s.now.Add(rigIdle)
-			v.apply(v.r.m.tick(s.now))
 		case len(s.c.pending)+len(s.parked()) > 0:
 			s.t.Fatalf("the drain is stuck: %d pending, %d parked", len(s.c.pending), len(s.parked()))
 		case !s.closed:
@@ -1017,8 +1005,10 @@ func (s *schedule) final() {
 // the client's timer and the server's limit timer, end either end of
 // the transport and run or fail reconnects. Every step checks every
 // machine's rules (schedule.client, fresh, finished, commit,
-// handshakeFailed, admit, serverHS, reply and check; serverSide.apply
-// and recordSend): the gate admits only a proven HELLO, a retransmitted
+// handshakeFailed, admit, serverHS, reply and check; serverSide.deliver,
+// checkWindow, apply and recordSend): the server keeps the window the
+// client keeps and holds every request the client still awaits in its
+// ledger, the gate admits only a proven HELLO, a retransmitted
 // HELLO gets its first CHALLENGE2, a ticket resumes once, both ends of a
 // committed handshake hold the same keys, a failed one fails with a
 // typed error, and an address never proven receives at most three times
@@ -1057,8 +1047,9 @@ type serverSide struct {
 	// once it reached the machine, where it holds a slot.
 	bye   uint64
 	byeIn bool
-	// rude holds the IDs injected above the BYE, sent the client's calls
-	// by the ID they took.
+	// rude holds the IDs injected that the client never sends (above the
+	// BYE, or far beyond the window), sent the client's calls by the ID
+	// they took.
 	rude map[uint64]bool
 	sent map[uint64]*callRecord
 	down []envelope
@@ -1078,16 +1069,53 @@ type serverSide struct {
 	pings, retransmits, shed, errors uint64
 }
 
-// deliver hands one request plaintext to the machine.
+// deliver hands one request plaintext to the machine. A request the
+// client sent and still awaits is checked against the window first
+// (checkWindow), and an ID above the window must leave no entry.
 func (v *serverSide) deliver(p []byte, now time.Time) {
-	if id, _, _, _, err := wire.DecodeEnvelopeV3(p); len(p) >= 17 && (err == nil || id != 0) {
-		v.delivered[id] = true
-		for v.delivered[v.undeliv] {
-			v.undeliv++
-		}
-		v.byeIn = v.byeIn || v.bye != 0 && id == v.bye && !v.over
+	id, _, _, msg, err := wire.DecodeEnvelopeV3(p)
+	if err != nil && id == 0 {
+		v.apply(v.r.m.request(p, now))
+		return
 	}
+	v.delivered[id] = true
+	for v.delivered[v.undeliv] {
+		v.undeliv++
+	}
+	v.byeIn = v.byeIn || v.bye != 0 && id == v.bye && !v.over
+	if r := v.sent[id]; r != nil && r.finishes == 0 && bytes.Equal(p, r.call.env) {
+		v.checkWindow(id, msg)
+	}
+	l := v.r.m.l
+	cursor := l.next
 	v.apply(v.r.m.request(p, now))
+	if id > cursor+requestWindow && l.slot(id).id == id {
+		v.t.Fatalf("request %d above the window %d..%d has an entry", id, cursor, cursor+requestWindow)
+	}
+}
+
+// checkWindow checks a request the client sent and still awaits as it
+// reaches the machine. A client that keeps the window sends only IDs in
+// the server's window; such an ID's slot holds it, or, at or above the
+// cursor, an ID below the cursor; and, fresh, it never meets a full
+// window. Only requests the client never sends (rude) can break the
+// last two: one above the BYE may take a slot from an ID whose answer
+// was lost, and hold a window slot while it waits.
+func (v *serverSide) checkWindow(id uint64, msg wire.Message) {
+	t := v.t
+	t.Helper()
+	m, l := v.r.m, v.r.m.l
+	e := l.slot(id)
+	_, isBye := msg.(*wire.Bye)
+	rudeWaiting := slices.ContainsFunc(l.slots[:], func(e ledgerEntry) bool { return v.rude[e.id] && e.req != nil })
+	switch {
+	case id > l.next+requestWindow:
+		t.Fatalf("request %d refused by the window %d..%d", id, l.next, l.next+requestWindow)
+	case e.id != id && !v.rude[e.id] && (id < l.next || e.id >= l.next):
+		t.Fatalf("request %d finds its slot holding %d (cursor %d)", id, e.id, l.next)
+	case e.id != id && id >= l.next && !isBye && !m.over && !m.byeReleased && m.windowFull() && !rudeWaiting:
+		t.Fatalf("request %d meets a full window of %d in flight", id, v.r.met.InFlight())
+	}
 }
 
 // end ends the server's end of the transport; the machine may have
@@ -1160,17 +1188,14 @@ func (v *serverSide) apply(acts []action) {
 		t.Fatalf("in-flight count %d outside 0..%d", n, limit)
 	}
 	l := v.r.m.l
-	if n := len(l.entries); n > requestWindow+dedupCacheCap {
-		t.Fatalf("ledger holds %d entries, more than %d", n, requestWindow+dedupCacheCap)
-	}
 	above := 0
-	for id := range l.entries {
-		if id >= l.next && id != v.bye && !v.rude[id] {
+	for _, e := range l.slots {
+		if e.id >= l.next {
 			above++
 		}
 	}
-	if above > requestWindow {
-		t.Fatalf("ledger holds %d of the client's requests at or above its cursor %d", above, l.next)
+	if above > requestWindow+1 {
+		t.Fatalf("ledger holds %d IDs at or above its cursor %d", above, l.next)
 	}
 	if v.r.budget > 0 && v.r.used > v.r.budget || v.r.used < 0 {
 		t.Fatalf("work budget %d in use of %d", v.r.used, v.r.budget)

@@ -493,9 +493,6 @@ func (sess *session) serve(firstPlain []byte) {
 		if a, ok := sess.run(sess.m.request(plain, time.Now())); ok {
 			go sess.execute(a.env)
 		}
-		for sess.m.stalled() {
-			sess.wake.Wait()
-		}
 		sess.mu.Unlock()
 	}
 	sess.tc.close()
@@ -652,8 +649,8 @@ type session struct {
 
 	mu sync.Mutex
 	m  *sessionMachine
-	// wake wakes the reader when an event unparks a request or lets
-	// teardown finish; the reader is its only waiter.
+	// wake wakes the reader when an event lets teardown finish; the
+	// reader is its only waiter.
 	wake sync.Cond
 	// timer is the handshake's limit timer until the commit, then the
 	// idle ticks' timer, when IdleTimeout is set.

@@ -86,7 +86,7 @@ func armLink(link *securelink.Link) *securelink.Link {
 }
 
 // Session transport parameters: the datagram retry schedule, and the
-// request window and response cache of every session.
+// request window of every session.
 const (
 	// defaultRetryTimeout is the client's initial retransmit timeout.
 	defaultRetryTimeout = 250 * time.Millisecond
@@ -95,22 +95,20 @@ const (
 	defaultMaxRetries = 8
 	// maxRetryBackoff caps the exponential retransmit backoff.
 	maxRetryBackoff = 4 * time.Second
-	// dedupCacheCap bounds the per-session response cache, the answered
-	// requests below the ledger's cursor. It must exceed requestWindow by
-	// enough margin that a response can still be re-sent for any request
-	// the client could plausibly retransmit.
-	dedupCacheCap = 256
 	// requestWindow is the per-session request window, one constant for
 	// both ends: how far above its delivery report a client may give a
 	// fresh request its ID (selective repeat's ID distance: ID n only
-	// when n < report+1+requestWindow) before Go blocks, and how many
-	// in-flight slots the server gives a session before it stops
-	// reading. Only equal windows are safe. With a larger client window,
-	// requests that arrive above a lost datagram can take every server
-	// slot, so the reader never reads the retransmit that would fill the
-	// gap; and a window that counted unanswered calls instead of ID
-	// distance would let answered requests pile up in the server's
-	// ledger above a gap that never fills.
+	// when n < report+1+requestWindow) before Go blocks; how far above
+	// its ledger's cursor the server admits a fresh ID (cursor ≤ id ≤
+	// cursor+requestWindow, the top ID being the BYE's); and how many
+	// in-flight slots the server gives a session before it drops a fresh
+	// request unanswered. Only equal windows are safe. With a larger
+	// client window, requests that arrive above a lost datagram can take
+	// every server slot, so the retransmit that would fill the gap finds
+	// none; and a window that counted unanswered calls instead of ID
+	// distance would let answered requests pile up above a gap that
+	// never fills. The window is also what bounds the server's ledger to
+	// a ring of ledgerSlots entries.
 	requestWindow = 16
 	// fastRetransmitSkips is the selective-repeat dup-ack threshold: when
 	// this many ordered responses with higher IDs have arrived while an

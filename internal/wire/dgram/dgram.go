@@ -35,7 +35,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // Magic is the first byte of every dgram datagram; anything else is not
@@ -173,15 +172,6 @@ func (c *Conn) WriteFrame(kind byte, payload []byte) error {
 
 // Close closes the underlying socket.
 func (c *Conn) Close() error { return c.pc.Close() }
-
-// LocalAddr returns the socket's local address.
-func (c *Conn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
-
-// RemoteAddr returns the fixed peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.peer }
-
-// SetReadDeadline bounds blocked and future ReadFrame calls.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.pc.SetReadDeadline(t) }
 
 // peerInboxCap bounds each peer's queued inbound frames on a listener;
 // overflow drops the frame (unreliable transport semantics — the peer
@@ -356,9 +346,6 @@ func (l *Listener) Close() error {
 	}
 	return l.pc.Close()
 }
-
-// Addr returns the listener's socket address.
-func (l *Listener) Addr() net.Addr { return l.pc.LocalAddr() }
 
 // unregister removes a peer that closed itself, unless a newer peer
 // has since taken over its address: a session's deferred Close can run

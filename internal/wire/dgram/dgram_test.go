@@ -132,12 +132,12 @@ func TestListenerDemuxAndConnFiltering(t *testing.T) {
 		t.Fatalf("demux mixed peers up: %q", peers)
 	}
 
-	_ = a.SetReadDeadline(time.Now().Add(time.Second))
+	_ = apc.SetReadDeadline(time.Now().Add(time.Second))
 	kind, payload, err := a.ReadFrame()
 	if err != nil || kind != dgram.KindSealed || string(payload) != "ack-hello-a" {
 		t.Fatalf("client a read: kind %d payload %q err %v", kind, payload, err)
 	}
-	_ = b.SetReadDeadline(time.Now().Add(time.Second))
+	_ = bpc.SetReadDeadline(time.Now().Add(time.Second))
 	_, payload, err = b.ReadFrame()
 	if err != nil || string(payload) != "ack-hello-b" {
 		t.Fatalf("client b read: payload %q err %v", payload, err)
@@ -257,7 +257,7 @@ func TestListenerGate(t *testing.T) {
 		if err := c.WriteFrame(dgram.KindHandshake, []byte("flood")); err != nil {
 			t.Fatal(err)
 		}
-		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		_ = cpc.SetReadDeadline(time.Now().Add(time.Second))
 		kind, payload, err := c.ReadFrame()
 		if err != nil {
 			t.Fatalf("refusal reply %d: %v", i, err)

@@ -27,10 +27,10 @@
 // of order. EnvPartial marks a non-final response (an
 // EXPERIMENT-PROGRESS frame streamed while the request is still
 // executing); cum carries cumulative progress — the client reports the
-// highest request ID through which every response has been received (the
-// server prunes its dedup ledger below it), and the server reports the
-// highest request ID through which every request has been received and
-// sequenced.
+// highest request ID through which every response has been received, and
+// the server reports the highest request ID through which every request
+// has been received and sequenced. Neither end reads the other's report:
+// the server's ledger is bounded by the request window alone.
 //
 // Message encoding is kind(1) || body, with fixed-width big-endian
 // integers, IEEE-754 bits for floats, and uint32-length-prefixed byte
@@ -853,7 +853,7 @@ const (
 	// EnvPartial marks a response frame that does not complete its
 	// request: more frames for the same id follow (EXPERIMENT-PROGRESS
 	// streaming). The client must not retire the request, and the server
-	// must not record a partial frame in its dedup ledger.
+	// must not record a partial frame in its request ledger.
 	EnvPartial uint8 = 1 << 0
 
 	envFlagsMask = EnvPartial
@@ -863,10 +863,9 @@ const (
 // id(8) || flags(1) || cum(8) || message. The id is the client-chosen
 // request identifier, echoed on responses; cum is the
 // sender's cumulative-progress report — client→server, the highest
-// request ID through which every response has been received (the server
-// may prune its dedup ledger at and below it); server→client, the
-// highest request ID through which every request has been received and
-// sequenced.
+// request ID through which every response has been received;
+// server→client, the highest request ID through which every request has
+// been received and sequenced. No receiver reads it.
 func EncodeEnvelopeV3(id uint64, flags uint8, cum uint64, m Message) []byte {
 	enc := m.Encode()
 	b := make([]byte, 17, 17+len(enc))
