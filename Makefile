@@ -131,6 +131,7 @@ FUZZ_TARGETS = \
 	./internal/phy:FuzzParseFrame \
 	./internal/phy:FuzzBitsRoundTrip \
 	./internal/modem:FuzzReceiveFrame \
+	./internal/stats:FuzzWedgeSqueeze \
 	./internal/wire:FuzzWireDecode \
 	./internal/wire/dgram:FuzzDgramDecode \
 	./internal/securelink:FuzzSecurelinkOpen \
@@ -210,10 +211,10 @@ race:
 		echo "$$names" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -- "$$alt" || \
 			{ echo "RACE_REPEAT_TESTS: $$alt matches no test in ./internal/shieldd"; exit 1; }; \
 	done
-	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram ./internal/channel ./internal/testbed ./internal/shieldcore
+	$(GO) test -race ./internal/shieldd/... ./internal/securelink/... ./internal/experiments/... ./internal/faultnet ./internal/wire/dgram ./internal/channel ./internal/testbed ./internal/shieldcore ./internal/modem
 	$(GO) test -race -count=10 -run '$(RACE_REPEAT_TESTS)' ./internal/shieldd
 	$(GO) test -race -run TestExperimentWorkerDeterminism -count=1 .
-	$(GO) test -race -run 'Plan|RandSource|Stream|Receive|Demod|Sync' ./internal/dsp ./internal/stats ./internal/modem
+	$(GO) test -race -run 'Plan|RandSource|Stream|Receive|Demod|Sync' ./internal/dsp ./internal/stats
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

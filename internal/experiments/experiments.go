@@ -83,15 +83,21 @@ func (c Config) seed(label string) int64 {
 // Work is distributed at trial granularity over cfg.workers() workers.
 // Each worker owns at most one scenario at a time, built with optsAt(p)
 // and prepared with prep (usually testbed.NewWorld: calibration plus the
-// standard adversaries); because a worker's claimed work indices only
-// increase, it crosses each point boundary at most once, so at most
-// points+workers-1 scenarios are built in total. Before fn runs, the
-// engine calls sc.NewTrialAt(trial), which re-derives every random
+// standard adversaries), and builds one whenever its next item lies at
+// another point. Worker k claims the items of its own contiguous share,
+// [k·n/w, (k+1)·n/w) of the n items, in order, and then those left in
+// the other shares, so it meets a new point only at a point boundary
+// inside a share or when it turns to another share: a sweep builds about
+// points+workers-1 scenarios, not one per point per worker. Before fn
+// runs, the engine calls sc.NewTrialAt(trial), which re-derives every random
 // stream from (point seed, trial index) — so fn(p, i) computes the same
 // value on any worker, for any worker count, in any execution order, and
 // the assembled output is byte-identical to the serial run. fn must
 // confine itself to its own scenario and its per-trial streams (no
-// cross-trial state).
+// cross-trial state), and its result must hold no sample buffer: a
+// worker ends a scenario's last trial (Medium.ClearBursts) when it drops
+// the scenario, at a new point or when it runs out of work, so that
+// trial's samples go back to the arena instead of to the GC.
 func runSweep[S, T any](cfg Config, points, perPoint int,
 	optsAt func(point int) testbed.Options,
 	prep func(*testbed.Scenario) S,
@@ -117,13 +123,20 @@ func runSweep[S, T any](cfg Config, points, perPoint int,
 		var st S
 		var prepRSSI float64
 		var prepHaveRSSI bool
+		drop := func() {
+			if sc != nil {
+				sc.Medium.ClearBursts()
+			}
+		}
 		for {
 			j := claim()
 			if j >= total {
+				drop()
 				return
 			}
 			p, i := j/perPoint, j%perPoint
 			if p != lastP {
+				drop()
 				sc = testbed.NewScenario(optsAt(p))
 				if prep != nil {
 					st = prep(sc)
@@ -155,13 +168,25 @@ func runSweep[S, T any](cfg Config, points, perPoint int,
 		worker(func() int { j++; return j - 1 })
 		return out
 	}
-	var next atomic.Int64
+	next := make([]atomic.Int64, w)
+	for k := range next {
+		next[k].Store(int64(k * total / w))
+	}
+	claim := func(k int) int {
+		for d := range w {
+			s := (k + d) % w
+			if j := int(next[s].Add(1)) - 1; j < (s+1)*total/w {
+				return j
+			}
+		}
+		return total
+	}
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			worker(func() int { return int(next.Add(1)) - 1 })
+			worker(func() int { return claim(k) })
 		}()
 	}
 	wg.Wait()

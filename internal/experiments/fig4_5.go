@@ -111,8 +111,8 @@ func Fig5(cfg Config) Fig5Result {
 
 	shapedGen := shieldcore.NewJamGenerator(shieldcore.ShapedJam, modem.DefaultFSK, stats.NewRNG(cfg.seed("fig5-shaped")))
 	flatGen := shieldcore.NewJamGenerator(shieldcore.FlatJam, modem.DefaultFSK, stats.NewRNG(cfg.seed("fig5-flat")))
-	shapedIQ := shapedGen.Generate(1 << 16)
-	flatIQ := flatGen.Generate(1 << 16)
+	shapedIQ := shapedGen.Generate(make([]complex128, 1<<16))
+	flatIQ := flatGen.Generate(make([]complex128, 1<<16))
 	res.ShapedProfile = spectrumOf("shaped jam", shapedIQ, fs, 128)
 	res.FlatProfile = spectrumOf("flat jam", flatIQ, fs, 128)
 

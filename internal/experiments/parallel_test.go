@@ -3,6 +3,9 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"heartshield/internal/stats"
+	"heartshield/internal/testbed"
 )
 
 // The trial-parallel runner's contract: for a fixed seed, any worker
@@ -86,4 +89,48 @@ func TestFig11ParallelEquivalence(t *testing.T) {
 
 func TestTable1ParallelEquivalence(t *testing.T) {
 	checkWorkerInvariance(t, "Table1", func(c Config) Renderer { return Table1(c) }, Config{Seed: 42, Trials: 3})
+}
+
+// sweepAllocCeiling bounds what one attack trial of a warm two-point
+// sweep allocates, its share of the scenario builds included. Measured:
+// 53 KB at Workers 1 and 50–64 KB at Workers 2; 140 and 162–220 KB when
+// a worker leaves a dropped scenario's last trial to the GC.
+const sweepAllocCeiling = 96 << 10
+
+// A sweep worker hands a dropped scenario's last trial back to the
+// sample arena, at a new point and when it runs out of work, so a warm
+// sweep of Fig. 11's paired interrogations takes those samples from the
+// arena instead of allocating them again.
+func TestWarmSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("memory statistics are unreliable under -race")
+	}
+	const points, perPoint = 2, 4
+	sweep := func(workers int) {
+		runSweep(Config{Workers: workers}, points, perPoint,
+			func(p int) testbed.Options {
+				return testbed.Options{Seed: stats.TrialSeed(7, p), Location: p + 1}
+			},
+			testbed.NewWorld,
+			func(_, _ int, _ *testbed.Scenario, w *testbed.World) bool {
+				return w.Attack(false, false).Responded && w.Attack(false, true).Responded
+			})
+	}
+	for _, workers := range []int{1, 2} {
+		for i := 0; i < 10; i++ {
+			sweep(workers)
+		}
+		const sweeps = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < sweeps; i++ {
+			sweep(workers)
+		}
+		runtime.ReadMemStats(&after)
+		n := (after.TotalAlloc - before.TotalAlloc) / (sweeps * points * perPoint)
+		t.Logf("Workers %d: %d B per trial", workers, n)
+		if n > sweepAllocCeiling {
+			t.Errorf("Workers %d: a warm sweep allocates %d B per trial, want at most %d", workers, n, sweepAllocCeiling)
+		}
+	}
 }

@@ -191,6 +191,117 @@ func TestSyncConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// refSync is Sync's lock rule applied to x's exhaustive metric: chunks of
+// lags are visited in order, the first strict maximum is kept, and the
+// scan ends after the chunk in which a peak at or above threshold has a
+// full reference length of lags after it.
+func refSync(m *FSK, x []complex128, metric []float64, threshold float64) (SyncResult, bool) {
+	best, bestV := -1, 0.0
+	for lo := 0; lo < len(metric); lo += syncChunkLags {
+		hi := min(lo+syncChunkLags, len(metric))
+		for i := lo; i < hi; i++ {
+			if metric[i] > bestV {
+				best, bestV = i, metric[i]
+			}
+		}
+		if best >= 0 && bestV >= threshold && hi-best >= len(m.syncRef) {
+			break
+		}
+	}
+	if best < 0 || bestV < threshold {
+		return SyncResult{}, false
+	}
+	return SyncResult{Start: best, Metric: bestV, CFOHz: m.EstimateCFO(x, best)}, true
+}
+
+// shapedJammer returns a source of Gaussian noise shaped to the modem's
+// own spectrum block by block, as the shield shapes its jamming: each
+// call returns n samples of power p.
+func shapedJammer(m *FSK, g *stats.RNG) func(n int, p float64) []complex128 {
+	const nfft = 256
+	psd := dsp.PSD(m.Modulate(g.Bits(2048)), nfft, dsp.Hann)
+	dsp.FFTShiftFloat(psd)
+	plan := dsp.NewFFTPlan(nfft)
+	return func(n int, p float64) []complex128 {
+		x := make([]complex128, (n+nfft-1)/nfft*nfft)
+		for off := 0; off < len(x); off += nfft {
+			blk := x[off : off+nfft]
+			for k := range blk {
+				blk[k] = g.ComplexNormal(psd[k])
+			}
+			plan.InverseRaw(blk)
+		}
+		x = x[:n]
+		dsp.ScaleC(x, complex(math.Sqrt(p/dsp.Power(x)), 0))
+		return x
+	}
+}
+
+// Sync sums a lag's sync-word segments only when its preamble sum plus
+// their largest possible share can reach the threshold. That must change
+// no lock: over noise, shaped jam and frames from -10 to +20 dB SNR (some
+// under jam, some across the chunk grid, some in windows of several
+// chunks), at the shield's, the implant's and the logger's thresholds,
+// Sync must return exactly what the exhaustive metric under Sync's own
+// lock rule returns.
+func TestSyncMatchesExhaustiveLockRule(t *testing.T) {
+	m := NewFSK(DefaultFSK)
+	frame := &phy.Frame{Command: phy.CmdInterrogate, Payload: []byte("therapy")}
+	copy(frame.Serial[:], "PZK600123H")
+	sig := m.ModulateFrame(frame)
+	windows := 5000
+	if raceEnabled {
+		windows = 500
+	}
+	g := stats.NewRNG(41)
+	jam := shapedJammer(m, g)
+	thresholds := []float64{0.3, 0.5, 0.6}
+	locks := make([]int, len(thresholds))
+	for w := 0; w < windows; w++ {
+		n := 800 + g.Intn(1400)
+		if w%10 == 0 {
+			n = 3000 + g.Intn(4000)
+		}
+		var x []complex128
+		switch kind := w % 5; kind {
+		case 0: // noise
+			x = g.ComplexNormalVec(make([]complex128, n), 0.01+g.Float64()*10)
+		case 1: // shaped jam over a little noise
+			x = jam(n, 1)
+			dsp.AddTo(x, g.ComplexNormalVec(make([]complex128, n), 0.01))
+		default: // a frame at -10..+20 dB SNR, under jam when kind is 4
+			snrDB := -10 + 30*g.Float64()
+			if kind == 4 {
+				x = jam(n, math.Pow(10, -snrDB/10))
+			} else {
+				x = g.ComplexNormalVec(make([]complex128, n), math.Pow(10, -snrDB/10))
+			}
+			at := g.Intn(n - len(m.syncRef))
+			s := dsp.Clone(sig[:min(len(sig), n-at)])
+			dsp.Mix(s, (g.Float64()*2-1)*3000, m.cfg.SampleRate, g.Float64()*2*math.Pi)
+			dsp.AddTo(x[at:], s)
+		}
+		metric := m.syncMetric(x)
+		for k, th := range thresholds {
+			want, wantOK := refSync(m, x, metric, th)
+			got, ok := m.Sync(x, th)
+			if ok != wantOK || got != want {
+				t.Fatalf("window %d (%d samples), threshold %v: Sync = %+v, %v; exhaustive lock rule = %+v, %v",
+					w, n, th, got, ok, want, wantOK)
+			}
+			if ok {
+				locks[k]++
+			}
+		}
+	}
+	for k, th := range thresholds {
+		if locks[k] == 0 || locks[k] == windows {
+			t.Errorf("threshold %v: %d of %d windows locked, want some of each", th, locks[k], windows)
+		}
+	}
+	t.Logf("of %d windows, %v locked at thresholds %v", windows, locks, thresholds)
+}
+
 // TestSyncAllocs checks that a warm Sync allocates nothing, whether it
 // locks early or scans the whole window.
 func TestSyncAllocs(t *testing.T) {

@@ -77,12 +77,16 @@ type FSK struct {
 	// symbols, correlated by tone-matched filtering (see syncChunk).
 	// Segment s correlates like the unique shape shapes[segRef[s]] and is
 	// weighted by segW[s] = 1/(nSeg·reference segment energy); the
-	// periodic preamble collapses to one shape.
-	segLen int
-	nSeg   int
-	shapes []segShape
-	segRef []int
-	segW   []float64
+	// periodic preamble collapses to one shape. The head is the leading
+	// nHead segments of that shape; the rest, the tail, add at most
+	// tailMax to any lag's metric.
+	segLen  int
+	nSeg    int
+	shapes  []segShape
+	segRef  []int
+	segW    []float64
+	nHead   int
+	tailMax float64
 	// The one-symbol tone correlations are assembled from blk-sample
 	// partial sums: tone[n+blk] = ±tone[n], so partial sum k enters with
 	// the exact sign blkSgn[k].
@@ -135,25 +139,26 @@ type segShape struct {
 type syncScratch struct {
 	tp, tm []complex128 // one-symbol +Deviation / -Deviation tone correlations
 	e      []float64    // one-symbol energies
-	h      [][]float64  // per shape: |segment correlation|² / segment energy
-	buf    []float64    // reciprocal segment energies, then the chunk's metric
+	rcp    []float64    // reciprocal segment energies
+	head   []float64    // the head shape's |segment correlation|² · rcp
+	out    []float64    // the chunk's metric
+	live   []int32      // the chunk's lags whose tail is summed
 	base   int          // sample position of index 0
-	nt, nq int          // valid entries of tp/tm/e and of h
+	nt, nq int          // valid entries of tp/tm/e and of rcp/head
 }
 
 // carry rebases the tables to sample position lo for a chunk that reads
 // nt symbol positions and nq segment positions, sliding the previous
 // chunk's overlap to the front. It returns how many leading entries of
-// tp/tm/e and of h are already valid.
+// tp/tm/e and of rcp/head are already valid.
 func (sc *syncScratch) carry(lo, nt, nq int) (keepT, keepQ int) {
 	if d := lo - sc.base; d >= 0 && d < sc.nq {
 		keepT, keepQ = sc.nt-d, sc.nq-d
 		copy(sc.tp[:keepT], sc.tp[d:])
 		copy(sc.tm[:keepT], sc.tm[d:])
 		copy(sc.e[:keepT], sc.e[d:])
-		for _, h := range sc.h {
-			copy(h[:keepQ], h[d:])
-		}
+		copy(sc.rcp[:keepQ], sc.rcp[d:])
+		copy(sc.head[:keepQ], sc.head[d:])
 	}
 	sc.base, sc.nt, sc.nq = lo, nt, nq
 	return keepT, keepQ
@@ -221,6 +226,14 @@ func (m *FSK) buildSyncShapes(bits []byte, h int) {
 		refE := dsp.Energy(m.syncRef[s*m.segLen : (s+1)*m.segLen])
 		m.segW[s] = 1 / (refE * float64(m.nSeg))
 	}
+	// A segment correlates x with a unit-power stretch of the reference,
+	// so by Cauchy–Schwarz it adds at most 1/nSeg to the metric; the
+	// 1+1e-9 covers the rounding of both sides.
+	m.nHead = 1
+	for m.nHead < m.nSeg && m.segRef[m.nHead] == m.segRef[0] {
+		m.nHead++
+	}
+	m.tailMax = float64(m.nSeg-m.nHead) / float64(m.nSeg) * (1 + 1e-9)
 
 	nBlk := gcd(m.sps, h)
 	m.blk = m.sps / nBlk
@@ -244,7 +257,7 @@ const syncFreeMax = 8
 // getScratch takes an idle sync scratch or builds one. It is a plain free
 // list, not a sync.Pool: a pool misses when its one idle scratch sits in
 // another P's private slot and after every GC, and each miss builds a
-// ~130 KB scratch anew.
+// ~100 KB scratch anew.
 func (m *FSK) getScratch() *syncScratch {
 	m.syncMu.Lock()
 	if n := len(m.syncFree); n > 0 {
@@ -255,17 +268,15 @@ func (m *FSK) getScratch() *syncScratch {
 		return sc
 	}
 	m.syncMu.Unlock()
-	sc := &syncScratch{
-		tp:  make([]complex128, m.nt),
-		tm:  make([]complex128, m.nt),
-		e:   make([]float64, m.nt),
-		h:   make([][]float64, len(m.shapes)),
-		buf: make([]float64, m.nq),
+	return &syncScratch{
+		tp:   make([]complex128, m.nt),
+		tm:   make([]complex128, m.nt),
+		e:    make([]float64, m.nt),
+		rcp:  make([]float64, m.nq),
+		head: make([]float64, m.nq),
+		out:  make([]float64, syncChunkLags),
+		live: make([]int32, syncChunkLags),
 	}
-	for u := range sc.h {
-		sc.h[u] = make([]float64, m.nq)
-	}
-	return sc
 }
 
 // putScratch returns a scratch that getScratch handed out.
@@ -435,7 +446,7 @@ type SyncResult struct {
 func (m *FSK) Sync(x []complex128, threshold float64) (SyncResult, bool) {
 	n := len(m.syncRef)
 	best, bestV := -1, 0.0
-	m.scanSync(x, func(lo int, metric []float64) bool {
+	m.scanSync(x, threshold, func(lo int, metric []float64) bool {
 		for i, v := range metric {
 			if v > bestV {
 				bestV = v
@@ -461,14 +472,15 @@ const syncChunkLags = 1024
 // correlation against the sync reference: the reference is split into
 // 4-bit segments whose correlation magnitudes are combined noncoherently,
 // then normalized by segment energies so the metric stays in [0,1]. This
-// is the exhaustive sweep over every lag; Sync itself stops early once it
-// has a confirmed peak.
+// is the exhaustive sweep over every lag, each one summed whole (no lag
+// is below a zero threshold); Sync itself stops early once it has a
+// confirmed peak and sums only the lags that can reach its threshold.
 func (m *FSK) syncMetric(x []complex128) []float64 {
 	if len(m.syncRef) > len(x) {
 		return nil
 	}
 	out := make([]float64, len(x)-len(m.syncRef)+1)
-	m.scanSync(x, func(lo int, metric []float64) bool {
+	m.scanSync(x, 0, func(lo int, metric []float64) bool {
 		copy(out[lo:], metric)
 		return true
 	})
@@ -477,9 +489,11 @@ func (m *FSK) syncMetric(x []complex128) []float64 {
 
 // scanSync evaluates the sync metric over every lag of x in order, one
 // chunk of up to syncChunkLags lags at a time, handing each chunk to
-// visit until it returns false. The metric slice is only valid during the
-// call.
-func (m *FSK) scanSync(x []complex128, visit func(lo int, metric []float64) bool) {
+// visit until it returns false. A lag whose metric is at least threshold
+// holds its exact metric; any other lag holds a value below threshold
+// (see syncChunk), which cannot move Sync's lock. The metric slice is
+// only valid during the call.
+func (m *FSK) scanSync(x []complex128, threshold float64, visit func(lo int, metric []float64) bool) {
 	nLags := len(x) - len(m.syncRef) + 1
 	if nLags <= 0 {
 		return
@@ -489,23 +503,26 @@ func (m *FSK) scanSync(x []complex128, visit func(lo int, metric []float64) bool
 	sc.nt, sc.nq = 0, 0
 	for lo := 0; lo < nLags; lo += syncChunkLags {
 		hi := min(lo+syncChunkLags, nLags)
-		if !visit(lo, m.syncChunk(x, lo, hi, sc)) {
+		if !visit(lo, m.syncChunk(x, lo, hi, threshold, sc)) {
 			return
 		}
 	}
 }
 
-// syncChunk returns the metric for lags [lo, hi), in sc.buf. Every
+// syncChunk returns the metric for lags [lo, hi), in sc.out. Every
 // reference symbol is a pure ±Deviation tone times a ±1 bit-start phasor,
 // so segment s's correlation at lag L is a signed sum of the one-symbol
 // tone correlations at L+s·segLen, L+s·segLen+sps, …: the P±jQ pair
 // demodInto accumulates. The chunk computes those and the one-symbol
-// energies once per sample position, then each unique shape's
+// energies once per sample position, then the head shape's
 // |correlation|² times the reciprocal segment energy once per segment
-// position, and finally sums the weighted shapes per lag. Every value
-// depends only on the samples under its own lag, so the result does not
-// depend on the chunk grid or on where the scan stops.
-func (m *FSK) syncChunk(x []complex128, lo, hi int, sc *syncScratch) []float64 {
+// position, and sums the head's segments per lag. It adds the tail's
+// segments, in segment order and with the same operations, only at the
+// lags whose head sum plus tailMax reaches threshold: at any other lag
+// the whole metric stays below threshold, and the head sum is returned.
+// Every value depends only on the samples under its own lag, so the
+// result does not depend on the chunk grid or on where the scan stops.
+func (m *FSK) syncChunk(x []complex128, lo, hi int, threshold float64, sc *syncScratch) []float64 {
 	sps, segLen := m.sps, m.segLen
 	span := m.nSeg * segLen
 	nt := hi - lo + span - sps    // symbol positions the chunk reads
@@ -550,7 +567,7 @@ func (m *FSK) syncChunk(x []complex128, lo, hi int, sc *syncScratch) []float64 {
 	}
 
 	// The loops below unroll the segSyms = 4 symbols of a segment.
-	rcp := sc.buf[keepQ:nq]
+	rcp := sc.rcp[keepQ:nq]
 	e0, e1, e2, e3 := te[keepQ:], te[keepQ+sps:], te[keepQ+2*sps:], te[keepQ+3*sps:]
 	e0, e1, e2, e3 = e0[:len(rcp)], e1[:len(rcp)], e2[:len(rcp)], e3[:len(rcp)]
 	for i := range rcp {
@@ -559,37 +576,62 @@ func (m *FSK) syncChunk(x []complex128, lo, hi int, sc *syncScratch) []float64 {
 			rcp[i] = 1 / e
 		}
 	}
-	for u := range m.shapes {
-		sh := &m.shapes[u]
-		h := sc.h[u][keepQ:nq]
-		var t [segSyms][]complex128
-		for k := range t {
-			t[k] = tp[keepQ+k*sps:]
-			if sh.minus[k] {
-				t[k] = tm[keepQ+k*sps:]
-			}
-		}
-		t0, t1, t2, t3 := t[0][:len(h)], t[1][:len(h)], t[2][:len(h)], t[3][:len(h)]
-		s0, s1, s2, s3 := sh.sgn[0], sh.sgn[1], sh.sgn[2], sh.sgn[3]
-		r := rcp[:len(h)]
-		for i := range h {
-			a, b, c, d := t0[i], t1[i], t2[i], t3[i]
-			re := s0*real(a) + s1*real(b) + s2*real(c) + s3*real(d)
-			im := s0*imag(a) + s1*imag(b) + s2*imag(c) + s3*imag(d)
-			h[i] = (re*re + im*im) * r[i]
-		}
+	head := sc.head[keepQ:nq]
+	t0, t1, t2, t3, s0, s1, s2, s3 := m.segTones(m.segRef[0], keepQ, len(head), tp, tm)
+	for i := range head {
+		a, b, c, d := t0[i], t1[i], t2[i], t3[i]
+		re := s0*real(a) + s1*real(b) + s2*real(c) + s3*real(d)
+		im := s0*imag(a) + s1*imag(b) + s2*imag(c) + s3*imag(d)
+		head[i] = (re*re + im*im) * rcp[i]
 	}
 
-	out := sc.buf[:hi-lo]
+	out := sc.out[:hi-lo]
 	clear(out)
-	for s, u := range m.segRef {
-		h, w := sc.h[u][s*segLen:], m.segW[s]
+	for s := range m.nHead {
+		h, w := sc.head[s*segLen:], m.segW[s]
 		h = h[:len(out)]
 		for i := range out {
 			out[i] += h[i] * w
 		}
 	}
+	// Written as a negation so that a NaN lag is summed whole, as the
+	// exhaustive scan sums it.
+	live := sc.live[:0]
+	for i, v := range out {
+		if !(v+m.tailMax < threshold) {
+			live = append(live, int32(i))
+		}
+	}
+	for s := m.nHead; s < m.nSeg; s++ {
+		q := s * segLen
+		t0, t1, t2, t3, s0, s1, s2, s3 := m.segTones(m.segRef[s], q, len(out), tp, tm)
+		r, w := sc.rcp[q:q+len(out)], m.segW[s]
+		for _, i := range live {
+			a, b, c, d := t0[i], t1[i], t2[i], t3[i]
+			re := s0*real(a) + s1*real(b) + s2*real(c) + s3*real(d)
+			im := s0*imag(a) + s1*imag(b) + s2*imag(c) + s3*imag(d)
+			h := (re*re + im*im) * r[i]
+			out[i] += h * w
+		}
+	}
 	return out
+}
+
+// segTones returns the n-entry one-symbol tone correlation tables that
+// shape u reads for the segments at positions q, q+1, …: symbol k's
+// table, tm for a 0 bit and tp otherwise, from position q+k·sps, and its
+// sign.
+func (m *FSK) segTones(u, q, n int, tp, tm []complex128) (t0, t1, t2, t3 []complex128, s0, s1, s2, s3 float64) {
+	sh := &m.shapes[u]
+	var t [segSyms][]complex128
+	for k := range t {
+		t[k] = tp[q+k*m.sps:]
+		if sh.minus[k] {
+			t[k] = tm[q+k*m.sps:]
+		}
+		t[k] = t[k][:n]
+	}
+	return t[0], t[1], t[2], t[3], sh.sgn[0], sh.sgn[1], sh.sgn[2], sh.sgn[3]
 }
 
 // EstimateCFO estimates the carrier frequency offset of a transmission

@@ -302,8 +302,8 @@ func (s *Shield) CancellationDB(n int) float64 {
 	if !s.est.Valid {
 		panic("shieldcore: CancellationDB without channel estimate")
 	}
-	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(s.Medium.Samples(n), unit, s.jamTxPowerDBm())
+	jamTx := s.jamGen.Generate(s.Medium.Samples(n))
+	s.TXJam.TransmitAt(jamTx, jamTx, s.jamTxPowerDBm())
 
 	hTrue := s.Medium.Gain(s.JamAntenna, s.RxAntenna)
 	hSelf := s.Medium.Gain(s.RxAntenna, s.RxAntenna)
@@ -322,7 +322,3 @@ func (s *Shield) CancellationDB(n int) float64 {
 	pcDBm := radio.RSSIdBm(s.RX.Process(buf))
 	return pwDBm - pcDBm
 }
-
-// GenerateJamSamples returns fresh unit-power jam samples (for spectral
-// analysis experiments).
-func (s *Shield) GenerateJamSamples(n int) []complex128 { return s.jamGen.Generate(n) }

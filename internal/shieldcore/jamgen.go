@@ -58,9 +58,6 @@ type JamGenerator struct {
 	// unnormalized inverse FFT and skip a scaling pass per block.
 	binAmp []float64
 	rng    *stats.RNG
-	// scratch backs Generate's output; callers hand the samples straight
-	// to a TX chain (which copies) so the buffer can be reused per call.
-	scratch []complex128
 }
 
 // NewJamGenerator builds a generator for the given shape. The IMD profile
@@ -153,33 +150,30 @@ func normalizeProfile(p []float64) []float64 {
 	return out
 }
 
-// Generate returns n samples of fresh random jamming with the generator's
-// spectral profile and unit mean power. Each call produces an independent
-// signal: per block, every FFT bin gets an independent complex Gaussian
-// with the template variance, and the IFFT yields the time-domain jam
-// (§6(a) of the paper, verbatim).
-//
-// The returned slice aliases an internal buffer and is only valid until
-// the next Generate call on this generator; retain a copy if needed (the
-// TX chains the shield feeds it through copy on transmit).
-func (g *JamGenerator) Generate(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	need := (n + jamFFTSize - 1) / jamFFTSize * jamFFTSize
-	if cap(g.scratch) < need {
-		g.scratch = make([]complex128, need)
-	}
-	out := g.scratch[:need]
+// Generate fills dst with fresh random jamming with the generator's
+// spectral profile and unit mean power, and returns it. Each call produces
+// an independent signal: per block, every FFT bin gets an independent
+// complex Gaussian with the template variance, and the IFFT yields the
+// time-domain jam (§6(a) of the paper, verbatim). Whole blocks are
+// synthesized in dst; a last partial block is synthesized whole on the
+// stack and its head copied, so it draws what a whole block would.
+func (g *JamGenerator) Generate(dst []complex128) []complex128 {
 	// z holds one block's draws, real and imaginary part per bin in turn.
 	var z [2 * jamFFTSize]float64
-	for off := 0; off < need; off += jamFFTSize {
-		block := out[off : off+jamFFTSize]
+	var tail [jamFFTSize]complex128
+	for off := 0; off < len(dst); off += jamFFTSize {
+		block := tail[:]
+		if off+jamFFTSize <= len(dst) {
+			block = dst[off : off+jamFFTSize]
+		}
 		g.rng.FillNormal(z[:])
 		for k, a := range g.binAmp {
 			block[k] = complex(a*z[2*k], a*z[2*k+1])
 		}
 		jamFFT.InverseRaw(block)
+		if off+jamFFTSize > len(dst) {
+			copy(dst[off:], block)
+		}
 	}
-	return out[:n]
+	return dst
 }

@@ -2,6 +2,7 @@ package shieldcore
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"heartshield/internal/dsp"
@@ -12,7 +13,7 @@ import (
 func TestJamGeneratorUnitPower(t *testing.T) {
 	for _, shape := range []JamShape{ShapedJam, FlatJam} {
 		g := NewJamGenerator(shape, modem.DefaultFSK, stats.NewRNG(1))
-		x := g.Generate(50000)
+		x := g.Generate(make([]complex128, 50000))
 		p := dsp.Power(x)
 		if math.Abs(p-1) > 0.05 {
 			t.Fatalf("%v jam power = %g, want ~1", shape, p)
@@ -22,10 +23,8 @@ func TestJamGeneratorUnitPower(t *testing.T) {
 
 func TestJamGeneratorFreshRandomness(t *testing.T) {
 	g := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(2))
-	// Generate reuses its internal buffer, so the first jam must be copied
-	// out before drawing the second — the documented retention contract.
-	a := dsp.Clone(g.Generate(1024))
-	b := g.Generate(1024)
+	a := g.Generate(make([]complex128, 1024))
+	b := g.Generate(make([]complex128, 1024))
 	// Normalized correlation between independent jams must be tiny.
 	num := dsp.Dot(a, b)
 	rho := (real(num)*real(num) + imag(num)*imag(num)) / (dsp.Energy(a) * dsp.Energy(b))
@@ -37,7 +36,7 @@ func TestJamGeneratorFreshRandomness(t *testing.T) {
 func TestShapedProfileMatchesFSK(t *testing.T) {
 	// Fig. 5: the shaped jam concentrates power where the FSK tones are.
 	g := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(3))
-	x := g.Generate(1 << 16)
+	x := g.Generate(make([]complex128, 1<<16))
 	psd := dsp.PSD(x, 256, dsp.Hann)
 	fs := modem.DefaultFSK.SampleRate
 	nearTones := dsp.BandPower(psd, fs, -75e3, -25e3) + dsp.BandPower(psd, fs, 25e3, 75e3)
@@ -49,7 +48,7 @@ func TestShapedProfileMatchesFSK(t *testing.T) {
 
 func TestFlatProfileUniformInChannel(t *testing.T) {
 	g := NewJamGenerator(FlatJam, modem.DefaultFSK, stats.NewRNG(4))
-	x := g.Generate(1 << 16)
+	x := g.Generate(make([]complex128, 1<<16))
 	psd := dsp.PSD(x, 256, dsp.Hann)
 	fs := modem.DefaultFSK.SampleRate
 	// Compare power in two disjoint in-channel bands: a flat profile puts
@@ -73,7 +72,7 @@ func TestShapedBeatsFlatInToneBands(t *testing.T) {
 	fs := modem.DefaultFSK.SampleRate
 	toneBand := func(shape JamShape, seed int64) float64 {
 		g := NewJamGenerator(shape, modem.DefaultFSK, stats.NewRNG(seed))
-		x := g.Generate(1 << 16)
+		x := g.Generate(make([]complex128, 1<<16))
 		psd := dsp.PSD(x, 256, dsp.Hann)
 		return dsp.BandPower(psd, fs, -62e3, -38e3) + dsp.BandPower(psd, fs, 38e3, 62e3)
 	}
@@ -86,14 +85,23 @@ func TestShapedBeatsFlatInToneBands(t *testing.T) {
 
 func TestGenerateEdgeCases(t *testing.T) {
 	g := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(7))
-	if out := g.Generate(0); out != nil {
-		t.Fatal("Generate(0) should be nil")
+	if out := g.Generate(nil); len(out) != 0 {
+		t.Fatal("Generate(nil) should be empty")
 	}
-	if out := g.Generate(-5); out != nil {
-		t.Fatal("Generate(<0) should be nil")
+	if out := g.Generate(make([]complex128, 10)); len(out) != 10 {
+		t.Fatalf("Generate into 10 samples: length %d", len(out))
 	}
-	if out := g.Generate(10); len(out) != 10 {
-		t.Fatalf("Generate(10) length = %d", len(out))
+	// A partial last block draws a whole one: its samples are the head of
+	// the whole block the same stream yields, and the stream goes on where
+	// that block leaves it.
+	a := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(8))
+	b := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(8))
+	for _, n := range []int{300, 10} {
+		x := a.Generate(make([]complex128, n))
+		y := b.Generate(make([]complex128, (n+jamFFTSize-1)/jamFFTSize*jamFFTSize))
+		if !slices.Equal(x, y[:n]) {
+			t.Fatalf("Generate into %d samples differs from the head of whole blocks", n)
+		}
 	}
 	if g.Shape() != ShapedJam {
 		t.Fatal("Shape accessor")

@@ -352,8 +352,8 @@ func (s *Shield) placeJamAt(ch int, start int64, n int, powerDBm float64) *JamPl
 	if !s.est.Valid {
 		panic("shieldcore: PlaceJam without channel estimate")
 	}
-	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(s.Medium.Samples(n), unit, powerDBm)
+	jamTx := s.jamGen.Generate(s.Medium.Samples(n))
+	s.TXJam.TransmitAt(jamTx, jamTx, powerDBm)
 
 	jp := &JamPlacement{Start: start, End: start + int64(n), Channel: ch}
 	jp.bursts[0] = channel.Burst{Channel: ch, Start: start, IQ: jamTx, From: s.JamAntenna}

@@ -64,9 +64,27 @@ var wn64 [128]float64
 // terms math/rand folds into register word i (see seed).
 var seedPow [rngLen][3]uint64
 
+// wedges[i] bounds exp(-x²/2) over the wedge of strip i (1..127), the
+// range of |x| in [knTab[i]·wn, 2³¹·wn] that falls through the fast path
+// to the wedge test (see wedgeAccept). With c the midpoint of that range,
+// h = |x| - c and w = -h(c + h/2), exp(-x²/2) = f·eʷ for f = exp(-c²/2),
+// and eʷ is within w⁵eʷ/120 of its degree-4 Taylor polynomial; tol is
+// f times that remainder at the widest |h|, plus 2⁻²². The 2⁻²² covers
+// the rounding of float32(math.Exp(-x²/2)) (at most 2⁻²⁵ below 1) and
+// the float64 evaluation of the polynomial, with room to spare.
+var wedges [128]struct{ c, f, tol float64 }
+
 func init() {
 	for i := range wnTab {
 		wn64[i] = float64(wnTab[i])
+	}
+	for i := 1; i < len(wedges); i++ {
+		lo, hi := float64(knTab[i])*wn64[i], (1<<31)*wn64[i]
+		c, hw := (lo+hi)/2, (hi-lo)/2
+		f := math.Exp(-c * c / 2)
+		w := hw * (c + hw/2)
+		wedges[i].c, wedges[i].f = c, f
+		wedges[i].tol = f*math.Pow(w, 5)/120*math.Exp(w) + 0x1p-22
 	}
 	p := uint64(1)
 	for n := 1; n <= 20+3*rngLen; n++ {
@@ -240,35 +258,43 @@ func (s *randSource) NormFloat64() float64 {
 	}
 }
 
-// normFill overwrites dst with the next len(dst) NormFloat64 draws. It is
-// NormFloat64's loop with the cursor held in a local; s.cur is synced
-// only around a slow-path draw (which draws through s) and at the end.
+// normFill overwrites dst with the next len(dst) NormFloat64 draws. It
+// walks the register in runs: a run is the words left before the next
+// refill, cut to the draws still wanted, and every word of it is one
+// fast-path normal, so the loop tests neither the refill nor the end of
+// dst per word. A word that falls off the fast path ends the run; that
+// normal finishes through normSlow and, if the wedge rejects it,
+// NormFloat64, both of which draw through s.
 func (s *randSource) normFill(dst []float64) {
-	c := s.cur
-	for k := range dst {
-		for {
-			if c == rngLen {
-				s.refill()
-				c = 0
-			}
-			j := int32(uint32(uint64(s.w[c]) >> 31))
-			c++
+outer:
+	for len(dst) > 0 {
+		if s.cur == rngLen {
+			s.refill()
+		}
+		run := s.w[s.cur:]
+		if len(run) > len(dst) {
+			run = run[:len(dst)]
+		}
+		out := dst[:len(run)]
+		for n, v := range run {
+			j := int32(uint32(uint64(v) >> 31))
 			i := j & 0x7F
 			x := float64(j) * wn64[i]
 			if absInt32(j) < knTab[i] {
-				dst[k] = x
-				break
+				out[n] = x
+				continue
 			}
-			s.cur = c
-			ok := s.normSlow(j, i, &x)
-			c = s.cur
-			if ok {
-				dst[k] = x
-				break
+			s.cur += n + 1
+			if !s.normSlow(j, i, &x) {
+				x = s.NormFloat64()
 			}
+			out[n] = x
+			dst = dst[n+1:]
+			continue outer
 		}
+		s.cur += len(run)
+		dst = dst[len(run):]
 	}
-	s.cur = c
 }
 
 // normSlow handles the ziggurat strip-overlap and base-strip tail cases,
@@ -291,9 +317,32 @@ func (s *randSource) normSlow(j, i int32, out *float64) bool {
 		}
 		return true
 	}
-	if fnTab[i]+float32(s.Float64())*(fnTab[i-1]-fnTab[i]) < float32(math.Exp(-.5*x*x)) {
+	if wedgeAccept(i, x, s.Float64()) {
 		*out = x
 		return true
 	}
 	return false
+}
+
+// wedgeAccept is the wedge test of strip i (1..127) for the candidate x
+// and the uniform draw u. It decides exactly what math/rand's
+//
+//	fnTab[i]+float32(u)*(fnTab[i-1]-fnTab[i]) < float32(math.Exp(-.5*x*x))
+//
+// decides, but calls math.Exp only when the float32 left side lies within
+// the strip's tol of the polynomial bound: outside that band the bound and
+// the rounded exponential are on the same side of it (see wedges).
+func wedgeAccept(i int32, x, u float64) bool {
+	l := fnTab[i] + float32(u)*(fnTab[i-1]-fnTab[i])
+	wd := &wedges[i]
+	h := math.Abs(x) - wd.c
+	w := -h * (wd.c + h/2)
+	d := float64(l) - wd.f*(1+w*(1+w*(1.0/2+w*(1.0/6+w*(1.0/24)))))
+	if d < -wd.tol {
+		return true
+	}
+	if d > wd.tol {
+		return false
+	}
+	return l < float32(math.Exp(-.5*x*x))
 }

@@ -184,3 +184,139 @@ func BenchmarkAddComplexNormal4096(b *testing.B) {
 		g.AddComplexNormal(dst, 1.0)
 	}
 }
+
+// exactWedge is math/rand's wedge test, the decision wedgeAccept must
+// reproduce.
+func exactWedge(i int32, x, u float64) bool {
+	return fnTab[i]+float32(u)*(fnTab[i-1]-fnTab[i]) < float32(math.Exp(-.5*x*x))
+}
+
+// The squeeze may decide the wedge test from its polynomial bound only
+// where that cannot differ from the exact test; right at the bound it
+// must fall back to math.Exp. For every strip and a grid of x across its
+// wedge (both signs), this drives the float32 left side through every
+// value it can take within 8 ulps of float32(math.Exp(-x²/2)), on both
+// sides of it.
+func TestWedgeSqueezeAtTheBound(t *testing.T) {
+	const grid, ulps = 64, 8
+	decided, accepted := 0, 0
+	for i := int32(1); i < 128; i++ {
+		lo, hi := float64(knTab[i])*wn64[i], (1<<31)*wn64[i]
+		base, span := fnTab[i], fnTab[i-1]-fnTab[i]
+		left := func(f float32) float32 { return base + f*span }
+		// first returns the least float32 draw in [0, 1) whose left side
+		// is at least v (1 if there is none): positive floats order as
+		// their bit patterns, so this is a binary search over the bits.
+		first := func(v float32) float32 {
+			lo, hi := uint32(0), math.Float32bits(1)
+			for lo < hi {
+				mid := lo + (hi-lo)/2
+				if left(math.Float32frombits(mid)) >= v {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			return math.Float32frombits(lo)
+		}
+		for g := 0; g <= grid; g++ {
+			x := lo + (hi-lo)*float64(g)/grid
+			if g%2 == 1 {
+				x = -x
+			}
+			r := float32(math.Exp(-.5 * x * x))
+			v := r
+			for k := 0; k < ulps; k++ {
+				v = math.Nextafter32(v, 0)
+			}
+			for k := -ulps; k <= ulps; k, v = k+1, math.Nextafter32(v, 2) {
+				f := first(v)
+				if f >= 1 || left(f) != v {
+					continue // no draw puts the left side on v
+				}
+				u := float64(f)
+				want := exactWedge(i, x, u)
+				if got := wedgeAccept(i, x, u); got != want {
+					t.Fatalf("strip %d, x = %v, u = %v (left side %v, bound %v): squeezed test %v, exact %v",
+						i, x, u, v, r, got, want)
+				}
+				decided++
+				if want {
+					accepted++
+				}
+			}
+		}
+	}
+	if accepted == 0 || accepted == decided {
+		t.Fatalf("%d of %d boundary draws accepted: the walk missed one side of the bound", accepted, decided)
+	}
+	t.Logf("%d boundary draws decided, %d accepted", decided, accepted)
+}
+
+// Over long streams every sampler path runs many times: 2²⁷ normals hold
+// about 3.8M wedge tests, some 180 of them settled by math.Exp, and 80k
+// tail draws. Each seed's stream alternates fills of varying length,
+// whose runs end anywhere relative to a refill, with single NormFloat64
+// calls.
+func TestNormalsMatchMathRandLong(t *testing.T) {
+	const seeds, perSeed = 16, 1 << 23
+	buf := make([]float64, 1024)
+	for seed := int64(0); seed < seeds; seed++ {
+		ref := rand.New(rand.NewSource(seed * 7919))
+		s := newRandSource(seed * 7919)
+		for n, k := 0, 0; n < perSeed; k++ {
+			fill := buf[:(k*389)%len(buf)+1]
+			s.normFill(fill)
+			for j, v := range fill {
+				if want := ref.NormFloat64(); v != want {
+					t.Fatalf("seed %d normal %d (normFill): %v, want %v", seed*7919, n+j, v, want)
+				}
+			}
+			n += len(fill)
+			for j := 0; j < len(fill); j++ {
+				if v, want := s.NormFloat64(), ref.NormFloat64(); v != want {
+					t.Fatalf("seed %d normal %d (NormFloat64): %v, want %v", seed*7919, n+j, v, want)
+				}
+			}
+			n += len(fill)
+		}
+	}
+}
+
+// FuzzWedgeSqueeze checks the squeezed wedge test against the exact one
+// for a register word (the candidate normal) and a uniform word (the
+// wedge's Float64 draw). A register word whose normal never reaches a
+// wedge decides nothing and passes.
+func FuzzWedgeSqueeze(f *testing.F) {
+	// Seed the corpus with wedge words from a real stream, each with a
+	// uniform word that puts the left side just below the bound.
+	s := newRandSource(1)
+	for added := 0; added < 16; {
+		word := uint64(s.next())
+		j := int32(uint32(word >> 31))
+		i := j & 0x7F
+		if i == 0 || absInt32(j) < knTab[i] {
+			continue
+		}
+		x := float64(j) * wn64[i]
+		r := float64(float32(math.Exp(-.5 * x * x)))
+		u := (r - float64(fnTab[i])) / float64(fnTab[i-1]-fnTab[i])
+		f.Add(word, uint64(min(max(u, 0), 0.999)*(1<<63)))
+		added++
+	}
+	f.Fuzz(func(t *testing.T, word, uword uint64) {
+		j := int32(uint32(word >> 31))
+		i := j & 0x7F
+		if i == 0 || absInt32(j) < knTab[i] {
+			return
+		}
+		x := float64(j) * wn64[i]
+		u := float64(int64(uword&rngMask)) / (1 << 63)
+		if u == 1 {
+			return // Float64 draws again
+		}
+		if got, want := wedgeAccept(i, x, u), exactWedge(i, x, u); got != want {
+			t.Fatalf("strip %d, x = %v, u = %v: squeezed test %v, exact %v", i, x, u, got, want)
+		}
+	})
+}

@@ -9,8 +9,8 @@ import (
 
 // A scenario reseed — the per-trial NewTrialAt of every experiment sweep,
 // and Reset — reseeds the RNGs it owns in place and keeps every buffer,
-// so it allocates nothing; nor does jam synthesis on the reseeded shield
-// once its buffer is warm.
+// so it allocates nothing; nor does jam synthesis on the reseeded shield,
+// which writes into the trial's arena buffers.
 func TestReseedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")
@@ -25,11 +25,11 @@ func TestReseedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { sc.Reset(seed); seed++ }); n != 0 {
 		t.Errorf("Reset: %v allocs, want 0", n)
 	}
-	sc.Shield.GenerateJamSamples(4096)
 	if n := testing.AllocsPerRun(20, func() {
 		sc.NewTrialAt(trial)
 		trial++
-		sc.Shield.GenerateJamSamples(4096)
+		sc.Shield.EstimateChannels()
+		sc.Shield.CancellationDB(4096)
 	}); n != 0 {
 		t.Errorf("NewTrialAt + warm jam synthesis: %v allocs, want 0", n)
 	}
